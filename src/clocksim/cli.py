@@ -4,8 +4,7 @@ optimization, and Fisher-information queries, with CSV or JSON output.
 Units are the user's: only the products gamma*t, gamma*T, and delta*t enter
 any formula, so gamma and the times must simply share inverse/direct units.
 Exit codes: 0 success, 2 argument/validation error, 3 numerical or
-optimization failure. On exit 2 no output file is created. The environment
-variable CLOCKSIM_THREADS caps internal parallelism (0 or unset = auto).
+optimization failure. On exit 2 no output file is created.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -29,8 +27,15 @@ from .exceptions import (
     SingularOutcomeError,
     SingularPointError,
 )
-from .fisher import qfi, qfi_uncertainty, qfi_value
-from .optimize import OptimizerConfig, fig3_scan, minimize_over_t, optimize_symmetric_coeffs
+from .fisher import qfi, qfi_uncertainty
+from .optimize import (
+    METHODS,
+    OptimizerConfig,
+    fig3_scan,
+    improvement_sweep,
+    qfi_shot_optimum,
+    qfi_shot_uncertainty,
+)
 from .qstate import ghz, product_superposition, symmetric_state, to_density
 from .ramsey import signal_ghz, signal_uncorrelated
 
@@ -96,20 +101,6 @@ def _fail(code: int, tag: str, message) -> int:
 
 def _warn(message) -> None:
     print(f"clocksim: warning: {message}", file=sys.stderr)
-
-
-def thread_cap() -> int:
-    """Worker cap from CLOCKSIM_THREADS; 0 or unset means auto."""
-    raw = os.environ.get("CLOCKSIM_THREADS", "0").strip()
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"CLOCKSIM_THREADS must be an integer, got {raw!r}") from None
-    if value < 0:
-        raise ValueError(f"CLOCKSIM_THREADS must be >= 0, got {value}")
-    if value == 0:
-        return max(1, min(8, os.cpu_count() or 1))
-    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -250,8 +241,11 @@ def _emit_json(out, payload: dict) -> None:
 
 def _emit_text(out, text: str) -> None:
     if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write output file: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -311,39 +305,27 @@ def _cmd_optimize(opts, out, fmt) -> int:
     n_min, n_max = opts["n_min"], opts["n_max"]
     if not 2 <= n_min <= n_max <= 10:
         raise ValueError(f"need 2 <= n-min <= n-max <= 10, got {n_min}..{n_max}")
-    methods = ("gen-ramsey", "qfi") if opts["method"] == "both" else (opts["method"],)
+    methods = METHODS if opts["method"] == "both" else (opts["method"],)
     cfg = OptimizerConfig(restarts=opts["restarts"], seed=opts["seed"])
-    threads = thread_cap()
 
     rows, reports, any_ok = [], [], False
-    for n in range(n_min, n_max + 1):
-        seeds = {}
-        for method in methods:
-            extra = (seeds["gen-ramsey"],) if method == "qfi" and "gen-ramsey" in seeds else ()
-            try:
-                rep = optimize_symmetric_coeffs(
-                    n,
-                    opts["gamma"],
-                    opts["total_time"],
-                    method,
-                    cfg,
-                    extra_starts=extra,
-                    threads=threads,
-                )
-            except (OptimizationFailureError, BracketingError) as exc:
-                _warn(f"n={n} method={method}: {exc}")
+    sweep = improvement_sweep(
+        range(n_min, n_max + 1), opts["gamma"], opts["total_time"], methods, cfg
+    )
+    for n, outcomes in sweep:
+        for method, rep in outcomes.items():
+            if isinstance(rep, Exception):
+                _warn(f"n={n} method={method}: {rep}")
                 rows.append([n, method, math.nan, math.nan, "", "failed"])
                 reports.append({"n": n, "method": method, "status": "failed"})
                 continue
             any_ok = True
-            if method == "gen-ramsey":
-                seeds[method] = rep.best_coeffs
             coeffs = ";".join(_fmt(c) for c in rep.best_coeffs)
-            rows.append([n, method, rep.improvement_pct, rep.t_opt, coeffs, "ok"])
+            rows.append([n, rep.method, rep.improvement_pct, rep.t_opt, coeffs, "ok"])
             reports.append(
                 {
                     "n": n,
-                    "method": method,
+                    "method": rep.method,
                     "status": "ok",
                     "improvement_pct": rep.improvement_pct,
                     "delta_omega": rep.delta_omega,
@@ -407,22 +389,11 @@ def _cmd_qfi(opts, out, fmt) -> int:
             raise ValueError("--optimize-t requires gamma > 0")
 
         # zero detuning information is a t-independent property of the
-        # preparation; probe once so the failure reads "no-information"
-        probe = DephasingParams(opts["detuning"], gamma, 0.5 / gamma)
-        if qfi_value(dephase_evolve(rho0, probe), drho_ddelta(rho0, probe)) < 1e-30:
-            raise NoInformationError("preparation carries no information about the detuning")
-
-        def objective(t):
-            p = DephasingParams(opts["detuning"], gamma, t)
-            return qfi_uncertainty(
-                qfi_value(dephase_evolve(rho0, p), drho_ddelta(rho0, p)),
-                opts["total_time"],
-                t,
-            )
-
-        t_opt, delta_omega = minimize_over_t(
-            objective, (1e-4 / gamma, min(opts["total_time"], 8.0 / gamma))
-        )
+        # preparation; probe once, within the total time, so the failure
+        # reads "no-information"
+        probe_t = min(0.5 / gamma, opts["total_time"])
+        qfi_shot_uncertainty(rho0, probe_t, gamma, opts["total_time"], opts["detuning"])
+        t_opt, delta_omega = qfi_shot_optimum(rho0, gamma, opts["total_time"], opts["detuning"])
         t_report = t_opt
         report["t_opt"] = t_opt
     else:

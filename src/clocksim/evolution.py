@@ -5,8 +5,7 @@ off-diagonal element decays as exp(-gamma*t). In the rotating frame the
 matrix element <x|rho(t)|y> equals the initial element times
 exp(+i*delta*t*(h(y)-h(x))) * exp(-gamma*t*d(x,y)), with h the Hamming
 weight and d the Hamming distance of the basis strings. Populations are
-exactly preserved. The numerical integrator realizes the same convention
-with a sigma_z jump generator of strength gamma/2.
+exactly preserved.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from .qstate import DensityMatrix, hamming_weights
 __all__ = [
     "DephasingParams",
     "dephase_evolve",
-    "master_equation_oracle",
     "drho_ddelta",
 ]
 
@@ -72,49 +70,6 @@ def dephase_evolve(rho0: DensityMatrix, p: DephasingParams) -> DensityMatrix:
         (1j * p.delta * p.t) * _weight_diff(n) - (p.gamma * p.t) * _hamming_distance(n)
     )
     return DensityMatrix(n, rho0.elems * factor)
-
-
-def _site_operator(m: np.ndarray, k: int, n: int) -> np.ndarray:
-    op = m
-    if k > 0:
-        op = np.kron(op, np.eye(1 << k))
-    if k < n - 1:
-        op = np.kron(np.eye(1 << (n - 1 - k)), op)
-    return op
-
-
-def master_equation_oracle(rho0: DensityMatrix, p: DephasingParams, steps: int) -> DensityMatrix:
-    """Fixed-step 4th-order integration of the per-ion generator.
-
-    H = delta * sum_k |1><1|_k together with the dephasing dissipator
-    (gamma/2) * sum_k (Z_k rho Z_k - rho). Test-only cross-check for
-    ``dephase_evolve``; steps >= 1000 recommended for 1e-8 agreement at
-    gamma*t <= 5.
-    """
-    if not isinstance(steps, (int, np.integer)) or isinstance(steps, bool) or steps < 1:
-        raise ValueError(f"step count must be a positive integer, got {steps!r}")
-    n = rho0.n
-    proj1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
-    pauli_z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-    h_op = p.delta * sum(_site_operator(proj1, k, n) for k in range(n))
-    z_ops = [_site_operator(pauli_z, k, n) for k in range(n)]
-    half_rate = 0.5 * p.gamma
-
-    def rhs(rho):
-        out = -1j * (h_op @ rho - rho @ h_op)
-        for z in z_ops:
-            out += half_rate * (z @ rho @ z - rho)
-        return out
-
-    rho = rho0.elems.copy()
-    h = p.t / steps
-    for _ in range(int(steps)):
-        k1 = rhs(rho)
-        k2 = rhs(rho + 0.5 * h * k1)
-        k3 = rhs(rho + 0.5 * h * k2)
-        k4 = rhs(rho + h * k3)
-        rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return DensityMatrix(n, rho)
 
 
 def drho_ddelta(rho0: DensityMatrix, p: DephasingParams) -> np.ndarray:

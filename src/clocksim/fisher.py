@@ -90,28 +90,29 @@ def _fisher_sum(probs: np.ndarray, dprobs: np.ndarray) -> float:
     return total
 
 
-def qfi_value(rho: DensityMatrix, drho: np.ndarray) -> float:
-    """Quantum Fisher information alone (no SLD basis); fast path for optimizers."""
+def _qfi_core(rho: DensityMatrix, drho: np.ndarray):
+    """F_Q together with the eigenbasis data the SLD is built from: the
+    checked derivative, rho's eigenvectors, drho in that basis, the pair
+    denominators (1 outside the support) and the support mask."""
     drho = _check_derivative(drho, rho.dim)
     lam, vecs = np.linalg.eigh(rho.elems)
     dmat = vecs.conj().T @ drho @ vecs
     denom = lam[:, None] + lam[None, :]
     mask = denom > EIG_CUTOFF
-    terms = 2.0 * np.abs(dmat) ** 2 / np.where(mask, denom, 1.0)
-    return float(terms[mask].sum())
+    denom = np.where(mask, denom, 1.0)
+    terms = 2.0 * np.abs(dmat) ** 2 / denom
+    return float(terms[mask].sum()), drho, vecs, dmat, denom, mask
+
+
+def qfi_value(rho: DensityMatrix, drho: np.ndarray) -> float:
+    """Quantum Fisher information alone (no SLD basis); fast path for optimizers."""
+    return _qfi_core(rho, drho)[0]
 
 
 def qfi(rho: DensityMatrix, drho: np.ndarray) -> QfiResult:
     """Quantum Fisher information, SLD eigenbasis, and its classical check."""
-    drho = _check_derivative(drho, rho.dim)
-    lam, vecs = np.linalg.eigh(rho.elems)
-    dmat = vecs.conj().T @ drho @ vecs
-    denom = lam[:, None] + lam[None, :]
-    mask = denom > EIG_CUTOFF
-    terms = 2.0 * np.abs(dmat) ** 2 / np.where(mask, denom, 1.0)
-    fq = float(terms[mask].sum())
-
-    sld_in_eigbasis = np.where(mask, 2.0 * dmat / np.where(mask, denom, 1.0), 0.0)
+    fq, drho, vecs, dmat, denom, mask = _qfi_core(rho, drho)
+    sld_in_eigbasis = np.where(mask, 2.0 * dmat / denom, 0.0)
     sld = vecs @ sld_in_eigbasis @ vecs.conj().T
     _, sld_vecs = np.linalg.eigh(sld)
     basis = _canonical_phases(sld_vecs)

@@ -11,7 +11,6 @@ spawning, so identical configurations reproduce identical reports.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,13 +35,15 @@ __all__ = [
     "ImprovementCurvePoint",
     "METHODS",
     "minimize_over_t",
+    "qfi_shot_uncertainty",
+    "qfi_shot_optimum",
     "optimize_symmetric_coeffs",
-    "grid_oracle_improvement",
+    "improvement_sweep",
     "fig3_scan",
     "fig4_curve",
 ]
 
-METHODS = ("genramsey", "qfi")
+METHODS = ("gen-ramsey", "qfi")
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GRID_POINTS = 48
@@ -102,15 +103,14 @@ def _safe_call(objective, t):
     return value
 
 
-def minimize_over_t(objective, bracket, cfg: OptimizerConfig | None = None):
+def minimize_over_t(objective, bracket, tol_x: float = 1e-9):
     """Minimize a scalar objective over shot durations in ``bracket``.
 
     A coarse geometric presample locates the basin; golden-section refinement
-    narrows it to ``cfg.tol_x``. Evaluations raising singular/degenerate
+    narrows it to ``tol_x``. Evaluations raising singular/degenerate
     errors count as infinite; if every probe is infinite a BracketingError is
     raised. Returns (t_opt, value).
     """
-    cfg = cfg or OptimizerConfig()
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (0.0 < lo < hi):
         raise ValueError(f"bracket must satisfy 0 < lo < hi, got ({lo}, {hi})")
@@ -136,7 +136,7 @@ def minimize_over_t(objective, bracket, cfg: OptimizerConfig | None = None):
             a, c, fc = c, d, fd
             d = a + _GOLDEN * (b - a)
             fd = _safe_call(objective, d)
-        if b - a <= cfg.tol_x:
+        if b - a <= tol_x:
             break
     for t, f in ((c, fc), (d, fd)):
         if f < best_f:
@@ -144,29 +144,47 @@ def minimize_over_t(objective, bracket, cfg: OptimizerConfig | None = None):
     return best_t, best_f
 
 
-def _qfi_shot_uncertainty(rho0, t, gamma, total_time):
-    p = DephasingParams(0.0, gamma, t)
+def qfi_shot_uncertainty(rho0, t, gamma, total_time, delta=0.0):
+    """Optimal-measurement precision bound for shots of duration ``t``
+    within the total time; raises NoInformationError when the evolved state
+    carries no information about the detuning."""
+    p = DephasingParams(delta, gamma, t)
     value = qfi_value(dephase_evolve(rho0, p), drho_ddelta(rho0, p))
     return qfi_uncertainty(value, total_time, t)
+
+
+def qfi_shot_optimum(rho0, gamma, total_time, delta=0.0, tol_x=1e-9):
+    """Shot time minimizing ``qfi_shot_uncertainty`` over
+    (1e-4/gamma, min(T, 8/gamma)). Returns (t_opt, delta_omega); raises
+    BracketingError when no shot time in the bracket carries information.
+    """
+    return minimize_over_t(
+        lambda t: qfi_shot_uncertainty(rho0, t, gamma, total_time, delta),
+        (1e-4 / gamma, min(total_time, 8.0 / gamma)),
+        tol_x,
+    )
 
 
 def _evaluate_candidate(a, n, gamma, total_time, method, t_tol):
     """Best uncertainty of one normalized coefficient vector; raises
     DegenerateStateError for candidates carrying no signal."""
     psi = symmetric_state(n, a)
-    if method == "genramsey":
+    if method == "gen-ramsey":
         result = genramsey_opt_uncertainty(collective_moments(psi), n, total_time, gamma)
         return result.delta_omega, result.t_opt
-    rho0 = to_density(psi)
     try:
-        t_opt, value = minimize_over_t(
-            lambda t: _qfi_shot_uncertainty(rho0, t, gamma, total_time),
-            (1e-4 / gamma, min(total_time, 8.0 / gamma)),
-            OptimizerConfig(tol_x=t_tol),
-        )
+        t_opt, value = qfi_shot_optimum(to_density(psi), gamma, total_time, tol_x=t_tol)
     except BracketingError as exc:
         raise DegenerateStateError(str(exc)) from exc
     return value, t_opt
+
+
+def _canonical_method(method: str) -> str:
+    key = method.replace("-", "").replace("_", "")
+    for name in METHODS:
+        if key == name.replace("-", ""):
+            return name
+    raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
 def _normalize(x):
@@ -217,21 +235,18 @@ def optimize_symmetric_coeffs(
     method: str,
     cfg: OptimizerConfig | None = None,
     extra_starts=(),
-    threads: int = 1,
 ) -> OptimizationReport:
     """Search unit-norm family coefficients minimizing the scheme uncertainty.
 
-    ``method`` picks the measurement: "genramsey" uses the collective S_x
-    observable with the analytic optimal shot time, "qfi" uses the optimal
-    projective measurement with the shot time minimized numerically per
-    candidate. ``extra_starts`` prepends deterministic start vectors to the
-    seeded random restarts.
+    ``method`` picks the measurement: "gen-ramsey" (also spelled "genramsey")
+    uses the collective S_x observable with the analytic optimal shot time,
+    "qfi" uses the optimal projective measurement with the shot time
+    minimized numerically per candidate. ``extra_starts`` prepends
+    deterministic start vectors to the seeded random restarts.
     """
     if not 2 <= n <= 10:
         raise ValueError(f"coefficient optimization supports 2 <= n <= 10, got {n}")
-    method = method.replace("-", "").replace("_", "")
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    method = _canonical_method(method)
     if not gamma > 0.0:
         raise ValueError(f"dephasing rate must be > 0, got {gamma}")
     if total_time < 0.5 / gamma:
@@ -243,15 +258,7 @@ def optimize_symmetric_coeffs(
     for child in np.random.SeedSequence(cfg.seed).spawn(cfg.restarts):
         starts.append(np.random.default_rng(child).normal(size=dim))
 
-    def task(x0):
-        return _run_restart(x0, n, gamma, total_time, method, cfg)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(task, starts))
-    else:
-        outcomes = [task(x0) for x0 in starts]
-
+    outcomes = [_run_restart(x0, n, gamma, total_time, method, cfg) for x0 in starts]
     values = [v for v, _ in outcomes]
     best = int(np.argmin(values))
     if not math.isfinite(values[best]):
@@ -272,31 +279,30 @@ def optimize_symmetric_coeffs(
     )
 
 
-def grid_oracle_improvement(
-    n: int, gamma: float, total_time: float, method: str, resolution: float = 1e-2
+def improvement_sweep(
+    n_range, gamma: float, total_time: float, methods=METHODS, cfg: OptimizerConfig | None = None
 ):
-    """Brute-force sweep over the coefficient sphere, for n with a
-    two-dimensional coefficient vector (n = 2 or 3) only.
+    """Yield ``(n, outcomes)`` for each ion number, ``outcomes`` mapping each
+    method in order to its OptimizationReport, or to the
+    OptimizationFailureError or BracketingError that ended its search.
 
-    Parametrizes a = (cos theta, sin theta) on a grid of the given angular
-    resolution and returns (best_improvement_pct, best_coeffs). Used to
-    vouch for the simplex optimizer at small n.
+    A "qfi" search run after a successful "gen-ramsey" one is seeded with
+    the collective-observable winner, so its improvement cannot fall below it.
     """
-    if n // 2 + 1 != 2:
-        raise ValueError(f"grid oracle supports a 2-coefficient family (n = 2 or 3), got n={n}")
-    ref = reference_limit(n, total_time, gamma)
-    best_value, best_a = math.inf, None
-    for theta in np.arange(0.0, math.pi, resolution):
-        a = np.array([math.cos(theta), math.sin(theta)])
-        try:
-            value, _ = _evaluate_candidate(a, n, gamma, total_time, method, 1e-9)
-        except DegenerateStateError:
-            continue
-        if value < best_value:
-            best_value, best_a = value, a
-    if best_a is None:
-        raise OptimizationFailureError("every grid point was degenerate")
-    return 100.0 * (1.0 - best_value / ref), _canonical_sign(best_a)
+    methods = tuple(_canonical_method(m) for m in methods)
+    for n in n_range:
+        outcomes = {}
+        for method in methods:
+            gen = outcomes.get("gen-ramsey")
+            seeded = method == "qfi" and isinstance(gen, OptimizationReport)
+            extra = (gen.best_coeffs,) if seeded else ()
+            try:
+                outcomes[method] = optimize_symmetric_coeffs(
+                    n, gamma, total_time, method, cfg, extra_starts=extra
+                )
+            except (OptimizationFailureError, BracketingError) as exc:
+                outcomes[method] = exc
+        yield n, outcomes
 
 
 def fig3_scan(n: int, gamma: float, total_time: float, t_grid) -> np.ndarray:
@@ -324,51 +330,22 @@ def fig3_scan(n: int, gamma: float, total_time: float, t_grid) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
-def fig4_curve(
-    n_range, gamma: float, total_time: float, cfg: OptimizerConfig | None = None, threads: int = 1
-):
+def fig4_curve(n_range, gamma: float, total_time: float, cfg: OptimizerConfig | None = None):
     """Improvement over the reference limit versus ion number, for both the
     collective-observable and the optimal-measurement strategies.
 
     The optimal-measurement search is seeded with the collective-observable
-    winner, so its improvement can never fall below it. Failed points are
-    flagged rather than aborting the sweep.
+    winner (see ``improvement_sweep``). Failed points are flagged rather
+    than aborting the sweep.
     """
-    cfg = cfg or OptimizerConfig()
     points = []
-    for n in n_range:
-        try:
-            gen = optimize_symmetric_coeffs(
-                n, gamma, total_time, "genramsey", cfg, threads=threads
-            )
-            opt = optimize_symmetric_coeffs(
-                n,
-                gamma,
-                total_time,
-                "qfi",
-                cfg,
-                extra_starts=(gen.best_coeffs,),
-                threads=threads,
-            )
-        except (OptimizationFailureError, BracketingError):
-            points.append(
-                ImprovementCurvePoint(
-                    n=n,
-                    improvement_genramsey_pct=math.nan,
-                    improvement_qfi_pct=math.nan,
-                    best_coeffs=None,
-                    status="failed",
-                )
-            )
+    for n, outcomes in improvement_sweep(n_range, gamma, total_time, METHODS, cfg):
+        gen, opt = outcomes["gen-ramsey"], outcomes["qfi"]
+        if isinstance(gen, Exception) or isinstance(opt, Exception):
+            points.append(ImprovementCurvePoint(n, math.nan, math.nan, None, status="failed"))
             continue
         winner = opt if opt.delta_omega <= gen.delta_omega else gen
         points.append(
-            ImprovementCurvePoint(
-                n=n,
-                improvement_genramsey_pct=gen.improvement_pct,
-                improvement_qfi_pct=opt.improvement_pct,
-                best_coeffs=winner.best_coeffs,
-                status="ok",
-            )
+            ImprovementCurvePoint(n, gen.improvement_pct, opt.improvement_pct, winner.best_coeffs)
         )
     return points

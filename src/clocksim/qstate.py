@@ -10,6 +10,7 @@ Ramsey pulse is the y-axis rotation |0> -> (|0>+|1>)/sqrt(2),
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,12 @@ def _check_qubit_count(n, cap=MAX_QUBITS):
     return int(n)
 
 
+def _reject_non_finite(values: np.ndarray, what: str) -> None:
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValueError(f"{what} must be finite, got {values[bad]} at indices {bad}")
+
+
 @functools.lru_cache(maxsize=None)
 def hamming_weights(n: int) -> np.ndarray:
     """Number of 1-bits of every basis index of an n-qubit register."""
@@ -76,6 +83,8 @@ class StateVector:
         if amps.shape != (1 << n,):
             raise ValueError(f"amplitude vector must have length {1 << n}, got shape {amps.shape}")
         norm2 = float(np.vdot(amps, amps).real)
+        if not math.isfinite(norm2):  # NaN would slip past the norm check
+            _reject_non_finite(amps, "amplitudes")
         if abs(norm2 - 1.0) > _NORM_TOL:
             raise ValueError(f"state vector is not normalized: sum|amp|^2 = {norm2:.17g}")
         amps.flags.writeable = False
@@ -153,7 +162,7 @@ class SymmetricFamilyState:
     ``a[k]`` weights the normalized, equally weighted superposition of all
     basis strings whose Hamming weight is k or n-k, for k = 0..floor(n/2).
     Coefficients within 1e-9 of unit norm are renormalized; anything further
-    off is rejected.
+    off, or any non-finite coefficient, is rejected.
     """
 
     n: int
@@ -166,6 +175,8 @@ class SymmetricFamilyState:
         if a.shape != (n // 2 + 1,):
             raise ValueError(f"need {n // 2 + 1} coefficients for n={n}, got shape {a.shape}")
         norm2 = float(a @ a)
+        if not math.isfinite(norm2):  # NaN would slip past the norm check
+            _reject_non_finite(a, "coefficients")
         if abs(norm2 - 1.0) > _COEFF_TOL:
             raise ValueError(f"coefficients not normalized: sum a^2 = {norm2:.17g}")
         a = a / np.sqrt(norm2)

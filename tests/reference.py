@@ -1,12 +1,29 @@
 """Brute-force reference constructions used as independent oracles.
 
 Everything here is built from explicit dense operators (kron products,
-matrix exponentials of nothing fancier than diagonal phases) so that the
-production code paths are checked against a second, slower route.
+matrix exponentials of nothing fancier than diagonal phases), from a
+fixed-step integration of the master equation, or from a grid search over
+the library's per-candidate figures, so that the production code paths are
+checked against a second, slower route.
 """
 
-import numpy as np
+import math
 from functools import reduce
+
+import numpy as np
+
+from clocksim import (
+    BracketingError,
+    DegenerateStateError,
+    DensityMatrix,
+    OptimizationFailureError,
+    collective_moments,
+    genramsey_opt_uncertainty,
+    qfi_shot_optimum,
+    reference_limit,
+    symmetric_state,
+    to_density,
+)
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -98,3 +115,71 @@ def permute_qubits(amps, n, perm):
                 y |= 1 << k
         out[y] = amps[x]
     return out
+
+
+def master_equation_oracle(rho0, p, steps):
+    """Fixed-step 4th-order integration of the per-ion generator.
+
+    H = delta * sum_k |1><1|_k together with the dephasing dissipator
+    (gamma/2) * sum_k (Z_k rho Z_k - rho), for a DensityMatrix ``rho0`` and
+    DephasingParams ``p``. Cross-check for ``dephase_evolve``; steps >= 1000
+    recommended for 1e-8 agreement at gamma*t <= 5.
+    """
+    if not isinstance(steps, (int, np.integer)) or isinstance(steps, bool) or steps < 1:
+        raise ValueError(f"step count must be a positive integer, got {steps!r}")
+    n = rho0.n
+    h_op = p.delta * collective_op(PROJ_1, n)
+    z_ops = [site_operator(SIGMA_Z, k, n) for k in range(n)]
+    half_rate = 0.5 * p.gamma
+
+    def rhs(rho):
+        out = -1j * (h_op @ rho - rho @ h_op)
+        for z in z_ops:
+            out += half_rate * (z @ rho @ z - rho)
+        return out
+
+    rho = rho0.elems.copy()
+    h = p.t / steps
+    for _ in range(int(steps)):
+        k1 = rhs(rho)
+        k2 = rhs(rho + 0.5 * h * k1)
+        k3 = rhs(rho + 0.5 * h * k2)
+        k4 = rhs(rho + h * k3)
+        rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return DensityMatrix(n, rho)
+
+
+def grid_oracle_improvement(n, gamma, total_time, method, resolution=1e-2):
+    """Brute-force sweep over the coefficient sphere, for n with a
+    two-dimensional coefficient vector (n = 2 or 3) only.
+
+    Parametrizes a = (cos theta, sin theta) on a grid of the given angular
+    resolution and returns (best_improvement_pct, best_coeffs), the
+    coefficients signed so that the first significant one is positive.
+    ``method`` is "genramsey" (collective S_x readout at its analytic shot
+    time) or "qfi" (optimal measurement at the numerically optimal shot time).
+    """
+    if n // 2 + 1 != 2:
+        raise ValueError(f"grid oracle supports a 2-coefficient family (n = 2 or 3), got n={n}")
+    if method not in ("genramsey", "qfi"):
+        raise ValueError(f"unknown method {method!r}")
+    best_value, best_a = math.inf, None
+    for theta in np.arange(0.0, math.pi, resolution):
+        a = np.array([math.cos(theta), math.sin(theta)])
+        psi = symmetric_state(n, a)
+        try:
+            if method == "genramsey":
+                value = genramsey_opt_uncertainty(
+                    collective_moments(psi), n, total_time, gamma
+                ).delta_omega
+            else:
+                _, value = qfi_shot_optimum(to_density(psi), gamma, total_time)
+        except (DegenerateStateError, BracketingError):
+            continue
+        if value < best_value:
+            best_value, best_a = value, a
+    if best_a is None:
+        raise OptimizationFailureError("every grid point was degenerate")
+    if best_a[0] < -1e-12:
+        best_a = -best_a
+    return 100.0 * (1.0 - best_value / reference_limit(n, total_time, gamma)), best_a

@@ -20,8 +20,6 @@ from clocksim import (
     fig4_curve,
     genramsey_opt_uncertainty,
     ghz,
-    grid_oracle_improvement,
-    master_equation_oracle,
     minimize_over_t,
     optimize_symmetric_coeffs,
     pipeline_signal,
@@ -39,7 +37,7 @@ from clocksim import (
 )
 from clocksim.cli import main
 
-from reference import random_density
+from reference import grid_oracle_improvement, master_equation_oracle, random_density
 
 GAMMA = 1.0
 TOTAL = 100.0

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from clocksim import reference_limit, signal_ghz, signal_uncorrelated, uncertainty_uncorrelated
-from clocksim import ExperimentBudget
+from clocksim import ExperimentBudget, OptimizerConfig, fig4_curve
 from clocksim.cli import main
 
 
@@ -231,14 +231,49 @@ def test_stdout_output_when_no_path(capsys):
     assert "t,delta,gamma,scheme,P" in got
 
 
-def test_threads_env_var_validation(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("CLOCKSIM_THREADS", "abc")
-    out = tmp_path / "opt.csv"
-    code = main(["optimize", "--n-min", "2", "--n-max", "2", "--restarts", "1",
-                 "--method", "gen-ramsey", "--out", str(out)])
+def test_signal_unwritable_output_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "sig.csv"
+    code = main(["signal", "--n", "2", "--t", "0.5", "--out", str(out)])
     assert code == 2
     assert not out.exists()
-    monkeypatch.setenv("CLOCKSIM_THREADS", "2")
-    code = main(["optimize", "--n-min", "2", "--n-max", "2", "--restarts", "2",
-                 "--method", "gen-ramsey", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "invalid-argument" in err
+
+
+def test_qfi_non_finite_coeffs_exit_2(capsys):
+    code = main(["qfi", "--coeffs", "nan;1", "--n", "2", "--gamma", "1", "--t", "0.5"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "invalid-argument" in err and "coefficients must be finite" in err
+
+
+def test_optimize_matches_library_curve(tmp_path):
+    out = tmp_path / "opt.csv"
+    code = main(["optimize", "--method", "both", "--n-min", "2", "--n-max", "3",
+                 "--seed", "5", "--restarts", "3", "--out", str(out)])
     assert code == 0
+    _, rows = _read_csv(out)
+    got = {(int(r[0]), r[1]): float(r[2]) for r in rows}
+    points = fig4_curve(range(2, 4), 1.0, 100.0, OptimizerConfig(restarts=3, seed=5))
+    assert len(got) == 2 * len(points)
+    for p in points:
+        assert got[p.n, "gen-ramsey"] == p.improvement_genramsey_pct
+        assert got[p.n, "qfi"] == p.improvement_qfi_pct
+
+
+def test_qfi_optimized_shot_time_ignores_detuning(tmp_path):
+    # dephasing commutes with the detuning Hamiltonian, so the detuning
+    # changes neither the optimal shot time nor the precision bound
+    reports = []
+    for detuning in ("0", "0.3"):
+        out = tmp_path / f"qfi_{detuning}.json"
+        code = main(["qfi", "--coeffs", "0.6;0.5;0.6244997998398398", "--n", "4",
+                     "--gamma", "1", "--optimize-t", "--total-time", "100",
+                     "--detuning", detuning, "--out", str(out)])
+        assert code == 0
+        reports.append(json.loads(out.read_text()))
+    still, detuned = reports
+    assert detuned["detuning"] == 0.3
+    assert detuned["delta_omega"] == pytest.approx(still["delta_omega"], rel=1e-9)
+    assert detuned["t_opt"] == pytest.approx(still["t_opt"], abs=1e-6)

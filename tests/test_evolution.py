@@ -8,11 +8,10 @@ from clocksim import (
     dephase_evolve,
     drho_ddelta,
     ghz,
-    master_equation_oracle,
     to_density,
 )
 
-from reference import evolve_reference, random_density, random_pure_state
+from reference import evolve_reference, master_equation_oracle, random_density, random_pure_state
 
 
 def _half_coherence(n=1):

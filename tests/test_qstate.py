@@ -192,6 +192,15 @@ def test_state_vector_rejects_unnormalized():
         StateVector(1, np.array([1.0, 1.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_entries_rejected_by_name(bad):
+    # nan slips past a norm check, since abs(nan - 1) > tol is False
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        SymmetricFamilyState(2, np.array([bad, 1.0]))
+    with pytest.raises(ValueError, match="amplitudes must be finite"):
+        StateVector(1, np.array([bad, 1.0]))
+
+
 def test_collective_moments_validation():
     with pytest.raises(ValueError):
         CollectiveMoments(n=2, sx_mean=3.0, sx2_mean=9.5, sy_mean=0.0, sy2_mean=1.0)
