@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .evolution import DephasingParams, dephase_evolve, drho_ddelta
+from .evolution import DephasingParams, _evolve_stack
 from .exceptions import (
     BracketingError,
     ClocksimError,
@@ -36,7 +36,7 @@ from .optimize import (
     qfi_shot_optimum,
     qfi_shot_uncertainty,
 )
-from .qstate import ghz, product_superposition, symmetric_state, to_density
+from .qstate import DensityMatrix, ghz, product_superposition, symmetric_state, to_density
 from .ramsey import signal_ghz, signal_uncorrelated
 
 CONVENTION_NOTE = (
@@ -404,7 +404,8 @@ def _cmd_qfi(opts, out, fmt) -> int:
         delta_omega = None
 
     params = DephasingParams(opts["detuning"], gamma, t_report)
-    result = qfi(dephase_evolve(rho0, params), drho_ddelta(rho0, params))
+    evolved, drho = _evolve_stack(rho0, params.delta, params.gamma, params.t)
+    result = qfi(DensityMatrix._derived(n, evolved), drho)
     if delta_omega is None and opts["total_time"] is not None:
         delta_omega = qfi_uncertainty(result.qfi, opts["total_time"], t_report)
     report["qfi"] = result.qfi

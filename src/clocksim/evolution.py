@@ -6,6 +6,10 @@ matrix element <x|rho(t)|y> equals the initial element times
 exp(+i*delta*t*(h(y)-h(x))) * exp(-gamma*t*d(x,y)), with h the Hamming
 weight and d the Hamming distance of the basis strings. Populations are
 exactly preserved.
+
+The map and its detuning derivative are evaluated by one kernel over a stack
+of durations; ``dephase_evolve`` and ``drho_ddelta`` are its
+single-duration forms.
 """
 
 from __future__ import annotations
@@ -63,21 +67,37 @@ def _hamming_distance(n: int) -> np.ndarray:
     return dist
 
 
+def _evolve_stack(rho0: DensityMatrix, delta: float, gamma: float, ts):
+    """Evolved elements rho(t) and their detuning derivative i*t*W∘rho(t),
+    with W[x, y] = h(y) - h(x), for every duration of ``ts``.
+
+    Both read-only arrays have shape ``np.shape(ts) + (d, d)`` and share one
+    exponential per duration. The map keeps the diagonal exactly (its
+    diagonal factor is exp(0) = 1) and conjugate symmetry, so a state derived
+    from a validated ``rho0`` needs no second validation. The scalars are not
+    checked here: callers validate them once, at the API boundary (finite
+    ``delta``, finite ``gamma`` >= 0, finite durations >= 0).
+    """
+    n = rho0.n
+    t = np.asarray(ts, dtype=float)[..., None, None]
+    wd = _weight_diff(n)
+    evolved = rho0.elems * np.exp((1j * delta * t) * wd - (gamma * t) * _hamming_distance(n))
+    drho = evolved * ((1j * t) * wd)
+    evolved.flags.writeable = False
+    drho.flags.writeable = False
+    return evolved, drho
+
+
 def dephase_evolve(rho0: DensityMatrix, p: DephasingParams) -> DensityMatrix:
     """Exact analytic evolution map; diagonal elements are untouched."""
-    n = rho0.n
-    factor = np.exp(
-        (1j * p.delta * p.t) * _weight_diff(n) - (p.gamma * p.t) * _hamming_distance(n)
-    )
-    return DensityMatrix(n, rho0.elems * factor)
+    return DensityMatrix._derived(rho0.n, _evolve_stack(rho0, p.delta, p.gamma, p.t)[0])
 
 
 def drho_ddelta(rho0: DensityMatrix, p: DephasingParams) -> np.ndarray:
     """Analytic derivative of the evolved state with respect to the detuning.
 
-    Elementwise i*t*(h(y)-h(x)) times the evolved element; the result is
-    Hermitian and traceless.
+    Elementwise i*t*(h(y)-h(x)) times the evolved element, from the same
+    kernel evaluation as ``dephase_evolve``; the result is exactly Hermitian
+    and traceless (its diagonal is zero).
     """
-    n = rho0.n
-    evolved = dephase_evolve(rho0, p).elems
-    return evolved * ((1j * p.t) * _weight_diff(n))
+    return _evolve_stack(rho0, p.delta, p.gamma, p.t)[1]

@@ -23,6 +23,7 @@ from .qstate import DensityMatrix
 
 __all__ = [
     "EIG_CUTOFF",
+    "QFI_FLOOR",
     "QfiResult",
     "qfi",
     "qfi_value",
@@ -32,6 +33,8 @@ __all__ = [
 ]
 
 EIG_CUTOFF = 1e-12
+# F_Q below this carries no information about the detuning
+QFI_FLOOR = 1e-30
 
 _P_FLOOR = 1e-15
 _DP_FLOOR = 1e-12
@@ -90,28 +93,36 @@ def _fisher_sum(probs: np.ndarray, dprobs: np.ndarray) -> float:
     return total
 
 
-def _qfi_core(rho: DensityMatrix, drho: np.ndarray):
-    """F_Q together with the eigenbasis data the SLD is built from: the
-    checked derivative, rho's eigenvectors, drho in that basis, the pair
-    denominators (1 outside the support) and the support mask."""
-    drho = _check_derivative(drho, rho.dim)
-    lam, vecs = np.linalg.eigh(rho.elems)
-    dmat = vecs.conj().T @ drho @ vecs
-    denom = lam[:, None] + lam[None, :]
+def _qfi_core(rho: np.ndarray, drho: np.ndarray):
+    """F_Q of each state of a stack ``rho`` of shape ``(..., d, d)`` with its
+    derivative in ``drho``, together with the eigenbasis data the SLD is built
+    from: rho's eigenvectors, drho in that basis, the pair denominators (1
+    outside the support) and the support mask. The derivatives are not
+    checked here."""
+    lam, vecs = np.linalg.eigh(rho)
+    dmat = np.swapaxes(vecs.conj(), -1, -2) @ drho @ vecs
+    denom = lam[..., :, None] + lam[..., None, :]
     mask = denom > EIG_CUTOFF
     denom = np.where(mask, denom, 1.0)
     terms = 2.0 * np.abs(dmat) ** 2 / denom
-    return float(terms[mask].sum()), drho, vecs, dmat, denom, mask
+    # Each state's supported terms are summed as one flat run in index order,
+    # so a stacked F_Q equals the single-state one to the last bit, and so do
+    # the shot-time optima and the CLI output bytes built on it.
+    d = rho.shape[-1]
+    flat = zip(terms.reshape(-1, d, d), mask.reshape(-1, d, d))
+    fq = np.array([t[m].sum() for t, m in flat]).reshape(lam.shape[:-1])
+    return fq, vecs, dmat, denom, mask
 
 
 def qfi_value(rho: DensityMatrix, drho: np.ndarray) -> float:
     """Quantum Fisher information alone (no SLD basis); fast path for optimizers."""
-    return _qfi_core(rho, drho)[0]
+    return float(_qfi_core(rho.elems, _check_derivative(drho, rho.dim))[0])
 
 
 def qfi(rho: DensityMatrix, drho: np.ndarray) -> QfiResult:
     """Quantum Fisher information, SLD eigenbasis, and its classical check."""
-    fq, drho, vecs, dmat, denom, mask = _qfi_core(rho, drho)
+    drho = _check_derivative(drho, rho.dim)
+    fq, vecs, dmat, denom, mask = _qfi_core(rho.elems, drho)
     sld_in_eigbasis = np.where(mask, 2.0 * dmat / denom, 0.0)
     sld = vecs @ sld_in_eigbasis @ vecs.conj().T
     _, sld_vecs = np.linalg.eigh(sld)
@@ -119,16 +130,20 @@ def qfi(rho: DensityMatrix, drho: np.ndarray) -> QfiResult:
 
     probs = np.einsum("im,ij,jm->m", basis.conj(), rho.elems, basis).real
     dprobs = np.einsum("im,ij,jm->m", basis.conj(), drho, basis).real
-    return QfiResult(qfi=fq, sld_eigenbasis=basis, classical_fi_check=_fisher_sum(probs, dprobs))
+    return QfiResult(
+        qfi=float(fq), sld_eigenbasis=basis, classical_fi_check=_fisher_sum(probs, dprobs)
+    )
 
 
 def qfi_uncertainty(qfi_per_shot: float, total_time: float, shot_time: float) -> float:
     """Optimal-measurement precision bound 1/sqrt((T/t) * F_Q)."""
     if not (total_time > 0.0 and shot_time > 0.0):
         raise ValueError("total_time and shot_time must be > 0")
+    if not math.isfinite(total_time):
+        raise ValueError(f"total time must be finite, got {total_time}")
     if total_time < shot_time:
         raise ValueError(f"total time {total_time} smaller than shot time {shot_time}")
-    if qfi_per_shot < 1e-30:
+    if qfi_per_shot < QFI_FLOOR:
         raise NoInformationError("state carries no information about the detuning")
     return 1.0 / math.sqrt((total_time / shot_time) * qfi_per_shot)
 

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import minimize as _scipy_minimize
 
 from .collective import genramsey_opt_uncertainty
-from .evolution import DephasingParams, dephase_evolve, drho_ddelta
+from .evolution import DephasingParams, _evolve_stack
 from .exceptions import (
     BracketingError,
     DegenerateStateError,
@@ -25,7 +25,7 @@ from .exceptions import (
     OptimizationFailureError,
     SingularPointError,
 )
-from .fisher import qfi_uncertainty, qfi_value
+from .fisher import QFI_FLOOR, _qfi_core, qfi_uncertainty
 from .qstate import collective_moments, symmetric_state, to_density
 from .ramsey import ExperimentBudget, reference_limit, uncertainty_ghz, uncertainty_uncorrelated
 
@@ -47,6 +47,10 @@ METHODS = ("gen-ramsey", "qfi")
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GRID_POINTS = 48
+# Bytes of one stacked (k, d, d) complex array in the shot-time grid: every
+# grid point in one chunk up to d = 16, a single point per chunk at d = 128,
+# so a chunk's temporaries stay near those of one probe on large matrices.
+_STACK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -103,6 +107,50 @@ def _safe_call(objective, t):
     return value
 
 
+def _check_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def _refine(objective, grid, values, tol_x):
+    """Golden-section refinement of ``objective`` (infinite where it fails)
+    from its ``values`` on the geometric ``grid``: narrows the basin around
+    the best grid point to ``tol_x``. Returns (t_opt, value); raises
+    BracketingError when every grid value is infinite."""
+    best = int(np.argmin(values))
+    if not math.isfinite(values[best]):
+        raise BracketingError(f"objective is infinite everywhere on ({grid[0]}, {grid[-1]})")
+    best_t, best_f = float(grid[best]), float(values[best])
+
+    a = float(grid[max(best - 1, 0)])
+    b = float(grid[min(best + 1, len(grid) - 1)])
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = objective(c), objective(d)
+    for _ in range(400):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = objective(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = objective(d)
+        if b - a <= tol_x:
+            break
+    for t, f in ((c, fc), (d, fd)):
+        if f < best_f:
+            best_t, best_f = float(t), float(f)
+    return best_t, best_f
+
+
+def _geometric_grid(bracket) -> np.ndarray:
+    lo, hi = float(bracket[0]), float(bracket[1])
+    if not (0.0 < lo < hi):
+        raise ValueError(f"bracket must satisfy 0 < lo < hi, got ({lo}, {hi})")
+    return np.geomspace(lo, hi, _GRID_POINTS)
+
+
 def minimize_over_t(objective, bracket, tol_x: float = 1e-9):
     """Minimize a scalar objective over shot durations in ``bracket``.
 
@@ -111,37 +159,20 @@ def minimize_over_t(objective, bracket, tol_x: float = 1e-9):
     errors count as infinite; if every probe is infinite a BracketingError is
     raised. Returns (t_opt, value).
     """
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not (0.0 < lo < hi):
-        raise ValueError(f"bracket must satisfy 0 < lo < hi, got ({lo}, {hi})")
-
-    grid = np.geomspace(lo, hi, _GRID_POINTS)
+    grid = _geometric_grid(bracket)
     values = [_safe_call(objective, t) for t in grid]
-    best = int(np.argmin(values))
-    if not math.isfinite(values[best]):
-        raise BracketingError(f"objective is infinite everywhere on ({lo}, {hi})")
-    best_t, best_f = float(grid[best]), values[best]
+    return _refine(lambda t: _safe_call(objective, t), grid, values, tol_x)
 
-    a = float(grid[max(best - 1, 0)])
-    b = float(grid[min(best + 1, _GRID_POINTS - 1)])
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = _safe_call(objective, c), _safe_call(objective, d)
-    for _ in range(400):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = _safe_call(objective, c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = _safe_call(objective, d)
-        if b - a <= tol_x:
-            break
-    for t, f in ((c, fc), (d, fd)):
-        if f < best_f:
-            best_t, best_f = float(t), f
-    return best_t, best_f
+
+def _qfi_bounds(rho0, ts, gamma, total_time, delta):
+    """``qfi_shot_uncertainty`` for every shot time of ``ts`` from one stacked
+    evaluation, infinite where the evolved state carries no information.
+    The arguments are validated by the caller, and 0 <= t <= total_time."""
+    ts = np.asarray(ts, dtype=float)
+    fq = _qfi_core(*_evolve_stack(rho0, delta, gamma, ts))[0]
+    with np.errstate(divide="ignore", invalid="ignore"):  # F_Q = 0 where t = 0
+        bounds = 1.0 / np.sqrt((total_time / ts) * fq)
+    return np.where(fq >= QFI_FLOOR, bounds, math.inf)
 
 
 def qfi_shot_uncertainty(rho0, t, gamma, total_time, delta=0.0):
@@ -149,19 +180,34 @@ def qfi_shot_uncertainty(rho0, t, gamma, total_time, delta=0.0):
     within the total time; raises NoInformationError when the evolved state
     carries no information about the detuning."""
     p = DephasingParams(delta, gamma, t)
-    value = qfi_value(dephase_evolve(rho0, p), drho_ddelta(rho0, p))
-    return qfi_uncertainty(value, total_time, t)
+    value = _qfi_core(*_evolve_stack(rho0, p.delta, p.gamma, p.t))[0]
+    return qfi_uncertainty(float(value), total_time, p.t)
 
 
 def qfi_shot_optimum(rho0, gamma, total_time, delta=0.0, tol_x=1e-9):
     """Shot time minimizing ``qfi_shot_uncertainty`` over
     (1e-4/gamma, min(T, 8/gamma)). Returns (t_opt, delta_omega); raises
     BracketingError when no shot time in the bracket carries information.
+
+    The presampling grid is evaluated in stacked chunks, and the
+    golden-section refinement is that of ``minimize_over_t``, so the result
+    equals ``minimize_over_t`` over ``qfi_shot_uncertainty`` exactly.
     """
-    return minimize_over_t(
-        lambda t: qfi_shot_uncertainty(rho0, t, gamma, total_time, delta),
-        (1e-4 / gamma, min(total_time, 8.0 / gamma)),
-        tol_x,
+    _check_finite("detuning", delta)
+    _check_finite("dephasing rate", gamma)
+    _check_finite("total time", total_time)
+    if not gamma > 0.0:
+        raise ValueError(f"dephasing rate must be > 0, got {gamma}")
+    grid = _geometric_grid((1e-4 / gamma, min(total_time, 8.0 / gamma)))
+    chunk = max(1, _STACK_BYTES // (16 * rho0.dim * rho0.dim))
+    values = np.concatenate(
+        [
+            _qfi_bounds(rho0, grid[i : i + chunk], gamma, total_time, delta)
+            for i in range(0, len(grid), chunk)
+        ]
+    )
+    return _refine(
+        lambda t: float(_qfi_bounds(rho0, t, gamma, total_time, delta)), grid, values, tol_x
     )
 
 
@@ -247,6 +293,8 @@ def optimize_symmetric_coeffs(
     if not 2 <= n <= 10:
         raise ValueError(f"coefficient optimization supports 2 <= n <= 10, got {n}")
     method = _canonical_method(method)
+    _check_finite("dephasing rate", gamma)
+    _check_finite("total time", total_time)
     if not gamma > 0.0:
         raise ValueError(f"dephasing rate must be > 0, got {gamma}")
     if total_time < 0.5 / gamma:

@@ -117,6 +117,16 @@ class DensityMatrix:
         elems.flags.writeable = False
         object.__setattr__(self, "elems", elems)
 
+    @classmethod
+    def _derived(cls, n: int, elems: np.ndarray) -> "DensityMatrix":
+        """Wrap the read-only ``d x d`` complex elements that a map keeping
+        Hermiticity and the trace derived from a validated state, without
+        checking them again."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "n", n)
+        object.__setattr__(state, "elems", elems)
+        return state
+
     @property
     def dim(self) -> int:
         return 1 << self.n

@@ -11,6 +11,7 @@ import math
 from functools import reduce
 
 import numpy as np
+from scipy.linalg import solve_continuous_lyapunov
 
 from clocksim import (
     BracketingError,
@@ -67,6 +68,13 @@ def random_density(rng, n, rank=None):
         v = random_pure_state(rng, n)
         rho += w * np.outer(v, v.conj())
     return 0.5 * (rho + rho.conj().T)
+
+
+def sld_qfi(rho, drho):
+    """F_Q = Tr(drho L) with the symmetric logarithmic derivative L solving
+    rho L + L rho = 2 drho; for full-rank ``rho`` only."""
+    sld = solve_continuous_lyapunov(rho, 2.0 * drho)
+    return float(np.trace(drho @ sld).real)
 
 
 def haar_basis(rng, d):

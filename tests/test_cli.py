@@ -277,3 +277,20 @@ def test_qfi_optimized_shot_time_ignores_detuning(tmp_path):
     assert detuned["detuning"] == 0.3
     assert detuned["delta_omega"] == pytest.approx(still["delta_omega"], rel=1e-9)
     assert detuned["t_opt"] == pytest.approx(still["t_opt"], abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["optimize", "--method", "gen-ramsey", "--n-min", "2", "--n-max", "2", "--restarts", "1"],
+        ["optimize", "--method", "qfi", "--n-min", "2", "--n-max", "2", "--restarts", "1"],
+        ["qfi", "--scheme", "ghz", "--n", "2", "--gamma", "1", "--optimize-t"],
+        ["qfi", "--scheme", "ghz", "--n", "2", "--gamma", "1", "--t", "0.2"],
+    ],
+)
+def test_infinite_total_time_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "never.out"
+    assert main(argv + ["--total-time", "inf", "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("clocksim: invalid-argument:") and "finite" in err

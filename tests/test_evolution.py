@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clocksim import (
     DensityMatrix,
@@ -144,3 +146,36 @@ def test_derivative_matches_finite_difference(gamma):
         minus = dephase_evolve(rho, DephasingParams(delta - h, gamma, t)).elems
         fd = (plus - minus) / (2 * h)
         assert np.abs(d - fd).max() < 1e-6
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    delta=st.floats(-5.0, 5.0),
+    gamma=st.floats(0.0, 3.0),
+    t=st.floats(0.0, 5.0),
+    skew=st.one_of(st.just(0.0), st.floats(1e-16, 5e-14)),
+)
+def test_evolution_preserves_what_validation_checks(n, seed, delta, gamma, t, skew):
+    # Evolved states are not validated again; these are the properties the
+    # validation would have checked, over validated inputs that are exactly
+    # Hermitian or Hermitian only within the 1e-12 tolerance.
+    rng = np.random.default_rng(seed)
+    raw = random_density(rng, n)
+    noise = skew * rng.normal(size=raw.shape)
+    np.fill_diagonal(noise, 0.0)
+    rho0 = DensityMatrix(n, raw + noise)
+    p = DephasingParams(delta, gamma, t)
+    out = dephase_evolve(rho0, p).elems
+    drho = drho_ddelta(rho0, p)
+
+    assert np.array_equal(np.diag(out), np.diag(rho0.elems))
+    residual_in = np.abs(rho0.elems - rho0.elems.conj().T).max()
+    residual_out = np.abs(out - out.conj().T).max()
+    # each element is one rounded complex product with a factor of modulus <= 1
+    assert residual_out <= residual_in + 4 * np.finfo(float).eps * np.abs(rho0.elems).max()
+    assert np.all(np.diag(drho) == 0.0) and np.trace(drho) == 0.0
+    if residual_in == 0.0:
+        assert residual_out == 0.0
+        assert np.array_equal(drho, drho.conj().T)

@@ -17,14 +17,18 @@ from clocksim import (
     product_superposition,
     qfi,
     qfi_uncertainty,
+    qfi_shot_uncertainty,
     qfi_value,
     reference_limit,
     symmetric_state,
     to_density,
     uncertainty_uncorrelated,
 )
+from clocksim.evolution import _evolve_stack
+from clocksim.fisher import _qfi_core
+from clocksim.optimize import _qfi_bounds
 
-from reference import hamming, haar_basis, random_density, random_pure_state
+from reference import hamming, haar_basis, random_density, random_pure_state, sld_qfi
 
 
 def _evolved_pair(psi, delta, gamma, t):
@@ -195,3 +199,24 @@ def test_optimal_measurement_reaches_reference_limit(n):
     assert val_ghz == pytest.approx(ref, rel=1e-8)
     assert t_prod == pytest.approx(0.5 / gamma, abs=1e-4)
     assert t_ghz == pytest.approx(0.5 / (n * gamma), abs=1e-4)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_stacked_qfi_matches_single_evaluation_and_sld_oracle(n):
+    rng = np.random.default_rng(40 + n)
+    d = 1 << n
+    rho0 = DensityMatrix(n, 0.7 * random_density(rng, n) + 0.3 * np.eye(d) / d)
+    delta, gamma, total = 0.7, 0.4, 10.0
+    ts = np.array([0.0, 0.05, 0.3, 1.1, 2.5])
+    fq = _qfi_core(*_evolve_stack(rho0, delta, gamma, ts))[0]
+    bounds = _qfi_bounds(rho0, ts, gamma, total, delta)
+    for k, t in enumerate(ts):
+        p = DephasingParams(delta, gamma, t)
+        rho_t, drho = dephase_evolve(rho0, p), drho_ddelta(rho0, p)
+        assert fq[k] == qfi_value(rho_t, drho)
+        if t == 0.0:
+            # no phase has accumulated yet: no information, and the probe reads inf
+            assert fq[k] == 0.0 and bounds[k] == math.inf
+            continue
+        assert bounds[k] == qfi_shot_uncertainty(rho0, t, gamma, total, delta)
+        assert fq[k] == pytest.approx(sld_qfi(rho_t.elems, drho), rel=1e-9)

@@ -15,8 +15,12 @@ from clocksim import (
     ghz,
     minimize_over_t,
     optimize_symmetric_coeffs,
+    product_superposition,
+    qfi_shot_optimum,
+    qfi_shot_uncertainty,
     reference_limit,
     symmetric_state,
+    to_density,
     uncertainty_ghz,
     uncertainty_uncorrelated,
     uniform_coefficients,
@@ -107,6 +111,9 @@ def test_optimizer_validation():
         optimize_symmetric_coeffs(2, GAMMA, TOTAL, "bogus")
     with pytest.raises(ValueError):
         optimize_symmetric_coeffs(2, GAMMA, 0.2, "genramsey")  # T < tau_dec/2
+    for method in ("genramsey", "qfi"):
+        with pytest.raises(ValueError):
+            optimize_symmetric_coeffs(2, GAMMA, math.inf, method)
 
 
 def test_optimizer_report_is_reproducible_and_self_consistent():
@@ -139,6 +146,31 @@ def test_optimizer_matches_grid_oracle_qfi(n):
     rep = optimize_symmetric_coeffs(n, GAMMA, TOTAL, "qfi", OptimizerConfig(restarts=6, seed=3))
     assert rep.improvement_pct >= oracle_impr - 1e-6
     assert abs(rep.improvement_pct - oracle_impr) < 0.1
+
+
+def test_qfi_shot_optimum_validation():
+    rho0 = to_density(ghz(2))
+    for gamma, total in ((0.0, TOTAL), (-1.0, TOTAL), (math.nan, TOTAL), (GAMMA, math.inf),
+                         (GAMMA, math.nan)):
+        with pytest.raises(ValueError):
+            qfi_shot_optimum(rho0, gamma, total)
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.3])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_qfi_shot_optimum_equals_scalar_search(n, delta):
+    rng = np.random.default_rng(100 + n)
+    states = [ghz(n), product_superposition(n)]
+    for _ in range(2):
+        a = rng.normal(size=n // 2 + 1)
+        states.append(symmetric_state(n, a / np.linalg.norm(a)))
+    bracket = (1e-4 / GAMMA, min(TOTAL, 8.0 / GAMMA))
+    for psi in states:
+        rho0 = to_density(psi)
+        scalar = minimize_over_t(
+            lambda t: qfi_shot_uncertainty(rho0, t, GAMMA, TOTAL, delta), bracket, 1e-9
+        )
+        assert qfi_shot_optimum(rho0, GAMMA, TOTAL, delta) == scalar
 
 
 def test_grid_oracle_rejects_large_n():
