@@ -13,11 +13,12 @@ import argparse
 import json
 import math
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .evolution import DephasingParams, _evolve_stack
+from .evolution import DephasingParams, dephase_evolve, drho_ddelta
 from .exceptions import (
     BracketingError,
     ClocksimError,
@@ -29,14 +30,14 @@ from .exceptions import (
 )
 from .fisher import qfi, qfi_uncertainty
 from .optimize import (
+    ION_RANGE,
     METHODS,
     OptimizerConfig,
     fig3_scan,
     improvement_sweep,
     qfi_shot_optimum,
-    qfi_shot_uncertainty,
 )
-from .qstate import DensityMatrix, ghz, product_superposition, symmetric_state, to_density
+from .qstate import ghz, product_superposition, symmetric_state, to_density
 from .ramsey import signal_ghz, signal_uncorrelated
 
 CONVENTION_NOTE = (
@@ -55,42 +56,59 @@ _ERROR_TAGS = (
     (ClocksimError, "numerical-failure"),
 )
 
-# dest -> (converter, required, default); merged from config file then flags.
+
+class _Option(NamedTuple):
+    convert: type
+    required: bool = False
+    default: object = None
+    choices: tuple | None = None
+    help: str | None = None
+
+
+# dest -> option, for each subcommand. The parser is generated from these
+# tables, and config-file values are merged under them, then flags override.
 _OPTION_TABLES = {
     "signal": {
-        "scheme": (str, False, "uncorrelated"),
-        "n": (int, True, None),
-        "gamma": (float, False, 0.0),
-        "detuning": (float, False, 0.0),
-        "t": (float, True, None),
+        "scheme": _Option(str, default="uncorrelated", choices=("uncorrelated", "ghz")),
+        "n": _Option(int, required=True),
+        "gamma": _Option(float, default=0.0),
+        "detuning": _Option(float, default=0.0),
+        "t": _Option(float, required=True),
     },
     "scan": {
-        "n": (int, True, None),
-        "gamma": (float, True, None),
-        "total_time": (float, True, None),
-        "t_min": (float, False, 0.02),
-        "t_max": (float, False, 2.0),
-        "t_steps": (int, False, 256),
+        "n": _Option(int, required=True),
+        "gamma": _Option(float, required=True),
+        "total_time": _Option(float, required=True),
+        "t_min": _Option(float, default=0.02),
+        "t_max": _Option(float, default=2.0),
+        "t_steps": _Option(int, default=256),
     },
     "optimize": {
-        "n_min": (int, True, None),
-        "n_max": (int, True, None),
-        "method": (str, False, "both"),
-        "seed": (int, False, 0),
-        "restarts": (int, False, 16),
-        "gamma": (float, False, 1.0),
-        "total_time": (float, False, 100.0),
+        "n_min": _Option(int, required=True),
+        "n_max": _Option(int, required=True),
+        "method": _Option(str, default="both", choices=(*METHODS, "both")),
+        "seed": _Option(int, default=0),
+        "restarts": _Option(int, default=16),
+        "gamma": _Option(float, default=1.0),
+        "total_time": _Option(float, default=100.0),
     },
     "qfi": {
-        "scheme": (str, False, None),
-        "coeffs": (str, False, None),
-        "n": (int, True, None),
-        "gamma": (float, True, None),
-        "detuning": (float, False, 0.0),
-        "t": (float, False, None),
-        "optimize_t": (bool, False, False),
-        "total_time": (float, False, None),
+        "scheme": _Option(str, choices=("uncorrelated", "ghz", "symmetric")),
+        "coeffs": _Option(str, help="semicolon-separated family coefficients"),
+        "n": _Option(int, required=True),
+        "gamma": _Option(float, required=True),
+        "detuning": _Option(float, default=0.0),
+        "t": _Option(float),
+        "optimize_t": _Option(bool, default=False),
+        "total_time": _Option(float),
     },
+}
+
+_COMMAND_HELP = {
+    "signal": "evaluate a Ramsey signal at one point",
+    "scan": "uncertainty versus shot time for both basic schemes",
+    "optimize": "optimize symmetric-family coefficients over a sweep of n",
+    "qfi": "quantum Fisher information report for one preparation",
 }
 
 
@@ -112,48 +130,19 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"clocksim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    for command, table in _OPTION_TABLES.items():
+        p = sub.add_parser(command, help=_COMMAND_HELP[command])
+        for dest, opt in table.items():
+            flag = "--" + dest.replace("_", "-")
+            if opt.convert is bool:
+                p.add_argument(flag, action="store_true", default=None, dest=dest, help=opt.help)
+            else:
+                p.add_argument(
+                    flag, type=opt.convert, choices=opt.choices, dest=dest, help=opt.help
+                )
         p.add_argument("--out", help="output file path (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), help="output format")
         p.add_argument("--config", help="flat key=value file; flags override it")
-
-    p = sub.add_parser("signal", help="evaluate a Ramsey signal at one point")
-    p.add_argument("--scheme", choices=("uncorrelated", "ghz"))
-    p.add_argument("--n", type=int)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--detuning", type=float)
-    p.add_argument("--t", type=float)
-    common(p)
-
-    p = sub.add_parser("scan", help="uncertainty versus shot time for both basic schemes")
-    p.add_argument("--n", type=int)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--total-time", type=float, dest="total_time")
-    p.add_argument("--t-min", type=float, dest="t_min")
-    p.add_argument("--t-max", type=float, dest="t_max")
-    p.add_argument("--t-steps", type=int, dest="t_steps")
-    common(p)
-
-    p = sub.add_parser("optimize", help="optimize symmetric-family coefficients over a sweep of n")
-    p.add_argument("--n-min", type=int, dest="n_min")
-    p.add_argument("--n-max", type=int, dest="n_max")
-    p.add_argument("--method", choices=("gen-ramsey", "qfi", "both"))
-    p.add_argument("--seed", type=int)
-    p.add_argument("--restarts", type=int)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--total-time", type=float, dest="total_time")
-    common(p)
-
-    p = sub.add_parser("qfi", help="quantum Fisher information report for one preparation")
-    p.add_argument("--scheme", choices=("uncorrelated", "ghz", "symmetric"))
-    p.add_argument("--coeffs", help="semicolon-separated family coefficients")
-    p.add_argument("--n", type=int)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--detuning", type=float)
-    p.add_argument("--t", type=float)
-    p.add_argument("--optimize-t", action="store_true", default=None, dest="optimize_t")
-    p.add_argument("--total-time", type=float, dest="total_time")
-    common(p)
     return parser
 
 
@@ -181,23 +170,28 @@ def _merge_options(args: argparse.Namespace) -> dict:
     table = _OPTION_TABLES[args.command]
     file_values = _load_config(args.config) if args.config else {}
     merged = {}
-    for dest, (convert, required, default) in table.items():
+    for dest, opt in table.items():
         value = getattr(args, dest, None)
         if value is None and dest in file_values:
             raw = file_values[dest]
-            if convert is bool:
+            if opt.convert is bool:
                 if raw.lower() not in _BOOL_STRINGS:
                     raise ValueError(f"config key {dest}: expected a boolean, got {raw!r}")
                 value = _BOOL_STRINGS[raw.lower()]
             else:
                 try:
-                    value = convert(raw)
+                    value = opt.convert(raw)
                 except ValueError:
                     raise ValueError(f"config key {dest}: cannot parse {raw!r}") from None
+            if opt.choices is not None and value not in opt.choices:
+                raise ValueError(
+                    f"config key {dest}: invalid choice {raw!r} "
+                    f"(choose from {', '.join(opt.choices)})"
+                )
         if value is None:
-            if required:
+            if opt.required:
                 raise ValueError(f"missing --{dest.replace('_', '-')}")
-            value = default
+            value = opt.default
         merged[dest] = value
     return merged
 
@@ -303,8 +297,9 @@ def _cmd_scan(opts, out, fmt) -> int:
 
 def _cmd_optimize(opts, out, fmt) -> int:
     n_min, n_max = opts["n_min"], opts["n_max"]
-    if not 2 <= n_min <= n_max <= 10:
-        raise ValueError(f"need 2 <= n-min <= n-max <= 10, got {n_min}..{n_max}")
+    lo, hi = ION_RANGE
+    if not lo <= n_min <= n_max <= hi:
+        raise ValueError(f"need {lo} <= n-min <= n-max <= {hi}, got {n_min}..{n_max}")
     methods = METHODS if opts["method"] == "both" else (opts["method"],)
     cfg = OptimizerConfig(restarts=opts["restarts"], seed=opts["seed"])
 
@@ -387,12 +382,6 @@ def _cmd_qfi(opts, out, fmt) -> int:
             raise ValueError("--optimize-t requires --total-time")
         if not gamma > 0.0:
             raise ValueError("--optimize-t requires gamma > 0")
-
-        # zero detuning information is a t-independent property of the
-        # preparation; probe once, within the total time, so the failure
-        # reads "no-information"
-        probe_t = min(0.5 / gamma, opts["total_time"])
-        qfi_shot_uncertainty(rho0, probe_t, gamma, opts["total_time"], opts["detuning"])
         t_opt, delta_omega = qfi_shot_optimum(rho0, gamma, opts["total_time"], opts["detuning"])
         t_report = t_opt
         report["t_opt"] = t_opt
@@ -404,8 +393,7 @@ def _cmd_qfi(opts, out, fmt) -> int:
         delta_omega = None
 
     params = DephasingParams(opts["detuning"], gamma, t_report)
-    evolved, drho = _evolve_stack(rho0, params.delta, params.gamma, params.t)
-    result = qfi(DensityMatrix._derived(n, evolved), drho)
+    result = qfi(dephase_evolve(rho0, params), drho_ddelta(rho0, params))
     if delta_omega is None and opts["total_time"] is not None:
         delta_omega = qfi_uncertainty(result.qfi, opts["total_time"], t_report)
     report["qfi"] = result.qfi

@@ -35,6 +35,7 @@ __all__ = [
 EIG_CUTOFF = 1e-12
 # F_Q below this carries no information about the detuning
 QFI_FLOOR = 1e-30
+_NO_INFORMATION = "state carries no information about the detuning"
 
 _P_FLOOR = 1e-15
 _DP_FLOOR = 1e-12
@@ -115,7 +116,7 @@ def _qfi_core(rho: np.ndarray, drho: np.ndarray):
 
 
 def qfi_value(rho: DensityMatrix, drho: np.ndarray) -> float:
-    """Quantum Fisher information alone (no SLD basis); fast path for optimizers."""
+    """Quantum Fisher information alone (no SLD basis)."""
     return float(_qfi_core(rho.elems, _check_derivative(drho, rho.dim))[0])
 
 
@@ -144,7 +145,7 @@ def qfi_uncertainty(qfi_per_shot: float, total_time: float, shot_time: float) ->
     if total_time < shot_time:
         raise ValueError(f"total time {total_time} smaller than shot time {shot_time}")
     if qfi_per_shot < QFI_FLOOR:
-        raise NoInformationError("state carries no information about the detuning")
+        raise NoInformationError(_NO_INFORMATION)
     return 1.0 / math.sqrt((total_time / shot_time) * qfi_per_shot)
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize as _scipy_minimize
+from scipy.optimize import minimize_scalar
 
 from .collective import genramsey_opt_uncertainty
 from .evolution import DephasingParams, _evolve_stack
@@ -25,7 +26,7 @@ from .exceptions import (
     OptimizationFailureError,
     SingularPointError,
 )
-from .fisher import QFI_FLOOR, _qfi_core, qfi_uncertainty
+from .fisher import QFI_FLOOR, _NO_INFORMATION, _qfi_core, qfi_uncertainty
 from .qstate import collective_moments, symmetric_state, to_density
 from .ramsey import ExperimentBudget, reference_limit, uncertainty_ghz, uncertainty_uncorrelated
 
@@ -34,6 +35,7 @@ __all__ = [
     "OptimizationReport",
     "ImprovementCurvePoint",
     "METHODS",
+    "ION_RANGE",
     "minimize_over_t",
     "qfi_shot_uncertainty",
     "qfi_shot_optimum",
@@ -44,8 +46,10 @@ __all__ = [
 ]
 
 METHODS = ("gen-ramsey", "qfi")
+# Smallest and largest ion number the coefficient search accepts; the dense
+# 2^n density matrices of the "qfi" method set the upper end.
+ION_RANGE = (2, 10)
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GRID_POINTS = 48
 # Bytes of one stacked (k, d, d) complex array in the shot-time grid: every
 # grid point in one chunk up to d = 16, a single point per chunk at d = 128,
@@ -113,35 +117,19 @@ def _check_finite(name: str, value: float) -> None:
 
 
 def _refine(objective, grid, values, tol_x):
-    """Golden-section refinement of ``objective`` (infinite where it fails)
-    from its ``values`` on the geometric ``grid``: narrows the basin around
-    the best grid point to ``tol_x``. Returns (t_opt, value); raises
-    BracketingError when every grid value is infinite."""
+    """Refine ``objective`` (infinite where it fails) from its ``values`` on
+    the geometric ``grid`` with scipy's bounded Brent method, between the grid
+    neighbours of the best grid point, to ``tol_x``. Returns (t_opt, value),
+    never worse than the best grid point; raises BracketingError when every
+    grid value is infinite."""
     best = int(np.argmin(values))
     if not math.isfinite(values[best]):
         raise BracketingError(f"objective is infinite everywhere on ({grid[0]}, {grid[-1]})")
-    best_t, best_f = float(grid[best]), float(values[best])
-
-    a = float(grid[max(best - 1, 0)])
-    b = float(grid[min(best + 1, len(grid) - 1)])
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = objective(c), objective(d)
-    for _ in range(400):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = objective(d)
-        if b - a <= tol_x:
-            break
-    for t, f in ((c, fc), (d, fd)):
-        if f < best_f:
-            best_t, best_f = float(t), float(f)
-    return best_t, best_f
+    bounds = (grid[max(best - 1, 0)], grid[min(best + 1, len(grid) - 1)])
+    res = minimize_scalar(objective, bounds=bounds, method="bounded", options={"xatol": tol_x})
+    if res.fun < values[best]:
+        return float(res.x), float(res.fun)
+    return float(grid[best]), float(values[best])
 
 
 def _geometric_grid(bracket) -> np.ndarray:
@@ -154,8 +142,8 @@ def _geometric_grid(bracket) -> np.ndarray:
 def minimize_over_t(objective, bracket, tol_x: float = 1e-9):
     """Minimize a scalar objective over shot durations in ``bracket``.
 
-    A coarse geometric presample locates the basin; golden-section refinement
-    narrows it to ``tol_x``. Evaluations raising singular/degenerate
+    A coarse geometric presample locates the basin; scipy's bounded Brent
+    method narrows it to ``tol_x``. Evaluations raising singular/degenerate
     errors count as infinite; if every probe is infinite a BracketingError is
     raised. Returns (t_opt, value).
     """
@@ -187,11 +175,11 @@ def qfi_shot_uncertainty(rho0, t, gamma, total_time, delta=0.0):
 def qfi_shot_optimum(rho0, gamma, total_time, delta=0.0, tol_x=1e-9):
     """Shot time minimizing ``qfi_shot_uncertainty`` over
     (1e-4/gamma, min(T, 8/gamma)). Returns (t_opt, delta_omega); raises
-    BracketingError when no shot time in the bracket carries information.
+    NoInformationError when no grid shot time carries information.
 
-    The presampling grid is evaluated in stacked chunks, and the
-    golden-section refinement is that of ``minimize_over_t``, so the result
-    equals ``minimize_over_t`` over ``qfi_shot_uncertainty`` exactly.
+    The presampling grid is evaluated in stacked chunks, and the bounded
+    Brent refinement is that of ``minimize_over_t``, so the result equals
+    ``minimize_over_t`` over ``qfi_shot_uncertainty`` exactly.
     """
     _check_finite("detuning", delta)
     _check_finite("dephasing rate", gamma)
@@ -206,6 +194,8 @@ def qfi_shot_optimum(rho0, gamma, total_time, delta=0.0, tol_x=1e-9):
             for i in range(0, len(grid), chunk)
         ]
     )
+    if not np.isfinite(values).any():
+        raise NoInformationError(_NO_INFORMATION)
     return _refine(
         lambda t: float(_qfi_bounds(rho0, t, gamma, total_time, delta)), grid, values, tol_x
     )
@@ -220,7 +210,7 @@ def _evaluate_candidate(a, n, gamma, total_time, method, t_tol):
         return result.delta_omega, result.t_opt
     try:
         t_opt, value = qfi_shot_optimum(to_density(psi), gamma, total_time, tol_x=t_tol)
-    except BracketingError as exc:
+    except NoInformationError as exc:
         raise DegenerateStateError(str(exc)) from exc
     return value, t_opt
 
@@ -290,8 +280,9 @@ def optimize_symmetric_coeffs(
     minimized numerically per candidate. ``extra_starts`` prepends
     deterministic start vectors to the seeded random restarts.
     """
-    if not 2 <= n <= 10:
-        raise ValueError(f"coefficient optimization supports 2 <= n <= 10, got {n}")
+    lo, hi = ION_RANGE
+    if not lo <= n <= hi:
+        raise ValueError(f"coefficient optimization supports {lo} <= n <= {hi}, got {n}")
     method = _canonical_method(method)
     _check_finite("dephasing rate", gamma)
     _check_finite("total time", total_time)
@@ -332,7 +323,7 @@ def improvement_sweep(
 ):
     """Yield ``(n, outcomes)`` for each ion number, ``outcomes`` mapping each
     method in order to its OptimizationReport, or to the
-    OptimizationFailureError or BracketingError that ended its search.
+    OptimizationFailureError that ended its search.
 
     A "qfi" search run after a successful "gen-ramsey" one is seeded with
     the collective-observable winner, so its improvement cannot fall below it.
@@ -348,7 +339,7 @@ def improvement_sweep(
                 outcomes[method] = optimize_symmetric_coeffs(
                     n, gamma, total_time, method, cfg, extra_starts=extra
                 )
-            except (OptimizationFailureError, BracketingError) as exc:
+            except OptimizationFailureError as exc:
                 outcomes[method] = exc
         yield n, outcomes
 

@@ -85,7 +85,10 @@ class PrecisionResult:
             raise ValueError(f"frequency uncertainty must be > 0, got {self.delta_omega!r}")
 
 
-def _check_rates(t, gamma):
+def _check_rates(t, gamma, delta):
+    for name, value in (("duration", t), ("dephasing rate", gamma), ("detuning", delta)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if t < 0.0:
         raise ValueError(f"duration must be >= 0, got {t}")
     if gamma < 0.0:
@@ -94,7 +97,7 @@ def _check_rates(t, gamma):
 
 def signal_uncorrelated(delta: float, t: float, gamma: float) -> float:
     """Probability (1 + cos(delta*t) * exp(-gamma*t)) / 2 of finding an ion in |1>."""
-    _check_rates(t, gamma)
+    _check_rates(t, gamma, delta)
     return 0.5 * (1.0 + math.cos(delta * t) * math.exp(-gamma * t))
 
 
@@ -102,7 +105,7 @@ def signal_ghz(n: int, delta: float, t: float, gamma: float) -> float:
     """Maximally entangled signal (1 + cos(n*delta*t) * exp(-n*gamma*t)) / 2."""
     if n < 1:
         raise ValueError(f"ion count must be >= 1, got {n}")
-    _check_rates(t, gamma)
+    _check_rates(t, gamma, delta)
     return 0.5 * (1.0 + math.cos(n * delta * t) * math.exp(-n * gamma * t))
 
 
@@ -121,7 +124,7 @@ def uncertainty_uncorrelated(budget: ExperimentBudget, delta: float, gamma: floa
     sqrt((1 - cos^2(delta*t) e^{-2 gamma t}) / (n T t e^{-2 gamma t} sin^2(delta*t))).
     Reduces to the shot-noise limit 1/sqrt(nTt) at gamma=0, delta*t = pi/2.
     """
-    _check_rates(budget.shot_time, gamma)
+    _check_rates(budget.shot_time, gamma, delta)
     t = budget.shot_time
     phase = delta * t
     s = math.sin(phase)
@@ -136,7 +139,7 @@ def uncertainty_uncorrelated(budget: ExperimentBudget, delta: float, gamma: floa
 
 def uncertainty_ghz(budget: ExperimentBudget, delta: float, gamma: float) -> float:
     """Frequency uncertainty of the maximally entangled scheme with dephasing."""
-    _check_rates(budget.shot_time, gamma)
+    _check_rates(budget.shot_time, gamma, delta)
     n, t = budget.n, budget.shot_time
     phase = n * delta * t
     s = math.sin(phase)
@@ -178,7 +181,7 @@ def pipeline_signal(scheme: str, n: int, delta: float, gamma: float, t: float) -
         raise ValueError(f"unsupported scheme {scheme!r}")
     if not 1 <= n <= _PIPELINE_MAX_QUBITS:
         raise ValueError(f"pipeline simulation supports 1..{_PIPELINE_MAX_QUBITS} ions, got {n}")
-    _check_rates(t, gamma)
+    _check_rates(t, gamma, delta)
 
     if scheme == "uncorrelated":
         psi = product_superposition(n)

@@ -145,7 +145,7 @@ def test_topt_agrees_with_direct_minimization():
         budget = ExperimentBudget(n, total, float(t))
         values.append(genramsey_uncertainty(m0, budget, 0.5 * np.pi / t, gamma))
     assert abs(ts[int(np.argmin(values))] - root) < 1e-4  # grid resolution
-    # refine by golden section around the grid winner for the 1e-6 comparison
+    # refine around the grid winner with minimize_over_t for the 1e-6 comparison
     from clocksim import minimize_over_t
 
     t_star, _ = minimize_over_t(

@@ -7,6 +7,7 @@ from clocksim import (
     BracketingError,
     DegenerateStateError,
     ExperimentBudget,
+    NoInformationError,
     OptimizerConfig,
     collective_moments,
     fig3_scan,
@@ -26,6 +27,7 @@ from clocksim import (
     uniform_coefficients,
 )
 
+from clocksim.optimize import _evaluate_candidate
 from reference import grid_oracle_improvement
 
 GAMMA = 1.0
@@ -171,6 +173,16 @@ def test_qfi_shot_optimum_equals_scalar_search(n, delta):
             lambda t: qfi_shot_uncertainty(rho0, t, GAMMA, TOTAL, delta), bracket, 1e-9
         )
         assert qfi_shot_optimum(rho0, GAMMA, TOTAL, delta) == scalar
+
+
+def test_qfi_shot_optimum_rejects_state_without_information():
+    # the last family member at n = 4 is the Dicke state |D_2>, an eigenstate of
+    # the detuning Hamiltonian, so F_Q = 0 at every shot time
+    rho0 = to_density(symmetric_state(4, [0.0, 0.0, 1.0]))
+    with pytest.raises(NoInformationError, match="state carries no information"):
+        qfi_shot_optimum(rho0, GAMMA, TOTAL)
+    with pytest.raises(DegenerateStateError):
+        _evaluate_candidate(np.array([0.0, 0.0, 1.0]), 4, GAMMA, TOTAL, "qfi", 1e-6)
 
 
 def test_grid_oracle_rejects_large_n():
