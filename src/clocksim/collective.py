@@ -5,12 +5,17 @@ Decohered moments follow from the initial-state moments alone:
 <S_x(t)> = e^{-gamma t} * (cos(delta t) <S_x> + sin(delta t) <S_y>) and
 <S_x^2(t)> = n + e^{-2 gamma t} * (<rotated S_x^2> - n). The mixed moment
 <{S_x, S_y}> vanishes for real-amplitude states, the family this toolkit
-optimizes, so it is not tracked. The phase optimum is delta*t = pi/2.
+optimizes, so it is not tracked. The phase optimum is delta*t = pi/2, and
+the optimal shot time t_opt solves n[1 + (2 gamma t - 1) e^{2 gamma t}] =
+Var S_y, in closed form t_opt = (1 + W0((Var S_y/n - 1)/e)) / (2 gamma)
+with W0 the principal branch of the Lambert W function.
 """
 
 from __future__ import annotations
 
 import math
+
+from scipy.special import lambertw
 
 from .exceptions import DegenerateStateError, SingularPointError
 from .qstate import CollectiveMoments
@@ -70,22 +75,13 @@ def genramsey_uncertainty(
     return math.sqrt(variance / (n_meas * slope * slope))
 
 
-def _topt_residual(t: float, n: int, gamma: float, sy_var: float) -> float:
-    x = 2.0 * gamma * t
-    if x > 700.0:
-        return math.inf
-    return n * (1.0 + (x - 1.0) * math.exp(x)) - sy_var
-
-
 def solve_topt(m0: CollectiveMoments, n: int, gamma: float) -> float:
     """Optimal shot duration: the unique positive root of
-
-    n * [1 + (2 gamma t - 1) e^{2 gamma t}] = Var S_y(t=0).
-
-    The left side increases strictly from 0, so bracketing plus bisection
-    always converges; the bracket (0, 10/gamma] is extended geometrically
-    when needed.
-    """
+    n * [1 + (2 gamma t - 1) e^{2 gamma t}] = Var S_y(t=0), in closed form
+    t_opt = (1 + W0((Var S_y/n - 1)/e)) / (2 gamma) with W0 the principal
+    branch of the Lambert W function. W0 loses digits near its branch point
+    (small Var S_y/n), so one Newton step on the residual, written with expm1
+    to avoid cancellation, polishes x = 2 gamma t_opt."""
     if n != m0.n:
         raise ValueError(f"ion count {n} != moment ion count {m0.n}")
     if not gamma > 0.0:
@@ -93,22 +89,11 @@ def solve_topt(m0: CollectiveMoments, n: int, gamma: float) -> float:
     sy_var = m0.sy_variance()
     if sy_var <= _ZERO_TOL:
         raise DegenerateStateError(f"initial S_y variance must be > 0, got {sy_var:.17g}")
-    lo, hi = 0.0, 10.0 / gamma
-    for _ in range(200):
-        if _topt_residual(hi, n, gamma, sy_var) >= 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise DegenerateStateError("failed to bracket the optimal-duration root")
-    for _ in range(300):
-        mid = 0.5 * (lo + hi)
-        if _topt_residual(mid, n, gamma, sy_var) >= 0.0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-15 * hi:
-            break
-    return 0.5 * (lo + hi)
+    ratio = sy_var / n
+    x = 1.0 + float(lambertw((ratio - 1.0) / math.e).real)
+    em1 = math.expm1(x)  # 1 + (x - 1) e^x = x em1 - (em1 - x)
+    x -= (x * em1 - (em1 - x) - ratio) / (x * math.exp(x))
+    return x / (2.0 * gamma)
 
 
 def genramsey_opt_uncertainty(

@@ -18,7 +18,7 @@ from scipy.optimize import minimize as _scipy_minimize
 from scipy.optimize import minimize_scalar
 
 from .collective import genramsey_opt_uncertainty
-from .evolution import DephasingParams, _evolve_stack
+from .evolution import _evolve_stack
 from .exceptions import (
     BracketingError,
     DegenerateStateError,
@@ -26,8 +26,8 @@ from .exceptions import (
     OptimizationFailureError,
     SingularPointError,
 )
-from .fisher import QFI_FLOOR, _NO_INFORMATION, _qfi_core, qfi_uncertainty
-from .qstate import collective_moments, symmetric_state, to_density
+from .fisher import QFI_FLOOR, _NO_INFORMATION, _qfi_core
+from .qstate import SymmetricFamilyState, collective_moments, symmetric_state, to_density
 from .ramsey import ExperimentBudget, reference_limit, uncertainty_ghz, uncertainty_uncorrelated
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "METHODS",
     "ION_RANGE",
     "minimize_over_t",
-    "qfi_shot_uncertainty",
     "qfi_shot_optimum",
     "optimize_symmetric_coeffs",
     "improvement_sweep",
@@ -153,8 +152,8 @@ def minimize_over_t(objective, bracket, tol_x: float = 1e-9):
 
 
 def _qfi_bounds(rho0, ts, gamma, total_time, delta):
-    """``qfi_shot_uncertainty`` for every shot time of ``ts`` from one stacked
-    evaluation, infinite where the evolved state carries no information.
+    """Precision bound 1/sqrt((T/t) F_Q(t)) at every shot time of ``ts`` from
+    one stacked evaluation, infinite where the state carries no information.
     The arguments are validated by the caller, and 0 <= t <= total_time."""
     ts = np.asarray(ts, dtype=float)
     fq = _qfi_core(*_evolve_stack(rho0, delta, gamma, ts))[0]
@@ -163,23 +162,14 @@ def _qfi_bounds(rho0, ts, gamma, total_time, delta):
     return np.where(fq >= QFI_FLOOR, bounds, math.inf)
 
 
-def qfi_shot_uncertainty(rho0, t, gamma, total_time, delta=0.0):
-    """Optimal-measurement precision bound for shots of duration ``t``
-    within the total time; raises NoInformationError when the evolved state
-    carries no information about the detuning."""
-    p = DephasingParams(delta, gamma, t)
-    value = _qfi_core(*_evolve_stack(rho0, p.delta, p.gamma, p.t))[0]
-    return qfi_uncertainty(float(value), total_time, p.t)
-
-
 def qfi_shot_optimum(rho0, gamma, total_time, delta=0.0, tol_x=1e-9):
-    """Shot time minimizing ``qfi_shot_uncertainty`` over
+    """Shot time minimizing the precision bound 1/sqrt((T/t) F_Q(t)) over
     (1e-4/gamma, min(T, 8/gamma)). Returns (t_opt, delta_omega); raises
     NoInformationError when no grid shot time carries information.
 
     The presampling grid is evaluated in stacked chunks, and the bounded
     Brent refinement is that of ``minimize_over_t``, so the result equals
-    ``minimize_over_t`` over ``qfi_shot_uncertainty`` exactly.
+    ``minimize_over_t`` over the single-shot-time bound exactly.
     """
     _check_finite("detuning", delta)
     _check_finite("dephasing rate", gamma)
@@ -202,14 +192,20 @@ def qfi_shot_optimum(rho0, gamma, total_time, delta=0.0, tol_x=1e-9):
 
 
 def _evaluate_candidate(a, n, gamma, total_time, method, t_tol):
-    """Best uncertainty of one normalized coefficient vector; raises
-    DegenerateStateError for candidates carrying no signal."""
-    psi = symmetric_state(n, a)
+    """Best uncertainty of one normalized coefficient vector and its shot
+    time; raises DegenerateStateError for candidates carrying no signal, and
+    for gen-Ramsey candidates whose optimal shot exceeds the total time."""
     if method == "gen-ramsey":
-        result = genramsey_opt_uncertainty(collective_moments(psi), n, total_time, gamma)
+        m0 = collective_moments(SymmetricFamilyState(n, a))
+        try:  # the caller checked the arguments, so this can only be t_opt > T
+            result = genramsey_opt_uncertainty(m0, n, total_time, gamma)
+        except ValueError as exc:
+            raise DegenerateStateError(str(exc)) from exc
         return result.delta_omega, result.t_opt
     try:
-        t_opt, value = qfi_shot_optimum(to_density(psi), gamma, total_time, tol_x=t_tol)
+        t_opt, value = qfi_shot_optimum(
+            to_density(symmetric_state(n, a)), gamma, total_time, tol_x=t_tol
+        )
     except NoInformationError as exc:
         raise DegenerateStateError(str(exc)) from exc
     return value, t_opt
@@ -230,13 +226,24 @@ def _normalize(x):
     return np.asarray(x, dtype=float) / nrm
 
 
-def _canonical_sign(a):
+def _canonical_twin(a, n, method):
+    """The fixed representative of the coefficient vectors scoring as ``a``.
+
+    QFI: flipping one a_k is a diagonal +-1 unitary commuting with dephasing
+    and the detuning Hamiltonian, so |a|. Gen-Ramsey: a_k -> (-1)^k a_k flips
+    <S_x> at the same score for even n, so <S_x> > 0; then a positive first
+    nonzero a_k."""
+    if method == "qfi":
+        return np.abs(a)
+    if n % 2 == 0 and collective_moments(SymmetricFamilyState(n, a)).sx_mean < 0.0:
+        a = a * (-1.0) ** np.arange(a.size)
     nz = np.flatnonzero(np.abs(a) > 1e-12)
     if nz.size and a[nz[0]] < 0.0:
         return -a
     return a
 
 
+@np.errstate(invalid="ignore")  # scipy's convergence test takes inf - inf on infeasible vertices
 def _run_restart(x0, n, gamma, total_time, method, cfg):
     # the simplex search tolerates a coarser shot-time resolution than the
     # final report; the winner is re-evaluated at cfg.tol_x afterwards
@@ -303,7 +310,7 @@ def optimize_symmetric_coeffs(
     if not math.isfinite(values[best]):
         raise OptimizationFailureError("every restart ended in a degenerate candidate")
 
-    a_best = _canonical_sign(_normalize(outcomes[best][1]))
+    a_best = _canonical_twin(_normalize(outcomes[best][1]), n, method)
     delta_omega, t_opt = _evaluate_candidate(a_best, n, gamma, total_time, method, cfg.tol_x)
     ref = reference_limit(n, total_time, gamma)
     return OptimizationReport(

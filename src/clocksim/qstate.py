@@ -275,24 +275,32 @@ def ghz_via_network(n: int) -> StateVector:
     return StateVector(n, psi)
 
 
-def collective_moments(psi: StateVector) -> CollectiveMoments:
-    """Exact expectations of S_x, S_x^2, S_y, S_y^2 in the given state."""
-    n, amps = psi.n, psi.amps
-    idx = np.arange(1 << n)
-    sx_psi = np.zeros_like(amps)
-    sy_psi = np.zeros_like(amps)
-    for k in range(n):
-        flipped = amps[idx ^ (1 << k)]
-        sx_psi += flipped
-        sign = np.where((idx >> k) & 1 == 1, 1j, -1j)
-        sy_psi += sign * flipped
-    return CollectiveMoments(
-        n=n,
-        sx_mean=float(np.vdot(amps, sx_psi).real),
-        sx2_mean=float(np.vdot(sx_psi, sx_psi).real),
-        sy_mean=float(np.vdot(amps, sy_psi).real),
-        sy2_mean=float(np.vdot(sy_psi, sy_psi).real),
-    )
+@functools.lru_cache(maxsize=None)
+def _dicke_ladder(n: int):
+    """Weight class min(w, n-w) of each Dicke level w = 0..n, and the
+    elements <D_{w+1}|J+|D_w> = sqrt((w+1)(n-w)) for w < n."""
+    w = np.arange(n + 1)
+    cls, ladder = np.minimum(w, n - w), np.sqrt((w[:-1] + 1.0) * (n - w[:-1]))
+    cls.flags.writeable = ladder.flags.writeable = False
+    return cls, ladder
+
+
+def collective_moments(state: SymmetricFamilyState) -> CollectiveMoments:
+    """Exact expectations of S_x, S_x^2, S_y, S_y^2 in a family state, in O(n).
+
+    Weight class k is (|D_k> + |D_{n-k}>)/sqrt(2) in the Dicke basis, or
+    |D_{n/2}> alone. With S_x = J+ + J- and S_y = i(J+ - J-), <S_x^2> and
+    <S_y^2> are the squared norms of (J+ +- J-)c, which differ only in the
+    sign of the cross term; <S_y> vanishes for real amplitudes.
+    """
+    n, (cls, ladder) = state.n, _dicke_ladder(state.n)
+    c = state.a[cls] * math.sqrt(0.5)
+    if n % 2 == 0:
+        c[n // 2] = state.a[-1]
+    up, down = ladder * c[:-1], ladder * c[1:]  # J+ c on w = 1..n, J- c on w = 0..n-1
+    norms = float(up @ up + down @ down)
+    cross = 2.0 * float(up[:-1] @ down[1:])
+    return CollectiveMoments(n, 2.0 * float(c[:-1] @ down), norms + cross, 0.0, norms - cross)
 
 
 def to_density(psi: StateVector) -> DensityMatrix:

@@ -1,10 +1,11 @@
 """Brute-force reference constructions used as independent oracles.
 
 Everything here is built from explicit dense operators (kron products,
-matrix exponentials of nothing fancier than diagonal phases), from a
-fixed-step integration of the master equation, or from a grid search over
-the library's per-candidate figures, so that the production code paths are
-checked against a second, slower route.
+matrix exponentials of nothing fancier than diagonal phases, bit flips over
+all 2^n amplitudes), from a fixed-step integration of the master equation,
+from bisection, or from a grid search over the library's per-candidate
+figures, so that the production code paths are checked against a second,
+slower route.
 """
 
 import math
@@ -15,12 +16,17 @@ from scipy.linalg import solve_continuous_lyapunov
 
 from clocksim import (
     BracketingError,
+    CollectiveMoments,
     DegenerateStateError,
     DensityMatrix,
+    DephasingParams,
     OptimizationFailureError,
-    collective_moments,
+    dephase_evolve,
+    drho_ddelta,
     genramsey_opt_uncertainty,
     qfi_shot_optimum,
+    qfi_uncertainty,
+    qfi_value,
     reference_limit,
     symmetric_state,
     to_density,
@@ -113,6 +119,61 @@ def moments_reference(psi, n):
     )
 
 
+def dense_collective_moments(psi):
+    """Collective moments of any StateVector, by flipping each qubit of all
+    2^n amplitudes."""
+    n, amps = psi.n, psi.amps
+    idx = np.arange(1 << n)
+    sx_psi = np.zeros_like(amps)
+    sy_psi = np.zeros_like(amps)
+    for k in range(n):
+        flipped = amps[idx ^ (1 << k)]
+        sx_psi += flipped
+        sign = np.where((idx >> k) & 1 == 1, 1j, -1j)
+        sy_psi += sign * flipped
+    return CollectiveMoments(
+        n=n,
+        sx_mean=float(np.vdot(amps, sx_psi).real),
+        sx2_mean=float(np.vdot(sx_psi, sx_psi).real),
+        sy_mean=float(np.vdot(amps, sy_psi).real),
+        sy2_mean=float(np.vdot(sy_psi, sy_psi).real),
+    )
+
+
+def topt_bisection(m0, n, gamma):
+    """Root of n * [1 + (2 gamma t - 1) e^{2 gamma t}] = Var S_y by bracketing
+    from (0, 10/gamma] and bisecting to 1e-15 relative width."""
+    sy_var = m0.sy_variance()
+
+    def residual(t):
+        x = 2.0 * gamma * t
+        if x > 700.0:
+            return math.inf
+        return n * (1.0 + (x - 1.0) * math.exp(x)) - sy_var
+
+    lo, hi = 0.0, 10.0 / gamma
+    while residual(hi) < 0.0:
+        hi *= 2.0
+    for _ in range(300):
+        mid = 0.5 * (lo + hi)
+        if residual(mid) >= 0.0:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= 1e-15 * hi:
+            break
+    return 0.5 * (lo + hi)
+
+
+def qfi_shot_uncertainty(rho0, t, gamma, total_time, delta=0.0):
+    """Optimal-measurement precision bound for one shot duration ``t`` within
+    the total time, from the public single-state evolution and QFI; raises
+    NoInformationError when the evolved state carries no information."""
+    p = DephasingParams(delta, gamma, t)
+    fq = qfi_value(dephase_evolve(rho0, p), drho_ddelta(rho0, p))
+    return qfi_uncertainty(fq, total_time, p.t)
+
+
 def permute_qubits(amps, n, perm):
     """Relabel qubits: bit k of the new index is bit perm[k] of the old."""
     out = np.empty_like(amps)
@@ -178,7 +239,7 @@ def grid_oracle_improvement(n, gamma, total_time, method, resolution=1e-2):
         try:
             if method == "genramsey":
                 value = genramsey_opt_uncertainty(
-                    collective_moments(psi), n, total_time, gamma
+                    dense_collective_moments(psi), n, total_time, gamma
                 ).delta_omega
             else:
                 _, value = qfi_shot_optimum(to_density(psi), gamma, total_time)

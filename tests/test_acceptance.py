@@ -12,6 +12,7 @@ from clocksim import (
     DephasingParams,
     ExperimentBudget,
     OptimizerConfig,
+    SymmetricFamilyState,
     classical_fi,
     basis_projectors,
     collective_moments,
@@ -34,6 +35,7 @@ from clocksim import (
     to_density,
     uncertainty_ghz,
     uncertainty_uncorrelated,
+    uniform_coefficients,
 )
 from clocksim.cli import main
 
@@ -153,7 +155,7 @@ def test_criterion_04_integrator_oracle_equivalence():
 def test_criterion_05_generalized_ramsey_reduction():
     ok, detail = True, []
     for n in (1, 2, 4, 8):
-        m0 = collective_moments(product_superposition(n))
+        m0 = collective_moments(SymmetricFamilyState(n, uniform_coefficients(n)))
         root = solve_topt(m0, n, GAMMA)
         residual = abs(root - 0.5 / GAMMA)
         result = genramsey_opt_uncertainty(m0, n, TOTAL, GAMMA)

@@ -165,6 +165,22 @@ def test_optimize_json_report(tmp_path):
     assert len(point["coeffs"]) == 2
 
 
+def test_optimize_short_total_time_skips_infeasible_candidates(tmp_path, capsys):
+    # anti-squeezed random candidates have an optimal shot longer than T = 0.6,
+    # just above tau_dec/2; the search scores them infeasible instead of aborting
+    out = tmp_path / "opt.csv"
+    code = main(["optimize", "--method", "gen-ramsey", "--n-min", "2", "--n-max", "3",
+                 "--total-time", "0.6", "--gamma", "1", "--out", str(out)])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    _, rows = _read_csv(out)
+    assert [r[0] for r in rows] == ["2", "3"]
+    for row in rows:
+        assert row[5] == "ok"
+        assert 0.0 < float(row[2]) < 100 * (1 - math.exp(-0.5))
+        assert float(row[3]) <= 0.6
+
+
 def test_qfi_report_ghz_optimized(tmp_path):
     out = tmp_path / "qfi.json"
     code = main(["qfi", "--scheme", "ghz", "--n", "4", "--gamma", "1",

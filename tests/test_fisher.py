@@ -17,7 +17,6 @@ from clocksim import (
     product_superposition,
     qfi,
     qfi_uncertainty,
-    qfi_shot_uncertainty,
     qfi_value,
     reference_limit,
     symmetric_state,
@@ -28,7 +27,14 @@ from clocksim.evolution import _evolve_stack
 from clocksim.fisher import _qfi_core
 from clocksim.optimize import _qfi_bounds
 
-from reference import hamming, haar_basis, random_density, random_pure_state, sld_qfi
+from reference import (
+    hamming,
+    haar_basis,
+    qfi_shot_uncertainty,
+    random_density,
+    random_pure_state,
+    sld_qfi,
+)
 
 
 def _evolved_pair(psi, delta, gamma, t):

@@ -9,6 +9,7 @@ from clocksim import (
     ExperimentBudget,
     NoInformationError,
     OptimizerConfig,
+    SymmetricFamilyState,
     collective_moments,
     fig3_scan,
     fig4_curve,
@@ -18,7 +19,6 @@ from clocksim import (
     optimize_symmetric_coeffs,
     product_superposition,
     qfi_shot_optimum,
-    qfi_shot_uncertainty,
     reference_limit,
     symmetric_state,
     to_density,
@@ -27,8 +27,9 @@ from clocksim import (
     uniform_coefficients,
 )
 
+from clocksim import qstate
 from clocksim.optimize import _evaluate_candidate
-from reference import grid_oracle_improvement
+from reference import grid_oracle_improvement, qfi_shot_uncertainty
 
 GAMMA = 1.0
 TOTAL = 100.0
@@ -83,7 +84,7 @@ def test_uniform_coefficients_give_zero_improvement():
     # the product preparation is a family member and defines the baseline
     for n in (2, 3, 4):
         res = genramsey_opt_uncertainty(
-            collective_moments(symmetric_state(n, uniform_coefficients(n))),
+            collective_moments(SymmetricFamilyState(n, uniform_coefficients(n))),
             n, TOTAL, GAMMA,
         )
         assert res.improvement_pct == pytest.approx(0.0, abs=1e-9)
@@ -93,7 +94,7 @@ def test_ghz_coefficients_are_degenerate_for_genramsey():
     n = 4
     a = np.zeros(n // 2 + 1)
     a[0] = 1.0
-    m0 = collective_moments(symmetric_state(n, a))
+    m0 = collective_moments(SymmetricFamilyState(n, a))
     with pytest.raises(DegenerateStateError):
         genramsey_opt_uncertainty(m0, n, TOTAL, GAMMA)
 
@@ -127,11 +128,51 @@ def test_optimizer_report_is_reproducible_and_self_consistent():
     assert one.restart_values == two.restart_values
     # re-evaluating the reported coefficients reproduces the reported value
     res = genramsey_opt_uncertainty(
-        collective_moments(symmetric_state(3, one.best_coeffs)), 3, TOTAL, GAMMA
+        collective_moments(SymmetricFamilyState(3, one.best_coeffs)), 3, TOTAL, GAMMA
     )
     assert res.delta_omega == pytest.approx(one.delta_omega, rel=1e-12)
     ref = reference_limit(3, TOTAL, GAMMA)
     assert one.improvement_pct == pytest.approx(100 * (1 - res.delta_omega / ref), abs=1e-12)
+
+
+def _improvement(n, delta_omega):
+    return 100.0 * (1.0 - delta_omega / reference_limit(n, TOTAL, GAMMA))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_reported_coefficients_are_the_canonical_twin(seed):
+    for n in (2, 3, 4):
+        gen = optimize_symmetric_coeffs(n, GAMMA, TOTAL, "gen-ramsey", OptimizerConfig(seed=seed))
+        a = gen.best_coeffs
+        m0 = collective_moments(SymmetricFamilyState(n, a))
+        assert m0.sx_mean > 0.0
+        assert a[np.flatnonzero(np.abs(a) > 1e-12)[0]] > 0.0
+        twins = [a]
+        if n % 2 == 0:  # a_k -> (-1)^k a_k flips <S_x> at the same score
+            twins.append(a * (-1.0) ** np.arange(a.size))
+        for twin in twins:
+            res = genramsey_opt_uncertainty(
+                collective_moments(SymmetricFamilyState(n, twin)), n, TOTAL, GAMMA
+            )
+            assert res.improvement_pct == pytest.approx(gen.improvement_pct, abs=1e-12)
+
+        opt = optimize_symmetric_coeffs(n, GAMMA, TOTAL, "qfi", OptimizerConfig(restarts=1, seed=seed))
+        a = opt.best_coeffs
+        assert np.all(a >= 0.0)
+        flipped = a.copy()
+        flipped[-1] = -flipped[-1]  # a diagonal +-1 unitary: same bound
+        for twin in (a, flipped):
+            _, value = qfi_shot_optimum(to_density(symmetric_state(n, twin)), GAMMA, TOTAL)
+            assert _improvement(n, value) == pytest.approx(opt.improvement_pct, abs=1e-12)
+
+
+def test_genramsey_search_builds_no_state_vector(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the gen-Ramsey search built a 2^n state vector")
+
+    monkeypatch.setattr(qstate, "StateVector", forbidden)
+    rep = optimize_symmetric_coeffs(4, GAMMA, TOTAL, "gen-ramsey", OptimizerConfig(restarts=4))
+    assert rep.status == "ok" and rep.improvement_pct > 0.0
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clocksim import (
     CollectiveMoments,
@@ -14,7 +16,13 @@ from clocksim import (
     uniform_coefficients,
 )
 
-from reference import moments_reference, permute_qubits, site_operator, SIGMA_X
+from reference import (
+    SIGMA_X,
+    dense_collective_moments,
+    moments_reference,
+    permute_qubits,
+    site_operator,
+)
 
 
 def test_product_superposition_amplitudes():
@@ -25,7 +33,7 @@ def test_product_superposition_amplitudes():
 
 
 def test_product_superposition_sx_mean_n3():
-    m = collective_moments(product_superposition(3))
+    m = dense_collective_moments(product_superposition(3))
     assert m.sx_mean == pytest.approx(3.0, abs=1e-12)
 
 
@@ -46,7 +54,7 @@ def test_ghz_amplitudes():
 
 
 def test_ghz_sx_mean_vanishes():
-    m = collective_moments(ghz(4))
+    m = dense_collective_moments(ghz(4))
     assert m.sx_mean == pytest.approx(0.0, abs=1e-14)
 
 
@@ -117,11 +125,12 @@ def test_network_single_ion_is_plain_pulse():
 
 
 def test_collective_moments_against_dense_operators():
+    # the bit-flip oracle against kron-built operators, on states outside the family
     rng = np.random.default_rng(11)
     for n in (1, 2, 3, 4, 5):
         v = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         v /= np.linalg.norm(v)
-        m = collective_moments(StateVector(n, v))
+        m = dense_collective_moments(StateVector(n, v))
         sx, sx2, sy, sy2 = moments_reference(v, n)
         assert m.sx_mean == pytest.approx(sx, abs=1e-11)
         assert m.sx2_mean == pytest.approx(sx2, abs=1e-11)
@@ -129,27 +138,45 @@ def test_collective_moments_against_dense_operators():
         assert m.sy2_mean == pytest.approx(sy2, abs=1e-11)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(n=st.integers(1, 10), seed=st.integers(0, 2**32 - 1), sparsity=st.floats(0.0, 0.9))
+def test_family_moments_match_dense_oracle(n, seed, sparsity):
+    # the O(n) Dicke-basis moments against the 2^n bit-flip oracle, over
+    # random coefficients with some classes switched off
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=n // 2 + 1) * (rng.uniform(size=n // 2 + 1) >= sparsity)
+    if not a.any():
+        a[rng.integers(a.size)] = 1.0
+    fam = SymmetricFamilyState(n, a / np.linalg.norm(a))
+    fast = collective_moments(fam)
+    dense = dense_collective_moments(fam.state_vector())
+    tol = 1e-12 * max(1, n * n)
+    for field in ("sx_mean", "sx2_mean", "sy_mean", "sy2_mean"):
+        assert getattr(fast, field) == pytest.approx(getattr(dense, field), abs=tol)
+
+
 def test_collective_moments_known_states():
     for n in (2, 4):
-        m = collective_moments(product_superposition(n))
+        m = collective_moments(SymmetricFamilyState(n, uniform_coefficients(n)))
         assert m.sx_mean == pytest.approx(n, abs=1e-12)
         assert m.sy2_mean - m.sy_mean**2 == pytest.approx(n, abs=1e-12)
-    m = collective_moments(ghz(2))
+    m = collective_moments(SymmetricFamilyState(2, [1.0, 0.0]))
     assert m.sx_mean == pytest.approx(0.0, abs=1e-14)
     assert m.sx2_mean == pytest.approx(4.0, abs=1e-12)
     ground = np.zeros(8, complex)
     ground[0] = 1.0
-    m = collective_moments(StateVector(3, ground))
+    m = dense_collective_moments(StateVector(3, ground))
     assert m.sx_mean == pytest.approx(0.0, abs=1e-14)
     assert m.sx2_mean == pytest.approx(3.0, abs=1e-12)
 
 
 def test_symmetric_states_have_zero_sy_mean():
+    # collective_moments takes <S_y> = 0 for family states; the dense oracle checks it
     rng = np.random.default_rng(3)
     for n in (2, 4, 5):
         a = rng.normal(size=n // 2 + 1)
         a /= np.linalg.norm(a)
-        m = collective_moments(symmetric_state(n, a))
+        m = dense_collective_moments(symmetric_state(n, a))
         assert m.sy_mean == pytest.approx(0.0, abs=1e-13)
 
 
@@ -158,7 +185,7 @@ def test_sx2_decomposes_into_pairwise_correlators():
     for n in (2, 3, 4):
         v = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         v /= np.linalg.norm(v)
-        m = collective_moments(StateVector(n, v))
+        m = dense_collective_moments(StateVector(n, v))
         pair_sum = 0.0
         for l in range(n):
             for k in range(n):
