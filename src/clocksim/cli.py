@@ -87,8 +87,8 @@ _OPTION_TABLES = {
         "n_min": _Option(int, required=True),
         "n_max": _Option(int, required=True),
         "method": _Option(str, default="both", choices=(*METHODS, "both")),
-        "seed": _Option(int, default=0),
-        "restarts": _Option(int, default=16),
+        "seed": _Option(int, default=0, help="qfi search only: seed of its random starts"),
+        "restarts": _Option(int, default=16, help="qfi search only: number of random starts"),
         "gamma": _Option(float, default=1.0),
         "total_time": _Option(float, default=100.0),
     },
@@ -297,10 +297,10 @@ def _cmd_scan(opts, out, fmt) -> int:
 
 def _cmd_optimize(opts, out, fmt) -> int:
     n_min, n_max = opts["n_min"], opts["n_max"]
-    lo, hi = ION_RANGE
+    methods = METHODS if opts["method"] == "both" else (opts["method"],)
+    lo, hi = max(ION_RANGE[m][0] for m in methods), min(ION_RANGE[m][1] for m in methods)
     if not lo <= n_min <= n_max <= hi:
         raise ValueError(f"need {lo} <= n-min <= n-max <= {hi}, got {n_min}..{n_max}")
-    methods = METHODS if opts["method"] == "both" else (opts["method"],)
     cfg = OptimizerConfig(restarts=opts["restarts"], seed=opts["seed"])
 
     rows, reports, any_ok = [], [], False
@@ -352,6 +352,8 @@ def _cmd_qfi(opts, out, fmt) -> int:
         raise ValueError("qfi reports are json-only; use --format json")
     n, gamma = opts["n"], opts["gamma"]
     if opts["coeffs"] is not None:
+        if opts["scheme"] not in (None, "symmetric"):
+            raise ValueError(f"--coeffs conflicts with --scheme {opts['scheme']}")
         scheme = "symmetric"
         coeffs = [float(c) for c in opts["coeffs"].split(";") if c.strip()]
         psi = symmetric_state(n, coeffs)

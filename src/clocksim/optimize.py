@@ -2,10 +2,10 @@
 coefficients, plus generation of the uncertainty-versus-shot-time and
 improvement-versus-ion-number datasets.
 
-Coefficient searches run multi-restart Nelder-Mead in unconstrained
-coordinates, normalizing onto the unit sphere before every evaluation;
-restart seeds derive from the master seed through numpy's SeedSequence
-spawning, so identical configurations reproduce identical reports.
+The gen-Ramsey coefficient search scans ground states of -S_x + mu S_y^2
+over log mu. The QFI search runs multi-restart Nelder-Mead on the unit
+sphere, restart seeds spawned from the master seed by numpy's SeedSequence,
+so identical configurations reproduce identical reports.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh
 from scipy.optimize import minimize as _scipy_minimize
 from scipy.optimize import minimize_scalar
 
@@ -28,6 +29,7 @@ from .exceptions import (
 )
 from .fisher import QFI_FLOOR, _NO_INFORMATION, _qfi_core
 from .qstate import SymmetricFamilyState, collective_moments, symmetric_state, to_density
+from .qstate import _dicke_ladder
 from .ramsey import ExperimentBudget, reference_limit, uncertainty_ghz, uncertainty_uncorrelated
 
 __all__ = [
@@ -45,34 +47,32 @@ __all__ = [
 ]
 
 METHODS = ("gen-ramsey", "qfi")
-# Smallest and largest ion number the coefficient search accepts; the dense
-# 2^n density matrices of the "qfi" method set the upper end.
-ION_RANGE = (2, 10)
+# Smallest and largest ion number each coefficient search accepts; the upper
+# ends are set by dense 2^n density matrices and (n+1)-level eigensolves.
+ION_RANGE = {"gen-ramsey": (2, 1000), "qfi": (2, 10)}
 
 _GRID_POINTS = 48
 # Bytes of one stacked (k, d, d) complex array in the shot-time grid: every
 # grid point in one chunk up to d = 16, a single point per chunk at d = 128,
 # so a chunk's temporaries stay near those of one probe on large matrices.
 _STACK_BYTES = 1 << 18
+_LOG_MU_GRID = np.linspace(math.log(1e-4), math.log(1e2), 41)  # best mu: 0.2 to 2.2
+_TOL_OBJ, _MAX_ITER = 1e-10, 400  # Nelder-Mead objective tolerance, iterations per coefficient
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     restarts: int = 16
     seed: int = 0
-    tol_obj: float = 1e-10
     tol_x: float = 1e-9
-    max_iter: int = 400
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError(f"restart count must be >= 1, got {self.restarts}")
-        if not (self.tol_obj > 0.0 and self.tol_x > 0.0):
+        if not self.tol_x > 0.0:
             raise ValueError("tolerances must be > 0")
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
 @dataclass(frozen=True)
@@ -191,17 +191,8 @@ def qfi_shot_optimum(rho0, gamma, total_time, delta=0.0, tol_x=1e-9):
     )
 
 
-def _evaluate_candidate(a, n, gamma, total_time, method, t_tol):
-    """Best uncertainty of one normalized coefficient vector and its shot
-    time; raises DegenerateStateError for candidates carrying no signal, and
-    for gen-Ramsey candidates whose optimal shot exceeds the total time."""
-    if method == "gen-ramsey":
-        m0 = collective_moments(SymmetricFamilyState(n, a))
-        try:  # the caller checked the arguments, so this can only be t_opt > T
-            result = genramsey_opt_uncertainty(m0, n, total_time, gamma)
-        except ValueError as exc:
-            raise DegenerateStateError(str(exc)) from exc
-        return result.delta_omega, result.t_opt
+def _evaluate_candidate(a, n, gamma, total_time, t_tol):
+    """QFI bound and shot time of unit coefficients; DegenerateStateError without information."""
     try:
         t_opt, value = qfi_shot_optimum(
             to_density(symmetric_state(n, a)), gamma, total_time, tol_x=t_tol
@@ -226,33 +217,14 @@ def _normalize(x):
     return np.asarray(x, dtype=float) / nrm
 
 
-def _canonical_twin(a, n, method):
-    """The fixed representative of the coefficient vectors scoring as ``a``.
-
-    QFI: flipping one a_k is a diagonal +-1 unitary commuting with dephasing
-    and the detuning Hamiltonian, so |a|. Gen-Ramsey: a_k -> (-1)^k a_k flips
-    <S_x> at the same score for even n, so <S_x> > 0; then a positive first
-    nonzero a_k."""
-    if method == "qfi":
-        return np.abs(a)
-    if n % 2 == 0 and collective_moments(SymmetricFamilyState(n, a)).sx_mean < 0.0:
-        a = a * (-1.0) ** np.arange(a.size)
-    nz = np.flatnonzero(np.abs(a) > 1e-12)
-    if nz.size and a[nz[0]] < 0.0:
-        return -a
-    return a
-
-
-@np.errstate(invalid="ignore")  # scipy's convergence test takes inf - inf on infeasible vertices
-def _run_restart(x0, n, gamma, total_time, method, cfg):
+def _run_restart(x0, n, gamma, total_time, cfg):
     # the simplex search tolerates a coarser shot-time resolution than the
     # final report; the winner is re-evaluated at cfg.tol_x afterwards
     search_t_tol = max(cfg.tol_x, 1e-6)
 
     def objective(x):
         try:
-            a = _normalize(x)
-            value, _ = _evaluate_candidate(a, n, gamma, total_time, method, search_t_tol)
+            value, _ = _evaluate_candidate(_normalize(x), n, gamma, total_time, search_t_tol)
         except DegenerateStateError:
             return math.inf
         return value
@@ -263,12 +235,35 @@ def _run_restart(x0, n, gamma, total_time, method, cfg):
         method="Nelder-Mead",
         options={
             "xatol": cfg.tol_x,
-            "fatol": cfg.tol_obj,
-            "maxiter": cfg.max_iter * len(x0),
-            "maxfev": cfg.max_iter * len(x0),
+            "fatol": _TOL_OBJ,
+            "maxiter": _MAX_ITER * len(x0),
+            "maxfev": _MAX_ITER * len(x0),
         },
     )
     return float(result.fun), np.asarray(result.x, dtype=float)
+
+
+def _genramsey_search(n, gamma, total_time, tol_x):
+    """(coefficients, PrecisionResult) of the best ground state of -S_x + mu S_y^2:
+    the gen-Ramsey score improves as <S_x> rises and <S_y^2> falls (Ulam-Orgikh
+    & Kitagawa, PRA 64, 052106 (2001)). By Perron-Frobenius the ground state is
+    positive and flip-even, a family state with every a_k > 0, and <S_y^2> <= n
+    because its energy is concave in mu, so t_opt <= tau_dec/2 <= T."""
+    cls, ladder = _dicke_ladder(n)
+    j_plus = np.diag(ladder, -1)
+    sx, j_diff = j_plus + j_plus.T, j_plus - j_plus.T
+    sy2 = -(j_diff @ j_diff)
+
+    def result(log_mu):
+        c = eigh(math.exp(log_mu) * sy2 - sx, subset_by_index=[0, 0])[1][:, 0]
+        a = np.sqrt(np.bincount(cls, weights=c * c))  # a_k = sqrt(2) |c_k| as c_k = c_{n-k}
+        return a, genramsey_opt_uncertainty(
+            collective_moments(SymmetricFamilyState(n, a)), n, total_time, gamma
+        )
+
+    score = lambda log_mu: result(log_mu)[1].delta_omega
+    log_mu, _ = _refine(score, _LOG_MU_GRID, [score(x) for x in _LOG_MU_GRID], tol_x)
+    return result(log_mu)
 
 
 def optimize_symmetric_coeffs(
@@ -285,12 +280,13 @@ def optimize_symmetric_coeffs(
     uses the collective S_x observable with the analytic optimal shot time,
     "qfi" uses the optimal projective measurement with the shot time
     minimized numerically per candidate. ``extra_starts`` prepends
-    deterministic start vectors to the seeded random restarts.
+    deterministic start vectors to the seeded random restarts of "qfi", which
+    reports |a| (a diagonal +-1 unitary keeps its bound). Both give a_k >= 0.
     """
-    lo, hi = ION_RANGE
-    if not lo <= n <= hi:
-        raise ValueError(f"coefficient optimization supports {lo} <= n <= {hi}, got {n}")
     method = _canonical_method(method)
+    lo, hi = ION_RANGE[method]
+    if not lo <= n <= hi:
+        raise ValueError(f"{method} optimization supports {lo} <= n <= {hi}, got {n}")
     _check_finite("dephasing rate", gamma)
     _check_finite("total time", total_time)
     if not gamma > 0.0:
@@ -299,19 +295,20 @@ def optimize_symmetric_coeffs(
         raise ValueError(f"total time {total_time} below tau_dec/2 = {0.5 / gamma}")
     cfg = cfg or OptimizerConfig()
 
-    dim = n // 2 + 1
-    starts = [np.asarray(x, dtype=float) for x in extra_starts]
-    for child in np.random.SeedSequence(cfg.seed).spawn(cfg.restarts):
-        starts.append(np.random.default_rng(child).normal(size=dim))
-
-    outcomes = [_run_restart(x0, n, gamma, total_time, method, cfg) for x0 in starts]
-    values = [v for v, _ in outcomes]
-    best = int(np.argmin(values))
-    if not math.isfinite(values[best]):
-        raise OptimizationFailureError("every restart ended in a degenerate candidate")
-
-    a_best = _canonical_twin(_normalize(outcomes[best][1]), n, method)
-    delta_omega, t_opt = _evaluate_candidate(a_best, n, gamma, total_time, method, cfg.tol_x)
+    if method == "gen-ramsey":
+        a_best, best = _genramsey_search(n, gamma, total_time, cfg.tol_x)
+        delta_omega, t_opt, values = best.delta_omega, best.t_opt, ()
+    else:
+        starts = [np.asarray(x, dtype=float) for x in extra_starts]
+        for child in np.random.SeedSequence(cfg.seed).spawn(cfg.restarts):
+            starts.append(np.random.default_rng(child).normal(size=n // 2 + 1))
+        outcomes = [_run_restart(x0, n, gamma, total_time, cfg) for x0 in starts]
+        values = tuple(v for v, _ in outcomes)
+        best = int(np.argmin(values))
+        if not math.isfinite(values[best]):
+            raise OptimizationFailureError("every restart ended in a degenerate candidate")
+        a_best = np.abs(_normalize(outcomes[best][1]))
+        delta_omega, t_opt = _evaluate_candidate(a_best, n, gamma, total_time, cfg.tol_x)
     ref = reference_limit(n, total_time, gamma)
     return OptimizationReport(
         n=n,
@@ -320,7 +317,7 @@ def optimize_symmetric_coeffs(
         delta_omega=delta_omega,
         t_opt=t_opt,
         best_coeffs=a_best,
-        restart_values=tuple(values),
+        restart_values=values,
         status="ok",
     )
 

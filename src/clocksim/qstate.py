@@ -151,7 +151,7 @@ class CollectiveMoments:
     sy2_mean: float
 
     def __post_init__(self):
-        n = _check_qubit_count(self.n)
+        n = _check_qubit_count(self.n, cap=math.inf)
         object.__setattr__(self, "n", n)
         tol = 1e-9 * max(1.0, n * n)
         if self.sx2_mean < self.sx_mean**2 - tol or self.sy2_mean < self.sy_mean**2 - tol:
@@ -179,7 +179,7 @@ class SymmetricFamilyState:
     a: np.ndarray
 
     def __post_init__(self):
-        n = _check_qubit_count(self.n)
+        n = _check_qubit_count(self.n, cap=math.inf)
         object.__setattr__(self, "n", n)
         a = np.ascontiguousarray(self.a, dtype=float)
         if a.shape != (n // 2 + 1,):

@@ -3,9 +3,9 @@
 Everything here is built from explicit dense operators (kron products,
 matrix exponentials of nothing fancier than diagonal phases, bit flips over
 all 2^n amplitudes), from a fixed-step integration of the master equation,
-from bisection, or from a grid search over the library's per-candidate
-figures, so that the production code paths are checked against a second,
-slower route.
+from bisection, or from a grid or Nelder-Mead search over the library's
+per-candidate figures, so that the production code paths are checked against
+a second, slower route.
 """
 
 import math
@@ -13,6 +13,7 @@ from functools import reduce
 
 import numpy as np
 from scipy.linalg import solve_continuous_lyapunov
+from scipy.optimize import minimize
 
 from clocksim import (
     BracketingError,
@@ -21,6 +22,8 @@ from clocksim import (
     DensityMatrix,
     DephasingParams,
     OptimizationFailureError,
+    SymmetricFamilyState,
+    collective_moments,
     dephase_evolve,
     drho_ddelta,
     genramsey_opt_uncertainty,
@@ -252,3 +255,41 @@ def grid_oracle_improvement(n, gamma, total_time, method, resolution=1e-2):
     if best_a[0] < -1e-12:
         best_a = -best_a
     return 100.0 * (1.0 - best_value / reference_limit(n, total_time, gamma)), best_a
+
+
+def nelder_mead_genramsey(n, gamma, total_time, restarts=16, seed=0):
+    """Gen-Ramsey coefficient search by seeded multi-restart Nelder-Mead.
+
+    Each restart starts from a normal vector drawn from a child of
+    SeedSequence(seed) and searches unconstrained coordinates, normalized onto
+    the unit sphere before scoring at the analytic optimal shot time;
+    candidates whose optimal shot exceeds the total time score infinite.
+    Returns (best_improvement_pct, best_coeffs).
+    """
+
+    def objective(x):
+        nrm = float(np.linalg.norm(x))
+        if nrm < 1e-12:
+            return math.inf
+        m0 = collective_moments(SymmetricFamilyState(n, x / nrm))
+        try:
+            return genramsey_opt_uncertainty(m0, n, total_time, gamma).delta_omega
+        except (ValueError, DegenerateStateError):  # t_opt > T, or no signal
+            return math.inf
+
+    best_value, best_x = math.inf, None
+    for child in np.random.SeedSequence(seed).spawn(restarts):
+        x0 = np.random.default_rng(child).normal(size=n // 2 + 1)
+        budget = 400 * x0.size
+        with np.errstate(invalid="ignore"):  # inf - inf on an infeasible simplex
+            res = minimize(
+                objective,
+                x0,
+                method="Nelder-Mead",
+                options={"xatol": 1e-9, "fatol": 1e-10, "maxiter": budget, "maxfev": budget},
+            )
+        if res.fun < best_value:
+            best_value, best_x = float(res.fun), res.x / np.linalg.norm(res.x)
+    if best_x is None:
+        raise OptimizationFailureError("every restart ended in an infeasible candidate")
+    return 100.0 * (1.0 - best_value / reference_limit(n, total_time, gamma)), best_x

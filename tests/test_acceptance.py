@@ -247,3 +247,15 @@ def test_criterion_10_cli_determinism(tmp_path):
     identical = a.read_bytes() == b.read_bytes()
     _check(10, "cli determinism", code_a == 0 and code_b == 0 and identical,
            f"bytes={a.stat().st_size}")
+
+
+def test_criterion_11_large_n_genramsey_gain():
+    start = time.perf_counter()
+    gains = [
+        optimize_symmetric_coeffs(n, GAMMA, TOTAL, "gen-ramsey").improvement_pct
+        for n in (10, 100, 1000)
+    ]
+    elapsed = time.perf_counter() - start
+    ok = gains[0] < gains[1] < gains[2] < IMPROVEMENT_CAP and elapsed < 120.0
+    detail = ", ".join(f"n={n}: {g:.3f}%" for n, g in zip((10, 100, 1000), gains))
+    _check(11, "large-n gen-ramsey gain", ok, f"{detail}; {elapsed:.1f}s")

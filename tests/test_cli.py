@@ -161,8 +161,45 @@ def test_optimize_json_report(tmp_path):
     point = payload["points"][0]
     assert point["method"] == "gen-ramsey"
     assert point["status"] == "ok"
-    assert len(point["restart_values"]) == 2
+    assert point["restart_values"] == []  # the gen-Ramsey search has no restarts
     assert len(point["coeffs"]) == 2
+
+
+def test_optimize_genramsey_ignores_seed_and_restarts(capsys):
+    outputs = []
+    for seed, restarts in (("0", "16"), ("7", "1")):
+        assert main(["optimize", "--method", "gen-ramsey", "--n-min", "2", "--n-max", "4",
+                     "--seed", seed, "--restarts", restarts]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("method, n_max", [("both", "11"), ("qfi", "11"), ("gen-ramsey", "1001")])
+def test_optimize_n_above_method_cap_exits_2(tmp_path, capsys, method, n_max):
+    out = tmp_path / "never.csv"
+    argv = ["optimize", "--method", method, "--n-min", "2", "--n-max", n_max, "--out", str(out)]
+    assert main(argv) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("clocksim: invalid-argument:")
+
+
+def test_optimize_genramsey_above_qfi_cap(tmp_path):
+    out = tmp_path / "opt.csv"
+    assert main(["optimize", "--method", "gen-ramsey", "--n-min", "11", "--n-max", "12",
+                 "--out", str(out)]) == 0
+    _, rows = _read_csv(out)
+    assert [r[0] for r in rows] == ["11", "12"]
+    assert all(r[5] == "ok" and 0.0 < float(r[2]) < 100 * (1 - math.exp(-0.5)) for r in rows)
+
+
+def test_optimize_total_time_at_half_decoherence_time(tmp_path, capsys):
+    out = tmp_path / "opt.csv"
+    code = main(["optimize", "--method", "gen-ramsey", "--n-min", "2", "--n-max", "5",
+                 "--total-time", "0.5", "--gamma", "1", "--out", str(out)])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    _, rows = _read_csv(out)
+    assert all(r[5] == "ok" and float(r[3]) <= 0.5 for r in rows)
 
 
 def test_optimize_short_total_time_skips_infeasible_candidates(tmp_path, capsys):
@@ -220,6 +257,30 @@ def test_qfi_zero_information_exits_3(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert err == "clocksim: no-information: state carries no information about the detuning\n"
+
+
+@pytest.mark.parametrize("scheme", ["uncorrelated", "ghz"])
+@pytest.mark.parametrize("from_config", [False, True])
+def test_qfi_coeffs_conflicting_with_scheme_exits_2(tmp_path, capsys, scheme, from_config):
+    argv = ["qfi", "--coeffs", "1;0", "--n", "2", "--gamma", "1", "--t", "0.1"]
+    if from_config:
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"scheme={scheme}\n")
+        argv += ["--config", str(cfgfile)]
+    else:
+        argv += ["--scheme", scheme]
+    out = tmp_path / "never.json"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("clocksim: invalid-argument:") and "--coeffs" in err
+
+
+def test_qfi_symmetric_scheme_with_coeffs(tmp_path):
+    out = tmp_path / "qfi.json"
+    assert main(["qfi", "--scheme", "symmetric", "--coeffs", "1;0", "--n", "2", "--gamma", "1",
+                 "--t", "0.1", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["scheme"] == "symmetric"
 
 
 def test_qfi_rejects_csv(tmp_path):

@@ -27,9 +27,9 @@ from clocksim import (
     uniform_coefficients,
 )
 
-from clocksim import qstate
+from clocksim import optimize, qstate
 from clocksim.optimize import _evaluate_candidate
-from reference import grid_oracle_improvement, qfi_shot_uncertainty
+from reference import grid_oracle_improvement, nelder_mead_genramsey, qfi_shot_uncertainty
 
 GAMMA = 1.0
 TOTAL = 100.0
@@ -175,6 +175,38 @@ def test_genramsey_search_builds_no_state_vector(monkeypatch):
     assert rep.status == "ok" and rep.improvement_pct > 0.0
 
 
+@pytest.mark.parametrize("total", [TOTAL, 0.6])
+@pytest.mark.parametrize("n", range(2, 11))
+def test_genramsey_search_reaches_nelder_mead_oracle(n, total):
+    oracle_impr, _ = nelder_mead_genramsey(n, GAMMA, total)
+    rep = optimize_symmetric_coeffs(n, GAMMA, total, "gen-ramsey")
+    assert rep.improvement_pct >= oracle_impr - 1e-9
+    assert np.all(rep.best_coeffs > 0.0)
+    assert collective_moments(SymmetricFamilyState(n, rep.best_coeffs)).sx_mean > 0.0
+    assert rep.t_opt <= total and rep.restart_values == ()
+
+
+def test_genramsey_search_runs_no_nelder_mead_and_draws_nothing(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the gen-Ramsey search ran Nelder-Mead or drew random numbers")
+
+    expected = optimize_symmetric_coeffs(5, GAMMA, TOTAL, "gen-ramsey")
+    monkeypatch.setattr(optimize, "_scipy_minimize", forbidden)
+    monkeypatch.setattr(np.random, "SeedSequence", forbidden)
+    monkeypatch.setattr(np.random, "default_rng", forbidden)
+    rep = optimize_symmetric_coeffs(5, GAMMA, TOTAL, "gen-ramsey", OptimizerConfig(restarts=1, seed=7))
+    assert rep.improvement_pct == expected.improvement_pct
+    assert np.array_equal(rep.best_coeffs, expected.best_coeffs)
+
+
+def test_ion_range_is_per_method():
+    assert optimize_symmetric_coeffs(11, GAMMA, TOTAL, "gen-ramsey").improvement_pct > 0.0
+    with pytest.raises(ValueError):
+        optimize_symmetric_coeffs(11, GAMMA, TOTAL, "qfi")
+    with pytest.raises(ValueError):
+        optimize_symmetric_coeffs(1001, GAMMA, TOTAL, "gen-ramsey")
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_optimizer_matches_grid_oracle_genramsey(n):
     oracle_impr, oracle_a = grid_oracle_improvement(n, GAMMA, TOTAL, "genramsey")
@@ -223,7 +255,7 @@ def test_qfi_shot_optimum_rejects_state_without_information():
     with pytest.raises(NoInformationError, match="state carries no information"):
         qfi_shot_optimum(rho0, GAMMA, TOTAL)
     with pytest.raises(DegenerateStateError):
-        _evaluate_candidate(np.array([0.0, 0.0, 1.0]), 4, GAMMA, TOTAL, "qfi", 1e-6)
+        _evaluate_candidate(np.array([0.0, 0.0, 1.0]), 4, GAMMA, TOTAL, 1e-6)
 
 
 def test_grid_oracle_rejects_large_n():

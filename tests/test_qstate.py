@@ -170,6 +170,18 @@ def test_collective_moments_known_states():
     assert m.sx2_mean == pytest.approx(3.0, abs=1e-12)
 
 
+def test_family_state_and_moments_have_no_qubit_cap():
+    # the Dicke-basis moments never build 2^n amplitudes; the dense types keep the cap
+    n = 1000
+    fam = SymmetricFamilyState(n, np.eye(n // 2 + 1)[0])  # GHZ
+    m = collective_moments(fam)
+    assert m.n == n and m.sx_mean == 0.0
+    assert m.sx2_mean == pytest.approx(n, rel=1e-12)
+    assert m.sy2_mean == pytest.approx(n, rel=1e-12)
+    with pytest.raises(ValueError):
+        fam.state_vector()
+
+
 def test_symmetric_states_have_zero_sy_mean():
     # collective_moments takes <S_y> = 0 for family states; the dense oracle checks it
     rng = np.random.default_rng(3)
