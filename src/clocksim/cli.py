@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .evolution import DephasingParams, dephase_evolve, drho_ddelta
+from .evolution import DephasingParams, _check_block_qubits
 from .exceptions import (
     BracketingError,
     ClocksimError,
@@ -28,7 +28,7 @@ from .exceptions import (
     SingularOutcomeError,
     SingularPointError,
 )
-from .fisher import qfi, qfi_uncertainty
+from .fisher import family_qfi, qfi_uncertainty
 from .optimize import (
     ION_RANGE,
     METHODS,
@@ -37,7 +37,7 @@ from .optimize import (
     improvement_sweep,
     qfi_shot_optimum,
 )
-from .qstate import ghz, product_superposition, symmetric_state, to_density
+from .qstate import SymmetricFamilyState, uniform_coefficients
 from .ramsey import signal_ghz, signal_uncorrelated
 
 CONVENTION_NOTE = (
@@ -351,23 +351,24 @@ def _cmd_qfi(opts, out, fmt) -> int:
     if fmt == "csv":
         raise ValueError("qfi reports are json-only; use --format json")
     n, gamma = opts["n"], opts["gamma"]
+    _check_block_qubits(n)
+    # every preparation is a family state: GHZ is e_0, the product state uniform
     if opts["coeffs"] is not None:
         if opts["scheme"] not in (None, "symmetric"):
             raise ValueError(f"--coeffs conflicts with --scheme {opts['scheme']}")
         scheme = "symmetric"
         coeffs = [float(c) for c in opts["coeffs"].split(";") if c.strip()]
-        psi = symmetric_state(n, coeffs)
     elif opts["scheme"] == "uncorrelated":
         scheme = "uncorrelated"
-        psi = product_superposition(n)
+        coeffs = uniform_coefficients(n)
     elif opts["scheme"] == "ghz":
         scheme = "ghz"
-        psi = ghz(n)
+        coeffs = np.eye(1, n // 2 + 1)[0]
     elif opts["scheme"] == "symmetric":
         raise ValueError("scheme 'symmetric' requires --coeffs")
     else:
         raise ValueError("missing --scheme or --coeffs")
-    rho0 = to_density(psi)
+    state = SymmetricFamilyState(n, coeffs)
 
     report = {
         "command": "qfi",
@@ -384,7 +385,7 @@ def _cmd_qfi(opts, out, fmt) -> int:
             raise ValueError("--optimize-t requires --total-time")
         if not gamma > 0.0:
             raise ValueError("--optimize-t requires gamma > 0")
-        t_opt, delta_omega = qfi_shot_optimum(rho0, gamma, opts["total_time"], opts["detuning"])
+        t_opt, delta_omega = qfi_shot_optimum(state, gamma, opts["total_time"], opts["detuning"])
         t_report = t_opt
         report["t_opt"] = t_opt
     else:
@@ -394,12 +395,11 @@ def _cmd_qfi(opts, out, fmt) -> int:
         report["t"] = opts["t"]
         delta_omega = None
 
-    params = DephasingParams(opts["detuning"], gamma, t_report)
-    result = qfi(dephase_evolve(rho0, params), drho_ddelta(rho0, params))
+    fq, cfi = family_qfi(state, DephasingParams(opts["detuning"], gamma, t_report))
     if delta_omega is None and opts["total_time"] is not None:
-        delta_omega = qfi_uncertainty(result.qfi, opts["total_time"], t_report)
-    report["qfi"] = result.qfi
-    report["classical_fi_sld"] = result.classical_fi_check
+        delta_omega = qfi_uncertainty(fq, opts["total_time"], t_report)
+    report["qfi"] = fq
+    report["classical_fi_sld"] = cfi
     report["delta_omega"] = delta_omega
     _emit_json(out, report)
     return 0

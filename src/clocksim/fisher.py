@@ -9,6 +9,12 @@ restricts the sum to the supported subspace. The SLD eigenbasis is the
 projective measurement whose classical Fisher information attains F_Q; the
 precision of any measurement and estimator over nu = T/t repetitions is
 bounded below by 1/sqrt(nu * F_Q).
+
+A dephased family state and its derivative are block-diagonal on the
+floor(n/2)+1 Schur-Weyl blocks of ``evolution._family_evolution``, so their F_Q
+is the multiplicity-weighted sum of the blocks' F_Q from the same core, on
+(n+1) x (n+1) matrices instead of 2^n x 2^n ones, and the SLD measurement
+splits the same way (``family_qfi``).
 """
 
 from __future__ import annotations
@@ -18,8 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .evolution import DephasingParams, _block_tables, _family_evolution
 from .exceptions import NoInformationError, SingularOutcomeError
-from .qstate import DensityMatrix
+from .qstate import DensityMatrix, SymmetricFamilyState
 
 __all__ = [
     "EIG_CUTOFF",
@@ -27,6 +34,7 @@ __all__ = [
     "QfiResult",
     "qfi",
     "qfi_value",
+    "family_qfi",
     "qfi_uncertainty",
     "classical_fi",
     "basis_projectors",
@@ -105,14 +113,31 @@ def _qfi_core(rho: np.ndarray, drho: np.ndarray):
     denom = lam[..., :, None] + lam[..., None, :]
     mask = denom > EIG_CUTOFF
     denom = np.where(mask, denom, 1.0)
-    terms = 2.0 * np.abs(dmat) ** 2 / denom
-    # Each state's supported terms are summed as one flat run in index order,
-    # so a stacked F_Q equals the single-state one to the last bit, and so do
+    terms = np.where(mask, 2.0 * np.abs(dmat) ** 2 / denom, 0.0)
+    # Each state's terms are summed as one contiguous row in index order, so
+    # a stacked F_Q equals the single-state one to the last bit, and so do
     # the shot-time optima and the CLI output bytes built on it.
-    d = rho.shape[-1]
-    flat = zip(terms.reshape(-1, d, d), mask.reshape(-1, d, d))
-    fq = np.array([t[m].sum() for t, m in flat]).reshape(lam.shape[:-1])
+    fq = terms.reshape(lam.shape[:-1] + (-1,)).sum(-1)
     return fq, vecs, dmat, denom, mask
+
+
+def _sld_bases(vecs, dmat, denom, mask) -> np.ndarray:
+    """Eigenbases of the SLDs of a stack, from the eigenbasis data of
+    ``_qfi_core``."""
+    sld_in_eigbasis = np.where(mask, 2.0 * dmat / denom, 0.0)
+    return np.linalg.eigh(vecs @ sld_in_eigbasis @ np.swapaxes(vecs.conj(), -1, -2))[1]
+
+
+def _outcome_probs(basis: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """<b_m| mat |b_m> for every column b_m of each basis of a stack."""
+    return np.einsum("...im,...ij,...jm->...m", basis.conj(), mat, basis).real
+
+
+def _family_qfi_at(state: SymmetricFamilyState, delta: float, gamma: float):
+    """The function mapping durations ``ts`` to the F_Q of the evolved family
+    state at each: the multiplicity-weighted sum of its blocks' F_Q."""
+    blocks_at, mult = _family_evolution(state, delta, gamma), _block_tables(state.n)[2]
+    return lambda ts: (_qfi_core(*blocks_at(ts))[0] * mult).sum(-1)
 
 
 def qfi_value(rho: DensityMatrix, drho: np.ndarray) -> float:
@@ -123,17 +148,30 @@ def qfi_value(rho: DensityMatrix, drho: np.ndarray) -> float:
 def qfi(rho: DensityMatrix, drho: np.ndarray) -> QfiResult:
     """Quantum Fisher information, SLD eigenbasis, and its classical check."""
     drho = _check_derivative(drho, rho.dim)
-    fq, vecs, dmat, denom, mask = _qfi_core(rho.elems, drho)
-    sld_in_eigbasis = np.where(mask, 2.0 * dmat / denom, 0.0)
-    sld = vecs @ sld_in_eigbasis @ vecs.conj().T
-    _, sld_vecs = np.linalg.eigh(sld)
-    basis = _canonical_phases(sld_vecs)
-
-    probs = np.einsum("im,ij,jm->m", basis.conj(), rho.elems, basis).real
-    dprobs = np.einsum("im,ij,jm->m", basis.conj(), drho, basis).real
+    fq, *eigdata = _qfi_core(rho.elems, drho)
+    basis = _canonical_phases(_sld_bases(*eigdata))
     return QfiResult(
-        qfi=float(fq), sld_eigenbasis=basis, classical_fi_check=_fisher_sum(probs, dprobs)
+        qfi=float(fq),
+        sld_eigenbasis=basis,
+        classical_fi_check=_fisher_sum(
+            _outcome_probs(basis, rho.elems), _outcome_probs(basis, drho)
+        ),
     )
+
+
+def family_qfi(state: SymmetricFamilyState, p: DephasingParams):
+    """Quantum Fisher information of a family state evolved by ``p``, and the
+    classical Fisher information of its SLD measurement, from the state's
+    Schur-Weyl blocks without any 2^n matrix (1 <= n <= 20). Returns
+    ``(qfi, classical_fi_check)``; each block's SLD eigenbasis is measured
+    and its Fisher sum weighted by the block's multiplicity."""
+    blocks, dblocks = _family_evolution(state, p.delta, p.gamma)(p.t)
+    mult = _block_tables(state.n)[2]
+    fq, *eigdata = _qfi_core(blocks, dblocks)
+    bases = _sld_bases(*eigdata)
+    probs, dprobs = _outcome_probs(bases, blocks), _outcome_probs(bases, dblocks)
+    cfi = sum(m * _fisher_sum(pk, dpk) for m, pk, dpk in zip(mult, probs, dprobs))
+    return float((fq * mult).sum(-1)), float(cfi)
 
 
 def qfi_uncertainty(qfi_per_shot: float, total_time: float, shot_time: float) -> float:

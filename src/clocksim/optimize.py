@@ -5,7 +5,10 @@ improvement-versus-ion-number datasets.
 The gen-Ramsey coefficient search scans ground states of -S_x + mu S_y^2
 over log mu. The QFI search runs multi-restart Nelder-Mead on the unit
 sphere, restart seeds spawned from the master seed by numpy's SeedSequence,
-so identical configurations reproduce identical reports.
+so identical configurations reproduce identical reports. Its candidates,
+like every shot-time QFI optimum, are scored on the Schur-Weyl blocks of the
+family state (``fisher._family_qfi_at``): no 2^n state vector or density
+matrix is built.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from scipy.optimize import minimize as _scipy_minimize
 from scipy.optimize import minimize_scalar
 
 from .collective import genramsey_opt_uncertainty
-from .evolution import _evolve_stack
 from .exceptions import (
     BracketingError,
     DegenerateStateError,
@@ -27,9 +29,8 @@ from .exceptions import (
     OptimizationFailureError,
     SingularPointError,
 )
-from .fisher import QFI_FLOOR, _NO_INFORMATION, _qfi_core
-from .qstate import SymmetricFamilyState, collective_moments, symmetric_state, to_density
-from .qstate import _dicke_ladder
+from .fisher import QFI_FLOOR, _NO_INFORMATION, _family_qfi_at
+from .qstate import SymmetricFamilyState, _dicke_ladder, collective_moments
 from .ramsey import ExperimentBudget, reference_limit, uncertainty_ghz, uncertainty_uncorrelated
 
 __all__ = [
@@ -47,14 +48,17 @@ __all__ = [
 ]
 
 METHODS = ("gen-ramsey", "qfi")
-# Smallest and largest ion number each coefficient search accepts; the upper
-# ends are set by dense 2^n density matrices and (n+1)-level eigensolves.
+# Smallest and largest ion number each coefficient search accepts. The
+# gen-Ramsey end is set by (n+1)-level eigensolves; the qfi end by the cost of
+# its Nelder-Mead restarts, each a shot-time search per candidate (the block
+# QFI itself reaches n = 20).
 ION_RANGE = {"gen-ramsey": (2, 1000), "qfi": (2, 10)}
 
 _GRID_POINTS = 48
-# Bytes of one stacked (k, d, d) complex array in the shot-time grid: every
-# grid point in one chunk up to d = 16, a single point per chunk at d = 128,
-# so a chunk's temporaries stay near those of one probe on large matrices.
+# Bytes of one stacked (chunk, K, n+1, n+1) complex block array in the
+# shot-time grid: the whole grid in one chunk up to n = 7, three points per
+# chunk at n = 20, where the (n+1)-fold larger temporaries of the block
+# weights then stay near 2.4 MB.
 _STACK_BYTES = 1 << 18
 _LOG_MU_GRID = np.linspace(math.log(1e-4), math.log(1e2), 41)  # best mu: 0.2 to 2.2
 _TOL_OBJ, _MAX_ITER = 1e-10, 400  # Nelder-Mead objective tolerance, iterations per coefficient
@@ -151,52 +155,46 @@ def minimize_over_t(objective, bracket, tol_x: float = 1e-9):
     return _refine(lambda t: _safe_call(objective, t), grid, values, tol_x)
 
 
-def _qfi_bounds(rho0, ts, gamma, total_time, delta):
-    """Precision bound 1/sqrt((T/t) F_Q(t)) at every shot time of ``ts`` from
-    one stacked evaluation, infinite where the state carries no information.
-    The arguments are validated by the caller, and 0 <= t <= total_time."""
-    ts = np.asarray(ts, dtype=float)
-    fq = _qfi_core(*_evolve_stack(rho0, delta, gamma, ts))[0]
+def _precision_bounds(fq, ts, total_time):
+    """Precision bound 1/sqrt((T/t) F_Q(t)) from the F_Q at each shot time of
+    ``ts``, infinite where the state carries no information."""
     with np.errstate(divide="ignore", invalid="ignore"):  # F_Q = 0 where t = 0
         bounds = 1.0 / np.sqrt((total_time / ts) * fq)
     return np.where(fq >= QFI_FLOOR, bounds, math.inf)
 
 
-def qfi_shot_optimum(rho0, gamma, total_time, delta=0.0, tol_x=1e-9):
-    """Shot time minimizing the precision bound 1/sqrt((T/t) F_Q(t)) over
+def qfi_shot_optimum(state, gamma, total_time, delta=0.0, tol_x=1e-9):
+    """Shot time minimizing the precision bound 1/sqrt((T/t) F_Q(t)) of the
+    SymmetricFamilyState ``state`` (1 <= n <= 20) over
     (1e-4/gamma, min(T, 8/gamma)). Returns (t_opt, delta_omega); raises
     NoInformationError when no grid shot time carries information.
 
-    The presampling grid is evaluated in stacked chunks, and the bounded
-    Brent refinement is that of ``minimize_over_t``, so the result equals
-    ``minimize_over_t`` over the single-shot-time bound exactly.
+    F_Q comes from the state's Schur-Weyl blocks. The presampling grid is
+    evaluated in stacked chunks, and the bounded Brent refinement is that of
+    ``minimize_over_t``, so the result equals ``minimize_over_t`` over the
+    single-shot-time bound exactly.
     """
+    if not isinstance(state, SymmetricFamilyState):
+        raise TypeError(f"expected a SymmetricFamilyState, got {type(state).__name__}")
     _check_finite("detuning", delta)
     _check_finite("dephasing rate", gamma)
     _check_finite("total time", total_time)
     if not gamma > 0.0:
         raise ValueError(f"dephasing rate must be > 0, got {gamma}")
     grid = _geometric_grid((1e-4 / gamma, min(total_time, 8.0 / gamma)))
-    chunk = max(1, _STACK_BYTES // (16 * rho0.dim * rho0.dim))
-    values = np.concatenate(
-        [
-            _qfi_bounds(rho0, grid[i : i + chunk], gamma, total_time, delta)
-            for i in range(0, len(grid), chunk)
-        ]
-    )
+    fq_at = _family_qfi_at(state, delta, gamma)
+    bounds = lambda ts: _precision_bounds(fq_at(ts), ts, total_time)
+    chunk = max(1, _STACK_BYTES // (16 * (state.n // 2 + 1) * (state.n + 1) ** 2))
+    values = np.concatenate([bounds(grid[i : i + chunk]) for i in range(0, len(grid), chunk)])
     if not np.isfinite(values).any():
         raise NoInformationError(_NO_INFORMATION)
-    return _refine(
-        lambda t: float(_qfi_bounds(rho0, t, gamma, total_time, delta)), grid, values, tol_x
-    )
+    return _refine(lambda t: float(bounds(t)), grid, values, tol_x)
 
 
 def _evaluate_candidate(a, n, gamma, total_time, t_tol):
     """QFI bound and shot time of unit coefficients; DegenerateStateError without information."""
     try:
-        t_opt, value = qfi_shot_optimum(
-            to_density(symmetric_state(n, a)), gamma, total_time, tol_x=t_tol
-        )
+        t_opt, value = qfi_shot_optimum(SymmetricFamilyState(n, a), gamma, total_time, tol_x=t_tol)
     except NoInformationError as exc:
         raise DegenerateStateError(str(exc)) from exc
     return value, t_opt

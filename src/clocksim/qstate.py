@@ -234,9 +234,12 @@ def symmetric_state(n: int, a) -> StateVector:
 
 
 def uniform_coefficients(n: int) -> np.ndarray:
-    """Family coefficients that reproduce ``product_superposition(n)``."""
-    n = _check_qubit_count(n)
-    return np.array([np.sqrt(len(idx) / (1 << n)) for idx in _weight_classes(n)])
+    """Family coefficients that reproduce ``product_superposition(n)``: weight
+    class k holds C(n, k) + C(n, n-k) strings (C(n, k) when k = n-k), each of
+    amplitude 2^(-n/2). No 2^n array is built, so there is no qubit cap."""
+    n = _check_qubit_count(n, cap=math.inf)
+    sizes = [math.comb(n, k) * (1 if 2 * k == n else 2) for k in range(n // 2 + 1)]
+    return np.array([np.sqrt(size / (1 << n)) for size in sizes])
 
 
 def apply_single_qubit(gate: np.ndarray, k: int, arr: np.ndarray) -> np.ndarray:
@@ -285,18 +288,25 @@ def _dicke_ladder(n: int):
     return cls, ladder
 
 
-def collective_moments(state: SymmetricFamilyState) -> CollectiveMoments:
-    """Exact expectations of S_x, S_x^2, S_y, S_y^2 in a family state, in O(n).
-
-    Weight class k is (|D_k> + |D_{n-k}>)/sqrt(2) in the Dicke basis, or
-    |D_{n/2}> alone. With S_x = J+ + J- and S_y = i(J+ - J-), <S_x^2> and
-    <S_y^2> are the squared norms of (J+ +- J-)c, which differ only in the
-    sign of the cross term; <S_y> vanishes for real amplitudes.
-    """
-    n, (cls, ladder) = state.n, _dicke_ladder(state.n)
+def _dicke_amplitudes(state: SymmetricFamilyState) -> np.ndarray:
+    """Amplitudes of a family state on the Dicke levels w = 0..n: weight class
+    k is (|D_k> + |D_{n-k}>)/sqrt(2), or |D_{n/2}> alone."""
+    n, (cls, _) = state.n, _dicke_ladder(state.n)
     c = state.a[cls] * math.sqrt(0.5)
     if n % 2 == 0:
         c[n // 2] = state.a[-1]
+    return c
+
+
+def collective_moments(state: SymmetricFamilyState) -> CollectiveMoments:
+    """Exact expectations of S_x, S_x^2, S_y, S_y^2 in a family state, in O(n).
+
+    With the Dicke amplitudes c, S_x = J+ + J- and S_y = i(J+ - J-), <S_x^2>
+    and <S_y^2> are the squared norms of (J+ +- J-)c, which differ only in the
+    sign of the cross term; <S_y> vanishes for real amplitudes.
+    """
+    n, ladder = state.n, _dicke_ladder(state.n)[1]
+    c = _dicke_amplitudes(state)
     up, down = ladder * c[:-1], ladder * c[1:]  # J+ c on w = 1..n, J- c on w = 0..n-1
     norms = float(up @ up + down @ down)
     cross = 2.0 * float(up[:-1] @ down[1:])

@@ -27,7 +27,7 @@ from clocksim import (
     dephase_evolve,
     drho_ddelta,
     genramsey_opt_uncertainty,
-    qfi_shot_optimum,
+    minimize_over_t,
     qfi_uncertainty,
     qfi_value,
     reference_limit,
@@ -177,6 +177,48 @@ def qfi_shot_uncertainty(rho0, t, gamma, total_time, delta=0.0):
     return qfi_uncertainty(fq, total_time, p.t)
 
 
+def dense_qfi_shot_optimum(psi, gamma, total_time, delta=0.0, tol_x=1e-9):
+    """Shot-time QFI optimum of the pure state ``psi`` over the bracket of
+    ``qfi_shot_optimum``, (1e-4/gamma, min(T, 8/gamma)), scored one shot time
+    at a time on its dense 2^n density matrix. Returns (t_opt, delta_omega)."""
+    rho0 = to_density(psi)
+    return minimize_over_t(
+        lambda t: qfi_shot_uncertainty(rho0, t, gamma, total_time, delta),
+        (1e-4 / gamma, min(total_time, 8.0 / gamma)),
+        tol_x,
+    )
+
+
+def schrijver_blocks(n, dicke_amps, delta, gamma, t):
+    """Schur-Weyl blocks of a dephased family state straight from Schrijver's
+    formula (IEEE Trans. Inf. Theory 51, 2859 (2005)): entry (i, j) of block k
+    is sum_s beta^s_{i,j,k} f(i,j,s) / sqrt(C(n-2k, i-k) C(n-2k, j-k)), with
+    the alternating integer sums beta^s_{i,j,k} and the per-string element
+    f(i,j,s) = c_i c_j exp(i delta t (j-i)) exp(-gamma t (i+j-2s)),
+    c_w = dicke_amps[w] / sqrt(C(n, w)). Returns a list of the blocks."""
+    comb = math.comb
+    c = [dicke_amps[w] / math.sqrt(comb(n, w)) for w in range(n + 1)]
+    blocks = []
+    for k in range(n // 2 + 1):
+        m = n - 2 * k
+        block = np.zeros((m + 1, m + 1), dtype=complex)
+        for i in range(k, n - k + 1):
+            for j in range(k, n - k + 1):
+                total = 0.0
+                for s in range(min(i, j) + 1):
+                    beta = sum(
+                        (-1) ** (u - s) * comb(u, s) * comb(m, u - k)
+                        * comb(n - k - u, i - u) * comb(n - k - u, j - u)
+                        for u in range(max(s, k), min(i, j) + 1)
+                    )
+                    total += beta * math.exp(-gamma * t * (i + j - 2 * s))
+                phase = np.exp(1j * delta * t * (j - i))
+                norm = math.sqrt(comb(m, i - k) * comb(m, j - k))
+                block[i - k, j - k] = c[i] * c[j] * phase * total / norm
+        blocks.append(block)
+    return blocks
+
+
 def permute_qubits(amps, n, perm):
     """Relabel qubits: bit k of the new index is bit perm[k] of the old."""
     out = np.empty_like(amps)
@@ -229,7 +271,8 @@ def grid_oracle_improvement(n, gamma, total_time, method, resolution=1e-2):
     resolution and returns (best_improvement_pct, best_coeffs), the
     coefficients signed so that the first significant one is positive.
     ``method`` is "genramsey" (collective S_x readout at its analytic shot
-    time) or "qfi" (optimal measurement at the numerically optimal shot time).
+    time) or "qfi" (optimal measurement at the numerically optimal shot time,
+    scored on the dense 2^n density matrix).
     """
     if n // 2 + 1 != 2:
         raise ValueError(f"grid oracle supports a 2-coefficient family (n = 2 or 3), got n={n}")
@@ -245,7 +288,7 @@ def grid_oracle_improvement(n, gamma, total_time, method, resolution=1e-2):
                     dense_collective_moments(psi), n, total_time, gamma
                 ).delta_omega
             else:
-                _, value = qfi_shot_optimum(to_density(psi), gamma, total_time)
+                _, value = dense_qfi_shot_optimum(psi, gamma, total_time)
         except (DegenerateStateError, BracketingError):
             continue
         if value < best_value:

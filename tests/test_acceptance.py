@@ -2,6 +2,7 @@
 pass/fail line. Run with `pytest tests/test_acceptance.py -v -s`.
 """
 
+import json
 import math
 import time
 
@@ -259,3 +260,19 @@ def test_criterion_11_large_n_genramsey_gain():
     ok = gains[0] < gains[1] < gains[2] < IMPROVEMENT_CAP and elapsed < 120.0
     detail = ", ".join(f"n={n}: {g:.3f}%" for n, g in zip((10, 100, 1000), gains))
     _check(11, "large-n gen-ramsey gain", ok, f"{detail}; {elapsed:.1f}s")
+
+
+def test_criterion_12_large_n_qfi_reference_limit(tmp_path):
+    # 2^20 x 2^20 matrices are out of reach; the Schur-Weyl blocks are 21 x 21
+    n, ok, detail = 20, True, []
+    ref = reference_limit(n, TOTAL, GAMMA)
+    for scheme, t_expected in (("ghz", 0.5 / (n * GAMMA)), ("uncorrelated", 0.5 / GAMMA)):
+        out = tmp_path / f"{scheme}.json"
+        code = main(["qfi", "--scheme", scheme, "--n", str(n), "--gamma", str(GAMMA),
+                     "--optimize-t", "--total-time", str(TOTAL), "--out", str(out)])
+        report = json.loads(out.read_text()) if code == 0 else {}
+        gap = 100.0 * abs(report.get("delta_omega", math.inf) / ref - 1.0)
+        t_rel = abs(report.get("t_opt", math.inf) / t_expected - 1.0)
+        ok &= code == 0 and gap < 1e-6 and t_rel < 1e-6
+        detail.append(f"{scheme}: exit {code}, |gap|={gap:.1e}pp, t_opt rel={t_rel:.1e}")
+    _check(12, "large-n qfi reference limit", ok, "; ".join(detail))

@@ -276,6 +276,19 @@ def test_qfi_coeffs_conflicting_with_scheme_exits_2(tmp_path, capsys, scheme, fr
     assert err.startswith("clocksim: invalid-argument:") and "--coeffs" in err
 
 
+@pytest.mark.parametrize("n", ["0", "21"])
+@pytest.mark.parametrize("scheme", ["ghz", "uncorrelated"])
+def test_qfi_outside_block_cap_exits_2(tmp_path, capsys, scheme, n):
+    out = tmp_path / "never.json"
+    code = main(["qfi", "--scheme", scheme, "--n", n, "--gamma", "1", "--optimize-t",
+                 "--total-time", "100", "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("clocksim: invalid-argument:")
+    assert "block QFI supports 1 <= n <= 20" in err
+
+
 def test_qfi_symmetric_scheme_with_coeffs(tmp_path):
     out = tmp_path / "qfi.json"
     assert main(["qfi", "--scheme", "symmetric", "--coeffs", "1;0", "--n", "2", "--gamma", "1",

@@ -2,18 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clocksim import (
     DensityMatrix,
     DephasingParams,
     ExperimentBudget,
     NoInformationError,
+    SymmetricFamilyState,
     basis_projectors,
     classical_fi,
     dephase_evolve,
     drho_ddelta,
+    family_qfi,
     ghz,
-    minimize_over_t,
     product_superposition,
     qfi,
     qfi_uncertainty,
@@ -23,16 +26,19 @@ from clocksim import (
     to_density,
     uncertainty_uncorrelated,
 )
-from clocksim.evolution import _evolve_stack
-from clocksim.fisher import _qfi_core
-from clocksim.optimize import _qfi_bounds
+from clocksim.evolution import _block_tables, _evolve_stack, _family_evolution
+from clocksim.fisher import _family_qfi_at, _qfi_core
+from clocksim.qstate import _dicke_amplitudes
+from clocksim.optimize import _precision_bounds
 
 from reference import (
+    dense_qfi_shot_optimum,
     hamming,
     haar_basis,
     qfi_shot_uncertainty,
     random_density,
     random_pure_state,
+    schrijver_blocks,
     sld_qfi,
 )
 
@@ -186,21 +192,9 @@ def test_qfi_uncertainty_validation_and_scaling():
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_optimal_measurement_reaches_reference_limit(n):
     gamma, total = 1.0, 100.0
-
-    def bound_for(psi):
-        rho0 = to_density(psi)
-
-        def objective(t):
-            p = DephasingParams(0.0, gamma, t)
-            return qfi_uncertainty(
-                qfi_value(dephase_evolve(rho0, p), drho_ddelta(rho0, p)), total, t
-            )
-
-        return minimize_over_t(objective, (1e-3, 3.0))
-
     ref = reference_limit(n, total, gamma)
-    t_prod, val_prod = bound_for(product_superposition(n))
-    t_ghz, val_ghz = bound_for(ghz(n))
+    t_prod, val_prod = dense_qfi_shot_optimum(product_superposition(n), gamma, total)
+    t_ghz, val_ghz = dense_qfi_shot_optimum(ghz(n), gamma, total)
     assert val_prod == pytest.approx(ref, rel=1e-8)
     assert val_ghz == pytest.approx(ref, rel=1e-8)
     assert t_prod == pytest.approx(0.5 / gamma, abs=1e-4)
@@ -215,7 +209,7 @@ def test_stacked_qfi_matches_single_evaluation_and_sld_oracle(n):
     delta, gamma, total = 0.7, 0.4, 10.0
     ts = np.array([0.0, 0.05, 0.3, 1.1, 2.5])
     fq = _qfi_core(*_evolve_stack(rho0, delta, gamma, ts))[0]
-    bounds = _qfi_bounds(rho0, ts, gamma, total, delta)
+    bounds = _precision_bounds(fq, ts, total)
     for k, t in enumerate(ts):
         p = DephasingParams(delta, gamma, t)
         rho_t, drho = dephase_evolve(rho0, p), drho_ddelta(rho0, p)
@@ -226,3 +220,92 @@ def test_stacked_qfi_matches_single_evaluation_and_sld_oracle(n):
             continue
         assert bounds[k] == qfi_shot_uncertainty(rho0, t, gamma, total, delta)
         assert fq[k] == pytest.approx(sld_qfi(rho_t.elems, drho), rel=1e-9)
+
+
+def _random_coeffs(rng, n):
+    a = rng.normal(size=n // 2 + 1)
+    return a / np.linalg.norm(a)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_family_blocks_match_dense_qfi(n):
+    rng = np.random.default_rng(60 + n)
+    ts = np.array([0.0, 0.05, 0.3, 1.1, 2.5])
+    for delta in (0.0, 0.3):
+        for gamma in (0.0, 0.4, 1.0):
+            a = _random_coeffs(rng, n)
+            rho0 = to_density(symmetric_state(n, a))
+            dense = _qfi_core(*_evolve_stack(rho0, delta, gamma, ts))[0]
+            blocks = _family_qfi_at(SymmetricFamilyState(n, a), delta, gamma)(ts)
+            assert blocks == pytest.approx(dense, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_family_blocks_match_schrijver_formula(n):
+    # the kernel sums Schrijver's alternating beta^s in closed form, with
+    # nonnegative terms only; both must give the same blocks
+    state = SymmetricFamilyState(n, _random_coeffs(np.random.default_rng(80 + n), n))
+    delta, gamma, t = 0.3, 0.4, 0.9
+    blocks, dblocks = _family_evolution(state, delta, gamma)(t)
+    expected = schrijver_blocks(n, _dicke_amplitudes(state), delta, gamma, t)
+    levels = np.arange(n + 1)
+    for k, block in enumerate(expected):
+        assert np.abs(blocks[k, k : n - k + 1, k : n - k + 1] - block).max() < 1e-14
+        inner = levels[k : n - k + 1]
+        derivative = 1j * t * (inner[None, :] - inner[:, None]) * block
+        assert np.abs(dblocks[k, k : n - k + 1, k : n - k + 1] - derivative).max() < 1e-14
+        outside = np.ones((n + 1, n + 1), bool)
+        outside[k : n - k + 1, k : n - k + 1] = False
+        assert not blocks[k][outside].any() and not dblocks[k][outside].any()
+
+
+def test_stacked_block_qfi_equals_single_shot_time():
+    state = SymmetricFamilyState(7, _random_coeffs(np.random.default_rng(7), 7))
+    ts = np.geomspace(1e-4, 8.0, 48)
+    fq_at = _family_qfi_at(state, 0.3, 1.0)
+    stacked = fq_at(ts)
+    for k, t in enumerate(ts):
+        assert stacked[k] == fq_at(t)
+        assert stacked[k] == family_qfi(state, DephasingParams(0.3, 1.0, t))[0]
+
+
+def test_block_identities_at_the_cap():
+    n, t = 20, 0.7
+    state = SymmetricFamilyState(n, _random_coeffs(np.random.default_rng(20), n))
+    mult = _block_tables(n)[2]
+    for gamma in (0.0, 0.4, 1.0):
+        blocks, _ = _family_evolution(state, 0.3, gamma)(t)
+        trace = np.trace(blocks, axis1=-2, axis2=-1)
+        assert abs((trace * mult).sum() - 1.0) < 1e-13
+    # unitary limit: 4 t^2 Var(|x|) over the Dicke populations of the state
+    blocks, _ = _family_evolution(state, 0.3, 0.0)(t)
+    pops, w = np.diagonal(blocks[0]).real, np.arange(n + 1)
+    expected = 4.0 * t * t * (pops @ w**2 - (pops @ w) ** 2)
+    assert family_qfi(state, DephasingParams(0.3, 0.0, t))[0] == pytest.approx(expected, rel=1e-13)
+
+
+def test_family_sld_measurement_attains_dense_qfi():
+    rng = np.random.default_rng(8)
+    for n in (1, 2, 3, 4, 5):
+        a = _random_coeffs(rng, n)
+        p = DephasingParams(0.6, 0.7, 0.8)
+        fq, cfi = family_qfi(SymmetricFamilyState(n, a), p)
+        rho0 = to_density(symmetric_state(n, a))
+        dense = qfi(dephase_evolve(rho0, p), drho_ddelta(rho0, p))
+        assert fq == pytest.approx(dense.qfi, rel=1e-12)
+        assert cfi == pytest.approx(fq, rel=1e-9)
+        assert cfi <= fq * (1 + 1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+    delta=st.floats(-2.0, 2.0),
+    gamma=st.floats(0.0, 2.0),
+    t=st.floats(0.0, 5.0),
+)
+def test_family_blocks_stay_positive(n, seed, delta, gamma, t):
+    state = SymmetricFamilyState(n, _random_coeffs(np.random.default_rng(seed), n))
+    blocks, _ = _family_evolution(state, delta, gamma)(t)
+    assert np.linalg.eigvalsh(blocks).min() >= -1e-10

@@ -6,19 +6,21 @@ import pytest
 from clocksim import (
     BracketingError,
     DegenerateStateError,
+    DephasingParams,
     ExperimentBudget,
     NoInformationError,
     OptimizerConfig,
     SymmetricFamilyState,
     collective_moments,
+    family_qfi,
     fig3_scan,
     fig4_curve,
     genramsey_opt_uncertainty,
     ghz,
     minimize_over_t,
     optimize_symmetric_coeffs,
-    product_superposition,
     qfi_shot_optimum,
+    qfi_uncertainty,
     reference_limit,
     symmetric_state,
     to_density,
@@ -27,9 +29,9 @@ from clocksim import (
     uniform_coefficients,
 )
 
-from clocksim import optimize, qstate
+from clocksim import cli, evolution, optimize, qstate
 from clocksim.optimize import _evaluate_candidate
-from reference import grid_oracle_improvement, nelder_mead_genramsey, qfi_shot_uncertainty
+from reference import dense_qfi_shot_optimum, grid_oracle_improvement, nelder_mead_genramsey
 
 GAMMA = 1.0
 TOTAL = 100.0
@@ -162,7 +164,7 @@ def test_reported_coefficients_are_the_canonical_twin(seed):
         flipped = a.copy()
         flipped[-1] = -flipped[-1]  # a diagonal +-1 unitary: same bound
         for twin in (a, flipped):
-            _, value = qfi_shot_optimum(to_density(symmetric_state(n, twin)), GAMMA, TOTAL)
+            _, value = qfi_shot_optimum(SymmetricFamilyState(n, twin), GAMMA, TOTAL)
             assert _improvement(n, value) == pytest.approx(opt.improvement_pct, abs=1e-12)
 
 
@@ -184,6 +186,23 @@ def test_genramsey_search_reaches_nelder_mead_oracle(n, total):
     assert np.all(rep.best_coeffs > 0.0)
     assert collective_moments(SymmetricFamilyState(n, rep.best_coeffs)).sx_mean > 0.0
     assert rep.t_opt <= total and rep.restart_values == ()
+
+
+def test_qfi_paths_build_no_2n_state(monkeypatch, tmp_path):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a QFI path built a 2^n state")
+
+    for name in ("StateVector", "DensityMatrix"):
+        monkeypatch.setattr(qstate, name, forbidden)
+    monkeypatch.setattr(evolution, "_evolve_stack", forbidden)
+    rep = optimize_symmetric_coeffs(3, GAMMA, TOTAL, "qfi", OptimizerConfig(restarts=1))
+    assert rep.status == "ok" and rep.improvement_pct > 0.0
+    preparations = (["--scheme", "ghz"], ["--scheme", "uncorrelated"], ["--coeffs", "0.8;0.6"])
+    for preparation in preparations:
+        for timing in (["--optimize-t", "--total-time", "100"], ["--t", "0.3"]):
+            out = tmp_path / "qfi.json"
+            argv = ["qfi", "--n", "3", "--gamma", "1", *preparation, *timing, "--out", str(out)]
+            assert cli.main(argv) == 0
 
 
 def test_genramsey_search_runs_no_nelder_mead_and_draws_nothing(monkeypatch):
@@ -224,36 +243,48 @@ def test_optimizer_matches_grid_oracle_qfi(n):
 
 
 def test_qfi_shot_optimum_validation():
-    rho0 = to_density(ghz(2))
+    state = SymmetricFamilyState(2, [1.0, 0.0])
     for gamma, total in ((0.0, TOTAL), (-1.0, TOTAL), (math.nan, TOTAL), (GAMMA, math.inf),
                          (GAMMA, math.nan)):
         with pytest.raises(ValueError):
-            qfi_shot_optimum(rho0, gamma, total)
+            qfi_shot_optimum(state, gamma, total)
+    with pytest.raises(TypeError):
+        qfi_shot_optimum(to_density(ghz(2)), GAMMA, TOTAL)
+    with pytest.raises(ValueError, match="block QFI supports 1 <= n <= 20"):
+        qfi_shot_optimum(SymmetricFamilyState(21, np.eye(1, 11)[0]), GAMMA, TOTAL)
 
 
 @pytest.mark.parametrize("delta", [0.0, 0.3])
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_qfi_shot_optimum_equals_scalar_search(n, delta):
     rng = np.random.default_rng(100 + n)
-    states = [ghz(n), product_superposition(n)]
+    coeffs = [np.eye(1, n // 2 + 1)[0], uniform_coefficients(n)]
     for _ in range(2):
         a = rng.normal(size=n // 2 + 1)
-        states.append(symmetric_state(n, a / np.linalg.norm(a)))
+        coeffs.append(a / np.linalg.norm(a))
     bracket = (1e-4 / GAMMA, min(TOTAL, 8.0 / GAMMA))
-    for psi in states:
-        rho0 = to_density(psi)
+    for a in coeffs:
+        state = SymmetricFamilyState(n, a)
+        got = qfi_shot_optimum(state, GAMMA, TOTAL, delta)
+        # the stacked grid gives the bits of the single-shot-time block bound
         scalar = minimize_over_t(
-            lambda t: qfi_shot_uncertainty(rho0, t, GAMMA, TOTAL, delta), bracket, 1e-9
+            lambda t: qfi_uncertainty(family_qfi(state, DephasingParams(delta, GAMMA, t))[0],
+                                      TOTAL, t),
+            bracket,
+            1e-9,
         )
-        assert qfi_shot_optimum(rho0, GAMMA, TOTAL, delta) == scalar
+        assert got == scalar
+        # and the block engine lands where the dense 2^n search does
+        t_dense, value_dense = dense_qfi_shot_optimum(symmetric_state(n, a), GAMMA, TOTAL, delta)
+        assert got[1] == pytest.approx(value_dense, rel=1e-12)
+        assert got[0] == pytest.approx(t_dense, rel=1e-6)
 
 
 def test_qfi_shot_optimum_rejects_state_without_information():
     # the last family member at n = 4 is the Dicke state |D_2>, an eigenstate of
     # the detuning Hamiltonian, so F_Q = 0 at every shot time
-    rho0 = to_density(symmetric_state(4, [0.0, 0.0, 1.0]))
     with pytest.raises(NoInformationError, match="state carries no information"):
-        qfi_shot_optimum(rho0, GAMMA, TOTAL)
+        qfi_shot_optimum(SymmetricFamilyState(4, [0.0, 0.0, 1.0]), GAMMA, TOTAL)
     with pytest.raises(DegenerateStateError):
         _evaluate_candidate(np.array([0.0, 0.0, 1.0]), 4, GAMMA, TOTAL, 1e-6)
 
