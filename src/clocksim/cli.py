@@ -32,7 +32,6 @@ from .fisher import family_qfi, qfi_uncertainty
 from .optimize import (
     ION_RANGE,
     METHODS,
-    OptimizerConfig,
     fig3_scan,
     improvement_sweep,
     qfi_shot_optimum,
@@ -44,7 +43,7 @@ CONVENTION_NOTE = (
     "single-qubit coherences decay as exp(-gamma*t) with gamma = 1/tau_dec; "
     "only the products gamma*t, gamma*T and delta*t are physically meaningful"
 )
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _ERROR_TAGS = (
     (NoInformationError, "no-information"),
@@ -87,8 +86,8 @@ _OPTION_TABLES = {
         "n_min": _Option(int, required=True),
         "n_max": _Option(int, required=True),
         "method": _Option(str, default="both", choices=(*METHODS, "both")),
-        "seed": _Option(int, default=0, help="qfi search only: seed of its random starts"),
-        "restarts": _Option(int, default=16, help="qfi search only: number of random starts"),
+        "seed": _Option(int, default=0, help="accepted and ignored: both searches are deterministic"),
+        "restarts": _Option(int, default=16, help="accepted and ignored: no search restarts"),
         "gamma": _Option(float, default=1.0),
         "total_time": _Option(float, default=100.0),
     },
@@ -301,32 +300,22 @@ def _cmd_optimize(opts, out, fmt) -> int:
     lo, hi = max(ION_RANGE[m][0] for m in methods), min(ION_RANGE[m][1] for m in methods)
     if not lo <= n_min <= n_max <= hi:
         raise ValueError(f"need {lo} <= n-min <= n-max <= {hi}, got {n_min}..{n_max}")
-    cfg = OptimizerConfig(restarts=opts["restarts"], seed=opts["seed"])
 
-    rows, reports, any_ok = [], [], False
-    sweep = improvement_sweep(
-        range(n_min, n_max + 1), opts["gamma"], opts["total_time"], methods, cfg
-    )
+    rows, reports = [], []
+    sweep = improvement_sweep(range(n_min, n_max + 1), opts["gamma"], opts["total_time"], methods)
     for n, outcomes in sweep:
-        for method, rep in outcomes.items():
-            if isinstance(rep, Exception):
-                _warn(f"n={n} method={method}: {rep}")
-                rows.append([n, method, math.nan, math.nan, "", "failed"])
-                reports.append({"n": n, "method": method, "status": "failed"})
-                continue
-            any_ok = True
+        for rep in outcomes.values():
             coeffs = ";".join(_fmt(c) for c in rep.best_coeffs)
-            rows.append([n, rep.method, rep.improvement_pct, rep.t_opt, coeffs, "ok"])
+            rows.append([n, rep.method, rep.improvement_pct, rep.t_opt, coeffs, rep.status])
             reports.append(
                 {
                     "n": n,
                     "method": rep.method,
-                    "status": "ok",
+                    "status": rep.status,
                     "improvement_pct": rep.improvement_pct,
                     "delta_omega": rep.delta_omega,
                     "t_opt": rep.t_opt,
                     "coeffs": rep.best_coeffs,
-                    "restart_values": rep.restart_values,
                 }
             )
 
@@ -337,14 +326,12 @@ def _cmd_optimize(opts, out, fmt) -> int:
                 "command": "optimize",
                 "gamma": opts["gamma"],
                 "total_time": opts["total_time"],
-                "seed": opts["seed"],
-                "restarts": opts["restarts"],
                 "points": reports,
             },
         )
     else:
         _emit_csv(out, ["n", "method", "improvement_pct", "t_opt", "coeffs", "status"], rows)
-    return 0 if any_ok else 3
+    return 0
 
 
 def _cmd_qfi(opts, out, fmt) -> int:
@@ -385,7 +372,7 @@ def _cmd_qfi(opts, out, fmt) -> int:
             raise ValueError("--optimize-t requires --total-time")
         if not gamma > 0.0:
             raise ValueError("--optimize-t requires gamma > 0")
-        t_opt, delta_omega = qfi_shot_optimum(state, gamma, opts["total_time"], opts["detuning"])
+        t_opt, delta_omega = qfi_shot_optimum(state, gamma, opts["total_time"])
         t_report = t_opt
         report["t_opt"] = t_opt
     else:

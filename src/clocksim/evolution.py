@@ -16,7 +16,8 @@ the strings only through |x|, |y| and |x AND y|, so it lies in the Terwilliger
 algebra of the n-cube, which A. Schrijver block-diagonalized in closed form
 (IEEE Trans. Inf. Theory 51, 2859 (2005)). ``_family_evolution`` evaluates it on
 those floor(n/2)+1 blocks, the total-spin sectors j = n/2 - k (Chase &
-Geremia, PRA 78, 052101 (2008)).
+Geremia, PRA 78, 052101 (2008)), as the state-independent channel
+``_block_channel`` times the outer product of the Dicke amplitudes.
 """
 
 from __future__ import annotations
@@ -166,33 +167,37 @@ def _block_tables(n: int):
     return weights, exponents, mult
 
 
-def _family_evolution(state: SymmetricFamilyState, delta: float, gamma: float):
-    """The function mapping durations ``ts`` to the Schur-Weyl blocks of the
-    evolved family state and of its detuning derivative.
+def _block_channel(n: int, gamma: float, ts) -> np.ndarray:
+    """The state-independent part of the block form, for every duration of
+    ``ts``: E_k(t)[i, j] = sum_u weights[k, i, j, u] p^(i+j-2u) (1-p^2)^u with
+    p = exp(-gamma t), shape ``np.shape(ts) + (K, n+1, n+1)``, K = floor(n/2) + 1.
+    Block k of a family state with Dicke amplitudes c is E_k ∘ c c^T. Each
+    entry is a sum over the last axis of its own weights, so a stacked
+    duration gives the same bits as a single one.
+    """
+    weights, exponents, _ = _block_tables(n)
+    levels = np.arange(n + 1)
+    t = np.asarray(ts, dtype=float)[..., None, None, None]
+    p = np.exp(-gamma * t)
+    decay = p**exponents * (1.0 - p * p) ** levels
+    return (weights * decay[..., None, :, :, :]).sum(-1)
 
-    Both block stacks have shape ``np.shape(ts) + (K, n+1, n+1)``,
-    K = floor(n/2) + 1; block k fills rows and columns k..n-k and is zero
-    elsewhere, so the padding only adds null directions. Entry (i, j) picks up
-    exp(i delta t (j-i)) and the derivative is the block times i t (j-i), as
-    in the 2^n kernel. The state and the rates are folded in once, so each
-    call does only the per-duration work. Every step is elementwise or a sum
-    over the last axis of one entry, so a stacked duration gives the same bits
-    as a single one.
-    The scalars are not checked here (see ``_evolve_stack``).
+
+def _family_evolution(state: SymmetricFamilyState, gamma: float, ts):
+    """The real Schur-Weyl blocks of the family state evolved for each
+    duration of ``ts``, and their detuning derivative, the blocks times
+    i t (j-i) as in the 2^n kernel.
+
+    Both stacks have shape ``np.shape(ts) + (K, n+1, n+1)``; block k fills
+    rows and columns k..n-k and is zero elsewhere, so the padding only adds
+    null directions. The 2^n kernel's phase exp(i delta t (j-i)) is left out:
+    a diagonal unitary that commutes with the dephasing, it changes neither
+    F_Q nor the SLD measurement's Fisher information. The scalars are not
+    checked here (see ``_evolve_stack``).
     """
     n = state.n
-    weights, exponents, _ = _block_tables(n)
     c = _dicke_amplitudes(state)
-    weights = weights * np.outer(c, c)[:, :, None]
     levels = np.arange(n + 1)
-    wd = levels - levels[:, None]  # j - i over Dicke level pairs (i, j)
-    phase_rate = (1j * delta) * wd
-
-    def blocks_at(ts):
-        t = np.asarray(ts, dtype=float)[..., None, None, None]
-        p = np.exp(-gamma * t)
-        decay = p**exponents * (1.0 - p * p) ** levels
-        blocks = (weights * decay[..., None, :, :, :]).sum(-1) * np.exp(t * phase_rate)
-        return blocks, blocks * ((1j * t) * wd)
-
-    return blocks_at
+    t = np.asarray(ts, dtype=float)[..., None, None, None]
+    blocks = _block_channel(n, gamma, ts) * np.outer(c, c)
+    return blocks, blocks * ((1j * t) * (levels - levels[:, None]))

@@ -32,4 +32,4 @@ class BracketingError(ClocksimError):
 
 
 class OptimizationFailureError(ClocksimError):
-    """Every optimizer restart ended in a degenerate candidate."""
+    """A coefficient search ended without a usable candidate."""

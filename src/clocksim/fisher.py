@@ -121,11 +121,16 @@ def _qfi_core(rho: np.ndarray, drho: np.ndarray):
     return fq, vecs, dmat, denom, mask
 
 
-def _sld_bases(vecs, dmat, denom, mask) -> np.ndarray:
+def _sld(vecs, dmat, denom, mask) -> np.ndarray:
+    """SLDs L = V where(mask, 2 dmat / denom, 0) V^dagger of a stack, from the
+    eigenbasis data of ``_qfi_core``."""
+    return vecs @ np.where(mask, 2.0 * dmat / denom, 0.0) @ np.swapaxes(vecs.conj(), -1, -2)
+
+
+def _sld_bases(*eigdata) -> np.ndarray:
     """Eigenbases of the SLDs of a stack, from the eigenbasis data of
     ``_qfi_core``."""
-    sld_in_eigbasis = np.where(mask, 2.0 * dmat / denom, 0.0)
-    return np.linalg.eigh(vecs @ sld_in_eigbasis @ np.swapaxes(vecs.conj(), -1, -2))[1]
+    return np.linalg.eigh(_sld(*eigdata))[1]
 
 
 def _outcome_probs(basis: np.ndarray, mat: np.ndarray) -> np.ndarray:
@@ -133,11 +138,11 @@ def _outcome_probs(basis: np.ndarray, mat: np.ndarray) -> np.ndarray:
     return np.einsum("...im,...ij,...jm->...m", basis.conj(), mat, basis).real
 
 
-def _family_qfi_at(state: SymmetricFamilyState, delta: float, gamma: float):
+def _family_qfi_at(state: SymmetricFamilyState, gamma: float):
     """The function mapping durations ``ts`` to the F_Q of the evolved family
     state at each: the multiplicity-weighted sum of its blocks' F_Q."""
-    blocks_at, mult = _family_evolution(state, delta, gamma), _block_tables(state.n)[2]
-    return lambda ts: (_qfi_core(*blocks_at(ts))[0] * mult).sum(-1)
+    mult = _block_tables(state.n)[2]
+    return lambda ts: (_qfi_core(*_family_evolution(state, gamma, ts))[0] * mult).sum(-1)
 
 
 def qfi_value(rho: DensityMatrix, drho: np.ndarray) -> float:
@@ -164,8 +169,10 @@ def family_qfi(state: SymmetricFamilyState, p: DephasingParams):
     classical Fisher information of its SLD measurement, from the state's
     Schur-Weyl blocks without any 2^n matrix (1 <= n <= 20). Returns
     ``(qfi, classical_fi_check)``; each block's SLD eigenbasis is measured
-    and its Fisher sum weighted by the block's multiplicity."""
-    blocks, dblocks = _family_evolution(state, p.delta, p.gamma)(p.t)
+    and its Fisher sum weighted by the block's multiplicity. ``p.delta`` is
+    ignored: the detuning phase is a diagonal unitary that commutes with the
+    dephasing, so neither number depends on it."""
+    blocks, dblocks = _family_evolution(state, p.gamma, p.t)
     mult = _block_tables(state.n)[2]
     fq, *eigdata = _qfi_core(blocks, dblocks)
     bases = _sld_bases(*eigdata)

@@ -2,13 +2,15 @@
 coefficients, plus generation of the uncertainty-versus-shot-time and
 improvement-versus-ion-number datasets.
 
-The gen-Ramsey coefficient search scans ground states of -S_x + mu S_y^2
-over log mu. The QFI search runs multi-restart Nelder-Mead on the unit
-sphere, restart seeds spawned from the master seed by numpy's SeedSequence,
-so identical configurations reproduce identical reports. Its candidates,
-like every shot-time QFI optimum, are scored on the Schur-Weyl blocks of the
-family state (``fisher._family_qfi_at``): no 2^n state vector or density
-matrix is built.
+Both coefficient searches are deterministic: they draw no random numbers,
+so identical arguments reproduce identical reports. The gen-Ramsey search
+scans ground states of -S_x + mu S_y^2 over log mu. The QFI search maximizes
+F_Q at each probed shot time by a see-saw over the variational form
+F_Q = max_L [2 Tr(drho L) - Tr(rho L^2)], started from the gen-Ramsey winner,
+and searches the shot time over the same grid and Brent refinement as
+``qfi_shot_optimum``. It, like every shot-time QFI optimum, works on the
+Schur-Weyl blocks of the family state (``evolution._block_channel``): no 2^n
+state vector or density matrix is built.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.optimize import minimize as _scipy_minimize
 from scipy.optimize import minimize_scalar
 
 from .collective import genramsey_opt_uncertainty
@@ -26,15 +27,14 @@ from .exceptions import (
     BracketingError,
     DegenerateStateError,
     NoInformationError,
-    OptimizationFailureError,
     SingularPointError,
 )
-from .fisher import QFI_FLOOR, _NO_INFORMATION, _family_qfi_at
+from .evolution import MAX_BLOCK_QUBITS, _block_channel, _block_tables
+from .fisher import QFI_FLOOR, _NO_INFORMATION, _family_qfi_at, _qfi_core, _sld
 from .qstate import SymmetricFamilyState, _dicke_ladder, collective_moments
 from .ramsey import ExperimentBudget, reference_limit, uncertainty_ghz, uncertainty_uncorrelated
 
 __all__ = [
-    "OptimizerConfig",
     "OptimizationReport",
     "ImprovementCurvePoint",
     "METHODS",
@@ -49,10 +49,9 @@ __all__ = [
 
 METHODS = ("gen-ramsey", "qfi")
 # Smallest and largest ion number each coefficient search accepts. The
-# gen-Ramsey end is set by (n+1)-level eigensolves; the qfi end by the cost of
-# its Nelder-Mead restarts, each a shot-time search per candidate (the block
-# QFI itself reaches n = 20).
-ION_RANGE = {"gen-ramsey": (2, 1000), "qfi": (2, 10)}
+# gen-Ramsey end is set by (n+1)-level eigensolves; the qfi end is that of the
+# block QFI.
+ION_RANGE = {"gen-ramsey": (2, 1000), "qfi": (2, MAX_BLOCK_QUBITS)}
 
 _GRID_POINTS = 48
 # Bytes of one stacked (chunk, K, n+1, n+1) complex block array in the
@@ -61,22 +60,13 @@ _GRID_POINTS = 48
 # weights then stay near 2.4 MB.
 _STACK_BYTES = 1 << 18
 _LOG_MU_GRID = np.linspace(math.log(1e-4), math.log(1e2), 41)  # best mu: 0.2 to 2.2
-_TOL_OBJ, _MAX_ITER = 1e-10, 400  # Nelder-Mead objective tolerance, iterations per coefficient
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    restarts: int = 16
-    seed: int = 0
-    tol_x: float = 1e-9
-
-    def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError(f"restart count must be >= 1, got {self.restarts}")
-        if not self.tol_x > 0.0:
-            raise ValueError("tolerances must be > 0")
-        if self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+_TOL_X = 1e-9  # Brent tolerance of the log mu and shot-time refinements
+# Relative F_Q rise at which a see-saw stops: loose for the shot-time probes,
+# which only locate the optimum, tight for the winner's coefficients.
+_PROBE_RTOL, _SEESAW_RTOL = 1e-8, 1e-13
+# F_Q evaluations after which a see-saw stops unconverged; at n = 20 the
+# winner's needs about 900 and a probe's median is 20-40.
+_SEESAW_EVALS = 4000
 
 
 @dataclass(frozen=True)
@@ -89,7 +79,6 @@ class OptimizationReport:
     delta_omega: float
     t_opt: float
     best_coeffs: np.ndarray
-    restart_values: tuple
     status: str = "ok"
 
 
@@ -100,7 +89,7 @@ class ImprovementCurvePoint:
     n: int
     improvement_genramsey_pct: float
     improvement_qfi_pct: float
-    best_coeffs: np.ndarray | None
+    best_coeffs: np.ndarray
     status: str = "ok"
 
 
@@ -163,7 +152,7 @@ def _precision_bounds(fq, ts, total_time):
     return np.where(fq >= QFI_FLOOR, bounds, math.inf)
 
 
-def qfi_shot_optimum(state, gamma, total_time, delta=0.0, tol_x=1e-9):
+def qfi_shot_optimum(state, gamma, total_time, tol_x=_TOL_X):
     """Shot time minimizing the precision bound 1/sqrt((T/t) F_Q(t)) of the
     SymmetricFamilyState ``state`` (1 <= n <= 20) over
     (1e-4/gamma, min(T, 8/gamma)). Returns (t_opt, delta_omega); raises
@@ -176,28 +165,18 @@ def qfi_shot_optimum(state, gamma, total_time, delta=0.0, tol_x=1e-9):
     """
     if not isinstance(state, SymmetricFamilyState):
         raise TypeError(f"expected a SymmetricFamilyState, got {type(state).__name__}")
-    _check_finite("detuning", delta)
     _check_finite("dephasing rate", gamma)
     _check_finite("total time", total_time)
     if not gamma > 0.0:
         raise ValueError(f"dephasing rate must be > 0, got {gamma}")
     grid = _geometric_grid((1e-4 / gamma, min(total_time, 8.0 / gamma)))
-    fq_at = _family_qfi_at(state, delta, gamma)
+    fq_at = _family_qfi_at(state, gamma)
     bounds = lambda ts: _precision_bounds(fq_at(ts), ts, total_time)
     chunk = max(1, _STACK_BYTES // (16 * (state.n // 2 + 1) * (state.n + 1) ** 2))
     values = np.concatenate([bounds(grid[i : i + chunk]) for i in range(0, len(grid), chunk)])
     if not np.isfinite(values).any():
         raise NoInformationError(_NO_INFORMATION)
     return _refine(lambda t: float(bounds(t)), grid, values, tol_x)
-
-
-def _evaluate_candidate(a, n, gamma, total_time, t_tol):
-    """QFI bound and shot time of unit coefficients; DegenerateStateError without information."""
-    try:
-        t_opt, value = qfi_shot_optimum(SymmetricFamilyState(n, a), gamma, total_time, tol_x=t_tol)
-    except NoInformationError as exc:
-        raise DegenerateStateError(str(exc)) from exc
-    return value, t_opt
 
 
 def _canonical_method(method: str) -> str:
@@ -208,40 +187,7 @@ def _canonical_method(method: str) -> str:
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
-def _normalize(x):
-    nrm = float(np.linalg.norm(x))
-    if nrm < 1e-12:
-        raise DegenerateStateError("coefficient vector has vanishing norm")
-    return np.asarray(x, dtype=float) / nrm
-
-
-def _run_restart(x0, n, gamma, total_time, cfg):
-    # the simplex search tolerates a coarser shot-time resolution than the
-    # final report; the winner is re-evaluated at cfg.tol_x afterwards
-    search_t_tol = max(cfg.tol_x, 1e-6)
-
-    def objective(x):
-        try:
-            value, _ = _evaluate_candidate(_normalize(x), n, gamma, total_time, search_t_tol)
-        except DegenerateStateError:
-            return math.inf
-        return value
-
-    result = _scipy_minimize(
-        objective,
-        x0,
-        method="Nelder-Mead",
-        options={
-            "xatol": cfg.tol_x,
-            "fatol": _TOL_OBJ,
-            "maxiter": _MAX_ITER * len(x0),
-            "maxfev": _MAX_ITER * len(x0),
-        },
-    )
-    return float(result.fun), np.asarray(result.x, dtype=float)
-
-
-def _genramsey_search(n, gamma, total_time, tol_x):
+def _genramsey_search(n, gamma, total_time):
     """(coefficients, PrecisionResult) of the best ground state of -S_x + mu S_y^2:
     the gen-Ramsey score improves as <S_x> rises and <S_y^2> falls (Ulam-Orgikh
     & Kitagawa, PRA 64, 052106 (2001)). By Perron-Frobenius the ground state is
@@ -260,26 +206,113 @@ def _genramsey_search(n, gamma, total_time, tol_x):
         )
 
     score = lambda log_mu: result(log_mu)[1].delta_omega
-    log_mu, _ = _refine(score, _LOG_MU_GRID, [score(x) for x in _LOG_MU_GRID], tol_x)
+    log_mu, _ = _refine(score, _LOG_MU_GRID, [score(x) for x in _LOG_MU_GRID], _TOL_X)
     return result(log_mu)
 
 
+def _qfi_seesaw(n, gamma, t):
+    """``(score, step)`` of the see-saw for the F_Q of family coefficients a
+    at shot time ``t``: ``score(a)`` gives F_Q and the SLDs over i,
+    ``step(a, sld)`` the unit a maximizing F_Q at those SLDs.
+
+    Block k is E_k ∘ c c^T (E the block channel, c = P a the Dicke amplitudes,
+    P the flip-even isometry) and its derivative i tW ∘ E_k ∘ c c^T, W[i, j] =
+    j - i. F_Q sees only |<j| drho |k>|, so ``_qfi_core`` runs on the real
+    tW ∘ block and ``_sld`` returns the real S = L / i. At fixed L the form
+    F_Q = max_L [2 Tr(drho L) - Tr(rho L^2)] is c^T M c, M = sum_k mult_k
+    (2 E_k ∘ tW ∘ S_k + E_k ∘ S_k^2), maximized by the top eigenvector of
+    P^T M P, so alternating L and a never lowers F_Q (Macieszczak,
+    arXiv:1312.1356; Demkowicz-Dobrzanski & Maccone, PRL 113, 250801 (2014)).
+    """
+    cls = _dicke_ladder(n)[0]
+    fold = np.eye(n // 2 + 1)[cls] * np.where(2 * cls == n, 1.0, math.sqrt(0.5))[:, None]
+    channel, mult = _block_channel(n, gamma, t), _block_tables(n)[2]
+    levels = np.arange(n + 1)
+    tw = t * (levels - levels[:, None])
+    channel_tw2 = 2.0 * channel * tw
+    top = [fold.shape[1] - 1] * 2
+
+    def score(a):
+        c = fold @ a
+        blocks = channel * np.outer(c, c)
+        fq, *eigdata = _qfi_core(blocks, blocks * tw)
+        return float(fq @ mult), _sld(*eigdata)
+
+    def step(a, sld):
+        m = np.tensordot(mult, channel_tw2 * sld + channel * (sld @ sld), 1)
+        top_vec = eigh(fold.T @ m @ fold, subset_by_index=top)[1][:, 0]
+        return top_vec if top_vec @ a >= 0.0 else -top_vec
+
+    return score, step
+
+
+def _seesaw(score, step, a, rtol):
+    """Raise the F_Q of unit coefficients ``a`` by see-saw steps until a cycle
+    raises it by at most ``rtol`` relative. Returns (F_Q, a, converged), with
+    converged False when ``_SEESAW_EVALS`` evaluations cut it short.
+
+    Each cycle extrapolates two steps by SQUAREM (Varadhan & Roland, Scand.
+    J. Stat. 35, 335 (2008)) and keeps the extrapolated point, after one more
+    step, only where it beats them, so F_Q never falls. Plain steps crawl
+    along flat ridges of F_Q: the n = 20 winner needs about 2200 of them.
+    """
+    fq, sld = score(a)
+    evals = 1
+    while evals < _SEESAW_EVALS:
+        a1 = step(a, sld)
+        a2 = step(a1, score(a1)[1])
+        best = (*score(a2), a2)
+        evals += 2
+        r, v = a1 - a, a2 - 2.0 * a1 + a
+        if 0.0 < np.linalg.norm(v) < np.linalg.norm(r):
+            alpha = np.linalg.norm(r) / np.linalg.norm(v)
+            x = a + 2.0 * alpha * r + alpha * alpha * v
+            x /= np.linalg.norm(x)
+            x = step(x, score(x)[1])
+            best = max(best, (*score(x), x), key=lambda cand: cand[0])
+            evals += 2
+        rise = best[0] - fq
+        if rise > 0.0:
+            fq, sld, a = best
+        if not rise > rtol * fq:
+            return fq, a, True
+    return fq, a, False
+
+
+def _qfi_search(n, gamma, total_time):
+    """(coefficients, t_opt, delta_omega, converged) of the QFI optimum.
+
+    Each probed shot time runs a see-saw from the gen-Ramsey winner, so a
+    probe is a function of t alone and never scores below that state; the
+    probes follow ``qfi_shot_optimum``'s grid and Brent refinement. The
+    winner's see-saw is rerun to ``_SEESAW_RTOL``, and its |a| (a diagonal
+    +-1 unitary keeps F_Q) is scored by ``qfi_shot_optimum``.
+    """
+    a0 = _genramsey_search(n, gamma, total_time)[0]
+
+    def probe(t, rtol=_PROBE_RTOL):
+        fq, a, converged = _seesaw(*_qfi_seesaw(n, gamma, t), a0, rtol)
+        return float(_precision_bounds(fq, t, total_time)), a, converged
+
+    grid = _geometric_grid((1e-4 / gamma, min(total_time, 8.0 / gamma)))
+    bound = lambda t: probe(t)[0]
+    t_best, _ = _refine(bound, grid, [bound(t) for t in grid], _TOL_X)
+    _, a, converged = probe(t_best, _SEESAW_RTOL)
+    a = np.abs(a)
+    t_opt, delta_omega = qfi_shot_optimum(SymmetricFamilyState(n, a), gamma, total_time)
+    return a, t_opt, delta_omega, converged
+
+
 def optimize_symmetric_coeffs(
-    n: int,
-    gamma: float,
-    total_time: float,
-    method: str,
-    cfg: OptimizerConfig | None = None,
-    extra_starts=(),
+    n: int, gamma: float, total_time: float, method: str
 ) -> OptimizationReport:
     """Search unit-norm family coefficients minimizing the scheme uncertainty.
 
     ``method`` picks the measurement: "gen-ramsey" (also spelled "genramsey")
     uses the collective S_x observable with the analytic optimal shot time,
-    "qfi" uses the optimal projective measurement with the shot time
-    minimized numerically per candidate. ``extra_starts`` prepends
-    deterministic start vectors to the seeded random restarts of "qfi", which
-    reports |a| (a diagonal +-1 unitary keeps its bound). Both give a_k >= 0.
+    "qfi" the optimal projective measurement with the shot time searched
+    numerically. Both return a_k >= 0. A "qfi" report whose final see-saw
+    stopped at its evaluation cap has status "partial".
     """
     method = _canonical_method(method)
     lo, hi = ION_RANGE[method]
@@ -291,22 +324,12 @@ def optimize_symmetric_coeffs(
         raise ValueError(f"dephasing rate must be > 0, got {gamma}")
     if total_time < 0.5 / gamma:
         raise ValueError(f"total time {total_time} below tau_dec/2 = {0.5 / gamma}")
-    cfg = cfg or OptimizerConfig()
 
     if method == "gen-ramsey":
-        a_best, best = _genramsey_search(n, gamma, total_time, cfg.tol_x)
-        delta_omega, t_opt, values = best.delta_omega, best.t_opt, ()
+        a_best, best = _genramsey_search(n, gamma, total_time)
+        delta_omega, t_opt, converged = best.delta_omega, best.t_opt, True
     else:
-        starts = [np.asarray(x, dtype=float) for x in extra_starts]
-        for child in np.random.SeedSequence(cfg.seed).spawn(cfg.restarts):
-            starts.append(np.random.default_rng(child).normal(size=n // 2 + 1))
-        outcomes = [_run_restart(x0, n, gamma, total_time, cfg) for x0 in starts]
-        values = tuple(v for v, _ in outcomes)
-        best = int(np.argmin(values))
-        if not math.isfinite(values[best]):
-            raise OptimizationFailureError("every restart ended in a degenerate candidate")
-        a_best = np.abs(_normalize(outcomes[best][1]))
-        delta_omega, t_opt = _evaluate_candidate(a_best, n, gamma, total_time, cfg.tol_x)
+        a_best, t_opt, delta_omega, converged = _qfi_search(n, gamma, total_time)
     ref = reference_limit(n, total_time, gamma)
     return OptimizationReport(
         n=n,
@@ -315,35 +338,16 @@ def optimize_symmetric_coeffs(
         delta_omega=delta_omega,
         t_opt=t_opt,
         best_coeffs=a_best,
-        restart_values=values,
-        status="ok",
+        status="ok" if converged else "partial",
     )
 
 
-def improvement_sweep(
-    n_range, gamma: float, total_time: float, methods=METHODS, cfg: OptimizerConfig | None = None
-):
+def improvement_sweep(n_range, gamma: float, total_time: float, methods=METHODS):
     """Yield ``(n, outcomes)`` for each ion number, ``outcomes`` mapping each
-    method in order to its OptimizationReport, or to the
-    OptimizationFailureError that ended its search.
-
-    A "qfi" search run after a successful "gen-ramsey" one is seeded with
-    the collective-observable winner, so its improvement cannot fall below it.
-    """
+    method in order to its OptimizationReport."""
     methods = tuple(_canonical_method(m) for m in methods)
     for n in n_range:
-        outcomes = {}
-        for method in methods:
-            gen = outcomes.get("gen-ramsey")
-            seeded = method == "qfi" and isinstance(gen, OptimizationReport)
-            extra = (gen.best_coeffs,) if seeded else ()
-            try:
-                outcomes[method] = optimize_symmetric_coeffs(
-                    n, gamma, total_time, method, cfg, extra_starts=extra
-                )
-            except OptimizationFailureError as exc:
-                outcomes[method] = exc
-        yield n, outcomes
+        yield n, {m: optimize_symmetric_coeffs(n, gamma, total_time, m) for m in methods}
 
 
 def fig3_scan(n: int, gamma: float, total_time: float, t_grid) -> np.ndarray:
@@ -371,22 +375,20 @@ def fig3_scan(n: int, gamma: float, total_time: float, t_grid) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
-def fig4_curve(n_range, gamma: float, total_time: float, cfg: OptimizerConfig | None = None):
+def fig4_curve(n_range, gamma: float, total_time: float):
     """Improvement over the reference limit versus ion number, for both the
     collective-observable and the optimal-measurement strategies.
 
-    The optimal-measurement search is seeded with the collective-observable
-    winner (see ``improvement_sweep``). Failed points are flagged rather
-    than aborting the sweep.
+    A point with a "partial" search is flagged "partial".
     """
     points = []
-    for n, outcomes in improvement_sweep(n_range, gamma, total_time, METHODS, cfg):
+    for n, outcomes in improvement_sweep(n_range, gamma, total_time, METHODS):
         gen, opt = outcomes["gen-ramsey"], outcomes["qfi"]
-        if isinstance(gen, Exception) or isinstance(opt, Exception):
-            points.append(ImprovementCurvePoint(n, math.nan, math.nan, None, status="failed"))
-            continue
         winner = opt if opt.delta_omega <= gen.delta_omega else gen
+        status = "ok" if gen.status == opt.status == "ok" else "partial"
         points.append(
-            ImprovementCurvePoint(n, gen.improvement_pct, opt.improvement_pct, winner.best_coeffs)
+            ImprovementCurvePoint(
+                n, gen.improvement_pct, opt.improvement_pct, winner.best_coeffs, status
+            )
         )
     return points

@@ -21,6 +21,7 @@ from clocksim import (
     DegenerateStateError,
     DensityMatrix,
     DephasingParams,
+    NoInformationError,
     OptimizationFailureError,
     SymmetricFamilyState,
     collective_moments,
@@ -28,6 +29,7 @@ from clocksim import (
     drho_ddelta,
     genramsey_opt_uncertainty,
     minimize_over_t,
+    qfi_shot_optimum,
     qfi_uncertainty,
     qfi_value,
     reference_limit,
@@ -336,3 +338,40 @@ def nelder_mead_genramsey(n, gamma, total_time, restarts=16, seed=0):
     if best_x is None:
         raise OptimizationFailureError("every restart ended in an infeasible candidate")
     return 100.0 * (1.0 - best_value / reference_limit(n, total_time, gamma)), best_x
+
+
+def nelder_mead_qfi(n, gamma, total_time, restarts=2, seed=0):
+    """QFI coefficient search by seeded multi-restart Nelder-Mead.
+
+    Each restart starts from a normal vector drawn from a child of
+    SeedSequence(seed) and searches unconstrained coordinates, normalized onto
+    the unit sphere and scored by ``qfi_shot_optimum`` at a shot-time
+    tolerance of 1e-6; the winner's |a| is scored again at 1e-9. Returns
+    (best_improvement_pct, best_coeffs).
+    """
+
+    def objective(x):
+        nrm = float(np.linalg.norm(x))
+        if nrm < 1e-12:
+            return math.inf
+        try:
+            return qfi_shot_optimum(SymmetricFamilyState(n, x / nrm), gamma, total_time, 1e-6)[1]
+        except NoInformationError:
+            return math.inf
+
+    best_value, best_x = math.inf, None
+    for child in np.random.SeedSequence(seed).spawn(restarts):
+        x0 = np.random.default_rng(child).normal(size=n // 2 + 1)
+        budget = 400 * x0.size
+        res = minimize(
+            objective,
+            x0,
+            method="Nelder-Mead",
+            options={"xatol": 1e-9, "fatol": 1e-10, "maxiter": budget, "maxfev": budget},
+        )
+        if res.fun < best_value:
+            best_value, best_x = float(res.fun), np.abs(res.x) / np.linalg.norm(res.x)
+    if best_x is None:
+        raise OptimizationFailureError("every restart ended in a degenerate candidate")
+    _, value = qfi_shot_optimum(SymmetricFamilyState(n, best_x), gamma, total_time)
+    return 100.0 * (1.0 - value / reference_limit(n, total_time, gamma)), best_x

@@ -12,7 +12,6 @@ from clocksim import (
     DensityMatrix,
     DephasingParams,
     ExperimentBudget,
-    OptimizerConfig,
     SymmetricFamilyState,
     classical_fi,
     basis_projectors,
@@ -169,10 +168,9 @@ def test_criterion_05_generalized_ramsey_reduction():
 
 def test_criterion_06_partial_entanglement_gain():
     start = time.perf_counter()
-    cfg = OptimizerConfig(restarts=16, seed=20260811)
     ok, detail = True, []
     for n in range(2, 8):
-        rep = optimize_symmetric_coeffs(n, GAMMA, TOTAL, "genramsey", cfg)
+        rep = optimize_symmetric_coeffs(n, GAMMA, TOTAL, "genramsey")
         ok &= 0.0 < rep.improvement_pct < IMPROVEMENT_CAP
         detail.append(f"n={n}: {rep.improvement_pct:.3f}%")
     elapsed = time.perf_counter() - start
@@ -181,8 +179,7 @@ def test_criterion_06_partial_entanglement_gain():
 
 
 def test_criterion_07_improvement_ordering_and_grid_oracle():
-    cfg = OptimizerConfig(restarts=8, seed=31415)
-    points = {p.n: p for p in fig4_curve(range(2, 6), GAMMA, TOTAL, cfg)}
+    points = {p.n: p for p in fig4_curve(range(2, 6), GAMMA, TOTAL)}
     ok, detail = True, []
     for n, p in sorted(points.items()):
         ok &= p.status == "ok"
@@ -276,3 +273,24 @@ def test_criterion_12_large_n_qfi_reference_limit(tmp_path):
         ok &= code == 0 and gap < 1e-6 and t_rel < 1e-6
         detail.append(f"{scheme}: exit {code}, |gap|={gap:.1e}pp, t_opt rel={t_rel:.1e}")
     _check(12, "large-n qfi reference limit", ok, "; ".join(detail))
+
+
+def test_criterion_13_large_n_qfi_gain(tmp_path):
+    # the QFI search runs on the Schur-Weyl blocks up to their cap, n = 20
+    start, ok, detail, gains = time.perf_counter(), True, [], []
+    for n in (5, 10, 20):
+        out = tmp_path / f"curve_{n}.csv"
+        code = main(["optimize", "--method", "both", "--n-min", str(n), "--n-max", str(n),
+                     "--gamma", str(GAMMA), "--total-time", str(TOTAL), "--out", str(out)])
+        rows = {}
+        if code == 0:
+            lines = out.read_text().splitlines()[2:]
+            rows = {r[1]: r for r in (line.split(",") for line in lines)}
+        gen, opt = (float(rows[m][2]) if m in rows else math.nan for m in ("gen-ramsey", "qfi"))
+        ok &= code == 0 and all(r[5] == "ok" for r in rows.values())
+        ok &= opt >= gen - 1e-6
+        gains.append(opt)
+        detail.append(f"n={n}: qfi={opt:.3f}% gen={gen:.3f}%")
+    elapsed = time.perf_counter() - start
+    ok &= gains[0] < gains[1] < gains[2] < IMPROVEMENT_CAP and elapsed < 120.0
+    _check(13, "large-n qfi gain", ok, "; ".join(detail) + f"; {elapsed:.1f}s")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from clocksim import reference_limit, signal_ghz, signal_uncorrelated, uncertainty_uncorrelated
-from clocksim import ExperimentBudget, OptimizerConfig, fig4_curve
+from clocksim import ExperimentBudget, fig4_curve, optimize
 from clocksim.cli import main
 
 
@@ -156,12 +156,13 @@ def test_optimize_json_report(tmp_path):
                  "--seed", "1", "--restarts", "2", "--format", "json", "--out", str(out)])
     assert code == 0
     payload = json.loads(out.read_text())
-    assert payload["schema_version"] == 1
+    assert payload["schema_version"] == 2
     assert "convention" in payload
+    assert "seed" not in payload and "restarts" not in payload  # both are no-ops
     point = payload["points"][0]
     assert point["method"] == "gen-ramsey"
     assert point["status"] == "ok"
-    assert point["restart_values"] == []  # the gen-Ramsey search has no restarts
+    assert "restart_values" not in point
     assert len(point["coeffs"]) == 2
 
 
@@ -174,7 +175,27 @@ def test_optimize_genramsey_ignores_seed_and_restarts(capsys):
     assert outputs[0] == outputs[1]
 
 
-@pytest.mark.parametrize("method, n_max", [("both", "11"), ("qfi", "11"), ("gen-ramsey", "1001")])
+def test_optimize_qfi_ignores_seed_and_restarts(capsys):
+    outputs = []
+    for seed, restarts in (("0", "16"), ("7", "1")):
+        assert main(["optimize", "--method", "qfi", "--n-min", "2", "--n-max", "3",
+                     "--seed", seed, "--restarts", restarts]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+def test_optimize_reports_partial_search_and_exits_0(tmp_path, monkeypatch):
+    monkeypatch.setattr(optimize, "_SEESAW_EVALS", 1)
+    csv_out, json_out = tmp_path / "opt.csv", tmp_path / "opt.json"
+    argv = ["optimize", "--method", "qfi", "--n-min", "2", "--n-max", "2"]
+    assert main(argv + ["--out", str(csv_out)]) == 0
+    _, rows = _read_csv(csv_out)
+    assert [r[5] for r in rows] == ["partial"]
+    assert main(argv + ["--format", "json", "--out", str(json_out)]) == 0
+    assert json.loads(json_out.read_text())["points"][0]["status"] == "partial"
+
+
+@pytest.mark.parametrize("method, n_max", [("both", "21"), ("qfi", "21"), ("gen-ramsey", "1001")])
 def test_optimize_n_above_method_cap_exits_2(tmp_path, capsys, method, n_max):
     out = tmp_path / "never.csv"
     argv = ["optimize", "--method", method, "--n-min", "2", "--n-max", n_max, "--out", str(out)]
@@ -185,10 +206,10 @@ def test_optimize_n_above_method_cap_exits_2(tmp_path, capsys, method, n_max):
 
 def test_optimize_genramsey_above_qfi_cap(tmp_path):
     out = tmp_path / "opt.csv"
-    assert main(["optimize", "--method", "gen-ramsey", "--n-min", "11", "--n-max", "12",
+    assert main(["optimize", "--method", "gen-ramsey", "--n-min", "21", "--n-max", "22",
                  "--out", str(out)]) == 0
     _, rows = _read_csv(out)
-    assert [r[0] for r in rows] == ["11", "12"]
+    assert [r[0] for r in rows] == ["21", "22"]
     assert all(r[5] == "ok" and 0.0 < float(r[2]) < 100 * (1 - math.exp(-0.5)) for r in rows)
 
 
@@ -224,7 +245,7 @@ def test_qfi_report_ghz_optimized(tmp_path):
                  "--optimize-t", "--total-time", "100", "--out", str(out)])
     assert code == 0
     payload = json.loads(out.read_text())
-    assert payload["schema_version"] == 1
+    assert payload["schema_version"] == 2
     expected = math.sqrt(2 * math.e / 400)
     assert payload["delta_omega"] == pytest.approx(expected, rel=1e-6)
     assert payload["t_opt"] == pytest.approx(1 / 8, abs=1e-4)
@@ -345,7 +366,7 @@ def test_optimize_matches_library_curve(tmp_path):
     assert code == 0
     _, rows = _read_csv(out)
     got = {(int(r[0]), r[1]): float(r[2]) for r in rows}
-    points = fig4_curve(range(2, 4), 1.0, 100.0, OptimizerConfig(restarts=3, seed=5))
+    points = fig4_curve(range(2, 4), 1.0, 100.0)
     assert len(got) == 2 * len(points)
     for p in points:
         assert got[p.n, "gen-ramsey"] == p.improvement_genramsey_pct

@@ -236,18 +236,21 @@ def test_family_blocks_match_dense_qfi(n):
             a = _random_coeffs(rng, n)
             rho0 = to_density(symmetric_state(n, a))
             dense = _qfi_core(*_evolve_stack(rho0, delta, gamma, ts))[0]
-            blocks = _family_qfi_at(SymmetricFamilyState(n, a), delta, gamma)(ts)
+            # the blocks drop the detuning phase, which leaves F_Q unchanged
+            blocks = _family_qfi_at(SymmetricFamilyState(n, a), gamma)(ts)
             assert blocks == pytest.approx(dense, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 8])
 def test_family_blocks_match_schrijver_formula(n):
     # the kernel sums Schrijver's alternating beta^s in closed form, with
-    # nonnegative terms only; both must give the same blocks
+    # nonnegative terms only; both must give the same blocks, which carry no
+    # detuning phase, so they are those of the formula at delta = 0
     state = SymmetricFamilyState(n, _random_coeffs(np.random.default_rng(80 + n), n))
-    delta, gamma, t = 0.3, 0.4, 0.9
-    blocks, dblocks = _family_evolution(state, delta, gamma)(t)
-    expected = schrijver_blocks(n, _dicke_amplitudes(state), delta, gamma, t)
+    gamma, t = 0.4, 0.9
+    blocks, dblocks = _family_evolution(state, gamma, t)
+    assert blocks.dtype == float
+    expected = schrijver_blocks(n, _dicke_amplitudes(state), 0.0, gamma, t)
     levels = np.arange(n + 1)
     for k, block in enumerate(expected):
         assert np.abs(blocks[k, k : n - k + 1, k : n - k + 1] - block).max() < 1e-14
@@ -262,7 +265,7 @@ def test_family_blocks_match_schrijver_formula(n):
 def test_stacked_block_qfi_equals_single_shot_time():
     state = SymmetricFamilyState(7, _random_coeffs(np.random.default_rng(7), 7))
     ts = np.geomspace(1e-4, 8.0, 48)
-    fq_at = _family_qfi_at(state, 0.3, 1.0)
+    fq_at = _family_qfi_at(state, 1.0)
     stacked = fq_at(ts)
     for k, t in enumerate(ts):
         assert stacked[k] == fq_at(t)
@@ -274,11 +277,11 @@ def test_block_identities_at_the_cap():
     state = SymmetricFamilyState(n, _random_coeffs(np.random.default_rng(20), n))
     mult = _block_tables(n)[2]
     for gamma in (0.0, 0.4, 1.0):
-        blocks, _ = _family_evolution(state, 0.3, gamma)(t)
+        blocks, _ = _family_evolution(state, gamma, t)
         trace = np.trace(blocks, axis1=-2, axis2=-1)
         assert abs((trace * mult).sum() - 1.0) < 1e-13
     # unitary limit: 4 t^2 Var(|x|) over the Dicke populations of the state
-    blocks, _ = _family_evolution(state, 0.3, 0.0)(t)
+    blocks, _ = _family_evolution(state, 0.0, t)
     pops, w = np.diagonal(blocks[0]).real, np.arange(n + 1)
     expected = 4.0 * t * t * (pops @ w**2 - (pops @ w) ** 2)
     assert family_qfi(state, DephasingParams(0.3, 0.0, t))[0] == pytest.approx(expected, rel=1e-13)
@@ -301,11 +304,10 @@ def test_family_sld_measurement_attains_dense_qfi():
 @given(
     n=st.integers(1, 12),
     seed=st.integers(0, 2**32 - 1),
-    delta=st.floats(-2.0, 2.0),
     gamma=st.floats(0.0, 2.0),
     t=st.floats(0.0, 5.0),
 )
-def test_family_blocks_stay_positive(n, seed, delta, gamma, t):
+def test_family_blocks_stay_positive(n, seed, gamma, t):
     state = SymmetricFamilyState(n, _random_coeffs(np.random.default_rng(seed), n))
-    blocks, _ = _family_evolution(state, delta, gamma)(t)
+    blocks, _ = _family_evolution(state, gamma, t)
     assert np.linalg.eigvalsh(blocks).min() >= -1e-10

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clocksim import (
     BracketingError,
@@ -9,7 +12,6 @@ from clocksim import (
     DephasingParams,
     ExperimentBudget,
     NoInformationError,
-    OptimizerConfig,
     SymmetricFamilyState,
     collective_moments,
     family_qfi,
@@ -30,8 +32,14 @@ from clocksim import (
 )
 
 from clocksim import cli, evolution, optimize, qstate
-from clocksim.optimize import _evaluate_candidate
-from reference import dense_qfi_shot_optimum, grid_oracle_improvement, nelder_mead_genramsey
+from clocksim.evolution import MAX_BLOCK_QUBITS
+from clocksim.optimize import ION_RANGE, _qfi_seesaw
+from reference import (
+    dense_qfi_shot_optimum,
+    grid_oracle_improvement,
+    nelder_mead_genramsey,
+    nelder_mead_qfi,
+)
 
 GAMMA = 1.0
 TOTAL = 100.0
@@ -75,13 +83,6 @@ def test_minimize_validates_bracket():
         minimize_over_t(lambda t: t, (1.0, 0.5))
 
 
-def test_optimizer_config_validation():
-    with pytest.raises(ValueError):
-        OptimizerConfig(restarts=0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(tol_x=0.0)
-
-
 def test_uniform_coefficients_give_zero_improvement():
     # the product preparation is a family member and defines the baseline
     for n in (2, 3, 4):
@@ -102,8 +103,7 @@ def test_ghz_coefficients_are_degenerate_for_genramsey():
 
 
 def test_optimizer_beats_reference_at_n2():
-    cfg = OptimizerConfig(restarts=8, seed=11)
-    rep = optimize_symmetric_coeffs(2, GAMMA, TOTAL, "genramsey", cfg)
+    rep = optimize_symmetric_coeffs(2, GAMMA, TOTAL, "genramsey")
     assert rep.improvement_pct > 0.5
     assert rep.improvement_pct < 100 * (1 - math.exp(-0.5))
     assert np.linalg.norm(rep.best_coeffs) == pytest.approx(1.0, abs=1e-9)
@@ -122,12 +122,11 @@ def test_optimizer_validation():
 
 
 def test_optimizer_report_is_reproducible_and_self_consistent():
-    cfg = OptimizerConfig(restarts=6, seed=123)
-    one = optimize_symmetric_coeffs(3, GAMMA, TOTAL, "genramsey", cfg)
-    two = optimize_symmetric_coeffs(3, GAMMA, TOTAL, "genramsey", cfg)
+    one = optimize_symmetric_coeffs(3, GAMMA, TOTAL, "genramsey")
+    two = optimize_symmetric_coeffs(3, GAMMA, TOTAL, "genramsey")
     assert np.array_equal(one.best_coeffs, two.best_coeffs)
     assert one.improvement_pct == two.improvement_pct
-    assert one.restart_values == two.restart_values
+    assert one.t_opt == two.t_opt
     # re-evaluating the reported coefficients reproduces the reported value
     res = genramsey_opt_uncertainty(
         collective_moments(SymmetricFamilyState(3, one.best_coeffs)), 3, TOTAL, GAMMA
@@ -143,8 +142,10 @@ def _improvement(n, delta_omega):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_reported_coefficients_are_the_canonical_twin(seed):
+    # ``seed`` draws the diagonal +-1 unitaries applied to the QFI winner
+    rng = np.random.default_rng(seed)
     for n in (2, 3, 4):
-        gen = optimize_symmetric_coeffs(n, GAMMA, TOTAL, "gen-ramsey", OptimizerConfig(seed=seed))
+        gen = optimize_symmetric_coeffs(n, GAMMA, TOTAL, "gen-ramsey")
         a = gen.best_coeffs
         m0 = collective_moments(SymmetricFamilyState(n, a))
         assert m0.sx_mean > 0.0
@@ -158,11 +159,10 @@ def test_reported_coefficients_are_the_canonical_twin(seed):
             )
             assert res.improvement_pct == pytest.approx(gen.improvement_pct, abs=1e-12)
 
-        opt = optimize_symmetric_coeffs(n, GAMMA, TOTAL, "qfi", OptimizerConfig(restarts=1, seed=seed))
+        opt = optimize_symmetric_coeffs(n, GAMMA, TOTAL, "qfi")
         a = opt.best_coeffs
         assert np.all(a >= 0.0)
-        flipped = a.copy()
-        flipped[-1] = -flipped[-1]  # a diagonal +-1 unitary: same bound
+        flipped = a * rng.choice([-1.0, 1.0], size=a.size)  # a diagonal +-1 unitary: same bound
         for twin in (a, flipped):
             _, value = qfi_shot_optimum(SymmetricFamilyState(n, twin), GAMMA, TOTAL)
             assert _improvement(n, value) == pytest.approx(opt.improvement_pct, abs=1e-12)
@@ -173,7 +173,7 @@ def test_genramsey_search_builds_no_state_vector(monkeypatch):
         raise AssertionError("the gen-Ramsey search built a 2^n state vector")
 
     monkeypatch.setattr(qstate, "StateVector", forbidden)
-    rep = optimize_symmetric_coeffs(4, GAMMA, TOTAL, "gen-ramsey", OptimizerConfig(restarts=4))
+    rep = optimize_symmetric_coeffs(4, GAMMA, TOTAL, "gen-ramsey")
     assert rep.status == "ok" and rep.improvement_pct > 0.0
 
 
@@ -185,7 +185,37 @@ def test_genramsey_search_reaches_nelder_mead_oracle(n, total):
     assert rep.improvement_pct >= oracle_impr - 1e-9
     assert np.all(rep.best_coeffs > 0.0)
     assert collective_moments(SymmetricFamilyState(n, rep.best_coeffs)).sx_mean > 0.0
-    assert rep.t_opt <= total and rep.restart_values == ()
+    assert rep.t_opt <= total and rep.status == "ok"
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_qfi_search_reaches_nelder_mead_oracle(n):
+    oracle_impr, _ = nelder_mead_qfi(n, GAMMA, TOTAL)
+    rep = optimize_symmetric_coeffs(n, GAMMA, TOTAL, "qfi")
+    assert rep.improvement_pct >= oracle_impr - 1e-9
+    assert rep.status == "ok" and np.all(rep.best_coeffs >= 0.0)
+    gen = optimize_symmetric_coeffs(n, GAMMA, TOTAL, "gen-ramsey")
+    assert rep.improvement_pct >= gen.improvement_pct - 1e-6
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(2, 12),
+    seed=st.integers(0, 2**32 - 1),
+    gamma=st.floats(0.05, 2.0),
+    t=st.floats(1e-3, 4.0),
+)
+def test_seesaw_step_never_lowers_qfi(n, seed, gamma, t):
+    score, step = _qfi_seesaw(n, gamma, t)
+    a = np.random.default_rng(seed).normal(size=n // 2 + 1)
+    a /= np.linalg.norm(a)
+    fq, sld = score(a)
+    for _ in range(3):
+        a = step(a, sld)
+        assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-12)
+        fq_next, sld = score(a)
+        assert fq_next >= fq * (1.0 - 1e-12)
+        fq = fq_next
 
 
 def test_qfi_paths_build_no_2n_state(monkeypatch, tmp_path):
@@ -195,7 +225,7 @@ def test_qfi_paths_build_no_2n_state(monkeypatch, tmp_path):
     for name in ("StateVector", "DensityMatrix"):
         monkeypatch.setattr(qstate, name, forbidden)
     monkeypatch.setattr(evolution, "_evolve_stack", forbidden)
-    rep = optimize_symmetric_coeffs(3, GAMMA, TOTAL, "qfi", OptimizerConfig(restarts=1))
+    rep = optimize_symmetric_coeffs(3, GAMMA, TOTAL, "qfi")
     assert rep.status == "ok" and rep.improvement_pct > 0.0
     preparations = (["--scheme", "ghz"], ["--scheme", "uncorrelated"], ["--coeffs", "0.8;0.6"])
     for preparation in preparations:
@@ -205,23 +235,46 @@ def test_qfi_paths_build_no_2n_state(monkeypatch, tmp_path):
             assert cli.main(argv) == 0
 
 
-def test_genramsey_search_runs_no_nelder_mead_and_draws_nothing(monkeypatch):
+def _forbid_nelder_mead_and_random_draws(monkeypatch, search):
     def forbidden(*args, **kwargs):
-        raise AssertionError("the gen-Ramsey search ran Nelder-Mead or drew random numbers")
+        raise AssertionError(f"the {search} search ran Nelder-Mead or drew random numbers")
 
-    expected = optimize_symmetric_coeffs(5, GAMMA, TOTAL, "gen-ramsey")
-    monkeypatch.setattr(optimize, "_scipy_minimize", forbidden)
+    monkeypatch.setattr(scipy.optimize, "minimize", forbidden)
     monkeypatch.setattr(np.random, "SeedSequence", forbidden)
     monkeypatch.setattr(np.random, "default_rng", forbidden)
-    rep = optimize_symmetric_coeffs(5, GAMMA, TOTAL, "gen-ramsey", OptimizerConfig(restarts=1, seed=7))
+
+
+def test_genramsey_search_runs_no_nelder_mead_and_draws_nothing(monkeypatch):
+    expected = optimize_symmetric_coeffs(5, GAMMA, TOTAL, "gen-ramsey")
+    _forbid_nelder_mead_and_random_draws(monkeypatch, "gen-Ramsey")
+    rep = optimize_symmetric_coeffs(5, GAMMA, TOTAL, "gen-ramsey")
     assert rep.improvement_pct == expected.improvement_pct
     assert np.array_equal(rep.best_coeffs, expected.best_coeffs)
 
 
+def test_qfi_search_runs_no_nelder_mead_and_draws_nothing(monkeypatch):
+    expected = optimize_symmetric_coeffs(4, GAMMA, TOTAL, "qfi")
+    _forbid_nelder_mead_and_random_draws(monkeypatch, "QFI")
+    rep = optimize_symmetric_coeffs(4, GAMMA, TOTAL, "qfi")
+    assert rep.improvement_pct == expected.improvement_pct and rep.t_opt == expected.t_opt
+    assert np.array_equal(rep.best_coeffs, expected.best_coeffs)
+
+
+def test_qfi_search_at_its_evaluation_cap_reports_partial(monkeypatch):
+    monkeypatch.setattr(optimize, "_SEESAW_EVALS", 1)
+    rep = optimize_symmetric_coeffs(3, GAMMA, TOTAL, "qfi")
+    assert rep.status == "partial"
+    # with no step taken the search still scores the gen-Ramsey winner
+    gen = optimize_symmetric_coeffs(3, GAMMA, TOTAL, "gen-ramsey")
+    assert rep.improvement_pct >= gen.improvement_pct - 1e-6
+    assert fig4_curve([3], GAMMA, TOTAL)[0].status == "partial"
+
+
 def test_ion_range_is_per_method():
-    assert optimize_symmetric_coeffs(11, GAMMA, TOTAL, "gen-ramsey").improvement_pct > 0.0
+    assert ION_RANGE["qfi"] == (2, MAX_BLOCK_QUBITS)
+    assert optimize_symmetric_coeffs(21, GAMMA, TOTAL, "gen-ramsey").improvement_pct > 0.0
     with pytest.raises(ValueError):
-        optimize_symmetric_coeffs(11, GAMMA, TOTAL, "qfi")
+        optimize_symmetric_coeffs(MAX_BLOCK_QUBITS + 1, GAMMA, TOTAL, "qfi")
     with pytest.raises(ValueError):
         optimize_symmetric_coeffs(1001, GAMMA, TOTAL, "gen-ramsey")
 
@@ -229,7 +282,7 @@ def test_ion_range_is_per_method():
 @pytest.mark.parametrize("n", [2, 3])
 def test_optimizer_matches_grid_oracle_genramsey(n):
     oracle_impr, oracle_a = grid_oracle_improvement(n, GAMMA, TOTAL, "genramsey")
-    rep = optimize_symmetric_coeffs(n, GAMMA, TOTAL, "genramsey", OptimizerConfig(restarts=8, seed=2))
+    rep = optimize_symmetric_coeffs(n, GAMMA, TOTAL, "genramsey")
     assert rep.improvement_pct >= oracle_impr - 1e-6
     assert abs(rep.improvement_pct - oracle_impr) < 0.1
 
@@ -237,7 +290,7 @@ def test_optimizer_matches_grid_oracle_genramsey(n):
 @pytest.mark.parametrize("n", [2, 3])
 def test_optimizer_matches_grid_oracle_qfi(n):
     oracle_impr, _ = grid_oracle_improvement(n, GAMMA, TOTAL, "qfi")
-    rep = optimize_symmetric_coeffs(n, GAMMA, TOTAL, "qfi", OptimizerConfig(restarts=6, seed=3))
+    rep = optimize_symmetric_coeffs(n, GAMMA, TOTAL, "qfi")
     assert rep.improvement_pct >= oracle_impr - 1e-6
     assert abs(rep.improvement_pct - oracle_impr) < 0.1
 
@@ -257,6 +310,8 @@ def test_qfi_shot_optimum_validation():
 @pytest.mark.parametrize("delta", [0.0, 0.3])
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_qfi_shot_optimum_equals_scalar_search(n, delta):
+    # the block engine drops the detuning phase, a diagonal unitary that
+    # commutes with the dephasing; the dense 2^n oracle keeps it
     rng = np.random.default_rng(100 + n)
     coeffs = [np.eye(1, n // 2 + 1)[0], uniform_coefficients(n)]
     for _ in range(2):
@@ -265,7 +320,7 @@ def test_qfi_shot_optimum_equals_scalar_search(n, delta):
     bracket = (1e-4 / GAMMA, min(TOTAL, 8.0 / GAMMA))
     for a in coeffs:
         state = SymmetricFamilyState(n, a)
-        got = qfi_shot_optimum(state, GAMMA, TOTAL, delta)
+        got = qfi_shot_optimum(state, GAMMA, TOTAL)
         # the stacked grid gives the bits of the single-shot-time block bound
         scalar = minimize_over_t(
             lambda t: qfi_uncertainty(family_qfi(state, DephasingParams(delta, GAMMA, t))[0],
@@ -285,8 +340,6 @@ def test_qfi_shot_optimum_rejects_state_without_information():
     # the detuning Hamiltonian, so F_Q = 0 at every shot time
     with pytest.raises(NoInformationError, match="state carries no information"):
         qfi_shot_optimum(SymmetricFamilyState(4, [0.0, 0.0, 1.0]), GAMMA, TOTAL)
-    with pytest.raises(DegenerateStateError):
-        _evaluate_candidate(np.array([0.0, 0.0, 1.0]), 4, GAMMA, TOTAL, 1e-6)
 
 
 def test_grid_oracle_rejects_large_n():
@@ -318,8 +371,7 @@ def test_fig3_scan_flags_infeasible_rows():
 
 
 def test_fig4_curve_small_sweep():
-    cfg = OptimizerConfig(restarts=6, seed=9)
-    points = fig4_curve(range(2, 4), GAMMA, TOTAL, cfg)
+    points = fig4_curve(range(2, 4), GAMMA, TOTAL)
     assert [p.n for p in points] == [2, 3]
     cap = 100 * (1 - math.exp(-0.5))
     for p in points:
