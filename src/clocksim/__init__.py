@@ -14,53 +14,34 @@ from .collective import (
     precision_bound_chain,
     solve_topt,
 )
-from .evolution import MAX_BLOCK_QUBITS, DephasingParams, dephase_evolve, drho_ddelta
+from .evolution import MAX_BLOCK_QUBITS, DephasingParams
 from .exceptions import (
     BracketingError,
     ClocksimError,
     DegenerateStateError,
     NoInformationError,
-    OptimizationFailureError,
     SingularOutcomeError,
     SingularPointError,
 )
-from .fisher import (
-    QfiResult,
-    basis_projectors,
-    classical_fi,
-    family_qfi,
-    qfi,
-    qfi_uncertainty,
-    qfi_value,
-)
+from .fisher import family_qfi, qfi_uncertainty
 from .optimize import (
     ImprovementCurvePoint,
     OptimizationReport,
     fig3_scan,
     fig4_curve,
     improvement_sweep,
-    minimize_over_t,
     optimize_symmetric_coeffs,
     qfi_shot_optimum,
 )
 from .qstate import (
-    MAX_QUBITS,
     CollectiveMoments,
-    DensityMatrix,
-    StateVector,
     SymmetricFamilyState,
     collective_moments,
-    ghz,
-    ghz_via_network,
-    product_superposition,
-    symmetric_state,
-    to_density,
     uniform_coefficients,
 )
 from .ramsey import (
     ExperimentBudget,
     PrecisionResult,
-    pipeline_signal,
     reference_limit,
     shot_variance,
     signal_ghz,
@@ -71,16 +52,12 @@ from .ramsey import (
 
 __all__ = [
     "__version__",
-    "MAX_QUBITS",
     "MAX_BLOCK_QUBITS",
-    "StateVector",
-    "DensityMatrix",
     "SymmetricFamilyState",
     "CollectiveMoments",
     "DephasingParams",
     "ExperimentBudget",
     "PrecisionResult",
-    "QfiResult",
     "OptimizationReport",
     "ImprovementCurvePoint",
     "ClocksimError",
@@ -89,23 +66,14 @@ __all__ = [
     "NoInformationError",
     "SingularOutcomeError",
     "BracketingError",
-    "OptimizationFailureError",
-    "product_superposition",
-    "ghz",
-    "symmetric_state",
     "uniform_coefficients",
-    "ghz_via_network",
     "collective_moments",
-    "to_density",
-    "dephase_evolve",
-    "drho_ddelta",
     "signal_uncorrelated",
     "signal_ghz",
     "shot_variance",
     "uncertainty_uncorrelated",
     "uncertainty_ghz",
     "reference_limit",
-    "pipeline_signal",
     "evolved_sx_mean",
     "evolved_sx2_mean",
     "evolved_sx_slope",
@@ -113,13 +81,8 @@ __all__ = [
     "solve_topt",
     "genramsey_opt_uncertainty",
     "precision_bound_chain",
-    "qfi",
-    "qfi_value",
     "family_qfi",
     "qfi_uncertainty",
-    "classical_fi",
-    "basis_projectors",
-    "minimize_over_t",
     "qfi_shot_optimum",
     "optimize_symmetric_coeffs",
     "improvement_sweep",

@@ -24,7 +24,6 @@ from .exceptions import (
     ClocksimError,
     DegenerateStateError,
     NoInformationError,
-    OptimizationFailureError,
     SingularOutcomeError,
     SingularPointError,
 )
@@ -50,7 +49,6 @@ _ERROR_TAGS = (
     (SingularPointError, "singular-point"),
     (SingularOutcomeError, "singular-outcome"),
     (DegenerateStateError, "degenerate-state"),
-    (OptimizationFailureError, "optimization-failure"),
     (BracketingError, "optimization-failure"),
     (ClocksimError, "numerical-failure"),
 )

@@ -29,7 +29,3 @@ class SingularOutcomeError(ClocksimError):
 
 class BracketingError(ClocksimError):
     """Scalar minimization found no finite objective value on the bracket."""
-
-
-class OptimizationFailureError(ClocksimError):
-    """A coefficient search ended without a usable candidate."""

@@ -1,6 +1,6 @@
-"""Quantum Fisher information of the detuning, the optimal projective
-measurement from the symmetric logarithmic derivative (SLD), and classical
-Fisher information of explicit projective measurements.
+"""Quantum Fisher information of the detuning for dephased family states,
+and the classical Fisher information of the optimal projective measurement
+built from the symmetric logarithmic derivative (SLD).
 
 F_Q = sum over eigenpairs (j, k) of rho with lambda_j + lambda_k > 1e-12 of
 2 |<j| drho |k>|^2 / (lambda_j + lambda_k). The eigenvalue cutoff is
@@ -12,32 +12,26 @@ bounded below by 1/sqrt(nu * F_Q).
 
 A dephased family state and its derivative are block-diagonal on the
 floor(n/2)+1 Schur-Weyl blocks of ``evolution._family_evolution``, so their F_Q
-is the multiplicity-weighted sum of the blocks' F_Q from the same core, on
-(n+1) x (n+1) matrices instead of 2^n x 2^n ones, and the SLD measurement
-splits the same way (``family_qfi``).
+is the multiplicity-weighted sum of the blocks' F_Q, on (n+1) x (n+1)
+matrices instead of 2^n x 2^n ones, and the SLD measurement splits the same
+way (``family_qfi``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .evolution import DephasingParams, _block_tables, _family_evolution
 from .exceptions import NoInformationError, SingularOutcomeError
-from .qstate import DensityMatrix, SymmetricFamilyState
+from .qstate import SymmetricFamilyState
 
 __all__ = [
     "EIG_CUTOFF",
     "QFI_FLOOR",
-    "QfiResult",
-    "qfi",
-    "qfi_value",
     "family_qfi",
     "qfi_uncertainty",
-    "classical_fi",
-    "basis_projectors",
 ]
 
 EIG_CUTOFF = 1e-12
@@ -47,46 +41,6 @@ _NO_INFORMATION = "state carries no information about the detuning"
 
 _P_FLOOR = 1e-15
 _DP_FLOOR = 1e-12
-_HERM_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class QfiResult:
-    """Quantum Fisher information with the optimal measurement basis.
-
-    ``sld_eigenbasis`` is unitary; its columns define the rank-one orthogonal
-    projectors of the optimal measurement. ``classical_fi_check`` is the
-    classical Fisher information of exactly that measurement.
-    """
-
-    qfi: float
-    sld_eigenbasis: np.ndarray
-    classical_fi_check: float
-
-
-def _check_derivative(drho: np.ndarray, d: int) -> np.ndarray:
-    drho = np.asarray(drho, dtype=complex)
-    if drho.shape != (d, d):
-        raise ValueError(f"derivative matrix must be {d}x{d}, got shape {drho.shape}")
-    scale = max(1.0, float(np.abs(drho).max()))
-    if np.abs(drho - drho.conj().T).max() > _HERM_TOL * scale:
-        raise ValueError("derivative matrix is not Hermitian")
-    if abs(complex(np.trace(drho))) > _HERM_TOL * scale:
-        raise ValueError("derivative matrix is not traceless")
-    return drho
-
-
-def _canonical_phases(basis: np.ndarray) -> np.ndarray:
-    """Fix each column's global phase so its first significant entry is real
-    and positive, making reported bases reproducible across runs."""
-    out = basis.copy()
-    for m in range(out.shape[1]):
-        col = out[:, m]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        if nz.size:
-            pivot = col[nz[0]]
-            out[:, m] = col * (abs(pivot) / pivot)
-    return out
 
 
 def _fisher_sum(probs: np.ndarray, dprobs: np.ndarray) -> float:
@@ -145,25 +99,6 @@ def _family_qfi_at(state: SymmetricFamilyState, gamma: float):
     return lambda ts: (_qfi_core(*_family_evolution(state, gamma, ts))[0] * mult).sum(-1)
 
 
-def qfi_value(rho: DensityMatrix, drho: np.ndarray) -> float:
-    """Quantum Fisher information alone (no SLD basis)."""
-    return float(_qfi_core(rho.elems, _check_derivative(drho, rho.dim))[0])
-
-
-def qfi(rho: DensityMatrix, drho: np.ndarray) -> QfiResult:
-    """Quantum Fisher information, SLD eigenbasis, and its classical check."""
-    drho = _check_derivative(drho, rho.dim)
-    fq, *eigdata = _qfi_core(rho.elems, drho)
-    basis = _canonical_phases(_sld_bases(*eigdata))
-    return QfiResult(
-        qfi=float(fq),
-        sld_eigenbasis=basis,
-        classical_fi_check=_fisher_sum(
-            _outcome_probs(basis, rho.elems), _outcome_probs(basis, drho)
-        ),
-    )
-
-
 def family_qfi(state: SymmetricFamilyState, p: DephasingParams):
     """Quantum Fisher information of a family state evolved by ``p``, and the
     classical Fisher information of its SLD measurement, from the state's
@@ -192,27 +127,3 @@ def qfi_uncertainty(qfi_per_shot: float, total_time: float, shot_time: float) ->
     if qfi_per_shot < QFI_FLOOR:
         raise NoInformationError(_NO_INFORMATION)
     return 1.0 / math.sqrt((total_time / shot_time) * qfi_per_shot)
-
-
-def basis_projectors(basis: np.ndarray):
-    """Rank-one projectors onto the columns of an orthonormal basis matrix."""
-    return [np.outer(basis[:, m], basis[:, m].conj()) for m in range(basis.shape[1])]
-
-
-def classical_fi(rho: DensityMatrix, drho: np.ndarray, projectors) -> float:
-    """Classical Fisher information sum_m (dp_m)^2 / p_m of a projective
-    measurement, with p_m = Tr(Pi_m rho) and dp_m = Tr(Pi_m drho).
-
-    Outcomes with p_m < 1e-15 are skipped when |dp_m| < 1e-12 and rejected
-    otherwise.
-    """
-    drho = _check_derivative(drho, rho.dim)
-    projectors = [np.asarray(p, dtype=complex) for p in projectors]
-    if not projectors:
-        raise ValueError("projector set is empty")
-    total = sum(projectors)
-    if np.abs(total - np.eye(rho.dim)).max() > 1e-10:
-        raise ValueError("projector set is incomplete (does not sum to the identity)")
-    probs = np.array([float(np.trace(p @ rho.elems).real) for p in projectors])
-    dprobs = np.array([float(np.trace(p @ drho).real) for p in projectors])
-    return _fisher_sum(probs, dprobs)

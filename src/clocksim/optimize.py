@@ -23,12 +23,7 @@ from scipy.linalg import eigh
 from scipy.optimize import minimize_scalar
 
 from .collective import genramsey_opt_uncertainty
-from .exceptions import (
-    BracketingError,
-    DegenerateStateError,
-    NoInformationError,
-    SingularPointError,
-)
+from .exceptions import BracketingError, NoInformationError, SingularPointError
 from .evolution import MAX_BLOCK_QUBITS, _block_channel, _block_tables
 from .fisher import QFI_FLOOR, _NO_INFORMATION, _family_qfi_at, _qfi_core, _sld
 from .qstate import SymmetricFamilyState, _dicke_ladder, collective_moments
@@ -39,7 +34,6 @@ __all__ = [
     "ImprovementCurvePoint",
     "METHODS",
     "ION_RANGE",
-    "minimize_over_t",
     "qfi_shot_optimum",
     "optimize_symmetric_coeffs",
     "improvement_sweep",
@@ -93,16 +87,6 @@ class ImprovementCurvePoint:
     status: str = "ok"
 
 
-def _safe_call(objective, t):
-    try:
-        value = objective(t)
-    except (SingularPointError, DegenerateStateError, NoInformationError):
-        return math.inf
-    if not math.isfinite(value):
-        return math.inf
-    return value
-
-
 def _check_finite(name: str, value: float) -> None:
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
@@ -131,19 +115,6 @@ def _geometric_grid(bracket) -> np.ndarray:
     return np.geomspace(lo, hi, _GRID_POINTS)
 
 
-def minimize_over_t(objective, bracket, tol_x: float = 1e-9):
-    """Minimize a scalar objective over shot durations in ``bracket``.
-
-    A coarse geometric presample locates the basin; scipy's bounded Brent
-    method narrows it to ``tol_x``. Evaluations raising singular/degenerate
-    errors count as infinite; if every probe is infinite a BracketingError is
-    raised. Returns (t_opt, value).
-    """
-    grid = _geometric_grid(bracket)
-    values = [_safe_call(objective, t) for t in grid]
-    return _refine(lambda t: _safe_call(objective, t), grid, values, tol_x)
-
-
 def _precision_bounds(fq, ts, total_time):
     """Precision bound 1/sqrt((T/t) F_Q(t)) from the F_Q at each shot time of
     ``ts``, infinite where the state carries no information."""
@@ -159,9 +130,9 @@ def qfi_shot_optimum(state, gamma, total_time, tol_x=_TOL_X):
     NoInformationError when no grid shot time carries information.
 
     F_Q comes from the state's Schur-Weyl blocks. The presampling grid is
-    evaluated in stacked chunks, and the bounded Brent refinement is that of
-    ``minimize_over_t``, so the result equals ``minimize_over_t`` over the
-    single-shot-time bound exactly.
+    evaluated in stacked chunks; a stacked F_Q equals the single-shot-time
+    one to the last bit, so the result equals a search that evaluates the
+    grid one shot time at a time, then refines by the same Brent method.
     """
     if not isinstance(state, SymmetricFamilyState):
         raise TypeError(f"expected a SymmetricFamilyState, got {type(state).__name__}")

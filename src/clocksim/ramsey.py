@@ -1,5 +1,5 @@
 """Closed-form Ramsey signals and frequency uncertainties, with and without
-dephasing, plus a dense circuit-level pipeline used to cross-check them.
+dephasing.
 
 Data accounting: the uncorrelated scheme collects N = n*T/t independent data
 (one per ion per repetition); entangled and collective schemes collect
@@ -14,18 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import DephasingParams, dephase_evolve
 from .exceptions import SingularPointError
-from .qstate import (
-    RAMSEY_PULSE,
-    DensityMatrix,
-    StateVector,
-    apply_cnot,
-    apply_single_qubit,
-    ghz_via_network,
-    product_superposition,
-    to_density,
-)
 
 __all__ = [
     "ExperimentBudget",
@@ -37,13 +26,11 @@ __all__ = [
     "uncertainty_uncorrelated",
     "uncertainty_ghz",
     "reference_limit",
-    "pipeline_signal",
 ]
 
 SCHEME_TAGS = ("uncorrelated", "ghz", "symmetric-genramsey", "symmetric-qfi")
 
 _SIN_TOL = 1e-12
-_PIPELINE_MAX_QUBITS = 10
 
 
 @dataclass(frozen=True)
@@ -165,41 +152,3 @@ def reference_limit(n: int, total_time: float, gamma: float) -> float:
     if gamma < 0.0:
         raise ValueError(f"dephasing rate must be >= 0, got {gamma}")
     return math.sqrt(2.0 * gamma * math.e / (n * total_time))
-
-
-def _conjugate_single_qubit(gate: np.ndarray, k: int, rho: np.ndarray) -> np.ndarray:
-    rho = apply_single_qubit(gate, k, rho)
-    return apply_single_qubit(gate.conj(), k, rho.T).T
-
-
-def pipeline_signal(scheme: str, n: int, delta: float, gamma: float, t: float) -> float:
-    """Dense simulation of prepare -> dephase -> second pulse -> measure ion 1.
-
-    Cross-checks the closed-form signals; supports n <= 10 (dense matrices).
-    """
-    if scheme not in ("uncorrelated", "ghz"):
-        raise ValueError(f"unsupported scheme {scheme!r}")
-    if not 1 <= n <= _PIPELINE_MAX_QUBITS:
-        raise ValueError(f"pipeline simulation supports 1..{_PIPELINE_MAX_QUBITS} ions, got {n}")
-    _check_rates(t, gamma, delta)
-
-    if scheme == "uncorrelated":
-        psi = product_superposition(n)
-    else:
-        psi = ghz_via_network(n)
-    rho = to_density(psi)
-    rho_t = dephase_evolve(rho, DephasingParams(delta, gamma, t)).elems
-
-    if scheme == "ghz":
-        # disentangle, then the closing pulse on ion 1 only
-        for k in range(1, n):
-            rho_t = apply_cnot(0, k, rho_t)
-            rho_t = apply_cnot(0, k, rho_t.T).T
-        rho_t = _conjugate_single_qubit(RAMSEY_PULSE, 0, rho_t)
-    else:
-        for k in range(n):
-            rho_t = _conjugate_single_qubit(RAMSEY_PULSE, k, rho_t)
-
-    populations = np.real(np.diag(rho_t))
-    mask = (np.arange(1 << n) & 1) == 1
-    return float(populations[mask].sum())

@@ -1,13 +1,22 @@
 """Brute-force reference constructions used as independent oracles.
 
-Everything here is built from explicit dense operators (kron products,
-matrix exponentials of nothing fancier than diagonal phases, bit flips over
-all 2^n amplitudes), from a fixed-step integration of the master equation,
-from bisection, or from a grid or Nelder-Mead search over the library's
-per-candidate figures, so that the production code paths are checked against
-a second, slower route.
+Everything here is built from explicit dense operators on the 2^n
+computational basis (kron products, diagonal phases, bit flips over all 2^n
+amplitudes, the gate network), from a fixed-step integration of the master
+equation, from bisection, or from a grid or Nelder-Mead search over the
+library's per-candidate figures, so that the production code paths, which
+never leave the n+1 Dicke levels or the Schur-Weyl blocks, are checked
+against a second, slower route. States are plain numpy arrays, amplitude
+vectors of length 2^n and 2^n x 2^n density matrices, and n is read from
+their shape.
+
+Basis convention: index b encodes the bit string x with bit k of b giving
+the internal state of ion k+1, so ion 1 is the least significant bit. The
+Ramsey pulse is the y-axis rotation |0> -> (|0>+|1>)/sqrt(2),
+|1> -> (-|0>+|1>)/sqrt(2), so every prepared amplitude is real.
 """
 
+import functools
 import math
 from functools import reduce
 
@@ -19,28 +28,28 @@ from clocksim import (
     BracketingError,
     CollectiveMoments,
     DegenerateStateError,
-    DensityMatrix,
-    DephasingParams,
     NoInformationError,
-    OptimizationFailureError,
+    SingularPointError,
     SymmetricFamilyState,
     collective_moments,
-    dephase_evolve,
-    drho_ddelta,
     genramsey_opt_uncertainty,
-    minimize_over_t,
     qfi_shot_optimum,
     qfi_uncertainty,
-    qfi_value,
     reference_limit,
-    symmetric_state,
-    to_density,
 )
+from clocksim.fisher import _qfi_core
+from clocksim.optimize import _geometric_grid, _refine
+
+
+class OracleError(Exception):
+    """An oracle search ended without a usable candidate."""
+
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PROJ_1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
+RAMSEY_PULSE = np.array([[1.0, -1.0], [1.0, 1.0]], dtype=complex) / np.sqrt(2.0)
 
 
 def site_operator(m, k, n):
@@ -60,6 +69,134 @@ def collective_op(m, n):
 
 def hamming(n):
     return np.array([bin(x).count("1") for x in range(1 << n)])
+
+
+def qubits(arr):
+    """Ion count n of a 2^n amplitude vector or of (a stack of) 2^n x 2^n
+    matrices."""
+    return int(arr.shape[-1]).bit_length() - 1
+
+
+def product_state(n):
+    """Every ion in (|0>+|1>)/sqrt(2): all 2^n amplitudes equal 2^(-n/2)."""
+    return np.full(1 << n, 2.0 ** (-n / 2.0), dtype=complex)
+
+
+def ghz_state(n):
+    """The maximally entangled state (|0...0> + |1...1>)/sqrt(2)."""
+    amps = np.zeros(1 << n, dtype=complex)
+    amps[0] = amps[-1] = 1.0 / np.sqrt(2.0)
+    return amps
+
+
+def family_state(n, a):
+    """Amplitudes of the family state with unit weight-class coefficients
+    ``a``: each string of Hamming weight k or n-k gets a[k] over the square
+    root of the number of such strings."""
+    w = hamming(n)
+    cls = np.minimum(w, n - w)
+    sizes = np.bincount(cls)
+    return (np.asarray(a, dtype=float)[cls] / np.sqrt(sizes[cls])).astype(complex)
+
+
+def density(psi):
+    """The density matrix |psi><psi| of an amplitude vector."""
+    return np.outer(psi, psi.conj())
+
+
+def apply_single_qubit(gate, k, arr):
+    """Apply a 2x2 gate to qubit k along axis 0 of a state vector or matrix."""
+    view = arr.reshape(arr.shape[0] >> (k + 1), 2, -1)
+    return np.einsum("ab,hbx->hax", gate, view).reshape(arr.shape)
+
+
+def apply_cnot(control, target, arr):
+    """Apply a controlled-NOT along axis 0 of a state vector or matrix."""
+    idx = np.arange(arr.shape[0])
+    return arr[np.where((idx >> control) & 1 == 1, idx ^ (1 << target), idx)]
+
+
+def ghz_via_network(n):
+    """The maximally entangled state prepared by the gate network: a Ramsey
+    pulse on ion 1, then controlled-NOT gates from ion 1 to each other ion."""
+    psi = np.zeros(1 << n, dtype=complex)
+    psi[0] = 1.0
+    psi = apply_single_qubit(RAMSEY_PULSE, 0, psi)
+    for k in range(1, n):
+        psi = apply_cnot(0, k, psi)
+    return psi
+
+
+@functools.lru_cache(maxsize=None)
+def _dephasing_tables(n):
+    """h(y) - h(x) and the Hamming distance d(x, y) over basis index pairs
+    (x, y), h the Hamming weight."""
+    w = hamming(n)
+    idx = np.arange(1 << n)
+    tables = w[None, :] - w[:, None], w[idx[:, None] ^ idx[None, :]]
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def dense_evolve(rho, delta, gamma, ts):
+    """The analytic dephasing map on a 2^n x 2^n density matrix, for every
+    duration of ``ts``: rho(t)[x, y] = rho[x, y] exp(i delta t W[x, y])
+    exp(-gamma t d(x, y)) with W[x, y] = h(y) - h(x), and its detuning
+    derivative i t W rho(t). Both have shape np.shape(ts) + (2^n, 2^n) and
+    share one exponential per duration."""
+    weight_diff, distance = _dephasing_tables(qubits(rho))
+    t = np.asarray(ts, dtype=float)[..., None, None]
+    evolved = rho * np.exp((1j * delta * t) * weight_diff - (gamma * t) * distance)
+    return evolved, evolved * ((1j * t) * weight_diff)
+
+
+def dense_qfi(rho, drho):
+    """F_Q of a 2^n x 2^n state, or of each state of a stack, with its
+    detuning derivative, from the package's QFI core."""
+    return _qfi_core(rho, drho)[0]
+
+
+def classical_fi(rho, drho, basis):
+    """Classical Fisher information sum_m dp_m^2 / p_m of the projective
+    measurement onto the columns b_m of ``basis``, with p_m = <b_m|rho|b_m>
+    and dp_m = <b_m|drho|b_m>. Outcomes with p_m < 1e-15 are skipped when
+    |dp_m| < 1e-12 and rejected otherwise."""
+    probs = np.einsum("im,ij,jm->m", basis.conj(), rho, basis).real
+    dprobs = np.einsum("im,ij,jm->m", basis.conj(), drho, basis).real
+    total = 0.0
+    for p, dp in zip(probs, dprobs):
+        if p < 1e-15:
+            if abs(dp) < 1e-12:
+                continue
+            raise OracleError(
+                f"outcome probability {p:.3g} vanishes while its derivative {dp:.3g} does not"
+            )
+        total += dp * dp / p
+    return total
+
+
+def _conjugate_single_qubit(gate, k, rho):
+    rho = apply_single_qubit(gate, k, rho)
+    return apply_single_qubit(gate.conj(), k, rho.T).T
+
+
+def pipeline_signal(scheme, n, delta, gamma, t):
+    """Dense simulation of prepare -> dephase -> second pulse -> measure ion 1
+    for ``scheme`` "uncorrelated" or "ghz": the probability of finding ion 1
+    in |1>."""
+    psi = {"uncorrelated": product_state, "ghz": ghz_via_network}[scheme](n)
+    rho_t = dense_evolve(density(psi), delta, gamma, t)[0]
+    if scheme == "ghz":
+        # disentangle, then the closing pulse on ion 1 only
+        for k in range(1, n):
+            rho_t = apply_cnot(0, k, rho_t)
+            rho_t = apply_cnot(0, k, rho_t.T).T
+        rho_t = _conjugate_single_qubit(RAMSEY_PULSE, 0, rho_t)
+    else:
+        for k in range(n):
+            rho_t = _conjugate_single_qubit(RAMSEY_PULSE, k, rho_t)
+    return float(np.real(np.diag(rho_t))[1::2].sum())
 
 
 def random_pure_state(rng, n, real=False):
@@ -124,10 +261,10 @@ def moments_reference(psi, n):
     )
 
 
-def dense_collective_moments(psi):
-    """Collective moments of any StateVector, by flipping each qubit of all
-    2^n amplitudes."""
-    n, amps = psi.n, psi.amps
+def dense_collective_moments(amps):
+    """Collective moments of any 2^n amplitude vector, by flipping each qubit
+    of all its amplitudes."""
+    n = qubits(amps)
     idx = np.arange(1 << n)
     sx_psi = np.zeros_like(amps)
     sy_psi = np.zeros_like(amps)
@@ -172,18 +309,37 @@ def topt_bisection(m0, n, gamma):
 
 def qfi_shot_uncertainty(rho0, t, gamma, total_time, delta=0.0):
     """Optimal-measurement precision bound for one shot duration ``t`` within
-    the total time, from the public single-state evolution and QFI; raises
-    NoInformationError when the evolved state carries no information."""
-    p = DephasingParams(delta, gamma, t)
-    fq = qfi_value(dephase_evolve(rho0, p), drho_ddelta(rho0, p))
-    return qfi_uncertainty(fq, total_time, p.t)
+    the total time, from the dense evolution and F_Q of the 2^n x 2^n state
+    ``rho0``; raises NoInformationError when the evolved state carries no
+    information."""
+    return qfi_uncertainty(dense_qfi(*dense_evolve(rho0, delta, gamma, t)), total_time, t)
+
+
+def _safe_call(objective, t):
+    try:
+        value = objective(t)
+    except (SingularPointError, DegenerateStateError, NoInformationError):
+        return math.inf
+    return value if math.isfinite(value) else math.inf
+
+
+def minimize_over_t(objective, bracket, tol_x=1e-9):
+    """Minimize a scalar objective over shot durations in ``bracket``, one
+    duration at a time: the package's 48-point geometric presampling grid,
+    then its bounded Brent refinement to ``tol_x``. Evaluations raising
+    singular, degenerate or no-information errors count as infinite; raises
+    BracketingError if every grid value is infinite. Returns (t_opt, value)."""
+    grid = _geometric_grid(bracket)
+    values = [_safe_call(objective, t) for t in grid]
+    return _refine(lambda t: _safe_call(objective, t), grid, values, tol_x)
 
 
 def dense_qfi_shot_optimum(psi, gamma, total_time, delta=0.0, tol_x=1e-9):
-    """Shot-time QFI optimum of the pure state ``psi`` over the bracket of
-    ``qfi_shot_optimum``, (1e-4/gamma, min(T, 8/gamma)), scored one shot time
-    at a time on its dense 2^n density matrix. Returns (t_opt, delta_omega)."""
-    rho0 = to_density(psi)
+    """Shot-time QFI optimum of the amplitude vector ``psi`` over the bracket
+    of ``qfi_shot_optimum``, (1e-4/gamma, min(T, 8/gamma)), scored one shot
+    time at a time on its dense 2^n density matrix. Returns (t_opt,
+    delta_omega)."""
+    rho0 = density(psi)
     return minimize_over_t(
         lambda t: qfi_shot_uncertainty(rho0, t, gamma, total_time, delta),
         (1e-4 / gamma, min(total_time, 8.0 / gamma)),
@@ -233,20 +389,20 @@ def permute_qubits(amps, n, perm):
     return out
 
 
-def master_equation_oracle(rho0, p, steps):
+def master_equation_oracle(rho0, delta, gamma, t, steps):
     """Fixed-step 4th-order integration of the per-ion generator.
 
     H = delta * sum_k |1><1|_k together with the dephasing dissipator
-    (gamma/2) * sum_k (Z_k rho Z_k - rho), for a DensityMatrix ``rho0`` and
-    DephasingParams ``p``. Cross-check for ``dephase_evolve``; steps >= 1000
-    recommended for 1e-8 agreement at gamma*t <= 5.
+    (gamma/2) * sum_k (Z_k rho Z_k - rho), from the 2^n x 2^n density matrix
+    ``rho0`` for a duration ``t``. Cross-check for ``dense_evolve``; steps >=
+    1000 recommended for 1e-8 agreement at gamma*t <= 5.
     """
     if not isinstance(steps, (int, np.integer)) or isinstance(steps, bool) or steps < 1:
         raise ValueError(f"step count must be a positive integer, got {steps!r}")
-    n = rho0.n
-    h_op = p.delta * collective_op(PROJ_1, n)
+    n = qubits(rho0)
+    h_op = delta * collective_op(PROJ_1, n)
     z_ops = [site_operator(SIGMA_Z, k, n) for k in range(n)]
-    half_rate = 0.5 * p.gamma
+    half_rate = 0.5 * gamma
 
     def rhs(rho):
         out = -1j * (h_op @ rho - rho @ h_op)
@@ -254,15 +410,15 @@ def master_equation_oracle(rho0, p, steps):
             out += half_rate * (z @ rho @ z - rho)
         return out
 
-    rho = rho0.elems.copy()
-    h = p.t / steps
+    rho = np.array(rho0, dtype=complex)
+    h = t / steps
     for _ in range(int(steps)):
         k1 = rhs(rho)
         k2 = rhs(rho + 0.5 * h * k1)
         k3 = rhs(rho + 0.5 * h * k2)
         k4 = rhs(rho + h * k3)
         rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return DensityMatrix(n, rho)
+    return rho
 
 
 def grid_oracle_improvement(n, gamma, total_time, method, resolution=1e-2):
@@ -283,7 +439,7 @@ def grid_oracle_improvement(n, gamma, total_time, method, resolution=1e-2):
     best_value, best_a = math.inf, None
     for theta in np.arange(0.0, math.pi, resolution):
         a = np.array([math.cos(theta), math.sin(theta)])
-        psi = symmetric_state(n, a)
+        psi = family_state(n, a)
         try:
             if method == "genramsey":
                 value = genramsey_opt_uncertainty(
@@ -296,7 +452,7 @@ def grid_oracle_improvement(n, gamma, total_time, method, resolution=1e-2):
         if value < best_value:
             best_value, best_a = value, a
     if best_a is None:
-        raise OptimizationFailureError("every grid point was degenerate")
+        raise OracleError("every grid point was degenerate")
     if best_a[0] < -1e-12:
         best_a = -best_a
     return 100.0 * (1.0 - best_value / reference_limit(n, total_time, gamma)), best_a
@@ -336,7 +492,7 @@ def nelder_mead_genramsey(n, gamma, total_time, restarts=16, seed=0):
         if res.fun < best_value:
             best_value, best_x = float(res.fun), res.x / np.linalg.norm(res.x)
     if best_x is None:
-        raise OptimizationFailureError("every restart ended in an infeasible candidate")
+        raise OracleError("every restart ended in an infeasible candidate")
     return 100.0 * (1.0 - best_value / reference_limit(n, total_time, gamma)), best_x
 
 
@@ -372,6 +528,6 @@ def nelder_mead_qfi(n, gamma, total_time, restarts=2, seed=0):
         if res.fun < best_value:
             best_value, best_x = float(res.fun), np.abs(res.x) / np.linalg.norm(res.x)
     if best_x is None:
-        raise OptimizationFailureError("every restart ended in a degenerate candidate")
+        raise OracleError("every restart ended in a degenerate candidate")
     _, value = qfi_shot_optimum(SymmetricFamilyState(n, best_x), gamma, total_time)
     return 100.0 * (1.0 - value / reference_limit(n, total_time, gamma)), best_x

@@ -9,37 +9,36 @@ import time
 import numpy as np
 
 from clocksim import (
-    DensityMatrix,
     DephasingParams,
     ExperimentBudget,
     SymmetricFamilyState,
-    classical_fi,
-    basis_projectors,
     collective_moments,
-    dephase_evolve,
-    drho_ddelta,
+    family_qfi,
     fig4_curve,
     genramsey_opt_uncertainty,
-    ghz,
-    minimize_over_t,
     optimize_symmetric_coeffs,
-    pipeline_signal,
-    product_superposition,
-    qfi,
-    qfi_uncertainty,
-    qfi_value,
+    qfi_shot_optimum,
     reference_limit,
     signal_ghz,
     signal_uncorrelated,
     solve_topt,
-    to_density,
     uncertainty_ghz,
     uncertainty_uncorrelated,
     uniform_coefficients,
 )
 from clocksim.cli import main
 
-from reference import grid_oracle_improvement, master_equation_oracle, random_density
+from reference import (
+    classical_fi,
+    dense_evolve,
+    density,
+    family_state,
+    grid_oracle_improvement,
+    haar_basis,
+    master_equation_oracle,
+    pipeline_signal,
+    random_density,
+)
 
 GAMMA = 1.0
 TOTAL = 100.0
@@ -115,19 +114,13 @@ def test_criterion_02_ghz_equivalence():
 
 
 def test_criterion_03_optimal_measurement_equivalence():
+    # both preparations are family states: the product state is
+    # uniform_coefficients(n) and GHZ is e_0
     ok, detail = True, []
     for n in (2, 3, 5):
         expected = math.sqrt(2.0 * math.e / (n * TOTAL))
-        for name, psi in (("product", product_superposition(n)), ("ghz", ghz(n))):
-            rho0 = to_density(psi)
-
-            def objective(t):
-                p = DephasingParams(0.0, GAMMA, t)
-                return qfi_uncertainty(
-                    qfi_value(dephase_evolve(rho0, p), drho_ddelta(rho0, p)), TOTAL, t
-                )
-
-            _, value = minimize_over_t(objective, (1e-3, 3.0))
+        for name, a in (("product", uniform_coefficients(n)), ("ghz", np.eye(n // 2 + 1)[0])):
+            _, value = qfi_shot_optimum(SymmetricFamilyState(n, a), GAMMA, TOTAL)
             rel = abs(value - expected) / expected
             ok &= rel < 1e-6
             detail.append(f"n={n} {name}: rel_err={rel:.2e}")
@@ -140,13 +133,13 @@ def test_criterion_04_integrator_oracle_equivalence():
     worst = 0.0
     for _ in range(50):
         n = int(rng.integers(1, 5))
-        rho = DensityMatrix(n, random_density(rng, n))
+        rho = random_density(rng, n)
         gamma = rng.uniform(0.1, 2.0)
         t = rng.uniform(0.1, min(1.5, 3.0 / gamma))
-        p = DephasingParams(rng.uniform(-2.0, 2.0), gamma, t)
-        numeric = master_equation_oracle(rho, p, 2000)
-        analytic = dephase_evolve(rho, p)
-        worst = max(worst, float(np.abs(numeric.elems - analytic.elems).max()))
+        delta = rng.uniform(-2.0, 2.0)
+        numeric = master_equation_oracle(rho, delta, gamma, t, 2000)
+        analytic = dense_evolve(rho, delta, gamma, t)[0]
+        worst = max(worst, float(np.abs(numeric - analytic).max()))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-8 and elapsed < 30.0
     _check(4, "integrator oracle equivalence", ok, f"max_dev={worst:.2e}, {elapsed:.1f}s")
@@ -213,24 +206,23 @@ def test_criterion_08_pipeline_cross_check():
 
 
 def test_criterion_09_fisher_inequality():
+    # F_Q and its SLD check come from the family blocks; the Haar-random
+    # measurements act on the dense 2^n evolved state
     rng = np.random.default_rng(271828)
     ok, worst_gap, worst_sld = True, -math.inf, 0.0
     for _ in range(100):
         n = int(rng.integers(1, 6))
-        rho0 = DensityMatrix(n, random_density(rng, n))
+        a = rng.normal(size=n // 2 + 1)
+        a /= np.linalg.norm(a)
         p = DephasingParams(rng.uniform(-1.5, 1.5), rng.uniform(0.05, 1.2), rng.uniform(0.1, 2.0))
-        rho_t = dephase_evolve(rho0, p)
-        drho = drho_ddelta(rho0, p)
-        result = qfi(rho_t, drho)
-        if result.qfi > 1e-12:
-            rel = abs(result.classical_fi_check - result.qfi) / result.qfi
+        fq, cfi = family_qfi(SymmetricFamilyState(n, a), p)
+        if fq > 1e-12:
+            rel = abs(cfi - fq) / fq
             worst_sld = max(worst_sld, rel)
             ok &= rel < 1e-6
-        z = rng.normal(size=(rho_t.dim, rho_t.dim)) + 1j * rng.normal(size=(rho_t.dim, rho_t.dim))
-        q, r = np.linalg.qr(z)
-        basis = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-        fc = classical_fi(rho_t, drho, basis_projectors(basis))
-        gap = fc - result.qfi * (1 + 1e-9)
+        rho_t, drho = dense_evolve(density(family_state(n, a)), p.delta, p.gamma, p.t)
+        fc = classical_fi(rho_t, drho, haar_basis(rng, 1 << n))
+        gap = fc - fq * (1 + 1e-9)
         worst_gap = max(worst_gap, gap)
         ok &= gap <= 1e-12
     _check(9, "fisher inequality", ok, f"worst_violation={worst_gap:.2e}, worst_sld_rel={worst_sld:.2e}")

@@ -6,13 +6,10 @@ import pytest
 from clocksim import (
     CollectiveMoments,
     DegenerateStateError,
-    DensityMatrix,
-    DephasingParams,
     ExperimentBudget,
     SingularPointError,
     SymmetricFamilyState,
     collective_moments,
-    dephase_evolve,
     evolved_sx2_mean,
     evolved_sx_mean,
     genramsey_opt_uncertainty,
@@ -20,12 +17,19 @@ from clocksim import (
     precision_bound_chain,
     reference_limit,
     solve_topt,
-    to_density,
     uncertainty_uncorrelated,
     uniform_coefficients,
 )
 
-from reference import SIGMA_X, collective_op, topt_bisection
+from reference import (
+    SIGMA_X,
+    collective_op,
+    dense_evolve,
+    density,
+    family_state,
+    minimize_over_t,
+    topt_bisection,
+)
 
 
 def _random_family_state(rng, n):
@@ -63,8 +67,7 @@ def test_evolved_moments_match_dense_evolution():
         fam = _random_family_state(rng, n)
         m0 = collective_moments(fam)
         delta, gamma, t = rng.uniform(0.2, 2.0), rng.uniform(0.2, 1.5), rng.uniform(0.1, 1.5)
-        rho0 = to_density(fam.state_vector())
-        rho_t = dephase_evolve(rho0, DephasingParams(delta, gamma, t)).elems
+        rho_t = dense_evolve(density(family_state(n, fam.a)), delta, gamma, t)[0]
         sx = collective_op(SIGMA_X, n)
         dense_mean = np.trace(rho_t @ sx).real
         dense_second = np.trace(rho_t @ sx @ sx).real
@@ -98,16 +101,16 @@ def test_genramsey_matches_finite_difference_error_propagation():
     n, gamma, t, delta, total = 4, 1.0, 0.45, 1.3, 60.0
     fam = SymmetricFamilyState(n, np.array([0.8, 0.6, 0.0]))
     m0 = collective_moments(fam)
-    rho0 = to_density(fam.state_vector())
+    rho0 = density(family_state(n, fam.a))
     sx = collective_op(SIGMA_X, n)
 
     def mean_at(d):
-        rho_t = dephase_evolve(rho0, DephasingParams(d, gamma, t)).elems
+        rho_t = dense_evolve(rho0, d, gamma, t)[0]
         return np.trace(rho_t @ sx).real
 
     h = 1e-6
     slope = (mean_at(delta + h) - mean_at(delta - h)) / (2 * h)
-    rho_t = dephase_evolve(rho0, DephasingParams(delta, gamma, t)).elems
+    rho_t = dense_evolve(rho0, delta, gamma, t)[0]
     var = np.trace(rho_t @ sx @ sx).real - mean_at(delta) ** 2
     expected = math.sqrt(var / ((total / t) * slope**2))
     got = genramsey_uncertainty(m0, ExperimentBudget(n, total, t), delta, gamma)
@@ -166,8 +169,6 @@ def test_topt_agrees_with_direct_minimization():
         values.append(genramsey_uncertainty(m0, budget, 0.5 * np.pi / t, gamma))
     assert abs(ts[int(np.argmin(values))] - root) < 1e-4  # grid resolution
     # refine around the grid winner with minimize_over_t for the 1e-6 comparison
-    from clocksim import minimize_over_t
-
     t_star, _ = minimize_over_t(
         lambda t: genramsey_uncertainty(
             m0, ExperimentBudget(n, total, t), 0.5 * np.pi / t, gamma
