@@ -1,6 +1,7 @@
 import importlib
 import math
 import pkgutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -244,6 +245,42 @@ def test_package_keeps_no_dense_path_and_its_exports_resolve(tmp_path):
             out = tmp_path / "qfi.json"
             argv = ["qfi", "--n", "3", "--gamma", "1", *preparation, *timing, "--out", str(out)]
             assert cli.main(argv) == 0
+
+
+# At n = 20 one complex 2^n state vector takes 16 MB; the family paths work on
+# n + 1 Dicke amplitudes and Schur-Weyl blocks of at most n + 1 rows.
+_LARGE_N = 20
+_STATE_VECTOR_BYTES = 16 * 2**_LARGE_N
+
+
+def _peak_bytes(run):
+    tracemalloc.start()
+    try:
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_genramsey_search_builds_no_state_vector():
+    rep, peak = _peak_bytes(lambda: optimize_symmetric_coeffs(_LARGE_N, GAMMA, TOTAL, "gen-ramsey"))
+    assert rep.status == "ok" and rep.improvement_pct > 0.0
+    assert peak < _STATE_VECTOR_BYTES / 16, f"the gen-Ramsey search allocated {peak} bytes"
+
+
+def test_qfi_paths_build_no_2n_state(tmp_path):
+    rep, peak = _peak_bytes(lambda: optimize_symmetric_coeffs(_LARGE_N, GAMMA, TOTAL, "qfi"))
+    assert rep.status == "ok" and rep.improvement_pct > 0.0
+    assert peak < _STATE_VECTOR_BYTES / 2, f"the QFI search allocated {peak} bytes"
+    coeffs = ";".join(["%.17g" % (1.0 / math.sqrt(_LARGE_N // 2 + 1))] * (_LARGE_N // 2 + 1))
+    preparations = (["--scheme", "ghz"], ["--scheme", "uncorrelated"], ["--coeffs", coeffs])
+    for preparation in preparations:
+        for timing in (["--optimize-t", "--total-time", "100"], ["--t", "0.3"]):
+            out = tmp_path / "qfi.json"
+            argv = ["qfi", "--n", str(_LARGE_N), "--gamma", "1", *preparation, *timing]
+            code, peak = _peak_bytes(lambda: cli.main([*argv, "--out", str(out)]))
+            assert code == 0
+            assert peak < _STATE_VECTOR_BYTES / 2, f"clocksim {' '.join(argv)} allocated {peak} bytes"
 
 
 def _forbid_nelder_mead_and_random_draws(monkeypatch, search):
