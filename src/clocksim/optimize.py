@@ -8,9 +8,11 @@ scans ground states of -S_x + mu S_y^2 over log mu. The QFI search maximizes
 F_Q at each probed shot time by a see-saw over the variational form
 F_Q = max_L [2 Tr(drho L) - Tr(rho L^2)], started from the gen-Ramsey winner,
 and searches the shot time over the same grid and Brent refinement as
-``qfi_shot_optimum``. It, like every shot-time QFI optimum, works on the
-Schur-Weyl blocks of the family state (``evolution._block_channel``): no 2^n
-state vector or density matrix is built.
+``qfi_shot_optimum``. One see-saw runs on a stack of shot times: each chunk
+of the grid is one stack, each Brent probe a stack of one. It, like every
+shot-time QFI optimum, works on the Schur-Weyl blocks of the family state
+(``evolution._block_channel``): no 2^n state vector or density matrix is
+built.
 """
 
 from __future__ import annotations
@@ -49,9 +51,9 @@ ION_RANGE = {"gen-ramsey": (2, 1000), "qfi": (2, MAX_BLOCK_QUBITS)}
 
 _GRID_POINTS = 48
 # Bytes of one stacked (chunk, K, n+1, n+1) complex block array in the
-# shot-time grid: the whole grid in one chunk up to n = 7, three points per
-# chunk at n = 20, where the (n+1)-fold larger temporaries of the block
-# weights then stay near 2.4 MB.
+# shot-time grid, for F_Q and for see-saw lanes alike: the whole grid in one
+# chunk up to n = 7, three points per chunk at n = 20, where the (n+1)-fold
+# larger temporaries of the block weights then stay near 2.4 MB.
 _STACK_BYTES = 1 << 18
 _LOG_MU_GRID = np.linspace(math.log(1e-4), math.log(1e2), 41)  # best mu: 0.2 to 2.2
 _TOL_X = 1e-9  # Brent tolerance of the log mu and shot-time refinements
@@ -123,6 +125,15 @@ def _precision_bounds(fq, ts, total_time):
     return np.where(fq >= QFI_FLOOR, bounds, math.inf)
 
 
+def _shot_grid(n, gamma, total_time):
+    """The presampling grid of shot times over (1e-4/gamma, min(T, 8/gamma))
+    and its split into chunks of at most ``_STACK_BYTES`` of stacked n-ion
+    blocks."""
+    grid = _geometric_grid((1e-4 / gamma, min(total_time, 8.0 / gamma)))
+    chunk = max(1, _STACK_BYTES // (16 * (n // 2 + 1) * (n + 1) ** 2))
+    return grid, [grid[i : i + chunk] for i in range(0, len(grid), chunk)]
+
+
 def qfi_shot_optimum(state, gamma, total_time, tol_x=_TOL_X):
     """Shot time minimizing the precision bound 1/sqrt((T/t) F_Q(t)) of the
     SymmetricFamilyState ``state`` (1 <= n <= 20) over
@@ -140,11 +151,10 @@ def qfi_shot_optimum(state, gamma, total_time, tol_x=_TOL_X):
     _check_finite("total time", total_time)
     if not gamma > 0.0:
         raise ValueError(f"dephasing rate must be > 0, got {gamma}")
-    grid = _geometric_grid((1e-4 / gamma, min(total_time, 8.0 / gamma)))
+    grid, chunks = _shot_grid(state.n, gamma, total_time)
     fq_at = _family_qfi_at(state, gamma)
     bounds = lambda ts: _precision_bounds(fq_at(ts), ts, total_time)
-    chunk = max(1, _STACK_BYTES // (16 * (state.n // 2 + 1) * (state.n + 1) ** 2))
-    values = np.concatenate([bounds(grid[i : i + chunk]) for i in range(0, len(grid), chunk)])
+    values = np.concatenate([bounds(ts) for ts in chunks])
     if not np.isfinite(values).any():
         raise NoInformationError(_NO_INFORMATION)
     return _refine(lambda t: float(bounds(t)), grid, values, tol_x)
@@ -181,10 +191,12 @@ def _genramsey_search(n, gamma, total_time):
     return result(log_mu)
 
 
-def _qfi_seesaw(n, gamma, t):
-    """``(score, step)`` of the see-saw for the F_Q of family coefficients a
-    at shot time ``t``: ``score(a)`` gives F_Q and the SLDs over i,
-    ``step(a, sld)`` the unit a maximizing F_Q at those SLDs.
+def _seesaw_maps(n, gamma, ts):
+    """``(score, step)`` of the see-saw for the F_Q of family coefficients on
+    the lanes of shot times ``ts``: ``score(lanes, a)`` gives the F_Q and the
+    SLDs over i of the coefficient rows ``a`` at the lanes indexed by
+    ``lanes``, ``step(lanes, a, sld)`` the unit rows maximizing F_Q at those
+    SLDs.
 
     Block k is E_k ∘ c c^T (E the block channel, c = P a the Dicke amplitudes,
     P the flip-even isometry) and its derivative i tW ∘ E_k ∘ c c^T, W[i, j] =
@@ -194,60 +206,84 @@ def _qfi_seesaw(n, gamma, t):
     (2 E_k ∘ tW ∘ S_k + E_k ∘ S_k^2), maximized by the top eigenvector of
     P^T M P, so alternating L and a never lowers F_Q (Macieszczak,
     arXiv:1312.1356; Demkowicz-Dobrzanski & Maccone, PRL 113, 250801 (2014)).
+    Every sum runs within one lane, so a lane's results do not depend on
+    which lanes share its stack.
     """
     cls = _dicke_ladder(n)[0]
-    fold = np.eye(n // 2 + 1)[cls] * np.where(2 * cls == n, 1.0, math.sqrt(0.5))[:, None]
-    channel, mult = _block_channel(n, gamma, t), _block_tables(n)[2]
+    scale = np.where(2 * cls == n, 1.0, math.sqrt(0.5))
+    fold = np.eye(n // 2 + 1)[cls] * scale[:, None]  # P: c = a[cls] * scale
+    channel, mult = _block_channel(n, gamma, ts), _block_tables(n)[2]
     levels = np.arange(n + 1)
-    tw = t * (levels - levels[:, None])
+    tw = np.asarray(ts, dtype=float)[:, None, None, None] * (levels - levels[:, None])
     channel_tw2 = 2.0 * channel * tw
-    top = [fold.shape[1] - 1] * 2
+    weight = mult[:, None, None]
 
-    def score(a):
-        c = fold @ a
-        blocks = channel * np.outer(c, c)
-        fq, *eigdata = _qfi_core(blocks, blocks * tw)
-        return float(fq @ mult), _sld(*eigdata)
+    def score(lanes, a):
+        c = a[:, cls] * scale
+        blocks = channel[lanes] * (c[:, None, :, None] * c[:, None, None, :])
+        fq, *eigdata = _qfi_core(blocks, blocks * tw[lanes])
+        return (fq * mult).sum(-1), _sld(*eigdata)
 
-    def step(a, sld):
-        m = np.tensordot(mult, channel_tw2 * sld + channel * (sld @ sld), 1)
-        top_vec = eigh(fold.T @ m @ fold, subset_by_index=top)[1][:, 0]
-        return top_vec if top_vec @ a >= 0.0 else -top_vec
+    def step(lanes, a, sld):
+        m = (weight * (channel_tw2[lanes] * sld + channel[lanes] * (sld @ sld))).sum(-3)
+        top = np.linalg.eigh(fold.T @ m @ fold)[1][..., -1]
+        return np.where((top * a).sum(-1, keepdims=True) >= 0.0, top, -top)
 
     return score, step
 
 
-def _seesaw(score, step, a, rtol):
-    """Raise the F_Q of unit coefficients ``a`` by see-saw steps until a cycle
-    raises it by at most ``rtol`` relative. Returns (F_Q, a, converged), with
-    converged False when ``_SEESAW_EVALS`` evaluations cut it short.
+def _norms(rows):
+    """Euclidean norm of each row, summed within the row."""
+    return np.sqrt((rows * rows).sum(-1))
+
+
+def _seesaw(n, gamma, ts, a, rtol):
+    """Raise the F_Q of the unit coefficient rows ``a``, one lane per shot
+    time of ``ts``, by see-saw steps until a cycle raises a lane's F_Q by at
+    most ``rtol`` relative. Returns per-lane arrays (F_Q, a, converged), with
+    converged False where ``_SEESAW_EVALS`` evaluations cut a lane short.
 
     Each cycle extrapolates two steps by SQUAREM (Varadhan & Roland, Scand.
     J. Stat. 35, 335 (2008)) and keeps the extrapolated point, after one more
     step, only where it beats them, so F_Q never falls. Plain steps crawl
     along flat ridges of F_Q: the n = 20 winner needs about 2200 of them.
+    The lanes still active, neither converged nor out of evaluations, are
+    scored and stepped as one stack; a lane's results are the bits it gets
+    alone.
     """
-    fq, sld = score(a)
-    evals = 1
-    while evals < _SEESAW_EVALS:
-        a1 = step(a, sld)
-        a2 = step(a1, score(a1)[1])
-        best = (*score(a2), a2)
-        evals += 2
-        r, v = a1 - a, a2 - 2.0 * a1 + a
-        if 0.0 < np.linalg.norm(v) < np.linalg.norm(r):
-            alpha = np.linalg.norm(r) / np.linalg.norm(v)
-            x = a + 2.0 * alpha * r + alpha * alpha * v
-            x /= np.linalg.norm(x)
-            x = step(x, score(x)[1])
-            best = max(best, (*score(x), x), key=lambda cand: cand[0])
-            evals += 2
-        rise = best[0] - fq
-        if rise > 0.0:
-            fq, sld, a = best
-        if not rise > rtol * fq:
-            return fq, a, True
-    return fq, a, False
+    score, step = _seesaw_maps(n, gamma, ts)
+    a = np.array(a, dtype=float)
+    fq, sld = score(slice(None), a)
+    evals = np.ones(len(a), dtype=int)
+    converged = np.zeros(len(a), dtype=bool)
+    active = np.flatnonzero(evals < _SEESAW_EVALS)
+    while active.size:
+        a0 = a[active]
+        a1 = step(active, a0, sld[active])
+        a2 = step(active, a1, score(active, a1)[1])
+        fq2, sld2 = score(active, a2)
+        evals[active] += 2
+        r, v = a1 - a0, a2 - 2.0 * a1 + a0
+        norm_r, norm_v = _norms(r), _norms(v)
+        extrapolate = np.flatnonzero((0.0 < norm_v) & (norm_v < norm_r))
+        if extrapolate.size:
+            lanes = active[extrapolate]
+            alpha = (norm_r[extrapolate] / norm_v[extrapolate])[:, None]
+            x = a0[extrapolate] + 2.0 * alpha * r[extrapolate] + alpha * alpha * v[extrapolate]
+            x /= _norms(x)[:, None]
+            x = step(lanes, x, score(lanes, x)[1])
+            fqx, sldx = score(lanes, x)
+            evals[lanes] += 2
+            wins = fqx > fq2[extrapolate]
+            better = extrapolate[wins]
+            fq2[better], sld2[better], a2[better] = fqx[wins], sldx[wins], x[wins]
+        rise = fq2 - fq[active]
+        up = rise > 0.0
+        fq[active[up]], sld[active[up]], a[active[up]] = fq2[up], sld2[up], a2[up]
+        done = ~(rise > rtol * fq[active])
+        converged[active[done]] = True
+        active = active[~done & (evals[active] < _SEESAW_EVALS)]
+    return fq, a, converged
 
 
 def _qfi_search(n, gamma, total_time):
@@ -255,23 +291,25 @@ def _qfi_search(n, gamma, total_time):
 
     Each probed shot time runs a see-saw from the gen-Ramsey winner, so a
     probe is a function of t alone and never scores below that state; the
-    probes follow ``qfi_shot_optimum``'s grid and Brent refinement. The
-    winner's see-saw is rerun to ``_SEESAW_RTOL``, and its |a| (a diagonal
-    +-1 unitary keeps F_Q) is scored by ``qfi_shot_optimum``.
+    probes follow ``qfi_shot_optimum``'s grid, one see-saw stacked over each
+    chunk of it, and Brent refinement. The winner's see-saw is rerun to
+    ``_SEESAW_RTOL``, and its |a| (a diagonal +-1 unitary keeps F_Q) is
+    scored by ``qfi_shot_optimum``.
     """
     a0 = _genramsey_search(n, gamma, total_time)[0]
 
-    def probe(t, rtol=_PROBE_RTOL):
-        fq, a, converged = _seesaw(*_qfi_seesaw(n, gamma, t), a0, rtol)
-        return float(_precision_bounds(fq, t, total_time)), a, converged
+    def probe(ts, rtol=_PROBE_RTOL):
+        ts = np.atleast_1d(ts)
+        fq, a, converged = _seesaw(n, gamma, ts, np.tile(a0, (ts.size, 1)), rtol)
+        return _precision_bounds(fq, ts, total_time), a, converged
 
-    grid = _geometric_grid((1e-4 / gamma, min(total_time, 8.0 / gamma)))
-    bound = lambda t: probe(t)[0]
-    t_best, _ = _refine(bound, grid, [bound(t) for t in grid], _TOL_X)
+    grid, chunks = _shot_grid(n, gamma, total_time)
+    values = np.concatenate([probe(ts)[0] for ts in chunks])
+    t_best, _ = _refine(lambda t: float(probe(t)[0][0]), grid, values, _TOL_X)
     _, a, converged = probe(t_best, _SEESAW_RTOL)
-    a = np.abs(a)
+    a = np.abs(a[0])
     t_opt, delta_omega = qfi_shot_optimum(SymmetricFamilyState(n, a), gamma, total_time)
-    return a, t_opt, delta_omega, converged
+    return a, t_opt, delta_omega, bool(converged[0])
 
 
 def optimize_symmetric_coeffs(

@@ -33,7 +33,14 @@ from clocksim import (
 import clocksim
 from clocksim import cli, optimize
 from clocksim.evolution import MAX_BLOCK_QUBITS
-from clocksim.optimize import ION_RANGE, _qfi_seesaw
+from clocksim.optimize import (
+    ION_RANGE,
+    _PROBE_RTOL,
+    _genramsey_search,
+    _seesaw,
+    _seesaw_maps,
+    _shot_grid,
+)
 from reference import (
     dense_qfi_shot_optimum,
     density,
@@ -201,16 +208,71 @@ def test_qfi_search_reaches_nelder_mead_oracle(n):
     t=st.floats(1e-3, 4.0),
 )
 def test_seesaw_step_never_lowers_qfi(n, seed, gamma, t):
-    score, step = _qfi_seesaw(n, gamma, t)
-    a = np.random.default_rng(seed).normal(size=n // 2 + 1)
-    a /= np.linalg.norm(a)
-    fq, sld = score(a)
+    # four lanes at shot times up to t, each with its own random coefficients
+    rng = np.random.default_rng(seed)
+    ts = t * np.geomspace(0.125, 1.0, 4)
+    a = rng.normal(size=(ts.size, n // 2 + 1))
+    a /= np.linalg.norm(a, axis=1, keepdims=True)
+    lanes = np.arange(ts.size)
+    score, step = _seesaw_maps(n, gamma, ts)
+    fq, sld = score(lanes, a)
     for _ in range(3):
-        a = step(a, sld)
-        assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-12)
-        fq_next, sld = score(a)
-        assert fq_next >= fq * (1.0 - 1e-12)
+        a = step(lanes, a, sld)
+        assert np.linalg.norm(a, axis=1) == pytest.approx(np.ones(ts.size), abs=1e-12)
+        fq_next, sld = score(lanes, a)
+        assert np.all(fq_next >= fq * (1.0 - 1e-12))
         fq = fq_next
+
+
+@pytest.mark.parametrize("cap", [None, 9])
+@pytest.mark.parametrize("n", [2, 3, 5, 7, 10])
+def test_stacked_seesaw_lanes_equal_single_lane_runs(monkeypatch, n, cap):
+    # with cap 9 some lanes stop at the evaluation cap and others converge
+    if cap is not None:
+        monkeypatch.setattr(optimize, "_SEESAW_EVALS", cap)
+    grid, _ = _shot_grid(n, GAMMA, TOTAL)
+    a0 = _genramsey_search(n, GAMMA, TOTAL)[0]
+    fq, a, converged = _seesaw(n, GAMMA, grid, np.tile(a0, (grid.size, 1)), _PROBE_RTOL)
+    if cap is not None:
+        assert 0 < converged.sum() < grid.size
+    for i in range(grid.size):
+        alone = _seesaw(n, GAMMA, grid[i : i + 1], a0[None], _PROBE_RTOL)
+        assert alone[0][0] == fq[i]
+        assert np.array_equal(alone[1][0], a[i])
+        assert alone[2][0] == converged[i]
+
+
+def test_qfi_search_scores_the_grid_as_stacks(monkeypatch):
+    # one see-saw per shot time made 851 _qfi_core calls at n = 3; the
+    # stacked grid and its Brent probes make 190
+    core, calls = optimize._qfi_core, []
+
+    def counting(*args):
+        calls.append(1)
+        return core(*args)
+
+    monkeypatch.setattr(optimize, "_qfi_core", counting)
+    rep = optimize_symmetric_coeffs(3, GAMMA, TOTAL, "qfi")
+    assert rep.status == "ok"
+    assert 0 < len(calls) <= 300
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(
+    n=st.integers(2, 6),
+    gamma=st.floats(0.2, 2.0),
+    scales=st.tuples(st.floats(8.0, 20.0), st.floats(40.0, 1000.0)),
+)
+def test_qfi_search_bound_scales_as_inverse_sqrt_total_time(n, gamma, scales):
+    # with T >= 8/gamma the shot-time bracket does not depend on T, and the
+    # bound sqrt(t / (T F_Q)) scales as 1/sqrt(T) at every shot time
+    scaled = []
+    for scale in scales:
+        total = scale / gamma
+        rep = optimize_symmetric_coeffs(n, gamma, total, "qfi")
+        assert rep.status == "ok"
+        scaled.append(rep.delta_omega * math.sqrt(total))
+    assert scaled[0] == pytest.approx(scaled[1], rel=1e-12)
 
 
 # The dense 2^n path lives in tests/reference.py; no package module may
