@@ -6,11 +6,7 @@ entangled preparations.
 __version__ = "0.1.0"
 
 from .collective import (
-    evolved_sx2_mean,
-    evolved_sx_mean,
-    evolved_sx_slope,
     genramsey_opt_uncertainty,
-    genramsey_uncertainty,
     precision_bound_chain,
     solve_topt,
 )
@@ -74,10 +70,6 @@ __all__ = [
     "uncertainty_uncorrelated",
     "uncertainty_ghz",
     "reference_limit",
-    "evolved_sx_mean",
-    "evolved_sx2_mean",
-    "evolved_sx_slope",
-    "genramsey_uncertainty",
     "solve_topt",
     "genramsey_opt_uncertainty",
     "precision_bound_chain",

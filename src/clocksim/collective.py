@@ -17,62 +17,17 @@ import math
 
 from scipy.special import lambertw
 
-from .exceptions import DegenerateStateError, SingularPointError
+from .exceptions import DegenerateStateError
 from .qstate import CollectiveMoments
-from .ramsey import ExperimentBudget, PrecisionResult, reference_limit
+from .ramsey import PrecisionResult, reference_limit
 
 __all__ = [
-    "evolved_sx_mean",
-    "evolved_sx2_mean",
-    "evolved_sx_slope",
-    "genramsey_uncertainty",
     "solve_topt",
     "genramsey_opt_uncertainty",
     "precision_bound_chain",
 ]
 
 _ZERO_TOL = 1e-12
-
-
-def evolved_sx_mean(m0: CollectiveMoments, delta: float, gamma: float, t: float) -> float:
-    """Mean of S_x after detuned free evolution with dephasing."""
-    c, s = math.cos(delta * t), math.sin(delta * t)
-    return math.exp(-gamma * t) * (c * m0.sx_mean + s * m0.sy_mean)
-
-
-def evolved_sx2_mean(m0: CollectiveMoments, delta: float, gamma: float, t: float) -> float:
-    """Second moment of S_x after evolution (real-amplitude initial states)."""
-    c, s = math.cos(delta * t), math.sin(delta * t)
-    rotated2 = c * c * m0.sx2_mean + s * s * m0.sy2_mean
-    return m0.n + math.exp(-2.0 * gamma * t) * (rotated2 - m0.n)
-
-
-def evolved_sx_slope(m0: CollectiveMoments, delta: float, gamma: float, t: float) -> float:
-    """Analytic derivative of <S_x(t)> with respect to the atomic frequency."""
-    c, s = math.cos(delta * t), math.sin(delta * t)
-    return t * math.exp(-gamma * t) * (-s * m0.sx_mean + c * m0.sy_mean)
-
-
-def genramsey_uncertainty(
-    m0: CollectiveMoments, budget: ExperimentBudget, delta: float, gamma: float
-) -> float:
-    """Error-propagated frequency uncertainty of the S_x measurement.
-
-    sqrt(Var S_x(t) / (N * (d<S_x>/domega)^2)) with N = T/t collective
-    measurements.
-    """
-    if m0.n != budget.n:
-        raise ValueError(f"moment ion count {m0.n} != budget ion count {budget.n}")
-    if gamma < 0.0:
-        raise ValueError(f"dephasing rate must be >= 0, got {gamma}")
-    t = budget.shot_time
-    slope = evolved_sx_slope(m0, delta, gamma, t)
-    if abs(slope) < _ZERO_TOL * max(1.0, m0.n * t):
-        raise SingularPointError("signal slope d<S_x>/domega vanishes at this point")
-    mean = evolved_sx_mean(m0, delta, gamma, t)
-    variance = max(evolved_sx2_mean(m0, delta, gamma, t) - mean * mean, 0.0)
-    n_meas = budget.total_time / t
-    return math.sqrt(variance / (n_meas * slope * slope))
 
 
 def solve_topt(m0: CollectiveMoments, n: int, gamma: float) -> float:

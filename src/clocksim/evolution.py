@@ -10,10 +10,12 @@ preserved.
 A family state never needs the 2^n matrix: its evolved elements depend on
 the strings only through |x|, |y| and |x AND y|, so it lies in the Terwilliger
 algebra of the n-cube, which A. Schrijver block-diagonalized in closed form
-(IEEE Trans. Inf. Theory 51, 2859 (2005)). ``_family_evolution`` evaluates it on
-those floor(n/2)+1 blocks, the total-spin sectors j = n/2 - k (Chase &
-Geremia, PRA 78, 052101 (2008)), as the state-independent channel
-``_block_channel`` times the outer product of the Dicke amplitudes.
+(IEEE Trans. Inf. Theory 51, 2859 (2005)). On those floor(n/2)+1 blocks,
+the total-spin sectors j = n/2 - k (Chase & Geremia, PRA 78, 052101 (2008)),
+it is a real, state-independent channel times the outer product of the
+Dicke amplitudes, and its detuning derivative is i times a real rate
+matrix times the blocks. ``_block_form`` builds that channel and rate
+matrix; ``fisher._block_qfi`` multiplies in the amplitudes.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .qstate import SymmetricFamilyState, _dicke_amplitudes
 
 __all__ = [
     "MAX_BLOCK_QUBITS",
@@ -106,38 +106,28 @@ def _block_tables(n: int):
     return weights, exponents, mult
 
 
-def _block_channel(n: int, gamma: float, ts) -> np.ndarray:
-    """The state-independent part of the block form, for every duration of
-    ``ts``: E_k(t)[i, j] = sum_u weights[k, i, j, u] p^(i+j-2u) (1-p^2)^u with
-    p = exp(-gamma t), shape ``np.shape(ts) + (K, n+1, n+1)``, K = floor(n/2) + 1.
-    Block k of a family state with Dicke amplitudes c is E_k ∘ c c^T. Each
+def _block_form(n: int, gamma: float, ts):
+    """The state-independent block form of an n-ion family state evolved for
+    every duration of ``ts``: ``(channel, rates, multiplicities)``.
+
+    ``channel`` is E_k(t)[i, j] = sum_u weights[k, i, j, u] p^(i+j-2u)
+    (1-p^2)^u with p = exp(-gamma t), shape ``np.shape(ts) + (K, n+1, n+1)``,
+    K = floor(n/2) + 1; ``rates`` is D(t)[i, j] = t (j - i), shape
+    ``np.shape(ts) + (1, n+1, n+1)``. Block k of a family state with Dicke
+    amplitudes c is rho_k = E_k ∘ c c^T and its detuning derivative i D ∘ rho_k;
+    it fills rows and columns k..n-k and is zero elsewhere, so the padding
+    only adds null directions. The detuning phase exp(i delta t (j-i)) is
+    left out: a diagonal unitary that commutes with the dephasing, it
+    changes neither F_Q nor the SLD measurement's Fisher information. Each
     entry is a sum over the last axis of its own weights, so a stacked
-    duration gives the same bits as a single one.
+    duration gives the same bits as a single one. The scalars are not
+    checked here: callers validate them once, at the API boundary (finite
+    ``gamma`` >= 0, finite durations >= 0).
     """
-    weights, exponents, _ = _block_tables(n)
+    weights, exponents, mult = _block_tables(n)
     levels = np.arange(n + 1)
     t = np.asarray(ts, dtype=float)[..., None, None, None]
     p = np.exp(-gamma * t)
     decay = p**exponents * (1.0 - p * p) ** levels
-    return (weights * decay[..., None, :, :, :]).sum(-1)
-
-
-def _family_evolution(state: SymmetricFamilyState, gamma: float, ts):
-    """The real Schur-Weyl blocks of the family state evolved for each
-    duration of ``ts``, and their detuning derivative, the blocks times
-    i t (j-i).
-
-    Both stacks have shape ``np.shape(ts) + (K, n+1, n+1)``; block k fills
-    rows and columns k..n-k and is zero elsewhere, so the padding only adds
-    null directions. The detuning phase exp(i delta t (j-i)) is left out:
-    a diagonal unitary that commutes with the dephasing, it changes neither
-    F_Q nor the SLD measurement's Fisher information. The scalars are not
-    checked here: callers validate them once, at the API boundary (finite
-    ``gamma`` >= 0, finite durations >= 0).
-    """
-    n = state.n
-    c = _dicke_amplitudes(state)
-    levels = np.arange(n + 1)
-    t = np.asarray(ts, dtype=float)[..., None, None, None]
-    blocks = _block_channel(n, gamma, ts) * np.outer(c, c)
-    return blocks, blocks * ((1j * t) * (levels - levels[:, None]))
+    channel = (weights * decay[..., None, :, :, :]).sum(-1)
+    return channel, t * (levels - levels[:, None]), mult

@@ -11,10 +11,13 @@ precision of any measurement and estimator over nu = T/t repetitions is
 bounded below by 1/sqrt(nu * F_Q).
 
 A dephased family state and its derivative are block-diagonal on the
-floor(n/2)+1 Schur-Weyl blocks of ``evolution._family_evolution``, so their F_Q
-is the multiplicity-weighted sum of the blocks' F_Q, on (n+1) x (n+1)
-matrices instead of 2^n x 2^n ones, and the SLD measurement splits the same
-way (``family_qfi``).
+floor(n/2)+1 Schur-Weyl blocks of ``evolution._block_form``, so their F_Q is
+the multiplicity-weighted sum of the blocks' F_Q, on (n+1) x (n+1) matrices
+instead of 2^n x 2^n ones, and the SLD measurement splits the same way. The
+blocks are real and their derivative is i times a real matrix; F_Q sees only
+|<j| drho |k>|, so one real evaluation, ``_block_qfi``, gives the F_Q of
+``family_qfi``, of the shot-time optimum and of the see-saw's score
+(``_seesaw_maps``), for one state or stacks of states and shot times.
 """
 
 from __future__ import annotations
@@ -23,9 +26,9 @@ import math
 
 import numpy as np
 
-from .evolution import DephasingParams, _block_tables, _family_evolution
+from .evolution import DephasingParams, _block_form
 from .exceptions import NoInformationError, SingularOutcomeError
-from .qstate import SymmetricFamilyState
+from .qstate import SymmetricFamilyState, _dicke_amplitudes
 
 __all__ = [
     "EIG_CUTOFF",
@@ -75,28 +78,61 @@ def _qfi_core(rho: np.ndarray, drho: np.ndarray):
     return fq, vecs, dmat, denom, mask
 
 
+def _block_qfi(c, channel, rates, mult):
+    """F_Q of the family states with Dicke-amplitude rows ``c`` on the block
+    form ``(channel, rates, mult)`` of ``evolution._block_form``, rows and
+    shot times broadcasting against each other. Returns the
+    multiplicity-weighted F_Q, the blocks rho = E ∘ c c^T, their real
+    derivative D ∘ rho (drho = i D ∘ rho, which has the same F_Q) and the
+    eigenbasis data of ``_qfi_core``."""
+    blocks = channel * (c[..., None, :, None] * c[..., None, None, :])
+    drho = blocks * rates
+    fq, *eigdata = _qfi_core(blocks, drho)
+    return (fq * mult).sum(-1), blocks, drho, eigdata
+
+
 def _sld(vecs, dmat, denom, mask) -> np.ndarray:
     """SLDs L = V where(mask, 2 dmat / denom, 0) V^dagger of a stack, from the
-    eigenbasis data of ``_qfi_core``."""
+    eigenbasis data of ``_qfi_core``; on a real derivative D ∘ rho it is the
+    real S = L / i."""
     return vecs @ np.where(mask, 2.0 * dmat / denom, 0.0) @ np.swapaxes(vecs.conj(), -1, -2)
 
 
-def _sld_bases(*eigdata) -> np.ndarray:
-    """Eigenbases of the SLDs of a stack, from the eigenbasis data of
-    ``_qfi_core``."""
-    return np.linalg.eigh(_sld(*eigdata))[1]
+def _seesaw_maps(n, gamma, ts):
+    """``(score, step)`` of the see-saw for the F_Q of family coefficients on
+    the lanes of shot times ``ts``: ``score(lanes, a)`` gives the F_Q and the
+    real SLDs S = L / i of the coefficient rows ``a`` at the lanes indexed by
+    ``lanes``, ``step(lanes, a, sld)`` the unit rows maximizing F_Q at those
+    SLDs.
+
+    At fixed L the form F_Q = max_L [2 Tr(drho L) - Tr(rho L^2)] is c^T M c,
+    c = P a the Dicke amplitudes (P the flip-even isometry), M = sum_k mult_k
+    (2 E_k ∘ D ∘ S_k + E_k ∘ S_k^2), maximized by the top eigenvector of
+    P^T M P, so alternating L and a never lowers F_Q (Macieszczak,
+    arXiv:1312.1356; Demkowicz-Dobrzanski & Maccone, PRL 113, 250801 (2014)).
+    Every sum runs within one lane, so a lane's results do not depend on
+    which lanes share its stack.
+    """
+    channel, rates, mult = _block_form(n, gamma, ts)
+    fold = _dicke_amplitudes(n, np.eye(n // 2 + 1))  # P^T
+    channel_rates2 = 2.0 * channel * rates
+    weight = mult[:, None, None]
+
+    def score(lanes, a):
+        fq, _, _, eigdata = _block_qfi(_dicke_amplitudes(n, a), channel[lanes], rates[lanes], mult)
+        return fq, _sld(*eigdata)
+
+    def step(lanes, a, sld):
+        m = (weight * (channel_rates2[lanes] * sld + channel[lanes] * (sld @ sld))).sum(-3)
+        top = np.linalg.eigh(fold @ m @ fold.T)[1][..., -1]
+        return np.where((top * a).sum(-1, keepdims=True) >= 0.0, top, -top)
+
+    return score, step
 
 
 def _outcome_probs(basis: np.ndarray, mat: np.ndarray) -> np.ndarray:
     """<b_m| mat |b_m> for every column b_m of each basis of a stack."""
     return np.einsum("...im,...ij,...jm->...m", basis.conj(), mat, basis).real
-
-
-def _family_qfi_at(state: SymmetricFamilyState, gamma: float):
-    """The function mapping durations ``ts`` to the F_Q of the evolved family
-    state at each: the multiplicity-weighted sum of its blocks' F_Q."""
-    mult = _block_tables(state.n)[2]
-    return lambda ts: (_qfi_core(*_family_evolution(state, gamma, ts))[0] * mult).sum(-1)
 
 
 def family_qfi(state: SymmetricFamilyState, p: DephasingParams):
@@ -107,13 +143,13 @@ def family_qfi(state: SymmetricFamilyState, p: DephasingParams):
     and its Fisher sum weighted by the block's multiplicity. ``p.delta`` is
     ignored: the detuning phase is a diagonal unitary that commutes with the
     dephasing, so neither number depends on it."""
-    blocks, dblocks = _family_evolution(state, p.gamma, p.t)
-    mult = _block_tables(state.n)[2]
-    fq, *eigdata = _qfi_core(blocks, dblocks)
-    bases = _sld_bases(*eigdata)
-    probs, dprobs = _outcome_probs(bases, blocks), _outcome_probs(bases, dblocks)
+    n = state.n
+    channel, rates, mult = _block_form(n, p.gamma, p.t)
+    fq, blocks, drho, eigdata = _block_qfi(_dicke_amplitudes(n, state.a), channel, rates, mult)
+    bases = np.linalg.eigh(1j * _sld(*eigdata))[1]
+    probs, dprobs = _outcome_probs(bases, blocks), _outcome_probs(bases, 1j * drho)
     cfi = sum(m * _fisher_sum(pk, dpk) for m, pk, dpk in zip(mult, probs, dprobs))
-    return float((fq * mult).sum(-1)), float(cfi)
+    return float(fq), float(cfi)
 
 
 def qfi_uncertainty(qfi_per_shot: float, total_time: float, shot_time: float) -> float:

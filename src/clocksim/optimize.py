@@ -7,11 +7,11 @@ so identical arguments reproduce identical reports. The gen-Ramsey search
 scans ground states of -S_x + mu S_y^2 over log mu. The QFI search maximizes
 F_Q at each probed shot time by a see-saw over the variational form
 F_Q = max_L [2 Tr(drho L) - Tr(rho L^2)], started from the gen-Ramsey winner,
-and searches the shot time over the same grid and Brent refinement as
-``qfi_shot_optimum``. One see-saw runs on a stack of shot times: each chunk
-of the grid is one stack, each Brent probe a stack of one. It, like every
-shot-time QFI optimum, works on the Schur-Weyl blocks of the family state
-(``evolution._block_channel``): no 2^n state vector or density matrix is
+and searches the shot time by the routine of ``qfi_shot_optimum``,
+``_shot_time_search``. One see-saw runs on a stack of shot times: each chunk
+of the grid is one stack, each Brent probe a stack of one. Its score and
+step (``fisher._seesaw_maps``), like every shot-time F_Q, come from the one
+block QFI ``fisher._block_qfi``: no 2^n state vector or density matrix is
 built.
 """
 
@@ -26,9 +26,9 @@ from scipy.optimize import minimize_scalar
 
 from .collective import genramsey_opt_uncertainty
 from .exceptions import BracketingError, NoInformationError, SingularPointError
-from .evolution import MAX_BLOCK_QUBITS, _block_channel, _block_tables
-from .fisher import QFI_FLOOR, _NO_INFORMATION, _family_qfi_at, _qfi_core, _sld
-from .qstate import SymmetricFamilyState, _dicke_ladder, collective_moments
+from .evolution import MAX_BLOCK_QUBITS, _block_form
+from .fisher import QFI_FLOOR, _NO_INFORMATION, _block_qfi, _seesaw_maps
+from .qstate import SymmetricFamilyState, _dicke_amplitudes, _dicke_ladder, collective_moments
 from .ramsey import ExperimentBudget, reference_limit, uncertainty_ghz, uncertainty_uncorrelated
 
 __all__ = [
@@ -50,10 +50,10 @@ METHODS = ("gen-ramsey", "qfi")
 ION_RANGE = {"gen-ramsey": (2, 1000), "qfi": (2, MAX_BLOCK_QUBITS)}
 
 _GRID_POINTS = 48
-# Bytes of one stacked (chunk, K, n+1, n+1) complex block array in the
-# shot-time grid, for F_Q and for see-saw lanes alike: the whole grid in one
-# chunk up to n = 7, three points per chunk at n = 20, where the (n+1)-fold
-# larger temporaries of the block weights then stay near 2.4 MB.
+# Bytes of one stacked (chunk, K, n+1, n+1) block array and its derivative
+# in the shot-time grid, for F_Q and for see-saw lanes alike: the whole grid
+# in one chunk up to n = 7, three points per chunk at n = 20, where the
+# (n+1)-fold larger temporaries of the block weights then stay near 2.4 MB.
 _STACK_BYTES = 1 << 18
 _LOG_MU_GRID = np.linspace(math.log(1e-4), math.log(1e2), 41)  # best mu: 0.2 to 2.2
 _TOL_X = 1e-9  # Brent tolerance of the log mu and shot-time refinements
@@ -134,6 +134,18 @@ def _shot_grid(n, gamma, total_time):
     return grid, [grid[i : i + chunk] for i in range(0, len(grid), chunk)]
 
 
+def _shot_time_search(n, gamma, total_time, bounds, tol_x=_TOL_X):
+    """(t_opt, value) minimizing ``bounds``, which maps a stack of shot times
+    to the precision bound at each, over ``_shot_grid``: the grid is scored
+    one chunk per call, then refined by ``_refine`` with one-point calls.
+    Raises NoInformationError when no grid shot time carries information."""
+    grid, chunks = _shot_grid(n, gamma, total_time)
+    values = np.concatenate([bounds(ts) for ts in chunks])
+    if not np.isfinite(values).any():
+        raise NoInformationError(_NO_INFORMATION)
+    return _refine(lambda t: bounds(t).item(), grid, values, tol_x)
+
+
 def qfi_shot_optimum(state, gamma, total_time, tol_x=_TOL_X):
     """Shot time minimizing the precision bound 1/sqrt((T/t) F_Q(t)) of the
     SymmetricFamilyState ``state`` (1 <= n <= 20) over
@@ -151,13 +163,10 @@ def qfi_shot_optimum(state, gamma, total_time, tol_x=_TOL_X):
     _check_finite("total time", total_time)
     if not gamma > 0.0:
         raise ValueError(f"dephasing rate must be > 0, got {gamma}")
-    grid, chunks = _shot_grid(state.n, gamma, total_time)
-    fq_at = _family_qfi_at(state, gamma)
+    n, c = state.n, _dicke_amplitudes(state.n, state.a)
+    fq_at = lambda ts: _block_qfi(c, *_block_form(n, gamma, ts))[0]
     bounds = lambda ts: _precision_bounds(fq_at(ts), ts, total_time)
-    values = np.concatenate([bounds(ts) for ts in chunks])
-    if not np.isfinite(values).any():
-        raise NoInformationError(_NO_INFORMATION)
-    return _refine(lambda t: float(bounds(t)), grid, values, tol_x)
+    return _shot_time_search(n, gamma, total_time, bounds, tol_x)
 
 
 def _canonical_method(method: str) -> str:
@@ -189,47 +198,6 @@ def _genramsey_search(n, gamma, total_time):
     score = lambda log_mu: result(log_mu)[1].delta_omega
     log_mu, _ = _refine(score, _LOG_MU_GRID, [score(x) for x in _LOG_MU_GRID], _TOL_X)
     return result(log_mu)
-
-
-def _seesaw_maps(n, gamma, ts):
-    """``(score, step)`` of the see-saw for the F_Q of family coefficients on
-    the lanes of shot times ``ts``: ``score(lanes, a)`` gives the F_Q and the
-    SLDs over i of the coefficient rows ``a`` at the lanes indexed by
-    ``lanes``, ``step(lanes, a, sld)`` the unit rows maximizing F_Q at those
-    SLDs.
-
-    Block k is E_k ∘ c c^T (E the block channel, c = P a the Dicke amplitudes,
-    P the flip-even isometry) and its derivative i tW ∘ E_k ∘ c c^T, W[i, j] =
-    j - i. F_Q sees only |<j| drho |k>|, so ``_qfi_core`` runs on the real
-    tW ∘ block and ``_sld`` returns the real S = L / i. At fixed L the form
-    F_Q = max_L [2 Tr(drho L) - Tr(rho L^2)] is c^T M c, M = sum_k mult_k
-    (2 E_k ∘ tW ∘ S_k + E_k ∘ S_k^2), maximized by the top eigenvector of
-    P^T M P, so alternating L and a never lowers F_Q (Macieszczak,
-    arXiv:1312.1356; Demkowicz-Dobrzanski & Maccone, PRL 113, 250801 (2014)).
-    Every sum runs within one lane, so a lane's results do not depend on
-    which lanes share its stack.
-    """
-    cls = _dicke_ladder(n)[0]
-    scale = np.where(2 * cls == n, 1.0, math.sqrt(0.5))
-    fold = np.eye(n // 2 + 1)[cls] * scale[:, None]  # P: c = a[cls] * scale
-    channel, mult = _block_channel(n, gamma, ts), _block_tables(n)[2]
-    levels = np.arange(n + 1)
-    tw = np.asarray(ts, dtype=float)[:, None, None, None] * (levels - levels[:, None])
-    channel_tw2 = 2.0 * channel * tw
-    weight = mult[:, None, None]
-
-    def score(lanes, a):
-        c = a[:, cls] * scale
-        blocks = channel[lanes] * (c[:, None, :, None] * c[:, None, None, :])
-        fq, *eigdata = _qfi_core(blocks, blocks * tw[lanes])
-        return (fq * mult).sum(-1), _sld(*eigdata)
-
-    def step(lanes, a, sld):
-        m = (weight * (channel_tw2[lanes] * sld + channel[lanes] * (sld @ sld))).sum(-3)
-        top = np.linalg.eigh(fold.T @ m @ fold)[1][..., -1]
-        return np.where((top * a).sum(-1, keepdims=True) >= 0.0, top, -top)
-
-    return score, step
 
 
 def _norms(rows):
@@ -291,8 +259,8 @@ def _qfi_search(n, gamma, total_time):
 
     Each probed shot time runs a see-saw from the gen-Ramsey winner, so a
     probe is a function of t alone and never scores below that state; the
-    probes follow ``qfi_shot_optimum``'s grid, one see-saw stacked over each
-    chunk of it, and Brent refinement. The winner's see-saw is rerun to
+    probes run through ``_shot_time_search``, one see-saw stacked over each
+    chunk of its grid and one per Brent probe. The winner's see-saw is rerun to
     ``_SEESAW_RTOL``, and its |a| (a diagonal +-1 unitary keeps F_Q) is
     scored by ``qfi_shot_optimum``.
     """
@@ -303,9 +271,7 @@ def _qfi_search(n, gamma, total_time):
         fq, a, converged = _seesaw(n, gamma, ts, np.tile(a0, (ts.size, 1)), rtol)
         return _precision_bounds(fq, ts, total_time), a, converged
 
-    grid, chunks = _shot_grid(n, gamma, total_time)
-    values = np.concatenate([probe(ts)[0] for ts in chunks])
-    t_best, _ = _refine(lambda t: float(probe(t)[0][0]), grid, values, _TOL_X)
+    t_best, _ = _shot_time_search(n, gamma, total_time, lambda ts: probe(ts)[0])
     _, a, converged = probe(t_best, _SEESAW_RTOL)
     a = np.abs(a[0])
     t_opt, delta_omega = qfi_shot_optimum(SymmetricFamilyState(n, a), gamma, total_time)

@@ -115,13 +115,13 @@ def _dicke_ladder(n: int):
     return cls, ladder
 
 
-def _dicke_amplitudes(state: SymmetricFamilyState) -> np.ndarray:
-    """Amplitudes of a family state on the Dicke levels w = 0..n: weight class
-    k is (|D_k> + |D_{n-k}>)/sqrt(2), or |D_{n/2}> alone."""
-    n, (cls, _) = state.n, _dicke_ladder(state.n)
-    c = state.a[cls] * math.sqrt(0.5)
+def _dicke_amplitudes(n: int, a: np.ndarray) -> np.ndarray:
+    """Amplitudes on the Dicke levels w = 0..n of the n-ion family
+    coefficients in the last axis of ``a``: weight class k is
+    (|D_k> + |D_{n-k}>)/sqrt(2), or |D_{n/2}> alone."""
+    c = a[..., _dicke_ladder(n)[0]] * math.sqrt(0.5)
     if n % 2 == 0:
-        c[n // 2] = state.a[-1]
+        c[..., n // 2] = a[..., -1]
     return c
 
 
@@ -133,7 +133,7 @@ def collective_moments(state: SymmetricFamilyState) -> CollectiveMoments:
     sign of the cross term; <S_y> vanishes for real amplitudes.
     """
     n, ladder = state.n, _dicke_ladder(state.n)[1]
-    c = _dicke_amplitudes(state)
+    c = _dicke_amplitudes(n, state.a)
     up, down = ladder * c[:-1], ladder * c[1:]  # J+ c on w = 1..n, J- c on w = 0..n-1
     norms = float(up @ up + down @ down)
     cross = 2.0 * float(up[:-1] @ down[1:])

@@ -28,6 +28,7 @@ from clocksim import (
     BracketingError,
     CollectiveMoments,
     DegenerateStateError,
+    ExperimentBudget,
     NoInformationError,
     SingularPointError,
     SymmetricFamilyState,
@@ -37,6 +38,7 @@ from clocksim import (
     qfi_uncertainty,
     reference_limit,
 )
+from clocksim.collective import _ZERO_TOL
 from clocksim.fisher import _qfi_core
 from clocksim.optimize import _geometric_grid, _refine
 
@@ -280,6 +282,49 @@ def dense_collective_moments(amps):
         sy_mean=float(np.vdot(amps, sy_psi).real),
         sy2_mean=float(np.vdot(sy_psi, sy_psi).real),
     )
+
+
+# The decohered S_x moments and the error-propagated gen-Ramsey uncertainty
+# at any phase; the package keeps only their optimum, genramsey_opt_uncertainty.
+def evolved_sx_mean(m0: CollectiveMoments, delta: float, gamma: float, t: float) -> float:
+    """Mean of S_x after detuned free evolution with dephasing."""
+    c, s = math.cos(delta * t), math.sin(delta * t)
+    return math.exp(-gamma * t) * (c * m0.sx_mean + s * m0.sy_mean)
+
+
+def evolved_sx2_mean(m0: CollectiveMoments, delta: float, gamma: float, t: float) -> float:
+    """Second moment of S_x after evolution (real-amplitude initial states)."""
+    c, s = math.cos(delta * t), math.sin(delta * t)
+    rotated2 = c * c * m0.sx2_mean + s * s * m0.sy2_mean
+    return m0.n + math.exp(-2.0 * gamma * t) * (rotated2 - m0.n)
+
+
+def evolved_sx_slope(m0: CollectiveMoments, delta: float, gamma: float, t: float) -> float:
+    """Analytic derivative of <S_x(t)> with respect to the atomic frequency."""
+    c, s = math.cos(delta * t), math.sin(delta * t)
+    return t * math.exp(-gamma * t) * (-s * m0.sx_mean + c * m0.sy_mean)
+
+
+def genramsey_uncertainty(
+    m0: CollectiveMoments, budget: ExperimentBudget, delta: float, gamma: float
+) -> float:
+    """Error-propagated frequency uncertainty of the S_x measurement.
+
+    sqrt(Var S_x(t) / (N * (d<S_x>/domega)^2)) with N = T/t collective
+    measurements.
+    """
+    if m0.n != budget.n:
+        raise ValueError(f"moment ion count {m0.n} != budget ion count {budget.n}")
+    if gamma < 0.0:
+        raise ValueError(f"dephasing rate must be >= 0, got {gamma}")
+    t = budget.shot_time
+    slope = evolved_sx_slope(m0, delta, gamma, t)
+    if abs(slope) < _ZERO_TOL * max(1.0, m0.n * t):
+        raise SingularPointError("signal slope d<S_x>/domega vanishes at this point")
+    mean = evolved_sx_mean(m0, delta, gamma, t)
+    variance = max(evolved_sx2_mean(m0, delta, gamma, t) - mean * mean, 0.0)
+    n_meas = budget.total_time / t
+    return math.sqrt(variance / (n_meas * slope * slope))
 
 
 def topt_bisection(m0, n, gamma):

@@ -10,10 +10,7 @@ from clocksim import (
     SingularPointError,
     SymmetricFamilyState,
     collective_moments,
-    evolved_sx2_mean,
-    evolved_sx_mean,
     genramsey_opt_uncertainty,
-    genramsey_uncertainty,
     precision_bound_chain,
     reference_limit,
     solve_topt,
@@ -26,7 +23,10 @@ from reference import (
     collective_op,
     dense_evolve,
     density,
+    evolved_sx2_mean,
+    evolved_sx_mean,
     family_state,
+    genramsey_uncertainty,
     minimize_over_t,
     topt_bisection,
 )

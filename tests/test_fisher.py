@@ -16,8 +16,8 @@ from clocksim import (
     uncertainty_uncorrelated,
     uniform_coefficients,
 )
-from clocksim.evolution import _block_tables, _family_evolution
-from clocksim.fisher import _family_qfi_at, _qfi_core, _sld_bases
+from clocksim.evolution import _block_form
+from clocksim.fisher import _block_qfi, _qfi_core, _seesaw_maps, _sld
 from clocksim.qstate import _dicke_amplitudes
 from clocksim.optimize import _precision_bounds
 
@@ -42,6 +42,12 @@ from reference import (
 
 def _evolved_pair(psi, delta, gamma, t):
     return dense_evolve(density(psi), delta, gamma, t)
+
+
+def _family_blocks(state, gamma, ts):
+    """(F_Q, blocks, real derivative D ∘ rho, eigenbasis data) of the family
+    state evolved for each duration of ``ts``."""
+    return _block_qfi(_dicke_amplitudes(state.n, state.a), *_block_form(state.n, gamma, ts))
 
 
 def _pure_qfi_bruteforce(psi, t):
@@ -101,7 +107,7 @@ def test_sld_basis_is_complete_and_attains_qfi():
     for n in (1, 2, 3):
         rho_t, drho = dense_evolve(random_density(rng, n), 0.9, 0.7, 0.8)
         fq, *eigdata = _qfi_core(rho_t, drho)
-        basis = _sld_bases(*eigdata)
+        basis = np.linalg.eigh(_sld(*eigdata))[1]
         assert np.abs(basis.conj().T @ basis - np.eye(1 << n)).max() < 1e-10
         fc = classical_fi(rho_t, drho, basis)
         assert fc == pytest.approx(fq, rel=1e-6)
@@ -113,9 +119,8 @@ def test_sld_basis_is_deterministic():
     state = SymmetricFamilyState(3, [0.8, 0.6])
     p = DephasingParams(0.5, 0.6, 0.9)
     assert family_qfi(state, p) == family_qfi(state, p)
-    blocks, dblocks = _family_evolution(state, p.gamma, p.t)
-    one = _sld_bases(*_qfi_core(blocks, dblocks)[1:])
-    two = _sld_bases(*_qfi_core(blocks, dblocks)[1:])
+    one = np.linalg.eigh(1j * _sld(*_family_blocks(state, p.gamma, p.t)[3]))[1]
+    two = np.linalg.eigh(1j * _sld(*_family_blocks(state, p.gamma, p.t)[3]))[1]
     assert np.array_equal(one, two)
 
 
@@ -215,7 +220,7 @@ def test_family_blocks_match_dense_qfi(n):
             rho0 = density(family_state(n, a))
             dense = dense_qfi(*dense_evolve(rho0, delta, gamma, ts))
             # the blocks drop the detuning phase, which leaves F_Q unchanged
-            blocks = _family_qfi_at(SymmetricFamilyState(n, a), gamma)(ts)
+            blocks = _family_blocks(SymmetricFamilyState(n, a), gamma, ts)[0]
             assert blocks == pytest.approx(dense, rel=1e-12, abs=0.0)
 
 
@@ -226,14 +231,15 @@ def test_family_blocks_match_schrijver_formula(n):
     # detuning phase, so they are those of the formula at delta = 0
     state = SymmetricFamilyState(n, _random_coeffs(np.random.default_rng(80 + n), n))
     gamma, t = 0.4, 0.9
-    blocks, dblocks = _family_evolution(state, gamma, t)
-    assert blocks.dtype == float
-    expected = schrijver_blocks(n, _dicke_amplitudes(state), 0.0, gamma, t)
+    _, blocks, dblocks, _ = _family_blocks(state, gamma, t)
+    assert blocks.dtype == dblocks.dtype == float
+    expected = schrijver_blocks(n, _dicke_amplitudes(n, state.a), 0.0, gamma, t)
     levels = np.arange(n + 1)
     for k, block in enumerate(expected):
         assert np.abs(blocks[k, k : n - k + 1, k : n - k + 1] - block).max() < 1e-14
         inner = levels[k : n - k + 1]
-        derivative = 1j * t * (inner[None, :] - inner[:, None]) * block
+        # drho = i D ∘ rho; the kernel keeps the real D ∘ rho
+        derivative = t * (inner[None, :] - inner[:, None]) * block
         assert np.abs(dblocks[k, k : n - k + 1, k : n - k + 1] - derivative).max() < 1e-14
         outside = np.ones((n + 1, n + 1), bool)
         outside[k : n - k + 1, k : n - k + 1] = False
@@ -243,23 +249,26 @@ def test_family_blocks_match_schrijver_formula(n):
 def test_stacked_block_qfi_equals_single_shot_time():
     state = SymmetricFamilyState(7, _random_coeffs(np.random.default_rng(7), 7))
     ts = np.geomspace(1e-4, 8.0, 48)
-    fq_at = _family_qfi_at(state, 1.0)
-    stacked = fq_at(ts)
+    stacked = _family_blocks(state, 1.0, ts)[0]
+    # the see-saw scores the same rows through the same kernel
+    score = _seesaw_maps(state.n, 1.0, ts)[0]
+    seesaw = score(np.arange(ts.size), np.tile(state.a, (ts.size, 1)))[0]
     for k, t in enumerate(ts):
-        assert stacked[k] == fq_at(t)
+        assert stacked[k] == _family_blocks(state, 1.0, t)[0]
         assert stacked[k] == family_qfi(state, DephasingParams(0.3, 1.0, t))[0]
+        assert seesaw[k] == stacked[k]
 
 
 def test_block_identities_at_the_cap():
     n, t = 20, 0.7
     state = SymmetricFamilyState(n, _random_coeffs(np.random.default_rng(20), n))
-    mult = _block_tables(n)[2]
+    mult = _block_form(n, 0.0, t)[2]
     for gamma in (0.0, 0.4, 1.0):
-        blocks, _ = _family_evolution(state, gamma, t)
+        blocks = _family_blocks(state, gamma, t)[1]
         trace = np.trace(blocks, axis1=-2, axis2=-1)
         assert abs((trace * mult).sum() - 1.0) < 1e-13
     # unitary limit: 4 t^2 Var(|x|) over the Dicke populations of the state
-    blocks, _ = _family_evolution(state, 0.0, t)
+    blocks = _family_blocks(state, 0.0, t)[1]
     pops, w = np.diagonal(blocks[0]).real, np.arange(n + 1)
     expected = 4.0 * t * t * (pops @ w**2 - (pops @ w) ** 2)
     assert family_qfi(state, DephasingParams(0.3, 0.0, t))[0] == pytest.approx(expected, rel=1e-13)
@@ -286,5 +295,5 @@ def test_family_sld_measurement_attains_dense_qfi():
 )
 def test_family_blocks_stay_positive(n, seed, gamma, t):
     state = SymmetricFamilyState(n, _random_coeffs(np.random.default_rng(seed), n))
-    blocks, _ = _family_evolution(state, gamma, t)
+    blocks = _family_blocks(state, gamma, t)[1]
     assert np.linalg.eigvalsh(blocks).min() >= -1e-10
