@@ -15,7 +15,8 @@ the total-spin sectors j = n/2 - k (Chase & Geremia, PRA 78, 052101 (2008)),
 it is a real, state-independent channel times the outer product of the
 Dicke amplitudes, and its detuning derivative is i times a real rate
 matrix times the blocks. ``_block_form`` builds that channel and rate
-matrix; ``fisher._block_qfi`` multiplies in the amplitudes.
+matrix, ``_channel_rate`` the channel's shot-time derivative for the QFI
+gradient; ``fisher._block_qfi`` multiplies in the amplitudes.
 """
 
 from __future__ import annotations
@@ -131,3 +132,18 @@ def _block_form(n: int, gamma: float, ts):
     decay = p**exponents * (1.0 - p * p) ** levels
     channel = (weights * decay[..., None, :, :, :]).sum(-1)
     return channel, t * (levels - levels[:, None]), mult
+
+
+def _channel_rate(n: int, gamma: float, ts):
+    """dE_k/dt of the channel of ``_block_form``, in its shape: with
+    q = 1 - p^2, d/dt [p^(i+j-2u) q^u] = gamma p^(i+j-2u) (2u p^2 q^(u-1) -
+    (i+j-2u) q^u), weighted and summed within each entry like the channel,
+    so a stacked duration again gives the bits of a single one."""
+    weights, exponents, _ = _block_tables(n)
+    levels = np.arange(n + 1)
+    p = np.exp(-gamma * np.asarray(ts, dtype=float)[..., None, None, None])
+    q = 1.0 - p * p
+    rate = gamma * p**exponents * (
+        2.0 * levels * p * p * q ** np.maximum(levels - 1, 0) - exponents * q**levels
+    )
+    return (weights * rate[..., None, :, :, :]).sum(-1)

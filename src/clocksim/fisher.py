@@ -16,8 +16,9 @@ the multiplicity-weighted sum of the blocks' F_Q, on (n+1) x (n+1) matrices
 instead of 2^n x 2^n ones, and the SLD measurement splits the same way. The
 blocks are real and their derivative is i times a real matrix; F_Q sees only
 |<j| drho |k>|, so one real evaluation, ``_block_qfi``, gives the F_Q of
-``family_qfi``, of the shot-time optimum and of the see-saw's score
-(``_seesaw_maps``), for one state or stacks of states and shot times.
+``family_qfi``, of the shot-time optimum, of the see-saw's score
+(``_seesaw_maps``) and of its gradient in the coefficients and the shot time
+(``_qfi_gradient``), for one state or stacks of states and shot times.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import math
 
 import numpy as np
 
-from .evolution import DephasingParams, _block_form
+from .evolution import DephasingParams, _block_form, _channel_rate
 from .exceptions import NoInformationError, SingularOutcomeError
 from .qstate import SymmetricFamilyState, _dicke_amplitudes
 
@@ -98,6 +99,14 @@ def _sld(vecs, dmat, denom, mask) -> np.ndarray:
     return vecs @ np.where(mask, 2.0 * dmat / denom, 0.0) @ np.swapaxes(vecs.conj(), -1, -2)
 
 
+def _seesaw_matrix(mult, channel, channel_rates2, sld):
+    """M = sum_k mult_k (channel_rates2_k ∘ S_k + channel_k ∘ S_k^2), summed
+    within each lane of a stack: the see-saw's matrix with channel E and
+    channel_rates2 = 2 E ∘ D, and its shot-time derivative at fixed S with
+    dE/dt and 2 d(E ∘ D)/dt."""
+    return (mult[:, None, None] * (channel_rates2 * sld + channel * (sld @ sld))).sum(-3)
+
+
 def _seesaw_maps(n, gamma, ts):
     """``(score, step)`` of the see-saw for the F_Q of family coefficients on
     the lanes of shot times ``ts``: ``score(lanes, a)`` gives the F_Q and the
@@ -116,18 +125,39 @@ def _seesaw_maps(n, gamma, ts):
     channel, rates, mult = _block_form(n, gamma, ts)
     fold = _dicke_amplitudes(n, np.eye(n // 2 + 1))  # P^T
     channel_rates2 = 2.0 * channel * rates
-    weight = mult[:, None, None]
 
     def score(lanes, a):
         fq, _, _, eigdata = _block_qfi(_dicke_amplitudes(n, a), channel[lanes], rates[lanes], mult)
         return fq, _sld(*eigdata)
 
     def step(lanes, a, sld):
-        m = (weight * (channel_rates2[lanes] * sld + channel[lanes] * (sld @ sld))).sum(-3)
+        m = _seesaw_matrix(mult, channel[lanes], channel_rates2[lanes], sld)
         top = np.linalg.eigh(fold @ m @ fold.T)[1][..., -1]
         return np.where((top * a).sum(-1, keepdims=True) >= 0.0, top, -top)
 
     return score, step
+
+
+def _qfi_gradient(n, gamma, a, t):
+    """``(F_Q, grad_a, dF_Q/dt)`` of the unit family coefficients ``a`` at
+    shot time ``t`` > 0: F_Q, its gradient on the unit sphere,
+    2 (P^T M P a - F_Q a), and its shot-time derivative c^T (dM/dt) c.
+
+    F_Q = max_L c^T M(L, t) c is attained at the SLD, so by the envelope
+    theorem both derivatives are those of c^T M c at that fixed S: the
+    see-saw's M and its derivative at fixed S, with dE/dt from
+    ``evolution._channel_rate`` and dD/dt = D/t. No eigensolve is added to
+    the F_Q evaluation.
+    """
+    channel, rates, mult = _block_form(n, gamma, t)
+    dchannel = _channel_rate(n, gamma, t)
+    c = _dicke_amplitudes(n, a)
+    fq, _, _, eigdata = _block_qfi(c, channel, rates, mult)
+    sld = _sld(*eigdata)
+    m = _seesaw_matrix(mult, channel, 2.0 * channel * rates, sld)
+    dm = _seesaw_matrix(mult, dchannel, 2.0 * (dchannel * rates + channel * (rates / t)), sld)
+    fold = _dicke_amplitudes(n, np.eye(n // 2 + 1))  # P^T
+    return fq, 2.0 * (fold @ (m @ c) - fq * a), c @ dm @ c
 
 
 def _outcome_probs(basis: np.ndarray, mat: np.ndarray) -> np.ndarray:

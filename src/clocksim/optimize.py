@@ -4,15 +4,17 @@ improvement-versus-ion-number datasets.
 
 Both coefficient searches are deterministic: they draw no random numbers,
 so identical arguments reproduce identical reports. The gen-Ramsey search
-scans ground states of -S_x + mu S_y^2 over log mu. The QFI search maximizes
-F_Q at each probed shot time by a see-saw over the variational form
-F_Q = max_L [2 Tr(drho L) - Tr(rho L^2)], started from the gen-Ramsey winner,
-and searches the shot time by the routine of ``qfi_shot_optimum``,
-``_shot_time_search``. One see-saw runs on a stack of shot times: each chunk
-of the grid is one stack, each Brent probe a stack of one. Its score and
-step (``fisher._seesaw_maps``), like every shot-time F_Q, come from the one
-block QFI ``fisher._block_qfi``: no 2^n state vector or density matrix is
-built.
+scans ground states of -S_x + mu S_y^2 over log mu. The QFI search runs in
+two stages. First, one see-saw over the variational form
+F_Q = max_L [2 Tr(drho L) - Tr(rho L^2)], stacked over the shot-time grid of
+``qfi_shot_optimum`` and started from the gen-Ramsey winner in every lane,
+raises F_Q at each grid shot time. Then one L-BFGS-B polish over the
+coefficients and the log shot time, started from the best lane and kept
+between its grid neighbours, minimizes t / F_Q with the envelope gradient
+(``fisher._qfi_gradient``); its projected gradient certifies the status.
+The see-saw's score and step and the gradient, like every shot-time F_Q,
+come from the one block QFI ``fisher._block_qfi``: no 2^n state vector or
+density matrix is built.
 """
 
 from __future__ import annotations
@@ -22,12 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.optimize import minimize_scalar
+from scipy.optimize import fmin_l_bfgs_b, minimize_scalar
 
 from .collective import genramsey_opt_uncertainty
 from .exceptions import BracketingError, NoInformationError, SingularPointError
 from .evolution import MAX_BLOCK_QUBITS, _block_form
-from .fisher import QFI_FLOOR, _NO_INFORMATION, _block_qfi, _seesaw_maps
+from .fisher import QFI_FLOOR, _NO_INFORMATION, _block_qfi, _qfi_gradient, _seesaw_maps
 from .qstate import SymmetricFamilyState, _dicke_amplitudes, _dicke_ladder, collective_moments
 from .ramsey import ExperimentBudget, reference_limit, uncertainty_ghz, uncertainty_uncorrelated
 
@@ -57,12 +59,19 @@ _GRID_POINTS = 48
 _STACK_BYTES = 1 << 18
 _LOG_MU_GRID = np.linspace(math.log(1e-4), math.log(1e2), 41)  # best mu: 0.2 to 2.2
 _TOL_X = 1e-9  # Brent tolerance of the log mu and shot-time refinements
-# Relative F_Q rise at which a see-saw stops: loose for the shot-time probes,
-# which only locate the optimum, tight for the winner's coefficients.
-_PROBE_RTOL, _SEESAW_RTOL = 1e-8, 1e-13
-# F_Q evaluations after which a see-saw stops unconverged; at n = 20 the
-# winner's needs about 900 and a probe's median is 20-40.
+# Relative F_Q rise at which a grid lane's see-saw stops: the lanes only
+# pick the start of the polish.
+_LANE_RTOL = 1e-8
+# F_Q evaluations after which a grid lane's see-saw, or the polish, stops
+# unconverged. A lane's median is 20-40; the polish takes 6-90 from n = 2 to
+# n = 20.
 _SEESAW_EVALS = 4000
+# The polish stops when a step lowers log t - log F_Q by at most
+# _FACTR * machine epsilon relative, and certifies its point when the
+# projected gradient is at most _GRAD_TOL: the largest measured over n =
+# 2..20 and gamma in {0.3, 1, 2} was 6.6e-8.
+_FACTR = 10.0
+_GRAD_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -134,18 +143,6 @@ def _shot_grid(n, gamma, total_time):
     return grid, [grid[i : i + chunk] for i in range(0, len(grid), chunk)]
 
 
-def _shot_time_search(n, gamma, total_time, bounds, tol_x=_TOL_X):
-    """(t_opt, value) minimizing ``bounds``, which maps a stack of shot times
-    to the precision bound at each, over ``_shot_grid``: the grid is scored
-    one chunk per call, then refined by ``_refine`` with one-point calls.
-    Raises NoInformationError when no grid shot time carries information."""
-    grid, chunks = _shot_grid(n, gamma, total_time)
-    values = np.concatenate([bounds(ts) for ts in chunks])
-    if not np.isfinite(values).any():
-        raise NoInformationError(_NO_INFORMATION)
-    return _refine(lambda t: bounds(t).item(), grid, values, tol_x)
-
-
 def qfi_shot_optimum(state, gamma, total_time, tol_x=_TOL_X):
     """Shot time minimizing the precision bound 1/sqrt((T/t) F_Q(t)) of the
     SymmetricFamilyState ``state`` (1 <= n <= 20) over
@@ -164,9 +161,14 @@ def qfi_shot_optimum(state, gamma, total_time, tol_x=_TOL_X):
     if not gamma > 0.0:
         raise ValueError(f"dephasing rate must be > 0, got {gamma}")
     n, c = state.n, _dicke_amplitudes(state.n, state.a)
-    fq_at = lambda ts: _block_qfi(c, *_block_form(n, gamma, ts))[0]
-    bounds = lambda ts: _precision_bounds(fq_at(ts), ts, total_time)
-    return _shot_time_search(n, gamma, total_time, bounds, tol_x)
+    bounds = lambda ts: _precision_bounds(
+        _block_qfi(c, *_block_form(n, gamma, ts))[0], ts, total_time
+    )
+    grid, chunks = _shot_grid(n, gamma, total_time)
+    values = np.concatenate([bounds(ts) for ts in chunks])
+    if not np.isfinite(values).any():
+        raise NoInformationError(_NO_INFORMATION)
+    return _refine(lambda t: bounds(t).item(), grid, values, tol_x)
 
 
 def _canonical_method(method: str) -> str:
@@ -205,16 +207,16 @@ def _norms(rows):
     return np.sqrt((rows * rows).sum(-1))
 
 
-def _seesaw(n, gamma, ts, a, rtol):
+def _seesaw(n, gamma, ts, a):
     """Raise the F_Q of the unit coefficient rows ``a``, one lane per shot
     time of ``ts``, by see-saw steps until a cycle raises a lane's F_Q by at
-    most ``rtol`` relative. Returns per-lane arrays (F_Q, a, converged), with
+    most ``_LANE_RTOL`` relative. Returns per-lane arrays (F_Q, a, converged), with
     converged False where ``_SEESAW_EVALS`` evaluations cut a lane short.
 
     Each cycle extrapolates two steps by SQUAREM (Varadhan & Roland, Scand.
     J. Stat. 35, 335 (2008)) and keeps the extrapolated point, after one more
-    step, only where it beats them, so F_Q never falls. Plain steps crawl
-    along flat ridges of F_Q: the n = 20 winner needs about 2200 of them.
+    step, only where it beats them, so F_Q never falls; plain steps crawl
+    along flat ridges of F_Q.
     The lanes still active, neither converged nor out of evaluations, are
     scored and stepped as one stack; a lane's results are the bits it gets
     alone.
@@ -248,34 +250,78 @@ def _seesaw(n, gamma, ts, a, rtol):
         rise = fq2 - fq[active]
         up = rise > 0.0
         fq[active[up]], sld[active[up]], a[active[up]] = fq2[up], sld2[up], a2[up]
-        done = ~(rise > rtol * fq[active])
+        done = ~(rise > _LANE_RTOL * fq[active])
         converged[active[done]] = True
         active = active[~done & (evals[active] < _SEESAW_EVALS)]
     return fq, a, converged
 
 
-def _qfi_search(n, gamma, total_time):
-    """(coefficients, t_opt, delta_omega, converged) of the QFI optimum.
-
-    Each probed shot time runs a see-saw from the gen-Ramsey winner, so a
-    probe is a function of t alone and never scores below that state; the
-    probes run through ``_shot_time_search``, one see-saw stacked over each
-    chunk of its grid and one per Brent probe. The winner's see-saw is rerun to
-    ``_SEESAW_RTOL``, and its |a| (a diagonal +-1 unitary keeps F_Q) is
-    scored by ``qfi_shot_optimum``.
-    """
+def _best_grid_lane(n, gamma, total_time):
+    """``(a, t, fq, bracket)`` of the best lane of one see-saw stacked over
+    ``_shot_grid``, every lane started from the gen-Ramsey winner: its unit
+    coefficients, shot time and F_Q, and the shot times of its grid
+    neighbours. Raises NoInformationError when no lane carries information."""
     a0 = _genramsey_search(n, gamma, total_time)[0]
+    grid, chunks = _shot_grid(n, gamma, total_time)
+    lanes = [_seesaw(n, gamma, ts, np.tile(a0, (ts.size, 1))) for ts in chunks]
+    fq, a, _ = (np.concatenate(parts) for parts in zip(*lanes))
+    values = _precision_bounds(fq, grid, total_time)
+    if not np.isfinite(values).any():
+        raise NoInformationError(_NO_INFORMATION)
+    best = int(np.argmin(values))
+    bracket = (grid[max(best - 1, 0)], grid[min(best + 1, grid.size - 1)])
+    return a[best], grid[best], fq[best], bracket
 
-    def probe(ts, rtol=_PROBE_RTOL):
-        ts = np.atleast_1d(ts)
-        fq, a, converged = _seesaw(n, gamma, ts, np.tile(a0, (ts.size, 1)), rtol)
-        return _precision_bounds(fq, ts, total_time), a, converged
 
-    t_best, _ = _shot_time_search(n, gamma, total_time, lambda ts: probe(ts)[0])
-    _, a, converged = probe(t_best, _SEESAW_RTOL)
-    a = np.abs(a[0])
+def _polish(n, gamma, a, t, fq, bracket):
+    """``(a, t, certified)`` minimizing t / F_Q jointly over the family
+    coefficients and the shot time, from the unit coefficients ``a`` at ``t``
+    with F_Q ``fq``, the shot time kept inside ``bracket``.
+
+    L-BFGS-B runs on x = (a, log t) with the objective log t - log F_Q(a/|a|,
+    t) and the envelope gradient of ``fisher._qfi_gradient``; the objective
+    does not involve the total time, so the bound's 1/sqrt(T) scaling stays
+    exact. ``certified`` holds when the projected gradient at the returned
+    point is at most ``_GRAD_TOL`` and fewer than ``_SEESAW_EVALS``
+    evaluations were spent. A polished point worse than the start is
+    replaced by the start.
+    """
+
+    def objective(x):
+        norm, t = _norms(x[:-1]), math.exp(x[-1])
+        value, grad_a, grad_t = _qfi_gradient(n, gamma, x[:-1] / norm, t)
+        if not value >= QFI_FLOOR:
+            return math.inf, np.zeros_like(x)
+        grad = np.append(-grad_a / (norm * value), 1.0 - t * grad_t / value)
+        return x[-1] - math.log(value), grad
+
+    lo, hi = math.log(bracket[0]), math.log(bracket[1])
+    x0 = np.append(a, math.log(t))
+    bounds = [(None, None)] * a.size + [(lo, hi)]
+    x, f, info = fmin_l_bfgs_b(
+        objective, x0, bounds=bounds, maxfun=_SEESAW_EVALS, factr=_FACTR, pgtol=0.0
+    )
+    grad, evals = info["grad"], info["funcalls"]
+    if not f <= x0[-1] - math.log(fq):
+        x, grad = x0, objective(x0)[1]
+    log_t = x[-1]
+    # the projected gradient of L-BFGS-B: zero along a bound it pushes past
+    projected = np.append(grad[:-1], log_t - min(max(log_t - grad[-1], lo), hi))
+    certified = np.abs(projected).max() <= _GRAD_TOL and evals < _SEESAW_EVALS
+    return x[:-1] / _norms(x[:-1]), math.exp(log_t), bool(certified)
+
+
+def _qfi_search(n, gamma, total_time):
+    """(coefficients, t_opt, delta_omega, certified) of the QFI optimum.
+
+    The best lane of the stacked grid see-saw starts one gradient polish
+    over coefficients and shot time (``_polish``), whose |a| (a diagonal
+    +-1 unitary keeps F_Q) is scored by ``qfi_shot_optimum``.
+    """
+    a, t, certified = _polish(n, gamma, *_best_grid_lane(n, gamma, total_time))
+    a = np.abs(a)
     t_opt, delta_omega = qfi_shot_optimum(SymmetricFamilyState(n, a), gamma, total_time)
-    return a, t_opt, delta_omega, bool(converged[0])
+    return a, t_opt, delta_omega, certified
 
 
 def optimize_symmetric_coeffs(
@@ -286,8 +332,9 @@ def optimize_symmetric_coeffs(
     ``method`` picks the measurement: "gen-ramsey" (also spelled "genramsey")
     uses the collective S_x observable with the analytic optimal shot time,
     "qfi" the optimal projective measurement with the shot time searched
-    numerically. Both return a_k >= 0. A "qfi" report whose final see-saw
-    stopped at its evaluation cap has status "partial".
+    numerically. Both return a_k >= 0. A "qfi" report whose gradient polish
+    reached its evaluation cap, or ended with a projected gradient above its
+    tolerance, has status "partial".
     """
     method = _canonical_method(method)
     lo, hi = ION_RANGE[method]

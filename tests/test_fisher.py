@@ -17,7 +17,7 @@ from clocksim import (
     uniform_coefficients,
 )
 from clocksim.evolution import _block_form
-from clocksim.fisher import _block_qfi, _qfi_core, _seesaw_maps, _sld
+from clocksim.fisher import _block_qfi, _qfi_core, _qfi_gradient, _seesaw_maps, _sld
 from clocksim.qstate import _dicke_amplitudes
 from clocksim.optimize import _precision_bounds
 
@@ -297,3 +297,30 @@ def test_family_blocks_stay_positive(n, seed, gamma, t):
     state = SymmetricFamilyState(n, _random_coeffs(np.random.default_rng(seed), n))
     blocks = _family_blocks(state, gamma, t)[1]
     assert np.linalg.eigvalsh(blocks).min() >= -1e-10
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    n=st.integers(2, 12),
+    seed=st.integers(0, 2**32 - 1),
+    gamma=st.floats(0.05, 2.0),
+    t=st.floats(1e-3, 4.0),
+)
+def test_qfi_gradient_matches_finite_differences(n, seed, gamma, t):
+    # central differences of family_qfi along great circles through a and in t
+    a = _random_coeffs(np.random.default_rng(seed), n)
+    qfi = lambda a, t: family_qfi(SymmetricFamilyState(n, a), DephasingParams(0.0, gamma, t))[0]
+    fq, grad_a, grad_t = _qfi_gradient(n, gamma, a, t)
+    assert fq == pytest.approx(qfi(a, t), rel=1e-14)
+    assert abs(grad_a @ a) <= 1e-12 * fq
+    tangents = np.linalg.svd(np.eye(a.size) - np.outer(a, a))[0][:, :-1].T
+    h = 1e-5
+    fd_a = np.array([
+        (qfi(a * math.cos(h) + v * math.sin(h), t) - qfi(a * math.cos(h) - v * math.sin(h), t))
+        / (2.0 * h)
+        for v in tangents
+    ])
+    assert np.linalg.norm(tangents @ grad_a - fd_a) <= 1e-6 * np.linalg.norm(fd_a)
+    dt = 1e-5 * t
+    fd_t = (qfi(a, t + dt) - qfi(a, t - dt)) / (2.0 * dt)
+    assert grad_t == pytest.approx(fd_t, rel=1e-6)

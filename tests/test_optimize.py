@@ -35,8 +35,9 @@ from clocksim import cli, fisher, optimize
 from clocksim.evolution import MAX_BLOCK_QUBITS
 from clocksim.optimize import (
     ION_RANGE,
-    _PROBE_RTOL,
+    _best_grid_lane,
     _genramsey_search,
+    _polish,
     _seesaw,
     _seesaw_maps,
     _shot_grid,
@@ -232,20 +233,20 @@ def test_stacked_seesaw_lanes_equal_single_lane_runs(monkeypatch, n, cap):
         monkeypatch.setattr(optimize, "_SEESAW_EVALS", cap)
     grid, _ = _shot_grid(n, GAMMA, TOTAL)
     a0 = _genramsey_search(n, GAMMA, TOTAL)[0]
-    fq, a, converged = _seesaw(n, GAMMA, grid, np.tile(a0, (grid.size, 1)), _PROBE_RTOL)
+    fq, a, converged = _seesaw(n, GAMMA, grid, np.tile(a0, (grid.size, 1)))
     if cap is not None:
         assert 0 < converged.sum() < grid.size
     for i in range(grid.size):
-        alone = _seesaw(n, GAMMA, grid[i : i + 1], a0[None], _PROBE_RTOL)
+        alone = _seesaw(n, GAMMA, grid[i : i + 1], a0[None])
         assert alone[0][0] == fq[i]
         assert np.array_equal(alone[1][0], a[i])
         assert alone[2][0] == converged[i]
 
 
 def test_qfi_search_scores_the_grid_as_stacks(monkeypatch):
-    # one see-saw per shot time made 851 _qfi_core calls at n = 3; the
-    # stacked grid and its Brent probes make 190, and the winner's shot-time
-    # optimum a dozen more
+    # one see-saw per shot time made 851 _qfi_core calls at n = 3, and the
+    # stacked grid with Brent probes and a final see-saw 202; the stacked
+    # grid, the gradient polish and the winner's shot-time optimum make 59
     core, calls = fisher._qfi_core, []
 
     def counting(*args):
@@ -255,7 +256,18 @@ def test_qfi_search_scores_the_grid_as_stacks(monkeypatch):
     monkeypatch.setattr(fisher, "_qfi_core", counting)
     rep = optimize_symmetric_coeffs(3, GAMMA, TOTAL, "qfi")
     assert rep.status == "ok"
-    assert 0 < len(calls) <= 300
+    assert 0 < len(calls) <= 100
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 10])
+def test_polish_never_ends_above_the_best_grid_lane(n):
+    a, t, fq, bracket = _best_grid_lane(n, GAMMA, TOTAL)
+    fq_lane = family_qfi(SymmetricFamilyState(n, a), DephasingParams(0.0, GAMMA, t))[0]
+    assert fq == pytest.approx(fq_lane, rel=1e-14)
+    a_pol, t_pol, certified = _polish(n, GAMMA, a, t, fq, bracket)
+    fq_pol = family_qfi(SymmetricFamilyState(n, a_pol), DephasingParams(0.0, GAMMA, t_pol))[0]
+    assert certified and bracket[0] <= t_pol <= bracket[1]
+    assert t_pol / fq_pol <= t / fq_lane
 
 
 @settings(max_examples=15, deadline=None, derandomize=True)
@@ -357,6 +369,9 @@ def _forbid_nelder_mead_and_random_draws(monkeypatch, search):
         raise AssertionError(f"the {search} search ran Nelder-Mead or drew random numbers")
 
     monkeypatch.setattr(scipy.optimize, "minimize", forbidden)
+    # and through any other entry point to scipy's Nelder-Mead
+    monkeypatch.setattr(scipy.optimize._minimize, "_minimize_neldermead", forbidden)
+    monkeypatch.setattr(scipy.optimize._optimize, "_minimize_neldermead", forbidden)
     monkeypatch.setattr(np.random, "SeedSequence", forbidden)
     monkeypatch.setattr(np.random, "default_rng", forbidden)
 
