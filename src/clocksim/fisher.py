@@ -2,13 +2,16 @@
 and the classical Fisher information of the optimal projective measurement
 built from the symmetric logarithmic derivative (SLD).
 
-F_Q = sum over eigenpairs (j, k) of rho with lambda_j + lambda_k > 1e-12 of
-2 |<j| drho |k>|^2 / (lambda_j + lambda_k). The eigenvalue cutoff is
-load-bearing: dephased states are generically rank-deficient and the cutoff
-restricts the sum to the supported subspace. The SLD eigenbasis is the
-projective measurement whose classical Fisher information attains F_Q; the
-precision of any measurement and estimator over nu = T/t repetitions is
-bounded below by 1/sqrt(nu * F_Q).
+F_Q = sum over eigenpairs (j, k) of rho with lambda_j + lambda_k above
+1e-14 times rho's largest eigenvalue of 2 |<j| drho |k>|^2 /
+(lambda_j + lambda_k). The eigenvalue cutoff is load-bearing: dephased
+states are generically rank-deficient and the cutoff restricts the sum to
+the supported subspace. It is relative because F_Q is homogeneous,
+F_Q(c rho, c drho) = c F_Q(rho, drho): a block's scale is the weight its
+sector carries, and an absolute cutoff would drop light sectors that carry
+F_Q. The SLD eigenbasis is the projective measurement whose classical
+Fisher information attains F_Q; the precision of any measurement and
+estimator over nu = T/t repetitions is bounded below by 1/sqrt(nu * F_Q).
 
 A dephased family state and its derivative are block-diagonal on the
 floor(n/2)+1 Schur-Weyl blocks of ``evolution._block_form``, so their F_Q is
@@ -16,9 +19,9 @@ the multiplicity-weighted sum of the blocks' F_Q, on (n+1) x (n+1) matrices
 instead of 2^n x 2^n ones, and the SLD measurement splits the same way. The
 blocks are real and their derivative is i times a real matrix; F_Q sees only
 |<j| drho |k>|, so one real evaluation, ``_block_qfi``, gives the F_Q of
-``family_qfi``, of the shot-time optimum, of the see-saw's score
-(``_seesaw_maps``) and of its gradient in the coefficients and the shot time
-(``_qfi_gradient``), for one state or stacks of states and shot times.
+``family_qfi``, of the shot-time optimum and of its gradient in the
+coefficients and the shot time (``_qfi_gradient``), for one state or stacks
+of states and shot times.
 """
 
 from __future__ import annotations
@@ -38,7 +41,9 @@ __all__ = [
     "qfi_uncertainty",
 ]
 
-EIG_CUTOFF = 1e-12
+# Pairs with lambda_j + lambda_k at most this times the largest eigenvalue of
+# their state are outside its support.
+EIG_CUTOFF = 1e-14
 # F_Q below this carries no information about the detuning
 QFI_FLOOR = 1e-30
 _NO_INFORMATION = "state carries no information about the detuning"
@@ -64,12 +69,14 @@ def _qfi_core(rho: np.ndarray, drho: np.ndarray):
     """F_Q of each state of a stack ``rho`` of shape ``(..., d, d)`` with its
     derivative in ``drho``, together with the eigenbasis data the SLD is built
     from: rho's eigenvectors, drho in that basis, the pair denominators (1
-    outside the support) and the support mask. The derivatives are not
+    outside the support) and the support mask. A state whose largest
+    eigenvalue is not positive has no support. The derivatives are not
     checked here."""
     lam, vecs = np.linalg.eigh(rho)
     dmat = np.swapaxes(vecs.conj(), -1, -2) @ drho @ vecs
     denom = lam[..., :, None] + lam[..., None, :]
-    mask = denom > EIG_CUTOFF
+    top = lam[..., -1:, None]  # eigh sorts ascending
+    mask = (denom > EIG_CUTOFF * top) & (top > 0.0)
     denom = np.where(mask, denom, 1.0)
     terms = np.where(mask, 2.0 * np.abs(dmat) ** 2 / denom, 0.0)
     # Each state's terms are summed as one contiguous row in index order, so
@@ -99,43 +106,12 @@ def _sld(vecs, dmat, denom, mask) -> np.ndarray:
     return vecs @ np.where(mask, 2.0 * dmat / denom, 0.0) @ np.swapaxes(vecs.conj(), -1, -2)
 
 
-def _seesaw_matrix(mult, channel, channel_rates2, sld):
-    """M = sum_k mult_k (channel_rates2_k ∘ S_k + channel_k ∘ S_k^2), summed
-    within each lane of a stack: the see-saw's matrix with channel E and
-    channel_rates2 = 2 E ∘ D, and its shot-time derivative at fixed S with
-    dE/dt and 2 d(E ∘ D)/dt."""
+def _envelope_matrix(mult, channel, channel_rates2, sld):
+    """M = sum_k mult_k (channel_rates2_k ∘ S_k + channel_k ∘ S_k^2): with
+    channel E and channel_rates2 = 2 E ∘ D, the matrix of
+    F_Q = max_L c^T M(L) c at fixed S = L / i; with dE/dt and
+    2 d(E ∘ D)/dt, its shot-time derivative at fixed S."""
     return (mult[:, None, None] * (channel_rates2 * sld + channel * (sld @ sld))).sum(-3)
-
-
-def _seesaw_maps(n, gamma, ts):
-    """``(score, step)`` of the see-saw for the F_Q of family coefficients on
-    the lanes of shot times ``ts``: ``score(lanes, a)`` gives the F_Q and the
-    real SLDs S = L / i of the coefficient rows ``a`` at the lanes indexed by
-    ``lanes``, ``step(lanes, a, sld)`` the unit rows maximizing F_Q at those
-    SLDs.
-
-    At fixed L the form F_Q = max_L [2 Tr(drho L) - Tr(rho L^2)] is c^T M c,
-    c = P a the Dicke amplitudes (P the flip-even isometry), M = sum_k mult_k
-    (2 E_k ∘ D ∘ S_k + E_k ∘ S_k^2), maximized by the top eigenvector of
-    P^T M P, so alternating L and a never lowers F_Q (Macieszczak,
-    arXiv:1312.1356; Demkowicz-Dobrzanski & Maccone, PRL 113, 250801 (2014)).
-    Every sum runs within one lane, so a lane's results do not depend on
-    which lanes share its stack.
-    """
-    channel, rates, mult = _block_form(n, gamma, ts)
-    fold = _dicke_amplitudes(n, np.eye(n // 2 + 1))  # P^T
-    channel_rates2 = 2.0 * channel * rates
-
-    def score(lanes, a):
-        fq, _, _, eigdata = _block_qfi(_dicke_amplitudes(n, a), channel[lanes], rates[lanes], mult)
-        return fq, _sld(*eigdata)
-
-    def step(lanes, a, sld):
-        m = _seesaw_matrix(mult, channel[lanes], channel_rates2[lanes], sld)
-        top = np.linalg.eigh(fold @ m @ fold.T)[1][..., -1]
-        return np.where((top * a).sum(-1, keepdims=True) >= 0.0, top, -top)
-
-    return score, step
 
 
 def _qfi_gradient(n, gamma, a, t):
@@ -143,19 +119,21 @@ def _qfi_gradient(n, gamma, a, t):
     shot time ``t`` > 0: F_Q, its gradient on the unit sphere,
     2 (P^T M P a - F_Q a), and its shot-time derivative c^T (dM/dt) c.
 
-    F_Q = max_L c^T M(L, t) c is attained at the SLD, so by the envelope
-    theorem both derivatives are those of c^T M c at that fixed S: the
-    see-saw's M and its derivative at fixed S, with dE/dt from
-    ``evolution._channel_rate`` and dD/dt = D/t. No eigensolve is added to
-    the F_Q evaluation.
+    F_Q = max_L [2 Tr(drho L) - Tr(rho L^2)] = max_L c^T M(L, t) c, with
+    c = P a the Dicke amplitudes (P the flip-even isometry) and M of
+    ``_envelope_matrix`` (Macieszczak, arXiv:1312.1356; Demkowicz-Dobrzanski
+    & Maccone, PRL 113, 250801 (2014)), is attained at the SLD, so by the
+    envelope theorem both derivatives are those of c^T M c at that fixed S,
+    with dE/dt from ``evolution._channel_rate`` and dD/dt = D/t. No
+    eigensolve is added to the F_Q evaluation.
     """
     channel, rates, mult = _block_form(n, gamma, t)
     dchannel = _channel_rate(n, gamma, t)
     c = _dicke_amplitudes(n, a)
     fq, _, _, eigdata = _block_qfi(c, channel, rates, mult)
     sld = _sld(*eigdata)
-    m = _seesaw_matrix(mult, channel, 2.0 * channel * rates, sld)
-    dm = _seesaw_matrix(mult, dchannel, 2.0 * (dchannel * rates + channel * (rates / t)), sld)
+    m = _envelope_matrix(mult, channel, 2.0 * channel * rates, sld)
+    dm = _envelope_matrix(mult, dchannel, 2.0 * (dchannel * rates + channel * (rates / t)), sld)
     fold = _dicke_amplitudes(n, np.eye(n // 2 + 1))  # P^T
     return fq, 2.0 * (fold @ (m @ c) - fq * a), c @ dm @ c
 

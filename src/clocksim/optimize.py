@@ -4,17 +4,13 @@ improvement-versus-ion-number datasets.
 
 Both coefficient searches are deterministic: they draw no random numbers,
 so identical arguments reproduce identical reports. The gen-Ramsey search
-scans ground states of -S_x + mu S_y^2 over log mu. The QFI search runs in
-two stages. First, one see-saw over the variational form
-F_Q = max_L [2 Tr(drho L) - Tr(rho L^2)], stacked over the shot-time grid of
-``qfi_shot_optimum`` and started from the gen-Ramsey winner in every lane,
-raises F_Q at each grid shot time. Then one L-BFGS-B polish over the
-coefficients and the log shot time, started from the best lane and kept
-between its grid neighbours, minimizes t / F_Q with the envelope gradient
-(``fisher._qfi_gradient``); its projected gradient certifies the status.
-The see-saw's score and step and the gradient, like every shot-time F_Q,
-come from the one block QFI ``fisher._block_qfi``: no 2^n state vector or
-density matrix is built.
+scans ground states of -S_x + mu S_y^2 over log mu. The QFI search starts
+from that winner at its shot time and runs one L-BFGS-B polish over the
+coefficients and the log shot time, across the whole shot-time bracket,
+minimizing t / F_Q with the envelope gradient (``fisher._qfi_gradient``);
+its projected gradient certifies the status, and its own t and F_Q are
+reported. The gradient, like every shot-time F_Q, comes from the one block
+QFI ``fisher._block_qfi``: no 2^n state vector or density matrix is built.
 """
 
 from __future__ import annotations
@@ -29,7 +25,7 @@ from scipy.optimize import fmin_l_bfgs_b, minimize_scalar
 from .collective import genramsey_opt_uncertainty
 from .exceptions import BracketingError, NoInformationError, SingularPointError
 from .evolution import MAX_BLOCK_QUBITS, _block_form
-from .fisher import QFI_FLOOR, _NO_INFORMATION, _block_qfi, _qfi_gradient, _seesaw_maps
+from .fisher import QFI_FLOOR, _NO_INFORMATION, _block_qfi, _qfi_gradient
 from .qstate import SymmetricFamilyState, _dicke_amplitudes, _dicke_ladder, collective_moments
 from .ramsey import ExperimentBudget, reference_limit, uncertainty_ghz, uncertainty_uncorrelated
 
@@ -53,19 +49,15 @@ ION_RANGE = {"gen-ramsey": (2, 1000), "qfi": (2, MAX_BLOCK_QUBITS)}
 
 _GRID_POINTS = 48
 # Bytes of one stacked (chunk, K, n+1, n+1) block array and its derivative
-# in the shot-time grid, for F_Q and for see-saw lanes alike: the whole grid
-# in one chunk up to n = 7, three points per chunk at n = 20, where the
+# in the presampling grid of ``qfi_shot_optimum``: the whole grid in one
+# chunk up to n = 7, three shot times per chunk at n = 20, where the
 # (n+1)-fold larger temporaries of the block weights then stay near 2.4 MB.
 _STACK_BYTES = 1 << 18
 _LOG_MU_GRID = np.linspace(math.log(1e-4), math.log(1e2), 41)  # best mu: 0.2 to 2.2
 _TOL_X = 1e-9  # Brent tolerance of the log mu and shot-time refinements
-# Relative F_Q rise at which a grid lane's see-saw stops: the lanes only
-# pick the start of the polish.
-_LANE_RTOL = 1e-8
-# F_Q evaluations after which a grid lane's see-saw, or the polish, stops
-# unconverged. A lane's median is 20-40; the polish takes 6-90 from n = 2 to
-# n = 20.
-_SEESAW_EVALS = 4000
+# F_Q evaluations after which the polish stops unconverged; it takes about
+# 10 at n = 2..3 and 90 at n = 20.
+_POLISH_EVALS = 4000
 # The polish stops when a step lowers log t - log F_Q by at most
 # _FACTR * machine epsilon relative, and certifies its point when the
 # projected gradient is at most _GRAD_TOL: the largest measured over n =
@@ -134,11 +126,15 @@ def _precision_bounds(fq, ts, total_time):
     return np.where(fq >= QFI_FLOOR, bounds, math.inf)
 
 
+def _shot_bracket(gamma, total_time):
+    """The shot times (1e-4/gamma, min(T, 8/gamma)) both QFI searches cover."""
+    return 1e-4 / gamma, min(total_time, 8.0 / gamma)
+
+
 def _shot_grid(n, gamma, total_time):
-    """The presampling grid of shot times over (1e-4/gamma, min(T, 8/gamma))
-    and its split into chunks of at most ``_STACK_BYTES`` of stacked n-ion
-    blocks."""
-    grid = _geometric_grid((1e-4 / gamma, min(total_time, 8.0 / gamma)))
+    """The presampling grid of shot times over ``_shot_bracket`` and its
+    split into chunks of at most ``_STACK_BYTES`` of stacked n-ion blocks."""
+    grid = _geometric_grid(_shot_bracket(gamma, total_time))
     chunk = max(1, _STACK_BYTES // (16 * (n // 2 + 1) * (n + 1) ** 2))
     return grid, [grid[i : i + chunk] for i in range(0, len(grid), chunk)]
 
@@ -207,121 +203,61 @@ def _norms(rows):
     return np.sqrt((rows * rows).sum(-1))
 
 
-def _seesaw(n, gamma, ts, a):
-    """Raise the F_Q of the unit coefficient rows ``a``, one lane per shot
-    time of ``ts``, by see-saw steps until a cycle raises a lane's F_Q by at
-    most ``_LANE_RTOL`` relative. Returns per-lane arrays (F_Q, a, converged), with
-    converged False where ``_SEESAW_EVALS`` evaluations cut a lane short.
-
-    Each cycle extrapolates two steps by SQUAREM (Varadhan & Roland, Scand.
-    J. Stat. 35, 335 (2008)) and keeps the extrapolated point, after one more
-    step, only where it beats them, so F_Q never falls; plain steps crawl
-    along flat ridges of F_Q.
-    The lanes still active, neither converged nor out of evaluations, are
-    scored and stepped as one stack; a lane's results are the bits it gets
-    alone.
-    """
-    score, step = _seesaw_maps(n, gamma, ts)
-    a = np.array(a, dtype=float)
-    fq, sld = score(slice(None), a)
-    evals = np.ones(len(a), dtype=int)
-    converged = np.zeros(len(a), dtype=bool)
-    active = np.flatnonzero(evals < _SEESAW_EVALS)
-    while active.size:
-        a0 = a[active]
-        a1 = step(active, a0, sld[active])
-        a2 = step(active, a1, score(active, a1)[1])
-        fq2, sld2 = score(active, a2)
-        evals[active] += 2
-        r, v = a1 - a0, a2 - 2.0 * a1 + a0
-        norm_r, norm_v = _norms(r), _norms(v)
-        extrapolate = np.flatnonzero((0.0 < norm_v) & (norm_v < norm_r))
-        if extrapolate.size:
-            lanes = active[extrapolate]
-            alpha = (norm_r[extrapolate] / norm_v[extrapolate])[:, None]
-            x = a0[extrapolate] + 2.0 * alpha * r[extrapolate] + alpha * alpha * v[extrapolate]
-            x /= _norms(x)[:, None]
-            x = step(lanes, x, score(lanes, x)[1])
-            fqx, sldx = score(lanes, x)
-            evals[lanes] += 2
-            wins = fqx > fq2[extrapolate]
-            better = extrapolate[wins]
-            fq2[better], sld2[better], a2[better] = fqx[wins], sldx[wins], x[wins]
-        rise = fq2 - fq[active]
-        up = rise > 0.0
-        fq[active[up]], sld[active[up]], a[active[up]] = fq2[up], sld2[up], a2[up]
-        done = ~(rise > _LANE_RTOL * fq[active])
-        converged[active[done]] = True
-        active = active[~done & (evals[active] < _SEESAW_EVALS)]
-    return fq, a, converged
-
-
-def _best_grid_lane(n, gamma, total_time):
-    """``(a, t, fq, bracket)`` of the best lane of one see-saw stacked over
-    ``_shot_grid``, every lane started from the gen-Ramsey winner: its unit
-    coefficients, shot time and F_Q, and the shot times of its grid
-    neighbours. Raises NoInformationError when no lane carries information."""
-    a0 = _genramsey_search(n, gamma, total_time)[0]
-    grid, chunks = _shot_grid(n, gamma, total_time)
-    lanes = [_seesaw(n, gamma, ts, np.tile(a0, (ts.size, 1))) for ts in chunks]
-    fq, a, _ = (np.concatenate(parts) for parts in zip(*lanes))
-    values = _precision_bounds(fq, grid, total_time)
-    if not np.isfinite(values).any():
-        raise NoInformationError(_NO_INFORMATION)
-    best = int(np.argmin(values))
-    bracket = (grid[max(best - 1, 0)], grid[min(best + 1, grid.size - 1)])
-    return a[best], grid[best], fq[best], bracket
-
-
-def _polish(n, gamma, a, t, fq, bracket):
-    """``(a, t, certified)`` minimizing t / F_Q jointly over the family
-    coefficients and the shot time, from the unit coefficients ``a`` at ``t``
-    with F_Q ``fq``, the shot time kept inside ``bracket``.
+def _polish(n, gamma, a, t, bracket):
+    """``(a, t, F_Q, certified)`` minimizing t / F_Q jointly over the family
+    coefficients and the shot time, from the unit coefficients ``a`` at
+    ``t``, the shot time kept inside ``bracket``.
 
     L-BFGS-B runs on x = (a, log t) with the objective log t - log F_Q(a/|a|,
     t) and the envelope gradient of ``fisher._qfi_gradient``; the objective
     does not involve the total time, so the bound's 1/sqrt(T) scaling stays
     exact. ``certified`` holds when the projected gradient at the returned
-    point is at most ``_GRAD_TOL`` and fewer than ``_SEESAW_EVALS``
+    point is at most ``_GRAD_TOL`` and fewer than ``_POLISH_EVALS``
     evaluations were spent. A polished point worse than the start is
     replaced by the start.
     """
+    scored = {}  # (objective, F_Q, gradient) of each evaluated x, by its bytes
 
     def objective(x):
         norm, t = _norms(x[:-1]), math.exp(x[-1])
         value, grad_a, grad_t = _qfi_gradient(n, gamma, x[:-1] / norm, t)
-        if not value >= QFI_FLOOR:
-            return math.inf, np.zeros_like(x)
-        grad = np.append(-grad_a / (norm * value), 1.0 - t * grad_t / value)
-        return x[-1] - math.log(value), grad
+        if value >= QFI_FLOOR:
+            grad = np.append(-grad_a / (norm * value), 1.0 - t * grad_t / value)
+            scored[x.tobytes()] = x[-1] - math.log(value), value, grad
+        else:
+            scored[x.tobytes()] = math.inf, value, np.zeros_like(x)
+        return scored[x.tobytes()][::2]
 
     lo, hi = math.log(bracket[0]), math.log(bracket[1])
     x0 = np.append(a, math.log(t))
     bounds = [(None, None)] * a.size + [(lo, hi)]
-    x, f, info = fmin_l_bfgs_b(
-        objective, x0, bounds=bounds, maxfun=_SEESAW_EVALS, factr=_FACTR, pgtol=0.0
+    x, _, info = fmin_l_bfgs_b(
+        objective, x0, bounds=bounds, maxfun=_POLISH_EVALS, factr=_FACTR, pgtol=0.0
     )
-    grad, evals = info["grad"], info["funcalls"]
-    if not f <= x0[-1] - math.log(fq):
-        x, grad = x0, objective(x0)[1]
+    f, fq, grad = scored[x.tobytes()]
+    if not f <= scored[x0.tobytes()][0]:
+        x, (_, fq, grad) = x0, scored[x0.tobytes()]
     log_t = x[-1]
     # the projected gradient of L-BFGS-B: zero along a bound it pushes past
     projected = np.append(grad[:-1], log_t - min(max(log_t - grad[-1], lo), hi))
-    certified = np.abs(projected).max() <= _GRAD_TOL and evals < _SEESAW_EVALS
-    return x[:-1] / _norms(x[:-1]), math.exp(log_t), bool(certified)
+    certified = np.abs(projected).max() <= _GRAD_TOL and info["funcalls"] < _POLISH_EVALS
+    return x[:-1] / _norms(x[:-1]), math.exp(log_t), fq, bool(certified)
 
 
 def _qfi_search(n, gamma, total_time):
     """(coefficients, t_opt, delta_omega, certified) of the QFI optimum.
 
-    The best lane of the stacked grid see-saw starts one gradient polish
-    over coefficients and shot time (``_polish``), whose |a| (a diagonal
-    +-1 unitary keeps F_Q) is scored by ``qfi_shot_optimum``.
+    One gradient polish over coefficients and shot time (``_polish``) starts
+    from the gen-Ramsey winner at its shot time, clipped into the shot-time
+    bracket, and may move across the whole bracket. Its |a| (a diagonal +-1
+    unitary keeps F_Q), t and F_Q are the result.
     """
-    a, t, certified = _polish(n, gamma, *_best_grid_lane(n, gamma, total_time))
-    a = np.abs(a)
-    t_opt, delta_omega = qfi_shot_optimum(SymmetricFamilyState(n, a), gamma, total_time)
-    return a, t_opt, delta_omega, certified
+    a0, gen = _genramsey_search(n, gamma, total_time)
+    lo, hi = _shot_bracket(gamma, total_time)
+    a, t, fq, certified = _polish(n, gamma, a0, min(max(gen.t_opt, lo), hi), (lo, hi))
+    if not fq >= QFI_FLOOR:
+        raise NoInformationError(_NO_INFORMATION)
+    return np.abs(a), t, math.sqrt(t / (total_time * fq)), certified
 
 
 def optimize_symmetric_coeffs(

@@ -185,7 +185,7 @@ def test_optimize_qfi_ignores_seed_and_restarts(capsys):
 
 
 def test_optimize_reports_partial_search_and_exits_0(tmp_path, monkeypatch):
-    monkeypatch.setattr(optimize, "_SEESAW_EVALS", 1)
+    monkeypatch.setattr(optimize, "_POLISH_EVALS", 1)
     csv_out, json_out = tmp_path / "opt.csv", tmp_path / "opt.json"
     argv = ["optimize", "--method", "qfi", "--n-min", "2", "--n-max", "2"]
     assert main(argv + ["--out", str(csv_out)]) == 0

@@ -17,7 +17,7 @@ from clocksim import (
     uniform_coefficients,
 )
 from clocksim.evolution import _block_form
-from clocksim.fisher import _block_qfi, _qfi_core, _qfi_gradient, _seesaw_maps, _sld
+from clocksim.fisher import _block_qfi, _qfi_core, _qfi_gradient, _sld
 from clocksim.qstate import _dicke_amplitudes
 from clocksim.optimize import _precision_bounds
 
@@ -250,13 +250,19 @@ def test_stacked_block_qfi_equals_single_shot_time():
     state = SymmetricFamilyState(7, _random_coeffs(np.random.default_rng(7), 7))
     ts = np.geomspace(1e-4, 8.0, 48)
     stacked = _family_blocks(state, 1.0, ts)[0]
-    # the see-saw scores the same rows through the same kernel
-    score = _seesaw_maps(state.n, 1.0, ts)[0]
-    seesaw = score(np.arange(ts.size), np.tile(state.a, (ts.size, 1)))[0]
     for k, t in enumerate(ts):
         assert stacked[k] == _family_blocks(state, 1.0, t)[0]
         assert stacked[k] == family_qfi(state, DephasingParams(0.3, 1.0, t))[0]
-        assert seesaw[k] == stacked[k]
+
+
+@pytest.mark.parametrize("t", [0.3, 0.5])
+def test_product_state_qfi_at_the_cap(t):
+    # n t^2 e^(-2 gamma t): the cutoff, relative to each block's largest
+    # eigenvalue, keeps the light sectors that carry F_Q
+    n, gamma = 20, 1.0
+    state = SymmetricFamilyState(n, uniform_coefficients(n))
+    fq = family_qfi(state, DephasingParams(0.0, gamma, t))[0]
+    assert fq == pytest.approx(n * t * t * math.exp(-2.0 * gamma * t), rel=1e-12)
 
 
 def test_block_identities_at_the_cap():

@@ -33,15 +33,7 @@ from clocksim import (
 import clocksim
 from clocksim import cli, fisher, optimize
 from clocksim.evolution import MAX_BLOCK_QUBITS
-from clocksim.optimize import (
-    ION_RANGE,
-    _best_grid_lane,
-    _genramsey_search,
-    _polish,
-    _seesaw,
-    _seesaw_maps,
-    _shot_grid,
-)
+from clocksim.optimize import ION_RANGE, _genramsey_search, _polish, _shot_bracket
 from reference import (
     dense_qfi_shot_optimum,
     density,
@@ -201,52 +193,9 @@ def test_qfi_search_reaches_nelder_mead_oracle(n):
     assert rep.improvement_pct >= gen.improvement_pct - 1e-6
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
-@given(
-    n=st.integers(2, 12),
-    seed=st.integers(0, 2**32 - 1),
-    gamma=st.floats(0.05, 2.0),
-    t=st.floats(1e-3, 4.0),
-)
-def test_seesaw_step_never_lowers_qfi(n, seed, gamma, t):
-    # four lanes at shot times up to t, each with its own random coefficients
-    rng = np.random.default_rng(seed)
-    ts = t * np.geomspace(0.125, 1.0, 4)
-    a = rng.normal(size=(ts.size, n // 2 + 1))
-    a /= np.linalg.norm(a, axis=1, keepdims=True)
-    lanes = np.arange(ts.size)
-    score, step = _seesaw_maps(n, gamma, ts)
-    fq, sld = score(lanes, a)
-    for _ in range(3):
-        a = step(lanes, a, sld)
-        assert np.linalg.norm(a, axis=1) == pytest.approx(np.ones(ts.size), abs=1e-12)
-        fq_next, sld = score(lanes, a)
-        assert np.all(fq_next >= fq * (1.0 - 1e-12))
-        fq = fq_next
-
-
-@pytest.mark.parametrize("cap", [None, 9])
-@pytest.mark.parametrize("n", [2, 3, 5, 7, 10])
-def test_stacked_seesaw_lanes_equal_single_lane_runs(monkeypatch, n, cap):
-    # with cap 9 some lanes stop at the evaluation cap and others converge
-    if cap is not None:
-        monkeypatch.setattr(optimize, "_SEESAW_EVALS", cap)
-    grid, _ = _shot_grid(n, GAMMA, TOTAL)
-    a0 = _genramsey_search(n, GAMMA, TOTAL)[0]
-    fq, a, converged = _seesaw(n, GAMMA, grid, np.tile(a0, (grid.size, 1)))
-    if cap is not None:
-        assert 0 < converged.sum() < grid.size
-    for i in range(grid.size):
-        alone = _seesaw(n, GAMMA, grid[i : i + 1], a0[None])
-        assert alone[0][0] == fq[i]
-        assert np.array_equal(alone[1][0], a[i])
-        assert alone[2][0] == converged[i]
-
-
-def test_qfi_search_scores_the_grid_as_stacks(monkeypatch):
-    # one see-saw per shot time made 851 _qfi_core calls at n = 3, and the
-    # stacked grid with Brent probes and a final see-saw 202; the stacked
-    # grid, the gradient polish and the winner's shot-time optimum make 59
+def test_qfi_search_makes_few_core_calls(monkeypatch):
+    # the polish from the gen-Ramsey winner makes 9 calls at n = 3 and 88 at
+    # n = 20; a shot-time grid scored before it would cost far more
     core, calls = fisher._qfi_core, []
 
     def counting(*args):
@@ -254,20 +203,38 @@ def test_qfi_search_scores_the_grid_as_stacks(monkeypatch):
         return core(*args)
 
     monkeypatch.setattr(fisher, "_qfi_core", counting)
-    rep = optimize_symmetric_coeffs(3, GAMMA, TOTAL, "qfi")
-    assert rep.status == "ok"
-    assert 0 < len(calls) <= 100
+    for n, cap in ((3, 30), (20, 150)):
+        calls.clear()
+        rep = optimize_symmetric_coeffs(n, GAMMA, TOTAL, "qfi")
+        assert rep.status == "ok"
+        assert 0 < len(calls) <= cap
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 10])
 def test_polish_never_ends_above_the_best_grid_lane(n):
-    a, t, fq, bracket = _best_grid_lane(n, GAMMA, TOTAL)
-    fq_lane = family_qfi(SymmetricFamilyState(n, a), DephasingParams(0.0, GAMMA, t))[0]
-    assert fq == pytest.approx(fq_lane, rel=1e-14)
-    a_pol, t_pol, certified = _polish(n, GAMMA, a, t, fq, bracket)
-    fq_pol = family_qfi(SymmetricFamilyState(n, a_pol), DephasingParams(0.0, GAMMA, t_pol))[0]
+    # the polish starts from the gen-Ramsey winner at its closed-form shot time
+    a, gen = _genramsey_search(n, GAMMA, TOTAL)
+    bracket = _shot_bracket(GAMMA, TOTAL)
+    fq = family_qfi(SymmetricFamilyState(n, a), DephasingParams(0.0, GAMMA, gen.t_opt))[0]
+    a_pol, t_pol, fq_pol, certified = _polish(n, GAMMA, a, gen.t_opt, bracket)
+    fq_family = family_qfi(SymmetricFamilyState(n, a_pol), DephasingParams(0.0, GAMMA, t_pol))[0]
+    assert fq_pol == pytest.approx(fq_family, rel=1e-13)
     assert certified and bracket[0] <= t_pol <= bracket[1]
-    assert t_pol / fq_pol <= t / fq_lane
+    assert t_pol / fq_pol <= gen.t_opt / fq
+
+
+@pytest.mark.parametrize("gamma, total", [(1.0, 100.0), (1.0, 0.6), (0.3, 50.0)])
+@pytest.mark.parametrize("n", [2, 5, 10, 20])
+def test_qfi_report_is_its_own_shot_time_optimum(n, gamma, total):
+    # delta_omega is the polish's own bound at t_opt, and the shot-time
+    # search on the reported coefficients lands on the same optimum
+    rep = optimize_symmetric_coeffs(n, gamma, total, "qfi")
+    state = SymmetricFamilyState(n, rep.best_coeffs)
+    fq = family_qfi(state, DephasingParams(0.0, gamma, rep.t_opt))[0]
+    assert rep.delta_omega == pytest.approx(math.sqrt(rep.t_opt / (total * fq)), rel=1e-13)
+    t_opt, delta_omega = qfi_shot_optimum(state, gamma, total)
+    assert delta_omega == pytest.approx(rep.delta_omega, rel=1e-12)
+    assert t_opt == pytest.approx(rep.t_opt, rel=1e-6)
 
 
 @settings(max_examples=15, deadline=None, derandomize=True)
@@ -393,7 +360,7 @@ def test_qfi_search_runs_no_nelder_mead_and_draws_nothing(monkeypatch):
 
 
 def test_qfi_search_at_its_evaluation_cap_reports_partial(monkeypatch):
-    monkeypatch.setattr(optimize, "_SEESAW_EVALS", 1)
+    monkeypatch.setattr(optimize, "_POLISH_EVALS", 1)
     rep = optimize_symmetric_coeffs(3, GAMMA, TOTAL, "qfi")
     assert rep.status == "partial"
     # with no step taken the search still scores the gen-Ramsey winner
