@@ -10,6 +10,7 @@ optimization failure. On exit 2 no output file is created.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -118,6 +119,8 @@ def _warn(message) -> None:
     print(f"clocksim: warning: {message}", file=sys.stderr)
 
 
+# parse_args keeps no state between calls, so one parser serves every main call
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="clocksim",

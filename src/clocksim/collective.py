@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 from scipy.special import lambertw
 
 from .exceptions import DegenerateStateError
@@ -30,25 +31,53 @@ __all__ = [
 _ZERO_TOL = 1e-12
 
 
+def _topt_rows(sy_var, n, gamma):
+    """Optimal shot durations for an array of initial S_y variances: the
+    unique positive root of n * [1 + (2 gamma t - 1) e^{2 gamma t}] = Var S_y,
+    in closed form t_opt = (1 + W0((Var S_y/n - 1)/e)) / (2 gamma) with W0
+    the principal branch of the Lambert W function. W0 loses digits near its
+    branch point (small Var S_y/n), so one Newton step on the residual,
+    written with expm1 to avoid cancellation, polishes x = 2 gamma t_opt.
+    Every operation is elementwise, so an entry gives the same bits alone as
+    in an array. Raises DegenerateStateError when any variance is <= 1e-12."""
+    bad = sy_var <= _ZERO_TOL
+    if bad.any():
+        raise DegenerateStateError(f"initial S_y variance must be > 0, got {sy_var[bad][0]:.17g}")
+    ratio = sy_var / n
+    x = 1.0 + lambertw((ratio - 1.0) / math.e).real
+    em1 = np.expm1(x)  # 1 + (x - 1) e^x = x em1 - (em1 - x)
+    x = x - (x * em1 - (em1 - x) - ratio) / (x * np.exp(x))
+    return x / (2.0 * gamma)
+
+
+def _genramsey_rows(sx_mean, sy_var, n, total_time, gamma):
+    """``(t_opt, delta_omega)`` arrays of the best-case gen-Ramsey precision
+    sqrt(2 n gamma e^{2 gamma t_opt} / (T <S_x(0)>^2)) at delta*t = pi/2,
+    for arrays of initial <S_x> and Var S_y, elementwise like ``_topt_rows``.
+    Raises DegenerateStateError when any |<S_x>| is below 1e-12 or any
+    variance is at most 1e-12, and ValueError when any t_opt exceeds T."""
+    if (np.abs(sx_mean) < _ZERO_TOL).any():
+        raise DegenerateStateError("mean collective signal <S_x(0)> is zero")
+    t_opt = _topt_rows(sy_var, n, gamma)
+    late = t_opt > total_time
+    if late.any():
+        raise ValueError(f"optimal shot {float(t_opt[late][0])} exceeds total time {total_time}")
+    delta_omega = np.sqrt(
+        2.0 * n * gamma * np.exp(2.0 * gamma * t_opt) / (total_time * sx_mean**2)
+    )
+    return t_opt, delta_omega
+
+
 def solve_topt(m0: CollectiveMoments, n: int, gamma: float) -> float:
     """Optimal shot duration: the unique positive root of
     n * [1 + (2 gamma t - 1) e^{2 gamma t}] = Var S_y(t=0), in closed form
-    t_opt = (1 + W0((Var S_y/n - 1)/e)) / (2 gamma) with W0 the principal
-    branch of the Lambert W function. W0 loses digits near its branch point
-    (small Var S_y/n), so one Newton step on the residual, written with expm1
-    to avoid cancellation, polishes x = 2 gamma t_opt."""
+    t_opt = (1 + W0((Var S_y/n - 1)/e)) / (2 gamma) polished by one Newton
+    step (``_topt_rows``)."""
     if n != m0.n:
         raise ValueError(f"ion count {n} != moment ion count {m0.n}")
     if not gamma > 0.0:
         raise ValueError(f"dephasing rate must be > 0, got {gamma}")
-    sy_var = m0.sy_variance()
-    if sy_var <= _ZERO_TOL:
-        raise DegenerateStateError(f"initial S_y variance must be > 0, got {sy_var:.17g}")
-    ratio = sy_var / n
-    x = 1.0 + float(lambertw((ratio - 1.0) / math.e).real)
-    em1 = math.expm1(x)  # 1 + (x - 1) e^x = x em1 - (em1 - x)
-    x -= (x * em1 - (em1 - x) - ratio) / (x * math.exp(x))
-    return x / (2.0 * gamma)
+    return float(_topt_rows(np.array([m0.sy_variance()]), n, gamma)[0])
 
 
 def genramsey_opt_uncertainty(
@@ -57,8 +86,8 @@ def genramsey_opt_uncertainty(
     """Best-case generalized-Ramsey precision at delta*t = pi/2.
 
     sqrt(2 n gamma e^{2 gamma t_opt} / (T <S_x(0)>^2)) with t_opt from
-    ``solve_topt``. Requires T >= tau_dec/2; shorter experiments fall in a
-    regime the optimized formulas do not cover.
+    ``solve_topt``, both from ``_genramsey_rows``. Requires T >= tau_dec/2;
+    shorter experiments fall in a regime the optimized formulas do not cover.
     """
     if n != m0.n:
         raise ValueError(f"ion count {n} != moment ion count {m0.n}")
@@ -68,13 +97,11 @@ def genramsey_opt_uncertainty(
         raise ValueError(
             f"total time {total_time} below tau_dec/2 = {0.5 / gamma}; optimum not attainable"
         )
-    if abs(m0.sx_mean) < _ZERO_TOL:
-        raise DegenerateStateError("mean collective signal <S_x(0)> is zero")
-    t_opt = solve_topt(m0, n, gamma)
-    if t_opt > total_time:
-        raise ValueError(f"optimal shot {t_opt} exceeds total time {total_time}")
-    delta_omega = math.sqrt(
-        2.0 * n * gamma * math.exp(2.0 * gamma * t_opt) / (total_time * m0.sx_mean**2)
+    t_opt, delta_omega = (
+        float(v[0])
+        for v in _genramsey_rows(
+            np.array([m0.sx_mean]), np.array([m0.sy_variance()]), n, total_time, gamma
+        )
     )
     ref = reference_limit(n, total_time, gamma)
     return PrecisionResult(

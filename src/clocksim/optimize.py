@@ -4,13 +4,17 @@ improvement-versus-ion-number datasets.
 
 Both coefficient searches are deterministic: they draw no random numbers,
 so identical arguments reproduce identical reports. The gen-Ramsey search
-scans ground states of -S_x + mu S_y^2 over log mu. The QFI search starts
-from that winner at its shot time and runs one L-BFGS-B polish over the
-coefficients and the log shot time, across the whole shot-time bracket,
-minimizing t / F_Q with the envelope gradient (``fisher._qfi_gradient``);
-its projected gradient certifies the status, and its own t and F_Q are
-reported. The gradient, like every shot-time F_Q, comes from the one block
-QFI ``fisher._block_qfi``: no 2^n state vector or density matrix is built.
+scans ground states of -S_x + mu S_y^2 over log mu, on the flip-even sector
+of the n//2+1 family coefficients: the log mu grid is one stacked ``eigh``
+per chunk, scored as one array, and each Brent probe a one-lane stack. The
+QFI search starts from that winner at its shot time and runs one L-BFGS-B
+polish over the coefficients and the log shot time, across the whole
+shot-time bracket, minimizing t / F_Q with the envelope gradient
+(``fisher._qfi_gradient``); its projected gradient certifies the status,
+and its own t and F_Q are reported. A sweep over n runs the gen-Ramsey
+search once per n, whichever methods it reports. The gradient, like every
+shot-time F_Q, comes from the one block QFI ``fisher._block_qfi``: no 2^n
+state vector or density matrix is built.
 """
 
 from __future__ import annotations
@@ -19,14 +23,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
 from scipy.optimize import fmin_l_bfgs_b, minimize_scalar
 
-from .collective import genramsey_opt_uncertainty
+from .collective import _genramsey_rows
 from .exceptions import BracketingError, NoInformationError, SingularPointError
 from .evolution import MAX_BLOCK_QUBITS, _block_form
 from .fisher import QFI_FLOOR, _NO_INFORMATION, _block_qfi, _qfi_gradient
-from .qstate import SymmetricFamilyState, _dicke_amplitudes, _dicke_ladder, collective_moments
+from .qstate import SymmetricFamilyState, _dicke_amplitudes, _dicke_ladder, _moment_rows
 from .ramsey import ExperimentBudget, reference_limit, uncertainty_ghz, uncertainty_uncorrelated
 
 __all__ = [
@@ -43,15 +46,18 @@ __all__ = [
 
 METHODS = ("gen-ramsey", "qfi")
 # Smallest and largest ion number each coefficient search accepts. The
-# gen-Ramsey end is set by (n+1)-level eigensolves; the qfi end is that of the
-# block QFI.
+# gen-Ramsey end is set by its (n//2+1)-level flip-even eigensolves, O(n^3)
+# each; the qfi end is that of the block QFI.
 ION_RANGE = {"gen-ramsey": (2, 1000), "qfi": (2, MAX_BLOCK_QUBITS)}
 
 _GRID_POINTS = 48
-# Bytes of one stacked (chunk, K, n+1, n+1) block array and its derivative
-# in the presampling grid of ``qfi_shot_optimum``: the whole grid in one
-# chunk up to n = 7, three shot times per chunk at n = 20, where the
-# (n+1)-fold larger temporaries of the block weights then stay near 2.4 MB.
+# Bytes of one chunk of a stacked grid. In the presampling grid of
+# ``qfi_shot_optimum`` a lane is a (K, n+1, n+1) block array and its
+# derivative: the whole grid in one chunk up to n = 7, three shot times per
+# chunk at n = 20, where the (n+1)-fold larger temporaries of the block
+# weights then stay near 2.4 MB. In the gen-Ramsey mu grid a lane is a
+# flip-even matrix and its eigenvectors: the whole grid in one chunk up to
+# n = 37, one mu per chunk from n = 180.
 _STACK_BYTES = 1 << 18
 _LOG_MU_GRID = np.linspace(math.log(1e-4), math.log(1e2), 41)  # best mu: 0.2 to 2.2
 _TOL_X = 1e-9  # Brent tolerance of the log mu and shot-time refinements
@@ -131,12 +137,18 @@ def _shot_bracket(gamma, total_time):
     return 1e-4 / gamma, min(total_time, 8.0 / gamma)
 
 
+def _chunks(grid, lane_bytes):
+    """``grid`` split into chunks of at most ``_STACK_BYTES`` of stacked
+    lanes of ``lane_bytes`` each, and at least one lane."""
+    size = max(1, _STACK_BYTES // lane_bytes)
+    return [grid[i : i + size] for i in range(0, len(grid), size)]
+
+
 def _shot_grid(n, gamma, total_time):
     """The presampling grid of shot times over ``_shot_bracket`` and its
-    split into chunks of at most ``_STACK_BYTES`` of stacked n-ion blocks."""
+    split into chunks of stacked n-ion blocks."""
     grid = _geometric_grid(_shot_bracket(gamma, total_time))
-    chunk = max(1, _STACK_BYTES // (16 * (n // 2 + 1) * (n + 1) ** 2))
-    return grid, [grid[i : i + chunk] for i in range(0, len(grid), chunk)]
+    return grid, _chunks(grid, 16 * (n // 2 + 1) * (n + 1) ** 2)
 
 
 def qfi_shot_optimum(state, gamma, total_time, tol_x=_TOL_X):
@@ -175,27 +187,55 @@ def _canonical_method(method: str) -> str:
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
+def _flip_even_ops(n):
+    """``(P^T S_x P, P^T S_y^2 P)``: S_x and S_y^2 on the n-ion flip-even
+    sector in the family basis, with P the isometry a -> Dicke amplitudes of
+    ``_dicke_amplitudes``. S_y^2 = B^T B with the real B = J+ - J-."""
+    iso = _dicke_amplitudes(n, np.eye(n // 2 + 1))  # row k: P e_k
+    ladder, pad = _dicke_ladder(n)[1], np.zeros((n // 2 + 1, 1))
+    raised = np.hstack([pad, ladder * iso[:, :-1]])  # rows J+ P e_k
+    lowered = np.hstack([ladder * iso[:, 1:], pad])  # rows J- P e_k
+    diff = raised - lowered
+    return iso @ (raised + lowered).T, diff @ diff.T
+
+
+def _ground_states(ops, log_mu):
+    """``(energy, a)`` of the ground states of -S_x + mu S_y^2 on the
+    flip-even sector ``ops`` of ``_flip_even_ops``, one row per mu of the
+    stack ``log_mu``, from one stacked ``eigh``. Every off-diagonal element
+    is <= 0, so by Perron-Frobenius the ground vector, the family
+    coefficients themselves, is positive up to its sign."""
+    sx, sy2 = ops
+    energy, vecs = np.linalg.eigh(np.exp(log_mu)[:, None, None] * sy2 - sx)
+    return energy[:, 0], np.abs(vecs[:, :, 0])
+
+
+def _genramsey_lanes(n, ops, gamma, total_time, log_mu):
+    """``(a, t_opt, delta_omega)`` arrays of the n-ion ground states for the
+    stack ``log_mu`` (``_ground_states``), scored by ``_moment_rows`` and
+    ``collective._genramsey_rows``. Each lane is computed on its own, so a
+    mu gives the same bits alone as in a stack."""
+    a = _ground_states(ops, log_mu)[1]
+    sx, _, sy2 = _moment_rows(n, _dicke_amplitudes(n, a))
+    return (a, *_genramsey_rows(sx, sy2, n, total_time, gamma))
+
+
 def _genramsey_search(n, gamma, total_time):
-    """(coefficients, PrecisionResult) of the best ground state of -S_x + mu S_y^2:
-    the gen-Ramsey score improves as <S_x> rises and <S_y^2> falls (Ulam-Orgikh
-    & Kitagawa, PRA 64, 052106 (2001)). By Perron-Frobenius the ground state is
-    positive and flip-even, a family state with every a_k > 0, and <S_y^2> <= n
-    because its energy is concave in mu, so t_opt <= tau_dec/2 <= T."""
-    cls, ladder = _dicke_ladder(n)
-    j_plus = np.diag(ladder, -1)
-    sx, j_diff = j_plus + j_plus.T, j_plus - j_plus.T
-    sy2 = -(j_diff @ j_diff)
-
-    def result(log_mu):
-        c = eigh(math.exp(log_mu) * sy2 - sx, subset_by_index=[0, 0])[1][:, 0]
-        a = np.sqrt(np.bincount(cls, weights=c * c))  # a_k = sqrt(2) |c_k| as c_k = c_{n-k}
-        return a, genramsey_opt_uncertainty(
-            collective_moments(SymmetricFamilyState(n, a)), n, total_time, gamma
-        )
-
-    score = lambda log_mu: result(log_mu)[1].delta_omega
-    log_mu, _ = _refine(score, _LOG_MU_GRID, [score(x) for x in _LOG_MU_GRID], _TOL_X)
-    return result(log_mu)
+    """(coefficients, t_opt, delta_omega) of the best ground state of
+    -S_x + mu S_y^2: the gen-Ramsey score improves as <S_x> rises and
+    <S_y^2> falls (Ulam-Orgikh & Kitagawa, PRA 64, 052106 (2001)). By
+    Perron-Frobenius the ground state is positive and flip-even, a family
+    state with every a_k > 0, and <S_y^2> <= n because its energy is concave
+    in mu, so t_opt <= tau_dec/2 <= T. The log mu grid is scored in stacked
+    chunks and each Brent probe as a one-lane stack, so the result equals a
+    one-mu-at-a-time search."""
+    ops = _flip_even_ops(n)
+    lanes = lambda log_mu: _genramsey_lanes(n, ops, gamma, total_time, log_mu)
+    chunks = _chunks(_LOG_MU_GRID, 16 * (n // 2 + 1) ** 2)
+    values = np.concatenate([lanes(chunk)[2] for chunk in chunks])
+    log_mu, _ = _refine(lambda x: lanes(np.array([x]))[2][0], _LOG_MU_GRID, values, _TOL_X)
+    a, t_opt, delta_omega = lanes(np.array([log_mu]))
+    return a[0], float(t_opt[0]), float(delta_omega[0])
 
 
 def _norms(rows):
@@ -244,20 +284,56 @@ def _polish(n, gamma, a, t, bracket):
     return x[:-1] / _norms(x[:-1]), math.exp(log_t), fq, bool(certified)
 
 
-def _qfi_search(n, gamma, total_time):
+def _qfi_search(n, gamma, total_time, a0, t0):
     """(coefficients, t_opt, delta_omega, certified) of the QFI optimum.
 
     One gradient polish over coefficients and shot time (``_polish``) starts
-    from the gen-Ramsey winner at its shot time, clipped into the shot-time
-    bracket, and may move across the whole bracket. Its |a| (a diagonal +-1
-    unitary keeps F_Q), t and F_Q are the result.
+    from the gen-Ramsey winner ``a0`` at its shot time ``t0``, clipped into
+    the shot-time bracket, and may move across the whole bracket. Its |a| (a
+    diagonal +-1 unitary keeps F_Q), t and F_Q are the result.
     """
-    a0, gen = _genramsey_search(n, gamma, total_time)
     lo, hi = _shot_bracket(gamma, total_time)
-    a, t, fq, certified = _polish(n, gamma, a0, min(max(gen.t_opt, lo), hi), (lo, hi))
+    a, t, fq, certified = _polish(n, gamma, a0, min(max(t0, lo), hi), (lo, hi))
     if not fq >= QFI_FLOOR:
         raise NoInformationError(_NO_INFORMATION)
     return np.abs(a), t, math.sqrt(t / (total_time * fq)), certified
+
+
+def _check_search(n, gamma, total_time, method):
+    lo, hi = ION_RANGE[method]
+    if not lo <= n <= hi:
+        raise ValueError(f"{method} optimization supports {lo} <= n <= {hi}, got {n}")
+    _check_finite("dephasing rate", gamma)
+    _check_finite("total time", total_time)
+    if not gamma > 0.0:
+        raise ValueError(f"dephasing rate must be > 0, got {gamma}")
+    if total_time < 0.5 / gamma:
+        raise ValueError(f"total time {total_time} below tau_dec/2 = {0.5 / gamma}")
+
+
+def _reports(n, gamma, total_time, methods):
+    """The OptimizationReport of each canonical method in ``methods`` at n.
+    The gen-Ramsey search runs once: the QFI search starts from its winner."""
+    for method in methods:
+        _check_search(n, gamma, total_time, method)
+    a, t_opt, delta_omega = _genramsey_search(n, gamma, total_time)
+    found = {"gen-ramsey": (a, t_opt, delta_omega, True)}
+    if "qfi" in methods:
+        found["qfi"] = _qfi_search(n, gamma, total_time, a, t_opt)
+    ref = reference_limit(n, total_time, gamma)
+    reports = {}
+    for method in methods:
+        a, t_opt, delta_omega, converged = found[method]
+        reports[method] = OptimizationReport(
+            n=n,
+            method=method,
+            improvement_pct=100.0 * (1.0 - delta_omega / ref),
+            delta_omega=delta_omega,
+            t_opt=t_opt,
+            best_coeffs=a,
+            status="ok" if converged else "partial",
+        )
+    return reports
 
 
 def optimize_symmetric_coeffs(
@@ -273,39 +349,16 @@ def optimize_symmetric_coeffs(
     tolerance, has status "partial".
     """
     method = _canonical_method(method)
-    lo, hi = ION_RANGE[method]
-    if not lo <= n <= hi:
-        raise ValueError(f"{method} optimization supports {lo} <= n <= {hi}, got {n}")
-    _check_finite("dephasing rate", gamma)
-    _check_finite("total time", total_time)
-    if not gamma > 0.0:
-        raise ValueError(f"dephasing rate must be > 0, got {gamma}")
-    if total_time < 0.5 / gamma:
-        raise ValueError(f"total time {total_time} below tau_dec/2 = {0.5 / gamma}")
-
-    if method == "gen-ramsey":
-        a_best, best = _genramsey_search(n, gamma, total_time)
-        delta_omega, t_opt, converged = best.delta_omega, best.t_opt, True
-    else:
-        a_best, t_opt, delta_omega, converged = _qfi_search(n, gamma, total_time)
-    ref = reference_limit(n, total_time, gamma)
-    return OptimizationReport(
-        n=n,
-        method=method,
-        improvement_pct=100.0 * (1.0 - delta_omega / ref),
-        delta_omega=delta_omega,
-        t_opt=t_opt,
-        best_coeffs=a_best,
-        status="ok" if converged else "partial",
-    )
+    return _reports(n, gamma, total_time, (method,))[method]
 
 
 def improvement_sweep(n_range, gamma: float, total_time: float, methods=METHODS):
     """Yield ``(n, outcomes)`` for each ion number, ``outcomes`` mapping each
-    method in order to its OptimizationReport."""
+    method in order to its OptimizationReport; each n runs one gen-Ramsey
+    search, whichever methods it reports."""
     methods = tuple(_canonical_method(m) for m in methods)
     for n in n_range:
-        yield n, {m: optimize_symmetric_coeffs(n, gamma, total_time, m) for m in methods}
+        yield n, _reports(n, gamma, total_time, methods)
 
 
 def fig3_scan(n: int, gamma: float, total_time: float, t_grid) -> np.ndarray:

@@ -125,16 +125,24 @@ def _dicke_amplitudes(n: int, a: np.ndarray) -> np.ndarray:
     return c
 
 
-def collective_moments(state: SymmetricFamilyState) -> CollectiveMoments:
-    """Exact expectations of S_x, S_x^2, S_y, S_y^2 in a family state, in O(n).
+def _moment_rows(n: int, c: np.ndarray):
+    """``(<S_x>, <S_x^2>, <S_y^2>)`` of each row of the stack ``c`` of n-ion
+    Dicke amplitudes, shape (rows, n+1), in O(n) per row.
 
-    With the Dicke amplitudes c, S_x = J+ + J- and S_y = i(J+ - J-), <S_x^2>
-    and <S_y^2> are the squared norms of (J+ +- J-)c, which differ only in the
-    sign of the cross term; <S_y> vanishes for real amplitudes.
+    With S_x = J+ + J- and S_y = i(J+ - J-), <S_x^2> and <S_y^2> are the
+    squared norms of (J+ +- J-)c, which differ only in the sign of the cross
+    term; <S_y> vanishes for real amplitudes. Every sum runs along one
+    contiguous row, so a row gives the same bits alone as in a stack.
     """
-    n, ladder = state.n, _dicke_ladder(state.n)[1]
-    c = _dicke_amplitudes(n, state.a)
-    up, down = ladder * c[:-1], ladder * c[1:]  # J+ c on w = 1..n, J- c on w = 0..n-1
-    norms = float(up @ up + down @ down)
-    cross = 2.0 * float(up[:-1] @ down[1:])
-    return CollectiveMoments(n, 2.0 * float(c[:-1] @ down), norms + cross, 0.0, norms - cross)
+    ladder, c = _dicke_ladder(n)[1], np.ascontiguousarray(c)
+    up, down = ladder * c[:, :-1], ladder * c[:, 1:]  # J+ c on w = 1..n, J- c on w = 0..n-1
+    norms = (up * up).sum(-1) + (down * down).sum(-1)
+    cross = 2.0 * (up[:, :-1] * down[:, 1:]).sum(-1)
+    return 2.0 * (c[:, :-1] * down).sum(-1), norms + cross, norms - cross
+
+
+def collective_moments(state: SymmetricFamilyState) -> CollectiveMoments:
+    """Exact expectations of S_x, S_x^2, S_y, S_y^2 in a family state, in O(n),
+    from its Dicke amplitudes (``_moment_rows``)."""
+    sx, sx2, sy2 = _moment_rows(state.n, _dicke_amplitudes(state.n, state.a[None]))
+    return CollectiveMoments(state.n, float(sx[0]), float(sx2[0]), 0.0, float(sy2[0]))

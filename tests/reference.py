@@ -2,8 +2,9 @@
 
 Everything here is built from explicit dense operators on the 2^n
 computational basis (kron products, diagonal phases, bit flips over all 2^n
-amplitudes, the gate network), from a fixed-step integration of the master
-equation, from bisection, or from a grid or Nelder-Mead search over the
+amplitudes, the gate network), from a dense eigensolve on all n+1 Dicke
+levels, from a fixed-step integration of the master equation, from
+bisection, or from a grid or Nelder-Mead search over the
 library's per-candidate figures, so that the production code paths, which
 never leave the n+1 Dicke levels or the Schur-Weyl blocks, are checked
 against a second, slower route. States are plain numpy arrays, amplitude
@@ -21,7 +22,7 @@ import math
 from functools import reduce
 
 import numpy as np
-from scipy.linalg import solve_continuous_lyapunov
+from scipy.linalg import eigh, solve_continuous_lyapunov
 from scipy.optimize import minimize
 
 from clocksim import (
@@ -41,6 +42,7 @@ from clocksim import (
 from clocksim.collective import _ZERO_TOL
 from clocksim.fisher import _qfi_core
 from clocksim.optimize import _geometric_grid, _refine
+from clocksim.qstate import _dicke_ladder
 
 
 class OracleError(Exception):
@@ -282,6 +284,20 @@ def dense_collective_moments(amps):
         sy_mean=float(np.vdot(amps, sy_psi).real),
         sy2_mean=float(np.vdot(sy_psi, sy_psi).real),
     )
+
+
+def dense_genramsey_ground(n, mu):
+    """``(energy, a)`` of the ground state of -S_x + mu S_y^2 on all n+1
+    Dicke levels, from a dense ``eigh`` of its lowest eigenpair, folded to
+    family coefficients as a_k = sqrt(sum of c_w^2 over the levels w of
+    weight class k); the ground state is flip-even, so this is sqrt(2) |c_k|
+    for k < n/2."""
+    cls, ladder = _dicke_ladder(n)
+    j_plus = np.diag(ladder, -1)
+    sx, j_diff = j_plus + j_plus.T, j_plus - j_plus.T
+    energy, vecs = eigh(-mu * (j_diff @ j_diff) - sx, subset_by_index=[0, 0])
+    c = vecs[:, 0]
+    return float(energy[0]), np.sqrt(np.bincount(cls, weights=c * c))
 
 
 # The decohered S_x moments and the error-propagated gen-Ramsey uncertainty

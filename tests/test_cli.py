@@ -342,6 +342,22 @@ def test_stdout_output_when_no_path(capsys):
     assert "t,delta,gamma,scheme,P" in got
 
 
+def test_consecutive_main_calls_share_no_state(capsys):
+    # the parser is built once per process; every call still parses afresh
+    argv = ["signal", "--n", "1", "--t", "0.5"]
+    assert main([*argv, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["command"] == "signal"
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("# convention:")
+    with pytest.raises(SystemExit) as exc:
+        main(["signal", "--n", "one", "--t", "0.5"])
+    assert exc.value.code == 2
+    assert main(["signal", "--n", "0", "--t", "0.5"]) == 2
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("# convention:")
+
+
 def test_signal_unwritable_output_exits_2(tmp_path, capsys):
     out = tmp_path / "missing" / "sig.csv"
     code = main(["signal", "--n", "2", "--t", "0.5", "--out", str(out)])

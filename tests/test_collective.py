@@ -17,6 +17,7 @@ from clocksim import (
     uncertainty_uncorrelated,
     uniform_coefficients,
 )
+from clocksim.collective import _genramsey_rows
 
 from reference import (
     SIGMA_X,
@@ -212,6 +213,23 @@ def test_opt_uncertainty_rejects_degenerate_and_short_budgets():
     good = collective_moments(_product(4))
     with pytest.raises(ValueError):
         genramsey_opt_uncertainty(good, 4, 0.3, 1.0)  # T < tau_dec/2
+
+
+def test_stacked_genramsey_score_raises_for_any_lane():
+    # a stack scores each lane as the scalar path does, and raises the
+    # scalar path's error when any one lane would
+    good = collective_moments(_product(4))
+    sx, sy_var = np.full(3, good.sx_mean), np.full(3, good.sy_variance())
+    t_opt, delta_omega = _genramsey_rows(sx, sy_var, 4, 100.0, 1.0)
+    scalar = genramsey_opt_uncertainty(good, 4, 100.0, 1.0)
+    assert np.all(t_opt == scalar.t_opt) and np.all(delta_omega == scalar.delta_omega)
+    with pytest.raises(DegenerateStateError, match="S_x"):
+        _genramsey_rows(np.array([sx[0], 0.0, sx[0]]), sy_var, 4, 100.0, 1.0)
+    with pytest.raises(DegenerateStateError, match="S_y variance"):
+        _genramsey_rows(sx, np.array([sy_var[0], sy_var[0], 0.0]), 4, 100.0, 1.0)
+    # Var S_y = 2n puts t_opt near 0.64 / gamma, past T; Var S_y = n at 0.5
+    with pytest.raises(ValueError, match="exceeds total time"):
+        _genramsey_rows(sx, sy_var * np.array([1.0, 1.0, 2.0]), 4, 0.55, 1.0)
 
 
 def test_bound_chain_product_state_saturates():

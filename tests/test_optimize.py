@@ -33,8 +33,19 @@ from clocksim import (
 import clocksim
 from clocksim import cli, fisher, optimize
 from clocksim.evolution import MAX_BLOCK_QUBITS
-from clocksim.optimize import ION_RANGE, _genramsey_search, _polish, _shot_bracket
+from clocksim.optimize import (
+    _LOG_MU_GRID,
+    ION_RANGE,
+    _chunks,
+    _flip_even_ops,
+    _genramsey_lanes,
+    _genramsey_search,
+    _ground_states,
+    _polish,
+    _shot_bracket,
+)
 from reference import (
+    dense_genramsey_ground,
     dense_qfi_shot_optimum,
     density,
     family_state,
@@ -183,6 +194,67 @@ def test_genramsey_search_reaches_nelder_mead_oracle(n, total):
     assert rep.t_opt <= total and rep.status == "ok"
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 20, 101])
+def test_stacked_mu_grid_equals_one_mu_at_a_time(n):
+    # every lane of the stacked eigensolve and score is computed on its own
+    ops = _flip_even_ops(n)
+    stacked = _genramsey_lanes(n, ops, GAMMA, TOTAL, _LOG_MU_GRID)
+    for i in range(len(_LOG_MU_GRID)):
+        single = _genramsey_lanes(n, ops, GAMMA, TOTAL, _LOG_MU_GRID[i : i + 1])
+        for got, want in zip(single, stacked):
+            assert np.array_equal(got[0], want[i])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 20, 101, 300])
+def test_flip_even_ground_states_match_dense_oracle(n):
+    # the flip-even sector holds the ground state of the whole n+1 levels.
+    # Energies agree to 1e-12 relative to the operator norm, at most
+    # n + mu n^2, the scale of any eigensolver's rounding: at mu = 100 the
+    # ground energy is far smaller than that norm.
+    ops, log_mu = _flip_even_ops(n), _LOG_MU_GRID[::4]
+    energies, coeffs = _ground_states(ops, log_mu)
+    for mu, energy, a in zip(np.exp(log_mu), energies, coeffs):
+        energy_ref, a_ref = dense_genramsey_ground(n, mu)
+        assert abs(energy - energy_ref) <= 1e-12 * max(abs(energy_ref), n + mu * n * n)
+        assert np.linalg.norm(a - a_ref) <= 1e-12 * np.linalg.norm(a_ref)
+        assert np.all(a > 0.0)
+    # where the search ends, the energies agree to 1e-12 relative to themselves
+    for mu in (0.2, 1.0, 2.2):
+        energy_ref, a_ref = dense_genramsey_ground(n, mu)
+        [energy], [a] = _ground_states(ops, np.log([mu]))
+        assert energy == pytest.approx(energy_ref, rel=1e-12)
+        assert np.linalg.norm(a - a_ref) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 101])
+def test_genramsey_search_scores_the_mu_grid_as_stacks(monkeypatch, n):
+    # one score call per grid chunk, then one per Brent probe and the winner
+    lanes, calls = optimize._genramsey_lanes, []
+
+    def counting(*args):
+        calls.append(len(args[-1]))
+        return lanes(*args)
+
+    monkeypatch.setattr(optimize, "_genramsey_lanes", counting)
+    optimize_symmetric_coeffs(n, GAMMA, TOTAL, "gen-ramsey")
+    chunks = _chunks(_LOG_MU_GRID, 16 * (n // 2 + 1) ** 2)
+    assert calls[: len(chunks)] == [len(chunk) for chunk in chunks]
+    assert len(calls) <= len(chunks) + 25
+
+
+def test_sweep_runs_one_genramsey_search_per_n(monkeypatch):
+    # the QFI search starts from the gen-Ramsey winner the sweep already has
+    search, calls = optimize._genramsey_search, []
+
+    def counting(*args):
+        calls.append(args[0])
+        return search(*args)
+
+    monkeypatch.setattr(optimize, "_genramsey_search", counting)
+    points = fig4_curve(range(2, 6), GAMMA, TOTAL)
+    assert calls == [2, 3, 4, 5] and [p.status for p in points] == ["ok"] * 4
+
+
 @pytest.mark.parametrize("n", range(2, 6))
 def test_qfi_search_reaches_nelder_mead_oracle(n):
     oracle_impr, _ = nelder_mead_qfi(n, GAMMA, TOTAL)
@@ -213,14 +285,14 @@ def test_qfi_search_makes_few_core_calls(monkeypatch):
 @pytest.mark.parametrize("n", [2, 3, 5, 10])
 def test_polish_never_ends_above_the_best_grid_lane(n):
     # the polish starts from the gen-Ramsey winner at its closed-form shot time
-    a, gen = _genramsey_search(n, GAMMA, TOTAL)
+    a, t0, _ = _genramsey_search(n, GAMMA, TOTAL)
     bracket = _shot_bracket(GAMMA, TOTAL)
-    fq = family_qfi(SymmetricFamilyState(n, a), DephasingParams(0.0, GAMMA, gen.t_opt))[0]
-    a_pol, t_pol, fq_pol, certified = _polish(n, GAMMA, a, gen.t_opt, bracket)
+    fq = family_qfi(SymmetricFamilyState(n, a), DephasingParams(0.0, GAMMA, t0))[0]
+    a_pol, t_pol, fq_pol, certified = _polish(n, GAMMA, a, t0, bracket)
     fq_family = family_qfi(SymmetricFamilyState(n, a_pol), DephasingParams(0.0, GAMMA, t_pol))[0]
     assert fq_pol == pytest.approx(fq_family, rel=1e-13)
     assert certified and bracket[0] <= t_pol <= bracket[1]
-    assert t_pol / fq_pol <= gen.t_opt / fq
+    assert t_pol / fq_pol <= t0 / fq
 
 
 @pytest.mark.parametrize("gamma, total", [(1.0, 100.0), (1.0, 0.6), (0.3, 50.0)])
@@ -314,6 +386,14 @@ def test_genramsey_search_builds_no_state_vector():
     rep, peak = _peak_bytes(lambda: optimize_symmetric_coeffs(_LARGE_N, GAMMA, TOTAL, "gen-ramsey"))
     assert rep.status == "ok" and rep.improvement_pct > 0.0
     assert peak < _STATE_VECTOR_BYTES / 16, f"the gen-Ramsey search allocated {peak} bytes"
+
+
+def test_genramsey_search_at_n500_stays_small():
+    # one flip-even chunk at a time; an unchunked 41-lane stack of the
+    # 251 x 251 sector matrices and eigenvectors would add about 40 MB
+    rep, peak = _peak_bytes(lambda: optimize_symmetric_coeffs(500, GAMMA, TOTAL, "gen-ramsey"))
+    assert rep.status == "ok" and rep.improvement_pct > 0.0
+    assert peak < 16 * 2**20, f"the n = 500 gen-Ramsey search allocated {peak} bytes"
 
 
 def test_qfi_paths_build_no_2n_state(tmp_path):
