@@ -32,7 +32,7 @@ import numpy as np
 
 from .evolution import DephasingParams, _block_form, _channel_rate
 from .exceptions import NoInformationError, SingularOutcomeError
-from .qstate import SymmetricFamilyState, _dicke_amplitudes
+from .qstate import SymmetricFamilyState, _dicke_amplitudes, _flip_even_isometry
 
 __all__ = [
     "EIG_CUTOFF",
@@ -134,8 +134,7 @@ def _qfi_gradient(n, gamma, a, t):
     sld = _sld(*eigdata)
     m = _envelope_matrix(mult, channel, 2.0 * channel * rates, sld)
     dm = _envelope_matrix(mult, dchannel, 2.0 * (dchannel * rates + channel * (rates / t)), sld)
-    fold = _dicke_amplitudes(n, np.eye(n // 2 + 1))  # P^T
-    return fq, 2.0 * (fold @ (m @ c) - fq * a), c @ dm @ c
+    return fq, 2.0 * (_flip_even_isometry(n) @ (m @ c) - fq * a), c @ dm @ c
 
 
 def _outcome_probs(basis: np.ndarray, mat: np.ndarray) -> np.ndarray:

@@ -6,7 +6,10 @@ Both coefficient searches are deterministic: they draw no random numbers,
 so identical arguments reproduce identical reports. The gen-Ramsey search
 scans ground states of -S_x + mu S_y^2 over log mu, on the flip-even sector
 of the n//2+1 family coefficients: the log mu grid is one stacked ``eigh``
-per chunk, scored as one array, and each Brent probe a one-lane stack. The
+per chunk, scored as one array. Brent's root finder then solves the
+optimum's stationarity condition mu = <S_x> / (2 n x e^x), x = 2 gamma
+t_opt, which every scored lane already yields, one one-lane stack per
+probe; a best lane whose bracket holds no root is reported unconverged. The
 QFI search starts from that winner at its shot time and runs one L-BFGS-B
 polish over the coefficients and the log shot time, across the whole
 shot-time bracket, minimizing t / F_Q with the envelope gradient
@@ -23,13 +26,19 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import fmin_l_bfgs_b, minimize_scalar
+from scipy.optimize import brentq, fmin_l_bfgs_b, minimize_scalar
 
 from .collective import _genramsey_rows
 from .exceptions import BracketingError, NoInformationError, SingularPointError
 from .evolution import MAX_BLOCK_QUBITS, _block_form
 from .fisher import QFI_FLOOR, _NO_INFORMATION, _block_qfi, _qfi_gradient
-from .qstate import SymmetricFamilyState, _dicke_amplitudes, _dicke_ladder, _moment_rows
+from .qstate import (
+    SymmetricFamilyState,
+    _dicke_amplitudes,
+    _dicke_ladder,
+    _flip_even_isometry,
+    _moment_rows,
+)
 from .ramsey import ExperimentBudget, reference_limit, uncertainty_ghz, uncertainty_uncorrelated
 
 __all__ = [
@@ -47,7 +56,8 @@ __all__ = [
 METHODS = ("gen-ramsey", "qfi")
 # Smallest and largest ion number each coefficient search accepts. The
 # gen-Ramsey end is set by its (n//2+1)-level flip-even eigensolves, O(n^3)
-# each; the qfi end is that of the block QFI.
+# each: 41 for the grid and 4 or 5 root-finder probes, about 2 s at n = 1000;
+# the qfi end is that of the block QFI.
 ION_RANGE = {"gen-ramsey": (2, 1000), "qfi": (2, MAX_BLOCK_QUBITS)}
 
 _GRID_POINTS = 48
@@ -60,7 +70,7 @@ _GRID_POINTS = 48
 # n = 37, one mu per chunk from n = 180.
 _STACK_BYTES = 1 << 18
 _LOG_MU_GRID = np.linspace(math.log(1e-4), math.log(1e2), 41)  # best mu: 0.2 to 2.2
-_TOL_X = 1e-9  # Brent tolerance of the log mu and shot-time refinements
+_TOL_X = 1e-9  # Brent tolerance of the shot-time refinement
 # F_Q evaluations after which the polish stops unconverged; it takes about
 # 10 at n = 2..3 and 90 at n = 20.
 _POLISH_EVALS = 4000
@@ -191,7 +201,7 @@ def _flip_even_ops(n):
     """``(P^T S_x P, P^T S_y^2 P)``: S_x and S_y^2 on the n-ion flip-even
     sector in the family basis, with P the isometry a -> Dicke amplitudes of
     ``_dicke_amplitudes``. S_y^2 = B^T B with the real B = J+ - J-."""
-    iso = _dicke_amplitudes(n, np.eye(n // 2 + 1))  # row k: P e_k
+    iso = _flip_even_isometry(n)  # row k: P e_k
     ladder, pad = _dicke_ladder(n)[1], np.zeros((n // 2 + 1, 1))
     raised = np.hstack([pad, ladder * iso[:, :-1]])  # rows J+ P e_k
     lowered = np.hstack([ladder * iso[:, 1:], pad])  # rows J- P e_k
@@ -211,31 +221,59 @@ def _ground_states(ops, log_mu):
 
 
 def _genramsey_lanes(n, ops, gamma, total_time, log_mu):
-    """``(a, t_opt, delta_omega)`` arrays of the n-ion ground states for the
-    stack ``log_mu`` (``_ground_states``), scored by ``_moment_rows`` and
-    ``collective._genramsey_rows``. Each lane is computed on its own, so a
-    mu gives the same bits alone as in a stack."""
+    """``(a, t_opt, delta_omega, r)`` arrays of the n-ion ground states for
+    the stack ``log_mu`` (``_ground_states``), scored by ``_moment_rows`` and
+    ``collective._genramsey_rows``, with r = log mu - log(<S_x> / (2 n x
+    e^x)), x = 2 gamma t_opt, the stationarity residual of
+    ``_genramsey_search``. Each lane is computed on its own, so a mu gives
+    the same bits alone as in a stack."""
     a = _ground_states(ops, log_mu)[1]
     sx, _, sy2 = _moment_rows(n, _dicke_amplitudes(n, a))
-    return (a, *_genramsey_rows(sx, sy2, n, total_time, gamma))
+    t_opt, delta_omega = _genramsey_rows(sx, sy2, n, total_time, gamma)
+    x = 2.0 * gamma * t_opt
+    return a, t_opt, delta_omega, log_mu - np.log(sx) + np.log(2.0 * n * x) + x
 
 
 def _genramsey_search(n, gamma, total_time):
-    """(coefficients, t_opt, delta_omega) of the best ground state of
-    -S_x + mu S_y^2: the gen-Ramsey score improves as <S_x> rises and
-    <S_y^2> falls (Ulam-Orgikh & Kitagawa, PRA 64, 052106 (2001)). By
+    """(coefficients, t_opt, delta_omega, converged) of the best ground
+    state of -S_x + mu S_y^2: the gen-Ramsey score improves as <S_x> rises
+    and <S_y^2> falls (Ulam-Orgikh & Kitagawa, PRA 64, 052106 (2001)). By
     Perron-Frobenius the ground state is positive and flip-even, a family
     state with every a_k > 0, and <S_y^2> <= n because its energy is concave
-    in mu, so t_opt <= tau_dec/2 <= T. The log mu grid is scored in stacked
-    chunks and each Brent probe as a one-lane stack, so the result equals a
-    one-mu-at-a-time search."""
+    in mu, so t_opt <= tau_dec/2 <= T.
+
+    With v = <S_y^2> and x = 2 gamma t_opt, Hellmann-Feynman gives
+    d<S_x>/dmu = mu dv/dmu and the t_opt equation n[1 + (x-1)e^x] = v gives
+    dx/dv = 1/(n x e^x), so d log delta_omega/dmu = (dv/dmu) [1/(2 n x e^x)
+    - mu/<S_x>] with dv/dmu < 0: delta_omega is stationary where the
+    residual r of ``_genramsey_lanes`` vanishes, falling with mu where
+    r < 0 and rising where r > 0. The log mu grid is scored in stacked
+    chunks; Brent's root finder then solves r = 0 between the best grid
+    lane and its neighbour on the side where delta_omega falls, one
+    one-lane stack per probe, and the probe it ends on is the result. When
+    r keeps its sign across that neighbour, or the best lane has none there
+    (a grid edge), the best lane is returned unconverged.
+    """
     ops = _flip_even_ops(n)
     lanes = lambda log_mu: _genramsey_lanes(n, ops, gamma, total_time, log_mu)
     chunks = _chunks(_LOG_MU_GRID, 16 * (n // 2 + 1) ** 2)
-    values = np.concatenate([lanes(chunk)[2] for chunk in chunks])
-    log_mu, _ = _refine(lambda x: lanes(np.array([x]))[2][0], _LOG_MU_GRID, values, _TOL_X)
-    a, t_opt, delta_omega = lanes(np.array([log_mu]))
-    return a[0], float(t_opt[0]), float(delta_omega[0])
+    a, t_opt, delta_omega, r = (np.concatenate(rows) for rows in zip(*map(lanes, chunks)))
+    scored = dict(zip(_LOG_MU_GRID.tolist(), zip(a, t_opt, delta_omega, r)))
+
+    def residual(log_mu):
+        if log_mu not in scored:
+            scored[log_mu] = [rows[0] for rows in lanes(np.array([log_mu]))]
+        return scored[log_mu][3]
+
+    best = int(np.argmin(delta_omega))
+    lo, hi = sorted((best, best + 1 if r[best] < 0.0 else best - 1))
+    converged = bool(0 <= lo and hi < len(r) and r[lo] <= 0.0 <= r[hi])
+    if converged:
+        log_mu = brentq(residual, _LOG_MU_GRID[lo], _LOG_MU_GRID[hi], xtol=1e-12)
+    else:
+        log_mu = _LOG_MU_GRID[best]
+    a, t_opt, delta_omega, _ = scored[log_mu]
+    return a, float(t_opt), float(delta_omega), converged
 
 
 def _norms(rows):
@@ -316,10 +354,9 @@ def _reports(n, gamma, total_time, methods):
     The gen-Ramsey search runs once: the QFI search starts from its winner."""
     for method in methods:
         _check_search(n, gamma, total_time, method)
-    a, t_opt, delta_omega = _genramsey_search(n, gamma, total_time)
-    found = {"gen-ramsey": (a, t_opt, delta_omega, True)}
+    found = {"gen-ramsey": _genramsey_search(n, gamma, total_time)}
     if "qfi" in methods:
-        found["qfi"] = _qfi_search(n, gamma, total_time, a, t_opt)
+        found["qfi"] = _qfi_search(n, gamma, total_time, *found["gen-ramsey"][:2])
     ref = reference_limit(n, total_time, gamma)
     reports = {}
     for method in methods:
@@ -344,9 +381,11 @@ def optimize_symmetric_coeffs(
     ``method`` picks the measurement: "gen-ramsey" (also spelled "genramsey")
     uses the collective S_x observable with the analytic optimal shot time,
     "qfi" the optimal projective measurement with the shot time searched
-    numerically. Both return a_k >= 0. A "qfi" report whose gradient polish
+    numerically. Both return a_k >= 0. A "gen-ramsey" report whose best
+    log mu grid lane has no root of the stationarity condition next to it,
+    as when it sits at a grid edge, and a "qfi" report whose gradient polish
     reached its evaluation cap, or ended with a projected gradient above its
-    tolerance, has status "partial".
+    tolerance, have status "partial".
     """
     method = _canonical_method(method)
     return _reports(n, gamma, total_time, (method,))[method]

@@ -125,6 +125,20 @@ def _dicke_amplitudes(n: int, a: np.ndarray) -> np.ndarray:
     return c
 
 
+@functools.lru_cache(maxsize=1)
+def _flip_even_isometry(n: int) -> np.ndarray:
+    """Read-only ``_dicke_amplitudes(n, I)``: row k is P e_k, with P the
+    isometry from the n//2+1 family coefficients to the n+1 Dicke
+    amplitudes, so ``iso @ c`` is P^T c. The array keeps the Fortran order
+    that ``_dicke_amplitudes`` gives a stack (strides (8, 8 (n//2+1))):
+    products with it are summed in that order, and a C-contiguous copy gives
+    other last bits. One n is kept: a sweep asks for each n in turn, and
+    every n up to 1000 would hold about 1.3 GB."""
+    iso = _dicke_amplitudes(n, np.eye(n // 2 + 1))
+    iso.flags.writeable = False
+    return iso
+
+
 def _moment_rows(n: int, c: np.ndarray):
     """``(<S_x>, <S_x^2>, <S_y^2>)`` of each row of the stack ``c`` of n-ion
     Dicke amplitudes, shape (rows, n+1), in O(n) per row.

@@ -42,7 +42,6 @@ from clocksim import (
 from clocksim.collective import _ZERO_TOL
 from clocksim.fisher import _qfi_core
 from clocksim.optimize import _geometric_grid, _refine
-from clocksim.qstate import _dicke_ladder
 
 
 class OracleError(Exception):
@@ -286,18 +285,35 @@ def dense_collective_moments(amps):
     )
 
 
+def _dense_genramsey_problem(n, mu):
+    """``(S_x, S_y^2, energy, c)`` on all n+1 Dicke levels: the collective
+    operators from <D_{w+1}|J+|D_w> = sqrt((w+1)(n-w)), S_x = J+ + J- and
+    S_y^2 = -(J+ - J-)^2, and the lowest eigenpair of -S_x + mu S_y^2 from a
+    dense ``eigh``."""
+    w = np.arange(n)
+    j_plus = np.diag(np.sqrt((w + 1.0) * (n - w)), -1)
+    sx, j_diff = j_plus + j_plus.T, j_plus - j_plus.T
+    sy2 = -(j_diff @ j_diff)
+    energy, vecs = eigh(mu * sy2 - sx, subset_by_index=[0, 0])
+    return sx, sy2, float(energy[0]), vecs[:, 0]
+
+
 def dense_genramsey_ground(n, mu):
     """``(energy, a)`` of the ground state of -S_x + mu S_y^2 on all n+1
-    Dicke levels, from a dense ``eigh`` of its lowest eigenpair, folded to
-    family coefficients as a_k = sqrt(sum of c_w^2 over the levels w of
-    weight class k); the ground state is flip-even, so this is sqrt(2) |c_k|
-    for k < n/2."""
-    cls, ladder = _dicke_ladder(n)
-    j_plus = np.diag(ladder, -1)
-    sx, j_diff = j_plus + j_plus.T, j_plus - j_plus.T
-    energy, vecs = eigh(-mu * (j_diff @ j_diff) - sx, subset_by_index=[0, 0])
-    c = vecs[:, 0]
-    return float(energy[0]), np.sqrt(np.bincount(cls, weights=c * c))
+    Dicke levels (``_dense_genramsey_problem``), folded to family
+    coefficients as a_k = sqrt(sum of c_w^2 over the levels w of weight
+    class k = min(w, n-w)); the ground state is flip-even, so this is
+    sqrt(2) |c_k| for k < n/2."""
+    _, _, energy, c = _dense_genramsey_problem(n, mu)
+    w = np.arange(n + 1)
+    return energy, np.sqrt(np.bincount(np.minimum(w, n - w), weights=c * c))
+
+
+def dense_genramsey_moments(n, mu):
+    """``(<S_x>, <S_y^2>)`` of the ground state of -S_x + mu S_y^2, from the
+    dense matrices and eigenvector of ``_dense_genramsey_problem``."""
+    sx, sy2, _, c = _dense_genramsey_problem(n, mu)
+    return float(c @ sx @ c), float(c @ sy2 @ c)
 
 
 # The decohered S_x moments and the error-propagated gen-Ramsey uncertainty

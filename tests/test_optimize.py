@@ -46,6 +46,7 @@ from clocksim.optimize import (
 )
 from reference import (
     dense_genramsey_ground,
+    dense_genramsey_moments,
     dense_qfi_shot_optimum,
     density,
     family_state,
@@ -226,9 +227,11 @@ def test_flip_even_ground_states_match_dense_oracle(n):
         assert np.linalg.norm(a - a_ref) <= 1e-12
 
 
-@pytest.mark.parametrize("n", [3, 101])
+@pytest.mark.parametrize("n", [3, 4, 101])
 def test_genramsey_search_scores_the_mu_grid_as_stacks(monkeypatch, n):
-    # one score call per grid chunk, then one per Brent probe and the winner
+    # one score call per grid chunk, then one per root-finder probe: 5, 4
+    # and 5 at n = 3, 4 and 101; the bounded minimizer this replaced made 22
+    # at n = 4
     lanes, calls = optimize._genramsey_lanes, []
 
     def counting(*args):
@@ -239,7 +242,71 @@ def test_genramsey_search_scores_the_mu_grid_as_stacks(monkeypatch, n):
     optimize_symmetric_coeffs(n, GAMMA, TOTAL, "gen-ramsey")
     chunks = _chunks(_LOG_MU_GRID, 16 * (n // 2 + 1) ** 2)
     assert calls[: len(chunks)] == [len(chunk) for chunk in chunks]
-    assert len(calls) <= len(chunks) + 25
+    assert len(calls) <= len(chunks) + 10
+
+
+# (gamma, T): a long run, a slow one, a fast one and T just above tau_dec/2
+@pytest.mark.parametrize("gamma, total", [(1.0, 100.0), (0.3, 50.0), (2.0, 5.0), (1.0, 0.6)])
+def test_genramsey_search_solves_its_stationarity_condition(monkeypatch, gamma, total):
+    # the winner is the probe where r = log mu - log(<S_x> / (2 n x e^x))
+    # vanishes, no worse than any grid lane, and its search reports ok
+    lanes, probes = optimize._genramsey_lanes, []
+
+    def recording(*args):
+        out = lanes(*args)
+        probes.extend(zip(*out))
+        return out
+
+    monkeypatch.setattr(optimize, "_genramsey_lanes", recording)
+    for n in [*range(2, 21), 101]:
+        probes.clear()
+        a, t_opt, delta_omega, converged = _genramsey_search(n, gamma, total)
+        [r] = [r for _, t, _, r in probes if t == t_opt]
+        assert converged and abs(r) <= 1e-10
+        grid = _genramsey_lanes(n, _flip_even_ops(n), gamma, total, _LOG_MU_GRID)
+        assert delta_omega <= grid[2].min()
+        report = optimize_symmetric_coeffs(n, gamma, total, "gen-ramsey")
+        assert report.status == "ok" and report.delta_omega == delta_omega
+
+
+def test_genramsey_result_does_not_depend_on_where_the_grid_sits(monkeypatch):
+    # a root is where it is; the bounded minimizer's stopping point on the
+    # flat optimum moved t_opt by about 3e-8 under this half-spacing shift
+    before = [_genramsey_search(n, GAMMA, TOTAL) for n in range(2, 21)]
+    spacing = _LOG_MU_GRID[1] - _LOG_MU_GRID[0]
+    monkeypatch.setattr(optimize, "_LOG_MU_GRID", _LOG_MU_GRID + 0.5 * spacing)
+    for n, (a, t_opt, _, _) in zip(range(2, 21), before):
+        a_shift, t_shift, _, converged = _genramsey_search(n, GAMMA, TOTAL)
+        assert converged and np.abs(a_shift - a).max() <= 1e-12
+        assert t_shift == pytest.approx(t_opt, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [3, 20])
+@pytest.mark.parametrize("mu", [0.2, 1.0, 2.2])
+def test_dense_ground_states_obey_the_hellmann_feynman_identity(n, mu):
+    # d<S_x>/dmu = mu d<S_y^2>/dmu, by central differences on the dense
+    # oracle: the identity the stationarity condition of the search rests on
+    h = 1e-4 * mu
+    (sx_hi, sy2_hi), (sx_lo, sy2_lo) = (dense_genramsey_moments(n, mu + s) for s in (h, -h))
+    dsx, dsy2 = (sx_hi - sx_lo) / (2.0 * h), (sy2_hi - sy2_lo) / (2.0 * h)
+    assert dsx == pytest.approx(mu * dsy2, rel=1e-6)
+
+
+def test_genramsey_search_off_its_bracket_reports_partial(tmp_path, monkeypatch):
+    # on mu in [5, 100] the best lane is the lower edge, where delta_omega
+    # still rises with mu: the search returns that lane, flagged partial
+    monkeypatch.setattr(optimize, "_LOG_MU_GRID", np.linspace(math.log(5.0), math.log(100.0), 41))
+    a, t_opt, delta_omega, converged = _genramsey_search(3, GAMMA, TOTAL)
+    edge = _genramsey_lanes(3, _flip_even_ops(3), GAMMA, TOTAL, optimize._LOG_MU_GRID[:1])
+    assert not converged and np.array_equal(a, edge[0][0]) and delta_omega == edge[2][0]
+    report = optimize_symmetric_coeffs(3, GAMMA, TOTAL, "gen-ramsey")
+    assert report.status == "partial" and report.t_opt == t_opt
+    assert fig4_curve([3], GAMMA, TOTAL)[0].status == "partial"
+    out = tmp_path / "opt.csv"
+    argv = ["optimize", "--method", "gen-ramsey", "--n-min", "2", "--n-max", "3"]
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+    assert [row[5] for row in rows] == ["partial", "partial"]
 
 
 def test_sweep_runs_one_genramsey_search_per_n(monkeypatch):
@@ -285,7 +352,7 @@ def test_qfi_search_makes_few_core_calls(monkeypatch):
 @pytest.mark.parametrize("n", [2, 3, 5, 10])
 def test_polish_never_ends_above_the_best_grid_lane(n):
     # the polish starts from the gen-Ramsey winner at its closed-form shot time
-    a, t0, _ = _genramsey_search(n, GAMMA, TOTAL)
+    a, t0, _, _ = _genramsey_search(n, GAMMA, TOTAL)
     bracket = _shot_bracket(GAMMA, TOTAL)
     fq = family_qfi(SymmetricFamilyState(n, a), DephasingParams(0.0, GAMMA, t0))[0]
     a_pol, t_pol, fq_pol, certified = _polish(n, GAMMA, a, t0, bracket)
