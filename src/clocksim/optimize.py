@@ -6,18 +6,22 @@ Both coefficient searches are deterministic: they draw no random numbers,
 so identical arguments reproduce identical reports. The gen-Ramsey search
 scans ground states of -S_x + mu S_y^2 over log mu, on the flip-even sector
 of the n//2+1 family coefficients: the log mu grid is one stacked ``eigh``
-per chunk, scored as one array. Brent's root finder then solves the
-optimum's stationarity condition mu = <S_x> / (2 n x e^x), x = 2 gamma
-t_opt, which every scored lane already yields, one one-lane stack per
-probe; a best lane whose bracket holds no root is reported unconverged. The
-QFI search starts from that winner at its shot time and runs one L-BFGS-B
-polish over the coefficients and the log shot time, across the whole
-shot-time bracket, minimizing t / F_Q with the envelope gradient
-(``fisher._qfi_gradient``); its projected gradient certifies the status,
-and its own t and F_Q are reported. A sweep over n runs the gen-Ramsey
-search once per n, whichever methods it reports. The gradient, like every
-shot-time F_Q, comes from the one block QFI ``fisher._block_qfi``: no 2^n
-state vector or density matrix is built.
+per chunk, scored as one array. Brent's root finder (``_brentq``, a
+transcription of scipy's) then solves the optimum's stationarity condition
+mu = <S_x> / (2 n x e^x), x = 2 gamma t_opt, which every scored lane
+already yields, one one-lane stack per probe; a best lane whose bracket
+holds no root is reported unconverged. The QFI search starts from that
+winner at its shot time and runs one L-BFGS-B polish over the coefficients
+and the log shot time, across the whole shot-time bracket, minimizing t /
+F_Q with the envelope gradient (``fisher._qfi_gradient``); its projected
+gradient certifies the status, and its own t and F_Q are reported. A sweep
+over n runs the gen-Ramsey search once per n, whichever methods it
+reports. The gradient, like every shot-time F_Q, comes from the one block
+QFI ``fisher._block_qfi``: no 2^n state vector or density matrix is built.
+
+The gen-Ramsey search runs on numpy alone. scipy is imported inside
+``_polish`` and ``_refine`` only, so a process that runs no QFI search and
+no shot-time QFI optimum never loads it.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, fmin_l_bfgs_b, minimize_scalar
 
 from .collective import _genramsey_rows
 from .exceptions import BracketingError, NoInformationError, SingularPointError
@@ -117,6 +120,8 @@ def _refine(objective, grid, values, tol_x):
     neighbours of the best grid point, to ``tol_x``. Returns (t_opt, value),
     never worse than the best grid point; raises BracketingError when every
     grid value is infinite."""
+    from scipy.optimize import minimize_scalar  # scipy loads only for QFI work
+
     best = int(np.argmin(values))
     if not math.isfinite(values[best]):
         raise BracketingError(f"objective is infinite everywhere on ({grid[0]}, {grid[-1]})")
@@ -234,6 +239,53 @@ def _genramsey_lanes(n, ops, gamma, total_time, log_mu):
     return a, t_opt, delta_omega, log_mu - np.log(sx) + np.log(2.0 * n * x) + x
 
 
+def _brentq(f, xa, xb):
+    """A root of ``f`` between ``xa`` and ``xb``, where f changes sign, by
+    Brent's method to xtol 1e-12 and rtol 4 eps: a transcription of scipy's
+    ``brentq`` (scipy/optimize/Zeros/brentq.c), which it matches probe for
+    probe. Returns the probe it ends on; raises ValueError when f(xa) and
+    f(xb) have the same sign and RuntimeError after 100 iterations."""
+    xtol, rtol = 1e-12, 4.0 * math.ulp(1.0)
+    xpre, xcur = float(xa), float(xb)
+    # floats, as brentq.c converts f to a double: numpy scalar arithmetic is slow
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    xblk = fblk = spre = scur = 0.0
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # xcur is the best point so far
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = float(f(xcur))
+    raise RuntimeError(f"Brent's method failed to converge after 100 iterations, value is {xcur}")
+
+
 def _genramsey_search(n, gamma, total_time):
     """(coefficients, t_opt, delta_omega, converged) of the best ground
     state of -S_x + mu S_y^2: the gen-Ramsey score improves as <S_x> rises
@@ -269,7 +321,7 @@ def _genramsey_search(n, gamma, total_time):
     lo, hi = sorted((best, best + 1 if r[best] < 0.0 else best - 1))
     converged = bool(0 <= lo and hi < len(r) and r[lo] <= 0.0 <= r[hi])
     if converged:
-        log_mu = brentq(residual, _LOG_MU_GRID[lo], _LOG_MU_GRID[hi], xtol=1e-12)
+        log_mu = _brentq(residual, _LOG_MU_GRID[lo], _LOG_MU_GRID[hi])
     else:
         log_mu = _LOG_MU_GRID[best]
     a, t_opt, delta_omega, _ = scored[log_mu]
@@ -294,6 +346,8 @@ def _polish(n, gamma, a, t, bracket):
     evaluations were spent. A polished point worse than the start is
     replaced by the start.
     """
+    from scipy.optimize import fmin_l_bfgs_b  # scipy loads only for QFI work
+
     scored = {}  # (objective, F_Q, gradient) of each evaluated x, by its bytes
 
     def objective(x):

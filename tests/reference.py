@@ -4,12 +4,12 @@ Everything here is built from explicit dense operators on the 2^n
 computational basis (kron products, diagonal phases, bit flips over all 2^n
 amplitudes, the gate network), from a dense eigensolve on all n+1 Dicke
 levels, from a fixed-step integration of the master equation, from
-bisection, or from a grid or Nelder-Mead search over the
-library's per-candidate figures, so that the production code paths, which
-never leave the n+1 Dicke levels or the Schur-Weyl blocks, are checked
-against a second, slower route. States are plain numpy arrays, amplitude
-vectors of length 2^n and 2^n x 2^n density matrices, and n is read from
-their shape.
+bisection or 60-digit decimal arithmetic, or from a grid or Nelder-Mead
+search over the library's per-candidate figures, so that the production
+code paths, which never leave the n+1 Dicke levels or the Schur-Weyl
+blocks, are checked against a second, slower route. States are plain numpy
+arrays, amplitude vectors of length 2^n and 2^n x 2^n density matrices, and
+n is read from their shape.
 
 Basis convention: index b encodes the bit string x with bit k of b giving
 the internal state of ion k+1, so ion 1 is the least significant bit. The
@@ -17,6 +17,7 @@ Ramsey pulse is the y-axis rotation |0> -> (|0>+|1>)/sqrt(2),
 |1> -> (-|0>+|1>)/sqrt(2), so every prepared amplitude is real.
 """
 
+import decimal
 import functools
 import math
 from functools import reduce
@@ -382,6 +383,25 @@ def topt_bisection(m0, n, gamma):
         if hi - lo <= 1e-15 * hi:
             break
     return 0.5 * (lo + hi)
+
+
+def topt_decimal(m0, n, gamma):
+    """Root of n * [1 + (2 gamma t - 1) e^{2 gamma t}] = Var S_y in 60-digit
+    stdlib decimal arithmetic: Newton on g(x) = 1 + (x - 1) e^x = Var S_y/n,
+    x = 2 gamma t, from x0 = min(sqrt(2 Var S_y/n), 2 + log(1 + Var S_y/n)),
+    both above the root, down to a step of 1e-45 x. g is convex and
+    increasing for x > 0, so the iterates fall monotonically to the root."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        ratio = decimal.Decimal(m0.sy_variance()) / decimal.Decimal(n)
+        x = min((2 * ratio).sqrt(), 2 + (1 + ratio).ln())
+        for _ in range(1000):
+            ex = x.exp()
+            step = (1 + (x - 1) * ex - ratio) / (x * ex)
+            x -= step
+            if abs(step) <= decimal.Decimal("1e-45") * x:
+                break
+        return float(x / (2 * decimal.Decimal(gamma)))
 
 
 def qfi_shot_uncertainty(rho0, t, gamma, total_time, delta=0.0):

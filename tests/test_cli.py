@@ -1,10 +1,14 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import clocksim
 from clocksim import reference_limit, signal_ghz, signal_uncorrelated, uncertainty_uncorrelated
 from clocksim import ExperimentBudget, fig4_curve, optimize
 from clocksim.cli import main
@@ -463,3 +467,47 @@ def test_signal_non_finite_input_exits_2(tmp_path, capsys, scheme, flag, value, 
     assert not out.exists()
     err = capsys.readouterr().err
     assert err == f"clocksim: invalid-argument: {name} must be finite, got {float(value)!r}\n"
+
+
+# Runs in a fresh interpreter: importing the package and every command that
+# needs no QFI search loads numpy alone; the QFI search and --optimize-t
+# import scipy.optimize when they run.
+_SCIPY_FREE_SCRIPT = """
+import os, sys
+import clocksim, clocksim.cli
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")[:5]
+
+assert not scipy_modules(), scipy_modules()
+out = os.devnull
+scipy_free = (
+    ["signal", "--scheme", "ghz", "--n", "3", "--gamma", "0.5", "--detuning", "1", "--t", "0.3"],
+    ["scan", "--n", "3", "--gamma", "1", "--total-time", "100"],
+    ["qfi", "--n", "7", "--gamma", "1", "--t", "0.1", "--scheme", "ghz"],
+    ["optimize", "--method", "gen-ramsey", "--n-min", "2", "--n-max", "20"],
+)
+for argv in scipy_free:
+    assert clocksim.cli.main([*argv, "--out", out]) == 0, argv
+    assert not scipy_modules(), (argv, scipy_modules())
+qfi_search = (
+    ["optimize", "--method", "qfi", "--n-min", "2", "--n-max", "3"],
+    ["qfi", "--n", "3", "--gamma", "1", "--optimize-t", "--total-time", "100", "--scheme", "ghz"],
+)
+for argv in qfi_search:
+    assert clocksim.cli.main([*argv, "--out", out]) == 0, argv
+assert "scipy.optimize" in sys.modules
+"""
+
+
+def test_startup_and_genramsey_path_load_no_scipy():
+    src = str(Path(clocksim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_FREE_SCRIPT],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

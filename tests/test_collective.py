@@ -30,6 +30,7 @@ from reference import (
     genramsey_uncertainty,
     minimize_over_t,
     topt_bisection,
+    topt_decimal,
 )
 
 
@@ -148,14 +149,25 @@ def test_topt_degenerate_variance_rejected():
 
 @pytest.mark.parametrize("n", [4, 7, 10])
 def test_topt_matches_bisection_oracle(n):
-    # the Lambert-W closed form against bisection of the defining equation,
-    # down to Var S_y/n = 1e-6, where the residual starts to lose digits; on
-    # this grid W0 alone, without the Newton polish, strays past 1e-10
+    # the root against bisection of the defining equation, down to Var
+    # S_y/n = 1e-6, where the bisection's residual starts to lose digits
     for ratio in np.geomspace(1e-6, 4.0, 1000):
         m0 = CollectiveMoments(n=n, sx_mean=0.0, sx2_mean=0.0, sy_mean=0.0, sy2_mean=ratio * n)
         for gamma in (0.3, 1.0, 2.5):
             oracle = topt_bisection(m0, n, gamma)
             assert solve_topt(m0, n, gamma) == pytest.approx(oracle, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("gamma", [0.3, 1.0])
+def test_topt_matches_decimal_oracle(gamma):
+    # the whole range solve_topt accepts at n = 10^4, Var S_y/n from 1e-12
+    # to n, to a few ulp; toward the branch point, Var S_y/n -> 0, the
+    # residual 1 + (x - 1) e^x cancels unless it is summed as a series
+    n = 10**4
+    for ratio in np.geomspace(1e-12, 1e4, 1601):
+        m0 = CollectiveMoments(n=n, sx_mean=0.0, sx2_mean=0.0, sy_mean=0.0, sy2_mean=ratio * n)
+        oracle = topt_decimal(m0, n, gamma)
+        assert solve_topt(m0, n, gamma) == pytest.approx(oracle, rel=4e-15, abs=0.0), ratio
 
 
 def test_topt_agrees_with_direct_minimization():

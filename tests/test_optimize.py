@@ -36,6 +36,7 @@ from clocksim.evolution import MAX_BLOCK_QUBITS
 from clocksim.optimize import (
     _LOG_MU_GRID,
     ION_RANGE,
+    _brentq,
     _chunks,
     _flip_even_ops,
     _genramsey_lanes,
@@ -267,6 +268,72 @@ def test_genramsey_search_solves_its_stationarity_condition(monkeypatch, gamma, 
         assert delta_omega <= grid[2].min()
         report = optimize_symmetric_coeffs(n, gamma, total, "gen-ramsey")
         assert report.status == "ok" and report.delta_omega == delta_omega
+
+
+def _probes(solver, f, a, b):
+    """(root or exception type, the points f was called at) of one solve."""
+    probes = []
+
+    def recording(x):
+        probes.append(x)
+        return f(x)
+
+    try:
+        return solver(recording, a, b), probes
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), probes
+
+
+def _scipy_brentq(f, a, b):
+    return scipy.optimize.brentq(f, a, b, xtol=1e-12)
+
+
+@pytest.mark.parametrize("gamma, total", [(1.0, 100.0), (0.3, 50.0), (2.0, 5.0), (1.0, 0.6)])
+def test_brentq_matches_scipy_on_the_genramsey_residual(monkeypatch, gamma, total):
+    # the transcription of scipy's brentq probes the same points, bit for
+    # bit, and ends on the same one, on each bracket the search solves
+    solves = []
+
+    def comparing(f, a, b):
+        ours = _probes(_brentq, f, a, b)
+        solves.append((ours, _probes(_scipy_brentq, f, a, b)))
+        return ours[0]
+
+    monkeypatch.setattr(optimize, "_brentq", comparing)
+    for n in [*range(2, 21), 101]:
+        solves.clear()
+        _genramsey_search(n, gamma, total)
+        [(ours, theirs)] = solves
+        assert ours == theirs and 3 <= len(ours[1]) <= 8
+
+
+@pytest.mark.parametrize(
+    "f, a, b, kind",
+    [
+        (lambda x: x - 1.0, 1.0, 3.0, "endpoint"),
+        (lambda x: x * x - 4.0, 0.0, 2.0, "endpoint"),
+        (lambda x: x**9 - 1e-3, 0.0, 4.0, "bisection"),  # interpolation stalls
+        (lambda x: math.exp(x) - 5.0, 0.0, 20.0, "interpolation"),
+        (lambda x: -1.0 if x < 0.3 else 1.0, -1e300, 1e300, "unconverged"),
+        (lambda x: x + 1.0, 0.0, 1.0, "no sign change"),
+    ],
+    ids=["root-at-a", "root-at-b", "bisection", "interpolation", "unconverged", "no-sign-change"],
+)
+def test_brentq_matches_scipy_on_analytic_functions(f, a, b, kind):
+    ours = _probes(_brentq, f, a, b)
+    assert ours == _probes(_scipy_brentq, f, a, b)
+    root, probes = ours
+    if kind == "endpoint":
+        assert len(probes) == 2 and f(root) == 0.0
+    elif kind == "bisection":
+        # the fourth probe halves the bracket the third one left
+        assert probes[3] == pytest.approx(0.5 * (probes[1] + probes[2]), rel=1e-15)
+    elif kind == "unconverged":
+        assert root is RuntimeError and len(probes) == 102  # both ends and 100 iterations
+    elif kind == "no sign change":
+        assert root is ValueError and len(probes) == 2
+    else:
+        assert abs(f(root)) <= 1e-12
 
 
 def test_genramsey_result_does_not_depend_on_where_the_grid_sits(monkeypatch):
