@@ -28,4 +28,4 @@ class SingularOutcomeError(ClocksimError):
 
 
 class BracketingError(ClocksimError):
-    """Scalar minimization found no finite objective value on the bracket."""
+    """A shot-time search bracketed no optimum next to its best grid point."""

@@ -19,9 +19,11 @@ over n runs the gen-Ramsey search once per n, whichever methods it
 reports. The gradient, like every shot-time F_Q, comes from the one block
 QFI ``fisher._block_qfi``: no 2^n state vector or density matrix is built.
 
-The gen-Ramsey search runs on numpy alone. scipy is imported inside
-``_polish`` and ``_refine`` only, so a process that runs no QFI search and
-no shot-time QFI optimum never loads it.
+The shot-time QFI optimum of a state is likewise a root, of r(log t) = 1 -
+t F_Q'/F_Q = 2 d log delta_omega / d log t, next to the best point of a
+stacked geometric grid (``_root_beside`` serves both searches), or t = T
+where r(T) <= 0. scipy is imported inside ``_polish`` only, so a process
+that runs no QFI coefficient search never loads it.
 """
 
 from __future__ import annotations
@@ -63,17 +65,16 @@ METHODS = ("gen-ramsey", "qfi")
 # the qfi end is that of the block QFI.
 ION_RANGE = {"gen-ramsey": (2, 1000), "qfi": (2, MAX_BLOCK_QUBITS)}
 
-_GRID_POINTS = 48
+_GRID_POINTS = 16  # the root needs only the optimum's basin
 # Bytes of one chunk of a stacked grid. In the presampling grid of
 # ``qfi_shot_optimum`` a lane is a (K, n+1, n+1) block array and its
-# derivative: the whole grid in one chunk up to n = 7, three shot times per
+# derivative: the whole grid in one chunk up to n = 11, three shot times per
 # chunk at n = 20, where the (n+1)-fold larger temporaries of the block
 # weights then stay near 2.4 MB. In the gen-Ramsey mu grid a lane is a
 # flip-even matrix and its eigenvectors: the whole grid in one chunk up to
 # n = 37, one mu per chunk from n = 180.
 _STACK_BYTES = 1 << 18
 _LOG_MU_GRID = np.linspace(math.log(1e-4), math.log(1e2), 41)  # best mu: 0.2 to 2.2
-_TOL_X = 1e-9  # Brent tolerance of the shot-time refinement
 # F_Q evaluations after which the polish stops unconverged; it takes about
 # 10 at n = 2..3 and 90 at n = 20.
 _POLISH_EVALS = 4000
@@ -114,31 +115,6 @@ def _check_finite(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-def _refine(objective, grid, values, tol_x):
-    """Refine ``objective`` (infinite where it fails) from its ``values`` on
-    the geometric ``grid`` with scipy's bounded Brent method, between the grid
-    neighbours of the best grid point, to ``tol_x``. Returns (t_opt, value),
-    never worse than the best grid point; raises BracketingError when every
-    grid value is infinite."""
-    from scipy.optimize import minimize_scalar  # scipy loads only for QFI work
-
-    best = int(np.argmin(values))
-    if not math.isfinite(values[best]):
-        raise BracketingError(f"objective is infinite everywhere on ({grid[0]}, {grid[-1]})")
-    bounds = (grid[max(best - 1, 0)], grid[min(best + 1, len(grid) - 1)])
-    res = minimize_scalar(objective, bounds=bounds, method="bounded", options={"xatol": tol_x})
-    if res.fun < values[best]:
-        return float(res.x), float(res.fun)
-    return float(grid[best]), float(values[best])
-
-
-def _geometric_grid(bracket) -> np.ndarray:
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not (0.0 < lo < hi):
-        raise ValueError(f"bracket must satisfy 0 < lo < hi, got ({lo}, {hi})")
-    return np.geomspace(lo, hi, _GRID_POINTS)
-
-
 def _precision_bounds(fq, ts, total_time):
     """Precision bound 1/sqrt((T/t) F_Q(t)) from the F_Q at each shot time of
     ``ts``, infinite where the state carries no information."""
@@ -160,22 +136,26 @@ def _chunks(grid, lane_bytes):
 
 
 def _shot_grid(n, gamma, total_time):
-    """The presampling grid of shot times over ``_shot_bracket`` and its
-    split into chunks of stacked n-ion blocks."""
-    grid = _geometric_grid(_shot_bracket(gamma, total_time))
+    """The geometric presampling grid of shot times over ``_shot_bracket``,
+    its ends exact, and its split into chunks of stacked n-ion blocks."""
+    lo, hi = _shot_bracket(gamma, total_time)
+    if not (0.0 < lo < hi):
+        raise ValueError(f"bracket must satisfy 0 < lo < hi, got ({lo}, {hi})")
+    grid = np.geomspace(lo, hi, _GRID_POINTS)
     return grid, _chunks(grid, 16 * (n // 2 + 1) * (n + 1) ** 2)
 
 
-def qfi_shot_optimum(state, gamma, total_time, tol_x=_TOL_X):
+def qfi_shot_optimum(state, gamma, total_time):
     """Shot time minimizing the precision bound 1/sqrt((T/t) F_Q(t)) of the
     SymmetricFamilyState ``state`` (1 <= n <= 20) over
     (1e-4/gamma, min(T, 8/gamma)). Returns (t_opt, delta_omega); raises
     NoInformationError when no grid shot time carries information.
 
-    F_Q comes from the state's Schur-Weyl blocks. The presampling grid is
-    evaluated in stacked chunks; a stacked F_Q equals the single-shot-time
-    one to the last bit, so the result equals a search that evaluates the
-    grid one shot time at a time, then refines by the same Brent method.
+    The grid is scored in stacked chunks of Schur-Weyl blocks; ``_root_beside``
+    then solves r(log t) = 1 - t F_Q'/F_Q = 0, F_Q' from
+    ``fisher._qfi_gradient``, and the probe it ends on is the result. A
+    best grid point t = T with r(T) <= 0 is the optimum under the constraint
+    t <= T; any other unbracketed optimum raises BracketingError.
     """
     if not isinstance(state, SymmetricFamilyState):
         raise TypeError(f"expected a SymmetricFamilyState, got {type(state).__name__}")
@@ -184,14 +164,28 @@ def qfi_shot_optimum(state, gamma, total_time, tol_x=_TOL_X):
     if not gamma > 0.0:
         raise ValueError(f"dephasing rate must be > 0, got {gamma}")
     n, c = state.n, _dicke_amplitudes(state.n, state.a)
-    bounds = lambda ts: _precision_bounds(
-        _block_qfi(c, *_block_form(n, gamma, ts))[0], ts, total_time
-    )
     grid, chunks = _shot_grid(n, gamma, total_time)
-    values = np.concatenate([bounds(ts) for ts in chunks])
+    fq = np.concatenate([_block_qfi(c, *_block_form(n, gamma, ts))[0] for ts in chunks])
+    values = _precision_bounds(fq, grid, total_time)
     if not np.isfinite(values).any():
         raise NoInformationError(_NO_INFORMATION)
-    return _refine(lambda t: bounds(t).item(), grid, values, tol_x)
+    probed = {}  # (t, F_Q, r) of each probed log t
+
+    def residual(log_t):
+        if log_t not in probed:
+            t = math.exp(log_t)
+            fq, _, dfq = _qfi_gradient(n, gamma, state.a, t)
+            probed[log_t] = t, fq, 1.0 - t * dfq / fq if fq >= QFI_FLOOR else math.nan
+        return probed[log_t][2]
+
+    log_grid, best = np.log(grid), int(np.argmin(values))
+    log_t = _root_beside(residual, log_grid, best)
+    if log_t is not None:
+        t, fq, _ = probed[log_t]
+        return t, float(_precision_bounds(fq, t, total_time))
+    if grid[best] == total_time and residual(log_grid[best]) <= 0.0:
+        return float(grid[best]), float(values[best])
+    raise BracketingError(f"no shot-time optimum bracketed next to t = {grid[best]}")
 
 
 def _canonical_method(method: str) -> str:
@@ -286,6 +280,16 @@ def _brentq(f, xa, xb):
     raise RuntimeError(f"Brent's method failed to converge after 100 iterations, value is {xcur}")
 
 
+def _root_beside(residual, grid, best):
+    """The ``_brentq`` root of ``residual`` between ``grid[best]`` and the
+    neighbour where the objective falls, the next one if the residual is
+    negative there; None when none lies there or r(lo) <= 0 <= r(hi) fails."""
+    lo, hi = sorted((best, best + 1 if residual(grid[best]) < 0.0 else best - 1))
+    if 0 <= lo and hi < len(grid) and residual(grid[lo]) <= 0.0 <= residual(grid[hi]):
+        return _brentq(residual, grid[lo], grid[hi])
+    return None
+
+
 def _genramsey_search(n, gamma, total_time):
     """(coefficients, t_opt, delta_omega, converged) of the best ground
     state of -S_x + mu S_y^2: the gen-Ramsey score improves as <S_x> rises
@@ -300,11 +304,11 @@ def _genramsey_search(n, gamma, total_time):
     - mu/<S_x>] with dv/dmu < 0: delta_omega is stationary where the
     residual r of ``_genramsey_lanes`` vanishes, falling with mu where
     r < 0 and rising where r > 0. The log mu grid is scored in stacked
-    chunks; Brent's root finder then solves r = 0 between the best grid
-    lane and its neighbour on the side where delta_omega falls, one
-    one-lane stack per probe, and the probe it ends on is the result. When
-    r keeps its sign across that neighbour, or the best lane has none there
-    (a grid edge), the best lane is returned unconverged.
+    chunks; ``_root_beside`` then solves r = 0 between the best grid lane
+    and its neighbour on the side where delta_omega falls, one one-lane
+    stack per probe, and the probe it ends on is the result. When r keeps
+    its sign across that neighbour, or the best lane has none there (a grid
+    edge), the best lane is returned unconverged.
     """
     ops = _flip_even_ops(n)
     lanes = lambda log_mu: _genramsey_lanes(n, ops, gamma, total_time, log_mu)
@@ -318,14 +322,9 @@ def _genramsey_search(n, gamma, total_time):
         return scored[log_mu][3]
 
     best = int(np.argmin(delta_omega))
-    lo, hi = sorted((best, best + 1 if r[best] < 0.0 else best - 1))
-    converged = bool(0 <= lo and hi < len(r) and r[lo] <= 0.0 <= r[hi])
-    if converged:
-        log_mu = _brentq(residual, _LOG_MU_GRID[lo], _LOG_MU_GRID[hi])
-    else:
-        log_mu = _LOG_MU_GRID[best]
-    a, t_opt, delta_omega, _ = scored[log_mu]
-    return a, float(t_opt), float(delta_omega), converged
+    log_mu = _root_beside(residual, _LOG_MU_GRID, best)
+    a, t_opt, delta_omega, _ = scored[_LOG_MU_GRID[best] if log_mu is None else log_mu]
+    return a, float(t_opt), float(delta_omega), log_mu is not None
 
 
 def _norms(rows):

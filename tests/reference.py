@@ -24,7 +24,7 @@ from functools import reduce
 
 import numpy as np
 from scipy.linalg import eigh, solve_continuous_lyapunov
-from scipy.optimize import minimize
+from scipy.optimize import minimize, minimize_scalar
 
 from clocksim import (
     BracketingError,
@@ -42,7 +42,6 @@ from clocksim import (
 )
 from clocksim.collective import _ZERO_TOL
 from clocksim.fisher import _qfi_core
-from clocksim.optimize import _geometric_grid, _refine
 
 
 class OracleError(Exception):
@@ -422,13 +421,28 @@ def _safe_call(objective, t):
 
 def minimize_over_t(objective, bracket, tol_x=1e-9):
     """Minimize a scalar objective over shot durations in ``bracket``, one
-    duration at a time: the package's 48-point geometric presampling grid,
-    then its bounded Brent refinement to ``tol_x``. Evaluations raising
-    singular, degenerate or no-information errors count as infinite; raises
+    duration at a time: a 48-point geometric grid, then scipy's bounded Brent
+    method between the grid neighbours of the best grid point, to ``tol_x``,
+    kept only where it beats that point. Evaluations raising singular,
+    degenerate or no-information errors count as infinite; raises
     BracketingError if every grid value is infinite. Returns (t_opt, value)."""
-    grid = _geometric_grid(bracket)
+    lo, hi = float(bracket[0]), float(bracket[1])
+    if not (0.0 < lo < hi):
+        raise ValueError(f"bracket must satisfy 0 < lo < hi, got ({lo}, {hi})")
+    grid = np.geomspace(lo, hi, 48)
     values = [_safe_call(objective, t) for t in grid]
-    return _refine(lambda t: _safe_call(objective, t), grid, values, tol_x)
+    best = int(np.argmin(values))
+    if not math.isfinite(values[best]):
+        raise BracketingError(f"objective is infinite everywhere on ({lo}, {hi})")
+    res = minimize_scalar(
+        lambda t: _safe_call(objective, t),
+        bounds=(grid[max(best - 1, 0)], grid[min(best + 1, len(grid) - 1)]),
+        method="bounded",
+        options={"xatol": tol_x},
+    )
+    if res.fun < values[best]:
+        return float(res.x), float(res.fun)
+    return float(grid[best]), float(values[best])
 
 
 def dense_qfi_shot_optimum(psi, gamma, total_time, delta=0.0, tol_x=1e-9):
@@ -598,9 +612,8 @@ def nelder_mead_qfi(n, gamma, total_time, restarts=2, seed=0):
 
     Each restart starts from a normal vector drawn from a child of
     SeedSequence(seed) and searches unconstrained coordinates, normalized onto
-    the unit sphere and scored by ``qfi_shot_optimum`` at a shot-time
-    tolerance of 1e-6; the winner's |a| is scored again at 1e-9. Returns
-    (best_improvement_pct, best_coeffs).
+    the unit sphere and scored by ``qfi_shot_optimum``; the winner's |a| is
+    scored again. Returns (best_improvement_pct, best_coeffs).
     """
 
     def objective(x):
@@ -608,7 +621,7 @@ def nelder_mead_qfi(n, gamma, total_time, restarts=2, seed=0):
         if nrm < 1e-12:
             return math.inf
         try:
-            return qfi_shot_optimum(SymmetricFamilyState(n, x / nrm), gamma, total_time, 1e-6)[1]
+            return qfi_shot_optimum(SymmetricFamilyState(n, x / nrm), gamma, total_time)[1]
         except NoInformationError:
             return math.inf
 

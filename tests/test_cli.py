@@ -469,9 +469,9 @@ def test_signal_non_finite_input_exits_2(tmp_path, capsys, scheme, flag, value, 
     assert err == f"clocksim: invalid-argument: {name} must be finite, got {float(value)!r}\n"
 
 
-# Runs in a fresh interpreter: importing the package and every command that
-# needs no QFI search loads numpy alone; the QFI search and --optimize-t
-# import scipy.optimize when they run.
+# Runs in a fresh interpreter: importing the package and every command but
+# the QFI coefficient search, --optimize-t included, loads numpy alone; only
+# the QFI search's polish imports scipy.optimize when it runs.
 _SCIPY_FREE_SCRIPT = """
 import os, sys
 import clocksim, clocksim.cli
@@ -485,17 +485,14 @@ scipy_free = (
     ["signal", "--scheme", "ghz", "--n", "3", "--gamma", "0.5", "--detuning", "1", "--t", "0.3"],
     ["scan", "--n", "3", "--gamma", "1", "--total-time", "100"],
     ["qfi", "--n", "7", "--gamma", "1", "--t", "0.1", "--scheme", "ghz"],
+    ["qfi", "--n", "3", "--gamma", "1", "--optimize-t", "--total-time", "100", "--scheme", "ghz"],
     ["optimize", "--method", "gen-ramsey", "--n-min", "2", "--n-max", "20"],
 )
 for argv in scipy_free:
     assert clocksim.cli.main([*argv, "--out", out]) == 0, argv
     assert not scipy_modules(), (argv, scipy_modules())
-qfi_search = (
-    ["optimize", "--method", "qfi", "--n-min", "2", "--n-max", "3"],
-    ["qfi", "--n", "3", "--gamma", "1", "--optimize-t", "--total-time", "100", "--scheme", "ghz"],
-)
-for argv in qfi_search:
-    assert clocksim.cli.main([*argv, "--out", out]) == 0, argv
+argv = ["optimize", "--method", "qfi", "--n-min", "2", "--n-max", "3"]
+assert clocksim.cli.main([*argv, "--out", out]) == 0, argv
 assert "scipy.optimize" in sys.modules
 """
 

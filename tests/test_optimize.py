@@ -1,4 +1,6 @@
+import functools
 import importlib
+import json
 import math
 import pkgutil
 import tracemalloc
@@ -43,6 +45,7 @@ from clocksim.optimize import (
     _genramsey_search,
     _ground_states,
     _polish,
+    _root_beside,
     _shot_bracket,
 )
 from reference import (
@@ -620,6 +623,17 @@ def test_qfi_shot_optimum_validation():
         qfi_shot_optimum(SymmetricFamilyState(21, np.eye(1, 11)[0]), GAMMA, TOTAL)
 
 
+def _scalar_shot_optimum(state, gamma, total, delta=0.0):
+    """The scalar oracle's shot-time optimum of the block bound: a 48-point
+    grid and scipy's bounded Brent method, one shot time at a time."""
+    return minimize_over_t(
+        lambda t: qfi_uncertainty(
+            family_qfi(state, DephasingParams(delta, gamma, t))[0], total, t
+        ),
+        (1e-4 / gamma, min(total, 8.0 / gamma)),
+    )
+
+
 @pytest.mark.parametrize("delta", [0.0, 0.3])
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_qfi_shot_optimum_equals_scalar_search(n, delta):
@@ -630,22 +644,160 @@ def test_qfi_shot_optimum_equals_scalar_search(n, delta):
     for _ in range(2):
         a = rng.normal(size=n // 2 + 1)
         coeffs.append(a / np.linalg.norm(a))
-    bracket = (1e-4 / GAMMA, min(TOTAL, 8.0 / GAMMA))
     for a in coeffs:
         state = SymmetricFamilyState(n, a)
         got = qfi_shot_optimum(state, GAMMA, TOTAL)
-        # the stacked grid gives the bits of the single-shot-time block bound
-        scalar = minimize_over_t(
-            lambda t: qfi_uncertainty(family_qfi(state, DephasingParams(delta, GAMMA, t))[0],
-                                      TOTAL, t),
-            bracket,
-            1e-9,
-        )
-        assert got == scalar
+        # the root is no worse than the bounded minimizer on a flat optimum,
+        # whose stopping point is fixed only to about 1e-7
+        scalar = _scalar_shot_optimum(state, GAMMA, TOTAL, delta)
+        assert got[1] <= scalar[1] * (1.0 + 4e-15)
+        assert got[0] == pytest.approx(scalar[0], rel=1e-6)
         # and the block engine lands where the dense 2^n search does
         t_dense, value_dense = dense_qfi_shot_optimum(family_state(n, a), GAMMA, TOTAL, delta)
         assert got[1] == pytest.approx(value_dense, rel=1e-12)
         assert got[0] == pytest.approx(t_dense, rel=1e-6)
+
+
+# The shot-time check set: four states at each n, and (gamma, T) pairs of a
+# long run, a slow one, a fast one and T = 0.3, below the product state's
+# optimum 1/(2 gamma) = 0.5, which then sits on the constraint t = T.
+_SHOT_NS = (2, 3, 5, 8, 13, 20)
+_SHOT_KINDS = ("product", "ghz", "gen-ramsey", "random")
+_SHOT_PAIRS = ((1.0, 100.0), (0.3, 50.0), (2.0, 5.0), (1.0, 0.3))
+
+
+@functools.lru_cache(maxsize=None)
+def _shot_state(n, kind):
+    if kind == "product":
+        a = uniform_coefficients(n)
+    elif kind == "ghz":
+        a = np.eye(1, n // 2 + 1)[0]
+    elif kind == "gen-ramsey":
+        a = optimize_symmetric_coeffs(n, GAMMA, TOTAL, "gen-ramsey").best_coeffs
+    else:
+        a = np.random.default_rng(n).normal(size=n // 2 + 1)
+        a /= np.linalg.norm(a)
+    return SymmetricFamilyState(n, a)
+
+
+@pytest.mark.parametrize("kind", _SHOT_KINDS)
+@pytest.mark.parametrize("n", _SHOT_NS)
+def test_qfi_shot_optimum_is_no_worse_than_the_scalar_oracle(monkeypatch, n, kind):
+    # a handful of gradient probes lands on the root, or certifies t = T
+    gradient, probes = optimize._qfi_gradient, []
+
+    def counting(*args):
+        probes.append(args[-1])
+        return gradient(*args)
+
+    monkeypatch.setattr(optimize, "_qfi_gradient", counting)
+    state = _shot_state(n, kind)
+    for gamma, total in _SHOT_PAIRS:
+        probes.clear()
+        t_opt, delta_omega = qfi_shot_optimum(state, gamma, total)
+        scalar = _scalar_shot_optimum(state, gamma, total)
+        assert delta_omega <= scalar[1] * (1.0 + 4e-15)
+        assert t_opt == pytest.approx(scalar[0], rel=1e-6)
+        assert 1 <= len(probes) <= 10
+        if kind == "product" and total == 0.3:
+            assert t_opt == total and probes == [pytest.approx(total, rel=1e-15)]
+
+
+def test_qfi_shot_optimum_does_not_depend_on_where_the_grid_sits(monkeypatch):
+    # a root is where it is; the bounded minimizer this replaced stopped
+    # anywhere within about 1e-7 of it, wherever the grid put its bracket
+    cases = [(n, kind, *pair) for n in _SHOT_NS for kind in _SHOT_KINDS for pair in _SHOT_PAIRS]
+    before = [qfi_shot_optimum(_shot_state(n, kind), g, total) for n, kind, g, total in cases]
+    shot_grid = optimize._shot_grid
+
+    def shifted(n, gamma, total_time):
+        # every point but the last, the constraint t <= T or the bracket's
+        # upper end, moves up by half a log spacing
+        grid = shot_grid(n, gamma, total_time)[0]
+        grid = np.append(grid[:-1] * math.sqrt(grid[1] / grid[0]), grid[-1])
+        return grid, [grid]
+
+    monkeypatch.setattr(optimize, "_shot_grid", shifted)
+    for (n, kind, gamma, total), (t_opt, _) in zip(cases, before):
+        t_shift, _ = qfi_shot_optimum(_shot_state(n, kind), gamma, total)
+        assert t_shift == pytest.approx(t_opt, rel=1e-12, abs=0.0), (n, kind, gamma, total)
+
+
+def test_qfi_shot_optimum_at_the_total_time_is_certified(tmp_path):
+    # T = 0.3 cuts the product state off before its optimum at 0.5: at t = T
+    # the residual r = 1 - t F_Q'/F_Q is negative, so delta_omega still falls
+    # there, and T itself is the optimum, in the library and in the CLI
+    state = SymmetricFamilyState(3, uniform_coefficients(3))
+    fq, _, dfq = fisher._qfi_gradient(3, GAMMA, state.a, 0.3)
+    assert 1.0 - 0.3 * dfq / fq < 0.0
+    t_opt, delta_omega = qfi_shot_optimum(state, GAMMA, 0.3)
+    assert t_opt == 0.3 and delta_omega == pytest.approx(qfi_uncertainty(fq, 0.3, 0.3), rel=1e-14)
+    out = tmp_path / "qfi.json"
+    argv = ["qfi", "--n", "3", "--gamma", "1", "--optimize-t", "--total-time", "0.3",
+            "--scheme", "uncorrelated", "--out", str(out)]
+    assert cli.main(argv) == 0
+    report = json.loads(out.read_text())
+    assert report["t_opt"] == 0.3 and report["delta_omega"] == delta_omega
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_qfi_shot_optimum_near_a_dicke_state_reports_no_infinite_bound(n):
+    # a Dicke state carries no information; within about 1e-15 of it F_Q
+    # straddles QFI_FLOOR along the shot-time grid. Where F_Q is below the
+    # floor the residual is undefined, so a root must not end there with an
+    # infinite bound: the search returns a finite one or raises
+    outcomes = set()
+    for eps in np.geomspace(5e-16, 2e-15, 12):
+        a = np.zeros(n // 2 + 1)
+        a[0], a[-1] = eps, 1.0
+        try:
+            _, delta_omega = qfi_shot_optimum(SymmetricFamilyState(n, a / np.linalg.norm(a)),
+                                              GAMMA, TOTAL)
+        except (NoInformationError, BracketingError) as exc:
+            outcomes.add(type(exc))
+        else:
+            assert math.isfinite(delta_omega)
+            outcomes.add(float)
+    assert float in outcomes
+
+
+@pytest.mark.parametrize("best", range(5))
+def test_root_beside_solves_only_next_to_the_best_point(best):
+    # the root 0.3 lies between grid points 2 and 3; a residual that keeps
+    # its sign has no root anywhere
+    grid = np.linspace(-1.0, 1.0, 5)
+    root = _root_beside(lambda x: x - 0.3, grid, best)
+    if best in (2, 3):
+        assert root == pytest.approx(0.3, abs=1e-12)
+    else:
+        assert root is None
+    assert _root_beside(lambda x: x + 2.0, grid, best) is None
+
+
+def test_searches_without_a_bracketed_root_report_it(monkeypatch, tmp_path, capsys):
+    # with a residual that is positive everywhere, the objective seems to
+    # rise at every point: gen-Ramsey reports its best lane as partial, and
+    # the shot-time optimum fails, exit 3 in the CLI, with no report written
+    lanes, gradient = optimize._genramsey_lanes, optimize._qfi_gradient
+
+    def rising_lanes(*args):
+        a, t_opt, delta_omega, r = lanes(*args)
+        return a, t_opt, delta_omega, np.ones_like(r)
+
+    def rising_gradient(*args):
+        fq, grad_a, _ = gradient(*args)
+        return fq, grad_a, 0.0  # r = 1 - t F_Q'/F_Q = 1
+
+    monkeypatch.setattr(optimize, "_genramsey_lanes", rising_lanes)
+    monkeypatch.setattr(optimize, "_qfi_gradient", rising_gradient)
+    assert optimize_symmetric_coeffs(3, GAMMA, TOTAL, "gen-ramsey").status == "partial"
+    with pytest.raises(BracketingError, match="no shot-time optimum bracketed"):
+        qfi_shot_optimum(SymmetricFamilyState(3, [1.0, 0.0]), GAMMA, TOTAL)
+    out = tmp_path / "qfi.json"
+    argv = ["qfi", "--n", "3", "--gamma", "1", "--optimize-t", "--total-time", "100",
+            "--scheme", "ghz", "--out", str(out)]
+    assert cli.main(argv) == 3 and not out.exists()
+    assert capsys.readouterr().err.startswith("clocksim: optimization-failure: no shot-time")
 
 
 def test_qfi_shot_optimum_rejects_state_without_information():
