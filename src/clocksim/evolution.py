@@ -14,9 +14,9 @@ algebra of the n-cube, which A. Schrijver block-diagonalized in closed form
 the total-spin sectors j = n/2 - k (Chase & Geremia, PRA 78, 052101 (2008)),
 it is a real, state-independent channel times the outer product of the
 Dicke amplitudes, and its detuning derivative is i times a real rate
-matrix times the blocks. ``_block_form`` builds that channel and rate
-matrix, ``_channel_rate`` the channel's shot-time derivative for the QFI
-gradient; ``fisher._block_qfi`` multiplies in the amplitudes.
+matrix times the blocks. ``_block_form`` builds that channel, a Gram
+product per block, its shot-time derivative for the QFI gradient and the
+rate matrix; ``fisher._block_qfi`` multiplies in the amplitudes.
 """
 
 from __future__ import annotations
@@ -32,13 +32,13 @@ __all__ = [
     "DephasingParams",
 ]
 
-# Largest ion number of the block form. Its weights are sums of nonnegative
-# terms, the pure-state and trace-one identities hold to ~1e-15 well beyond
-# it, and the QFI core's cutoff, relative to each block's largest
-# eigenvalue, keeps the product state's F_Q within 1e-13 up to n = 60. The
-# cap is set by the dense (K, n+1, n+1, n+1) weight table, 13 MB and 0.8 s
-# to build at n = 40.
-MAX_BLOCK_QUBITS = 20
+# Largest ion number of the block form. Its channel entries are sums of
+# nonnegative terms; at n = 100 the trace-one and pure-state identities hold
+# to 3e-14 and 2e-15, and the QFI core's cutoff, relative to each block's
+# largest eigenvalue, keeps the product-state and GHZ F_Q within 1e-12 of
+# their closed forms. The cap is set by cost: one F_Q with its gradient
+# takes about 0.1 s at n = 100, and a QFI coefficient search some 200.
+MAX_BLOCK_QUBITS = 100
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,7 @@ def _check_block_qubits(n: int) -> None:
 @functools.lru_cache(maxsize=None)
 def _block_tables(n: int):
     """Read-only tables of the block form of an n-ion family state:
-    ``(weights, exponents, multiplicities)``.
+    ``(base, steps, multiplicities)``.
 
     Schrijver maps the 0/1 matrix of string pairs (x, y) with |x| = i,
     |y| = j and |x AND y| = s to entry (i, j), i, j = k..n-k, of block k, with
@@ -80,71 +80,62 @@ def _block_tables(n: int):
     C(n-k-u, j-u), u = max(s, k)..min(i, j). A dephased element carries
     exp(-gamma t (i + j - 2s)), and the binomial theorem turns the sum over s
     into sum_u C(n-2k, u-k) C(n-k-u, i-u) C(n-k-u, j-u) p^(i+j-2u) (1-p^2)^u
-    with p = exp(-gamma t): no alternating signs. ``weights[k, i, j, u]`` is
-    that integer over sqrt(C(n-2k, i-k) C(n-2k, j-k) C(n, i) C(n, j)); the
-    last two binomials turn Dicke amplitudes into per-string ones. Block k
+    with p = exp(-gamma t): no alternating signs. Over sqrt(C(n, i) C(n, j)),
+    which turns Dicke amplitudes into per-string ones, each term splits into
+    an (i, u) and a (j, u) factor: block k is the Gram product
+    G_k diag((1-p^2)^u) G_k^T, G_k[i, u] = base[k, i, u] p^steps[i, u], with
+    base[k, i, u] = sqrt(C(n-2k, u-k)) C(n-k-u, i-u) / sqrt(C(n-2k, i-k)
+    C(n, i)) for k <= u <= i <= n-k, 0 elsewhere, from log-factorials so
+    that no product of binomials overflows, and steps = max(i-u, 0), clipped
+    so that an underflowed p = 0 never meets a negative power. Block k
     occurs C(n, k) - C(n, k-1) times in the 2^n matrix.
     """
     _check_block_qubits(n)
     size = n // 2 + 1
-    weights = np.zeros((size, n + 1, n + 1, n + 1))
-    for k in range(size):
-        m = n - 2 * k
-        for i in range(k, n - k + 1):
-            for j in range(i, n - k + 1):
-                norm = math.sqrt(math.comb(m, i - k) * math.comb(m, j - k)
-                                 * math.comb(n, i) * math.comb(n, j))
-                for u in range(k, i + 1):
-                    r = n - k - u
-                    count = math.comb(m, u - k) * math.comb(r, i - u) * math.comb(r, j - u)
-                    weights[k, i, j, u] = weights[k, j, i, u] = count / norm
-    w = np.arange(n + 1)
-    # i + j - 2u, clipped where the weight is zero (u > min(i, j)) so that an
-    # underflowed p = 0 never meets a negative power
-    exponents = np.maximum(w[:, None, None] + w[None, :, None] - 2 * w, 0)
+    log_fact = np.array([math.lgamma(a + 1.0) for a in range(n + 1)])
+    log_comb = lambda top, bottom: log_fact[top] - log_fact[bottom] - log_fact[top - bottom]
+    k, i, u = np.ogrid[:size, : n + 1, : n + 1]
+    m = n - 2 * k
+    # outside the support an index may be negative and wrap; base is 0 there
+    log_base = (0.5 * (log_comb(m, u - k) - log_comb(m, i - k) - log_comb(n, i))
+                + log_comb(n - k - u, i - u))
+    base = np.exp(np.where((k <= u) & (u <= i) & (i <= n - k), log_base, -np.inf))
+    steps = np.maximum(i - u, 0)[0]
     mult = np.array([math.comb(n, k) - math.comb(n, k - 1) if k else 1 for k in range(size)], float)
-    for table in (weights, exponents, mult):
+    for table in (base, steps, mult):
         table.flags.writeable = False
-    return weights, exponents, mult
+    return base, steps, mult
 
 
 def _block_form(n: int, gamma: float, ts):
     """The state-independent block form of an n-ion family state evolved for
-    every duration of ``ts``: ``(channel, rates, multiplicities)``.
+    every duration of ``ts``: ``(channel, dchannel, rates, multiplicities)``.
 
-    ``channel`` is E_k(t)[i, j] = sum_u weights[k, i, j, u] p^(i+j-2u)
-    (1-p^2)^u with p = exp(-gamma t), shape ``np.shape(ts) + (K, n+1, n+1)``,
-    K = floor(n/2) + 1; ``rates`` is D(t)[i, j] = t (j - i), shape
-    ``np.shape(ts) + (1, n+1, n+1)``. Block k of a family state with Dicke
-    amplitudes c is rho_k = E_k ∘ c c^T and its detuning derivative i D ∘ rho_k;
-    it fills rows and columns k..n-k and is zero elsewhere, so the padding
-    only adds null directions. The detuning phase exp(i delta t (j-i)) is
-    left out: a diagonal unitary that commutes with the dephasing, it
-    changes neither F_Q nor the SLD measurement's Fisher information. Each
-    entry is a sum over the last axis of its own weights, so a stacked
-    duration gives the same bits as a single one. The scalars are not
-    checked here: callers validate them once, at the API boundary (finite
-    ``gamma`` >= 0, finite durations >= 0).
+    ``channel`` is E_k(t) = G_k diag(q^u) G_k^T of ``_block_tables``, q =
+    1 - p^2, one stacked matrix product of shape ``np.shape(ts) + (K, n+1,
+    n+1)``, K = floor(n/2) + 1; ``dchannel`` is dE_k/dt = A + A^T + G_k
+    diag(dq^u/dt) G_k^T, A = (-gamma (i-u) G_k) diag(q^u) G_k^T and dq^u/dt
+    = 2 gamma u p^2 q^(u-1), by the product rule. ``rates`` is D(t)[i, j] =
+    t (j - i), shape ``np.shape(ts) + (1, n+1, n+1)``. Block k of a family
+    state with Dicke amplitudes c is rho_k = E_k ∘ c c^T and its detuning
+    derivative i D ∘ rho_k; it fills rows and columns k..n-k and is zero
+    elsewhere, so the padding only adds null directions. The detuning phase
+    exp(i delta t (j-i)) is left out: a diagonal unitary that commutes with
+    the dephasing, it changes neither F_Q nor the SLD measurement's Fisher
+    information. Each duration's blocks are their own matrix products, so a
+    stacked duration gives the same bits as a single one. The scalars are
+    not checked here: callers validate them once, at the API boundary
+    (finite ``gamma`` >= 0, finite durations >= 0).
     """
-    weights, exponents, mult = _block_tables(n)
+    base, steps, mult = _block_tables(n)
     levels = np.arange(n + 1)
     t = np.asarray(ts, dtype=float)[..., None, None, None]
     p = np.exp(-gamma * t)
-    decay = p**exponents * (1.0 - p * p) ** levels
-    channel = (weights * decay[..., None, :, :, :]).sum(-1)
-    return channel, t * (levels - levels[:, None]), mult
-
-
-def _channel_rate(n: int, gamma: float, ts):
-    """dE_k/dt of the channel of ``_block_form``, in its shape: with
-    q = 1 - p^2, d/dt [p^(i+j-2u) q^u] = gamma p^(i+j-2u) (2u p^2 q^(u-1) -
-    (i+j-2u) q^u), weighted and summed within each entry like the channel,
-    so a stacked duration again gives the bits of a single one."""
-    weights, exponents, _ = _block_tables(n)
-    levels = np.arange(n + 1)
-    p = np.exp(-gamma * np.asarray(ts, dtype=float)[..., None, None, None])
     q = 1.0 - p * p
-    rate = gamma * p**exponents * (
-        2.0 * levels * p * p * q ** np.maximum(levels - 1, 0) - exponents * q**levels
-    )
-    return (weights * rate[..., None, :, :, :]).sum(-1)
+    gram = base * p**steps
+    gram_t = np.swapaxes(gram, -1, -2)
+    weighted = gram * q**levels
+    drift = (-gamma * steps * weighted) @ gram_t
+    dq = 2.0 * gamma * levels * p * p * q ** np.maximum(levels - 1, 0)
+    dchannel = drift + np.swapaxes(drift, -1, -2) + (gram * dq) @ gram_t
+    return weighted @ gram_t, dchannel, t * (levels - levels[:, None]), mult

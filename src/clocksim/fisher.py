@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from .evolution import DephasingParams, _block_form, _channel_rate
+from .evolution import DephasingParams, _block_form
 from .exceptions import NoInformationError, SingularOutcomeError
 from .qstate import SymmetricFamilyState, _dicke_amplitudes, _flip_even_isometry
 
@@ -86,13 +86,14 @@ def _qfi_core(rho: np.ndarray, drho: np.ndarray):
     return fq, vecs, dmat, denom, mask
 
 
-def _block_qfi(c, channel, rates, mult):
+def _block_qfi(c, form):
     """F_Q of the family states with Dicke-amplitude rows ``c`` on the block
-    form ``(channel, rates, mult)`` of ``evolution._block_form``, rows and
-    shot times broadcasting against each other. Returns the
+    form ``(channel, dchannel, rates, mult)`` of ``evolution._block_form``,
+    rows and shot times broadcasting against each other. Returns the
     multiplicity-weighted F_Q, the blocks rho = E ∘ c c^T, their real
     derivative D ∘ rho (drho = i D ∘ rho, which has the same F_Q) and the
     eigenbasis data of ``_qfi_core``."""
+    channel, _, rates, mult = form
     blocks = channel * (c[..., None, :, None] * c[..., None, None, :])
     drho = blocks * rates
     fq, *eigdata = _qfi_core(blocks, drho)
@@ -124,13 +125,12 @@ def _qfi_gradient(n, gamma, a, t):
     ``_envelope_matrix`` (Macieszczak, arXiv:1312.1356; Demkowicz-Dobrzanski
     & Maccone, PRL 113, 250801 (2014)), is attained at the SLD, so by the
     envelope theorem both derivatives are those of c^T M c at that fixed S,
-    with dE/dt from ``evolution._channel_rate`` and dD/dt = D/t. No
-    eigensolve is added to the F_Q evaluation.
+    with dE/dt from the same ``evolution._block_form`` call and dD/dt = D/t.
+    No eigensolve is added to the F_Q evaluation.
     """
-    channel, rates, mult = _block_form(n, gamma, t)
-    dchannel = _channel_rate(n, gamma, t)
+    channel, dchannel, rates, mult = form = _block_form(n, gamma, t)
     c = _dicke_amplitudes(n, a)
-    fq, _, _, eigdata = _block_qfi(c, channel, rates, mult)
+    fq, _, _, eigdata = _block_qfi(c, form)
     sld = _sld(*eigdata)
     m = _envelope_matrix(mult, channel, 2.0 * channel * rates, sld)
     dm = _envelope_matrix(mult, dchannel, 2.0 * (dchannel * rates + channel * (rates / t)), sld)
@@ -145,17 +145,19 @@ def _outcome_probs(basis: np.ndarray, mat: np.ndarray) -> np.ndarray:
 def family_qfi(state: SymmetricFamilyState, p: DephasingParams):
     """Quantum Fisher information of a family state evolved by ``p``, and the
     classical Fisher information of its SLD measurement, from the state's
-    Schur-Weyl blocks without any 2^n matrix (1 <= n <= 20). Returns
-    ``(qfi, classical_fi_check)``; each block's SLD eigenbasis is measured
-    and its Fisher sum weighted by the block's multiplicity. ``p.delta`` is
-    ignored: the detuning phase is a diagonal unitary that commutes with the
-    dephasing, so neither number depends on it."""
+    Schur-Weyl blocks without any 2^n matrix (1 <= n <= 100). Returns
+    ``(qfi, classical_fi_check)``; each block's SLD eigenbasis is measured,
+    and its Fisher sum runs over outcome probabilities summed over the
+    block's copies (multiplicity times one copy's), so that the floors of a
+    vanishing probability never drop a heavy sector of many light copies.
+    ``p.delta`` is ignored: the detuning phase is a diagonal unitary that
+    commutes with the dephasing, so neither number depends on it."""
     n = state.n
-    channel, rates, mult = _block_form(n, p.gamma, p.t)
-    fq, blocks, drho, eigdata = _block_qfi(_dicke_amplitudes(n, state.a), channel, rates, mult)
+    form = _block_form(n, p.gamma, p.t)
+    fq, blocks, drho, eigdata = _block_qfi(_dicke_amplitudes(n, state.a), form)
     bases = np.linalg.eigh(1j * _sld(*eigdata))[1]
     probs, dprobs = _outcome_probs(bases, blocks), _outcome_probs(bases, 1j * drho)
-    cfi = sum(m * _fisher_sum(pk, dpk) for m, pk, dpk in zip(mult, probs, dprobs))
+    cfi = sum(_fisher_sum(m * pk, m * dpk) for m, pk, dpk in zip(form[3], probs, dprobs))
     return float(fq), float(cfi)
 
 

@@ -69,8 +69,8 @@ _GRID_POINTS = 16  # the root needs only the optimum's basin
 # Bytes of one chunk of a stacked grid. In the presampling grid of
 # ``qfi_shot_optimum`` a lane is a (K, n+1, n+1) block array and its
 # derivative: the whole grid in one chunk up to n = 11, three shot times per
-# chunk at n = 20, where the (n+1)-fold larger temporaries of the block
-# weights then stay near 2.4 MB. In the gen-Ramsey mu grid a lane is a
+# chunk at n = 20 and one from n = 25; each temporary of its Gram products
+# has the chunk's shape. In the gen-Ramsey mu grid a lane is a
 # flip-even matrix and its eigenvectors: the whole grid in one chunk up to
 # n = 37, one mu per chunk from n = 180.
 _STACK_BYTES = 1 << 18
@@ -147,15 +147,17 @@ def _shot_grid(n, gamma, total_time):
 
 def qfi_shot_optimum(state, gamma, total_time):
     """Shot time minimizing the precision bound 1/sqrt((T/t) F_Q(t)) of the
-    SymmetricFamilyState ``state`` (1 <= n <= 20) over
-    (1e-4/gamma, min(T, 8/gamma)). Returns (t_opt, delta_omega); raises
+    SymmetricFamilyState ``state`` (1 <= n <= ``MAX_BLOCK_QUBITS`` = 100)
+    over (1e-4/gamma, min(T, 8/gamma)). Returns (t_opt, delta_omega); raises
     NoInformationError when no grid shot time carries information.
 
     The grid is scored in stacked chunks of Schur-Weyl blocks; ``_root_beside``
     then solves r(log t) = 1 - t F_Q'/F_Q = 0, F_Q' from
     ``fisher._qfi_gradient``, and the probe it ends on is the result. A
     best grid point t = T with r(T) <= 0 is the optimum under the constraint
-    t <= T; any other unbracketed optimum raises BracketingError.
+    t <= T. Any other unbracketed optimum raises NoInformationError if a
+    probe beside the best grid point carries no information (as within
+    about 1e-15 of a Dicke state), BracketingError otherwise.
     """
     if not isinstance(state, SymmetricFamilyState):
         raise TypeError(f"expected a SymmetricFamilyState, got {type(state).__name__}")
@@ -165,7 +167,7 @@ def qfi_shot_optimum(state, gamma, total_time):
         raise ValueError(f"dephasing rate must be > 0, got {gamma}")
     n, c = state.n, _dicke_amplitudes(state.n, state.a)
     grid, chunks = _shot_grid(n, gamma, total_time)
-    fq = np.concatenate([_block_qfi(c, *_block_form(n, gamma, ts))[0] for ts in chunks])
+    fq = np.concatenate([_block_qfi(c, _block_form(n, gamma, ts))[0] for ts in chunks])
     values = _precision_bounds(fq, grid, total_time)
     if not np.isfinite(values).any():
         raise NoInformationError(_NO_INFORMATION)
@@ -185,6 +187,8 @@ def qfi_shot_optimum(state, gamma, total_time):
         return t, float(_precision_bounds(fq, t, total_time))
     if grid[best] == total_time and residual(log_grid[best]) <= 0.0:
         return float(grid[best]), float(values[best])
+    if any(fq < QFI_FLOOR for _, fq, _ in probed.values()):
+        raise NoInformationError(_NO_INFORMATION)
     raise BracketingError(f"no shot-time optimum bracketed next to t = {grid[best]}")
 
 

@@ -4,6 +4,7 @@ Everything here is built from explicit dense operators on the 2^n
 computational basis (kron products, diagonal phases, bit flips over all 2^n
 amplitudes, the gate network), from a dense eigensolve on all n+1 Dicke
 levels, from a fixed-step integration of the master equation, from
+Schrijver's block formulas entry by entry in exact integers, from
 bisection or 60-digit decimal arithmetic, or from a grid or Nelder-Mead
 search over the library's per-candidate figures, so that the production
 code paths, which never leave the n+1 Dicke levels or the Schur-Weyl
@@ -486,6 +487,47 @@ def schrijver_blocks(n, dicke_amps, delta, gamma, t):
                 block[i - k, j - k] = c[i] * c[j] * phase * total / norm
         blocks.append(block)
     return blocks
+
+
+@functools.lru_cache(maxsize=None)
+def _schrijver_weights(n):
+    """``(weights, exponents)``: weights[k, i, j, u] = C(n-2k, u-k) C(n-k-u,
+    i-u) C(n-k-u, j-u) / sqrt(C(n-2k, i-k) C(n-2k, j-k) C(n, i) C(n, j)) for
+    k <= u <= min(i, j), i, j <= n-k, from exact integers, and the powers
+    i + j - 2u of p they carry, clipped to 0 where the weight is 0."""
+    comb = math.comb
+    size = n // 2 + 1
+    weights = np.zeros((size, n + 1, n + 1, n + 1))
+    for k in range(size):
+        m = n - 2 * k
+        for i in range(k, n - k + 1):
+            for j in range(i, n - k + 1):
+                norm = math.sqrt(comb(m, i - k) * comb(m, j - k) * comb(n, i) * comb(n, j))
+                for u in range(k, i + 1):
+                    r = n - k - u
+                    count = comb(m, u - k) * comb(r, i - u) * comb(r, j - u)
+                    weights[k, i, j, u] = weights[k, j, i, u] = count / norm
+    w = np.arange(n + 1)
+    exponents = np.maximum(w[:, None, None] + w[None, :, None] - 2 * w, 0)
+    return weights, exponents
+
+
+def schrijver_channel(n, gamma, ts):
+    """The block channel of a dephased n-ion family state and its shot-time
+    derivative, each entry summed over u from the four-index table of
+    ``_schrijver_weights``: E_k(t)[i, j] = sum_u weights[k, i, j, u]
+    p^(i+j-2u) q^u and d/dt [p^(i+j-2u) q^u] = gamma p^(i+j-2u) (2u p^2
+    q^(u-1) - (i+j-2u) q^u), with p = exp(-gamma t) and q = 1 - p^2. Shape
+    ``np.shape(ts) + (n//2+1, n+1, n+1)`` each."""
+    weights, exponents = _schrijver_weights(n)
+    levels = np.arange(n + 1)
+    p = np.exp(-gamma * np.asarray(ts, dtype=float)[..., None, None, None])
+    q = 1.0 - p * p
+    decay = p**exponents * q**levels
+    rate = gamma * p**exponents * (
+        2.0 * levels * p * p * q ** np.maximum(levels - 1, 0) - exponents * q**levels
+    )
+    return tuple((weights * f[..., None, :, :, :]).sum(-1) for f in (decay, rate))
 
 
 def permute_qubits(amps, n, perm):

@@ -252,25 +252,28 @@ def test_criterion_11_large_n_genramsey_gain():
 
 
 def test_criterion_12_large_n_qfi_reference_limit(tmp_path):
-    # 2^20 x 2^20 matrices are out of reach; the Schur-Weyl blocks are 21 x 21
-    n, ok, detail = 20, True, []
-    ref = reference_limit(n, TOTAL, GAMMA)
-    for scheme, t_expected in (("ghz", 0.5 / (n * GAMMA)), ("uncorrelated", 0.5 / GAMMA)):
-        out = tmp_path / f"{scheme}.json"
-        code = main(["qfi", "--scheme", scheme, "--n", str(n), "--gamma", str(GAMMA),
-                     "--optimize-t", "--total-time", str(TOTAL), "--out", str(out)])
-        report = json.loads(out.read_text()) if code == 0 else {}
-        gap = 100.0 * abs(report.get("delta_omega", math.inf) / ref - 1.0)
-        t_rel = abs(report.get("t_opt", math.inf) / t_expected - 1.0)
-        ok &= code == 0 and gap < 1e-6 and t_rel < 1e-6
-        detail.append(f"{scheme}: exit {code}, |gap|={gap:.1e}pp, t_opt rel={t_rel:.1e}")
+    # 2^n x 2^n matrices are out of reach; the Schur-Weyl blocks are at most
+    # (n+1) x (n+1)
+    ok, detail = True, []
+    for n in (20, 100):
+        ref = reference_limit(n, TOTAL, GAMMA)
+        for scheme, t_expected in (("ghz", 0.5 / (n * GAMMA)), ("uncorrelated", 0.5 / GAMMA)):
+            out = tmp_path / f"{scheme}_{n}.json"
+            code = main(["qfi", "--scheme", scheme, "--n", str(n), "--gamma", str(GAMMA),
+                         "--optimize-t", "--total-time", str(TOTAL), "--out", str(out)])
+            report = json.loads(out.read_text()) if code == 0 else {}
+            gap = 100.0 * abs(report.get("delta_omega", math.inf) / ref - 1.0)
+            t_rel = abs(report.get("t_opt", math.inf) / t_expected - 1.0)
+            ok &= code == 0 and gap < 1e-6 and t_rel < 1e-6
+            detail.append(f"n={n} {scheme}: exit {code}, |gap|={gap:.1e}pp, t_opt rel={t_rel:.1e}")
     _check(12, "large-n qfi reference limit", ok, "; ".join(detail))
 
 
 def test_criterion_13_large_n_qfi_gain(tmp_path):
-    # the QFI search runs on the Schur-Weyl blocks up to their cap, n = 20
+    # the QFI search runs on the Schur-Weyl blocks; its gain keeps rising
+    # toward the 1 - 1/sqrt(e) bound
     start, ok, detail, gains = time.perf_counter(), True, [], []
-    for n in (5, 10, 20):
+    for n in (5, 10, 20, 40, 60):
         out = tmp_path / f"curve_{n}.csv"
         code = main(["optimize", "--method", "both", "--n-min", str(n), "--n-max", str(n),
                      "--gamma", str(GAMMA), "--total-time", str(TOTAL), "--out", str(out)])
@@ -284,5 +287,6 @@ def test_criterion_13_large_n_qfi_gain(tmp_path):
         gains.append(opt)
         detail.append(f"n={n}: qfi={opt:.3f}% gen={gen:.3f}%")
     elapsed = time.perf_counter() - start
-    ok &= gains[0] < gains[1] < gains[2] < IMPROVEMENT_CAP and elapsed < 120.0
+    ok &= all(a < b for a, b in zip(gains, gains[1:])) and gains[-1] < IMPROVEMENT_CAP
+    ok &= elapsed < 120.0
     _check(13, "large-n qfi gain", ok, "; ".join(detail) + f"; {elapsed:.1f}s")

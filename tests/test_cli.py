@@ -12,6 +12,7 @@ import clocksim
 from clocksim import reference_limit, signal_ghz, signal_uncorrelated, uncertainty_uncorrelated
 from clocksim import ExperimentBudget, fig4_curve, optimize
 from clocksim.cli import main
+from clocksim.evolution import MAX_BLOCK_QUBITS
 
 
 def _read_csv(path):
@@ -199,10 +200,13 @@ def test_optimize_reports_partial_search_and_exits_0(tmp_path, monkeypatch):
     assert json.loads(json_out.read_text())["points"][0]["status"] == "partial"
 
 
-@pytest.mark.parametrize("method, n_max", [("both", "21"), ("qfi", "21"), ("gen-ramsey", "1001")])
+@pytest.mark.parametrize(
+    "method, n_max",
+    [("both", MAX_BLOCK_QUBITS + 1), ("qfi", MAX_BLOCK_QUBITS + 1), ("gen-ramsey", 1001)],
+)
 def test_optimize_n_above_method_cap_exits_2(tmp_path, capsys, method, n_max):
     out = tmp_path / "never.csv"
-    argv = ["optimize", "--method", method, "--n-min", "2", "--n-max", n_max, "--out", str(out)]
+    argv = ["optimize", "--method", method, "--n-min", "2", "--n-max", str(n_max), "--out", str(out)]
     assert main(argv) == 2
     assert not out.exists()
     assert capsys.readouterr().err.startswith("clocksim: invalid-argument:")
@@ -210,10 +214,11 @@ def test_optimize_n_above_method_cap_exits_2(tmp_path, capsys, method, n_max):
 
 def test_optimize_genramsey_above_qfi_cap(tmp_path):
     out = tmp_path / "opt.csv"
-    assert main(["optimize", "--method", "gen-ramsey", "--n-min", "21", "--n-max", "22",
+    above = [str(MAX_BLOCK_QUBITS + 1), str(MAX_BLOCK_QUBITS + 2)]
+    assert main(["optimize", "--method", "gen-ramsey", "--n-min", above[0], "--n-max", above[1],
                  "--out", str(out)]) == 0
     _, rows = _read_csv(out)
-    assert [r[0] for r in rows] == ["21", "22"]
+    assert [r[0] for r in rows] == above
     assert all(r[5] == "ok" and 0.0 < float(r[2]) < 100 * (1 - math.exp(-0.5)) for r in rows)
 
 
@@ -301,17 +306,17 @@ def test_qfi_coeffs_conflicting_with_scheme_exits_2(tmp_path, capsys, scheme, fr
     assert err.startswith("clocksim: invalid-argument:") and "--coeffs" in err
 
 
-@pytest.mark.parametrize("n", ["0", "21"])
+@pytest.mark.parametrize("n", [0, MAX_BLOCK_QUBITS + 1])
 @pytest.mark.parametrize("scheme", ["ghz", "uncorrelated"])
 def test_qfi_outside_block_cap_exits_2(tmp_path, capsys, scheme, n):
     out = tmp_path / "never.json"
-    code = main(["qfi", "--scheme", scheme, "--n", n, "--gamma", "1", "--optimize-t",
+    code = main(["qfi", "--scheme", scheme, "--n", str(n), "--gamma", "1", "--optimize-t",
                  "--total-time", "100", "--out", str(out)])
     assert code == 2
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("clocksim: invalid-argument:")
-    assert "block QFI supports 1 <= n <= 20" in err
+    assert f"block QFI supports 1 <= n <= {MAX_BLOCK_QUBITS}" in err
 
 
 def test_qfi_symmetric_scheme_with_coeffs(tmp_path):
@@ -486,6 +491,8 @@ scipy_free = (
     ["scan", "--n", "3", "--gamma", "1", "--total-time", "100"],
     ["qfi", "--n", "7", "--gamma", "1", "--t", "0.1", "--scheme", "ghz"],
     ["qfi", "--n", "3", "--gamma", "1", "--optimize-t", "--total-time", "100", "--scheme", "ghz"],
+    ["qfi", "--n", "60", "--gamma", "1", "--optimize-t", "--total-time", "100",
+     "--scheme", "uncorrelated"],
     ["optimize", "--method", "gen-ramsey", "--n-min", "2", "--n-max", "20"],
 )
 for argv in scipy_free:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clocksim import DephasingParams
+from clocksim.evolution import _block_form
 
 from reference import (
     dense_evolve,
@@ -12,6 +13,7 @@ from reference import (
     master_equation_oracle,
     random_density,
     random_pure_state,
+    schrijver_channel,
 )
 
 
@@ -166,3 +168,17 @@ def test_evolution_preserves_what_validation_checks(n, seed, delta, gamma, t, sk
     if residual_in == 0.0:
         assert residual_out == 0.0
         assert np.array_equal(drho, drho.conj().T)
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_gram_channel_matches_schrijver_table(n):
+    # gamma = 0, t = 0, ordinary and stacked shot times, and gamma t >= 745,
+    # where p = exp(-gamma t) underflows to 0
+    cases = ((0.0, 0.7), (1.0, 0.0), (0.4, 0.9), (2.0, 3.0), (1.0, np.geomspace(1e-4, 8.0, 16)),
+             (1.0, 750.0), (3.0, 1e3))
+    for gamma, ts in cases:
+        channel, dchannel, _, _ = _block_form(n, gamma, ts)
+        expected, rate = schrijver_channel(n, gamma, ts)
+        assert channel.shape == dchannel.shape == expected.shape
+        assert np.abs(channel - expected).max() <= 1e-14
+        assert np.abs(dchannel - rate).max() <= 1e-12 * np.abs(rate).max()

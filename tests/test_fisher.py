@@ -16,7 +16,7 @@ from clocksim import (
     uncertainty_uncorrelated,
     uniform_coefficients,
 )
-from clocksim.evolution import _block_form
+from clocksim.evolution import MAX_BLOCK_QUBITS, _block_form
 from clocksim.fisher import _block_qfi, _qfi_core, _qfi_gradient, _sld
 from clocksim.qstate import _dicke_amplitudes
 from clocksim.optimize import _precision_bounds
@@ -47,7 +47,7 @@ def _evolved_pair(psi, delta, gamma, t):
 def _family_blocks(state, gamma, ts):
     """(F_Q, blocks, real derivative D ∘ rho, eigenbasis data) of the family
     state evolved for each duration of ``ts``."""
-    return _block_qfi(_dicke_amplitudes(state.n, state.a), *_block_form(state.n, gamma, ts))
+    return _block_qfi(_dicke_amplitudes(state.n, state.a), _block_form(state.n, gamma, ts))
 
 
 def _pure_qfi_bruteforce(psi, t):
@@ -247,28 +247,43 @@ def test_family_blocks_match_schrijver_formula(n):
 
 
 def test_stacked_block_qfi_equals_single_shot_time():
-    state = SymmetricFamilyState(7, _random_coeffs(np.random.default_rng(7), 7))
-    ts = np.geomspace(1e-4, 8.0, 48)
-    stacked = _family_blocks(state, 1.0, ts)[0]
-    for k, t in enumerate(ts):
-        assert stacked[k] == _family_blocks(state, 1.0, t)[0]
-        assert stacked[k] == family_qfi(state, DephasingParams(0.3, 1.0, t))[0]
+    for n in (7, 60):
+        state = SymmetricFamilyState(n, _random_coeffs(np.random.default_rng(n), n))
+        ts = np.geomspace(1e-4, 8.0, 48)
+        stacked = _family_blocks(state, 1.0, ts)[0]
+        for k, t in enumerate(ts):
+            assert stacked[k] == _family_blocks(state, 1.0, t)[0]
+            assert stacked[k] == family_qfi(state, DephasingParams(0.3, 1.0, t))[0]
 
 
 @pytest.mark.parametrize("t", [0.3, 0.5])
 def test_product_state_qfi_at_the_cap(t):
     # n t^2 e^(-2 gamma t): the cutoff, relative to each block's largest
     # eigenvalue, keeps the light sectors that carry F_Q
-    n, gamma = 20, 1.0
+    n, gamma = MAX_BLOCK_QUBITS, 1.0
     state = SymmetricFamilyState(n, uniform_coefficients(n))
-    fq = family_qfi(state, DephasingParams(0.0, gamma, t))[0]
+    fq, cfi = family_qfi(state, DephasingParams(0.0, gamma, t))
     assert fq == pytest.approx(n * t * t * math.exp(-2.0 * gamma * t), rel=1e-12)
+    # the SLD measurement attains it, light copies of heavy sectors included
+    assert cfi == pytest.approx(fq, rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [30, 60, 100])
+def test_ghz_and_product_closed_forms_beyond_the_dense_oracle(n):
+    # n^2 t^2 e^(-2 n gamma t) and n t^2 e^(-2 gamma t), on a stack of shot
+    # times that holds both optima
+    ts = np.array([0.5 / n, 0.1, 0.5, 0.9])
+    for gamma in (0.0, 0.4, 1.0):
+        ghz = _family_blocks(SymmetricFamilyState(n, np.eye(n // 2 + 1)[0]), gamma, ts)[0]
+        product = _family_blocks(SymmetricFamilyState(n, uniform_coefficients(n)), gamma, ts)[0]
+        assert ghz == pytest.approx(n * n * ts * ts * np.exp(-2.0 * n * gamma * ts), rel=1e-12)
+        assert product == pytest.approx(n * ts * ts * np.exp(-2.0 * gamma * ts), rel=1e-12)
 
 
 def test_block_identities_at_the_cap():
-    n, t = 20, 0.7
+    n, t = MAX_BLOCK_QUBITS, 0.7
     state = SymmetricFamilyState(n, _random_coeffs(np.random.default_rng(20), n))
-    mult = _block_form(n, 0.0, t)[2]
+    mult = _block_form(n, 0.0, t)[3]
     for gamma in (0.0, 0.4, 1.0):
         blocks = _family_blocks(state, gamma, t)[1]
         trace = np.trace(blocks, axis1=-2, axis2=-1)

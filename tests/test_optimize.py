@@ -33,7 +33,7 @@ from clocksim import (
 )
 
 import clocksim
-from clocksim import cli, fisher, optimize
+from clocksim import cli, evolution, fisher, optimize
 from clocksim.evolution import MAX_BLOCK_QUBITS
 from clocksim.optimize import (
     _LOG_MU_GRID,
@@ -533,6 +533,18 @@ def test_genramsey_search_at_n500_stays_small():
     assert peak < 16 * 2**20, f"the n = 500 gen-Ramsey search allocated {peak} bytes"
 
 
+def test_qfi_shot_optimum_at_the_cap_stays_small():
+    # one shot time's (K, n+1, n+1) blocks at a time, 4.2 MB each at n = 100;
+    # a four-index (K, n+1, n+1, n+1) weight table would take 420 MB
+    n = MAX_BLOCK_QUBITS
+    evolution._block_tables.cache_clear()
+    state = SymmetricFamilyState(n, uniform_coefficients(n))
+    (t_opt, delta_omega), peak = _peak_bytes(lambda: qfi_shot_optimum(state, GAMMA, TOTAL))
+    assert t_opt == pytest.approx(0.5 / GAMMA, rel=1e-6)
+    assert delta_omega == pytest.approx(reference_limit(n, TOTAL, GAMMA), rel=1e-8)
+    assert peak < 100 * 2**20, f"the n = {n} shot-time optimum allocated {peak} bytes"
+
+
 def test_qfi_paths_build_no_2n_state(tmp_path):
     rep, peak = _peak_bytes(lambda: optimize_symmetric_coeffs(_LARGE_N, GAMMA, TOTAL, "qfi"))
     assert rep.status == "ok" and rep.improvement_pct > 0.0
@@ -588,7 +600,8 @@ def test_qfi_search_at_its_evaluation_cap_reports_partial(monkeypatch):
 
 def test_ion_range_is_per_method():
     assert ION_RANGE["qfi"] == (2, MAX_BLOCK_QUBITS)
-    assert optimize_symmetric_coeffs(21, GAMMA, TOTAL, "gen-ramsey").improvement_pct > 0.0
+    rep = optimize_symmetric_coeffs(MAX_BLOCK_QUBITS + 1, GAMMA, TOTAL, "gen-ramsey")
+    assert rep.improvement_pct > 0.0
     with pytest.raises(ValueError):
         optimize_symmetric_coeffs(MAX_BLOCK_QUBITS + 1, GAMMA, TOTAL, "qfi")
     with pytest.raises(ValueError):
@@ -619,8 +632,9 @@ def test_qfi_shot_optimum_validation():
             qfi_shot_optimum(state, gamma, total)
     with pytest.raises(TypeError):
         qfi_shot_optimum(density(ghz_state(2)), GAMMA, TOTAL)
-    with pytest.raises(ValueError, match="block QFI supports 1 <= n <= 20"):
-        qfi_shot_optimum(SymmetricFamilyState(21, np.eye(1, 11)[0]), GAMMA, TOTAL)
+    n = MAX_BLOCK_QUBITS + 1
+    with pytest.raises(ValueError, match=f"block QFI supports 1 <= n <= {MAX_BLOCK_QUBITS}"):
+        qfi_shot_optimum(SymmetricFamilyState(n, np.eye(1, n // 2 + 1)[0]), GAMMA, TOTAL)
 
 
 def _scalar_shot_optimum(state, gamma, total, delta=0.0):
@@ -745,7 +759,8 @@ def test_qfi_shot_optimum_near_a_dicke_state_reports_no_infinite_bound(n):
     # a Dicke state carries no information; within about 1e-15 of it F_Q
     # straddles QFI_FLOOR along the shot-time grid. Where F_Q is below the
     # floor the residual is undefined, so a root must not end there with an
-    # infinite bound: the search returns a finite one or raises
+    # infinite bound: the search returns a finite one or reports that the
+    # state carries no information
     outcomes = set()
     for eps in np.geomspace(5e-16, 2e-15, 12):
         a = np.zeros(n // 2 + 1)
@@ -753,7 +768,7 @@ def test_qfi_shot_optimum_near_a_dicke_state_reports_no_infinite_bound(n):
         try:
             _, delta_omega = qfi_shot_optimum(SymmetricFamilyState(n, a / np.linalg.norm(a)),
                                               GAMMA, TOTAL)
-        except (NoInformationError, BracketingError) as exc:
+        except NoInformationError as exc:
             outcomes.add(type(exc))
         else:
             assert math.isfinite(delta_omega)
