@@ -10,7 +10,7 @@ from .collective import (
     precision_bound_chain,
     solve_topt,
 )
-from .evolution import MAX_BLOCK_QUBITS, DephasingParams
+from .evolution import MAX_BLOCK_QUBITS
 from .exceptions import (
     BracketingError,
     ClocksimError,
@@ -51,7 +51,6 @@ __all__ = [
     "MAX_BLOCK_QUBITS",
     "SymmetricFamilyState",
     "CollectiveMoments",
-    "DephasingParams",
     "ExperimentBudget",
     "PrecisionResult",
     "OptimizationReport",

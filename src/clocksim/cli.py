@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .evolution import DephasingParams, _check_block_qubits
+from .evolution import _check_block_qubits
 from .exceptions import (
     BracketingError,
     ClocksimError,
@@ -43,7 +43,7 @@ CONVENTION_NOTE = (
     "single-qubit coherences decay as exp(-gamma*t) with gamma = 1/tau_dec; "
     "only the products gamma*t, gamma*T and delta*t are physically meaningful"
 )
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 _ERROR_TAGS = (
     (NoInformationError, "no-information"),
@@ -64,7 +64,8 @@ class _Option(NamedTuple):
 
 
 # dest -> option, for each subcommand. The parser is generated from these
-# tables, and config-file values are merged under them, then flags override.
+# tables, and config-file values are merged under them, then flags override;
+# a config key outside its subcommand's table is an error.
 _OPTION_TABLES = {
     "signal": {
         "scheme": _Option(str, default="uncorrelated", choices=("uncorrelated", "ghz")),
@@ -95,7 +96,6 @@ _OPTION_TABLES = {
         "coeffs": _Option(str, help="semicolon-separated family coefficients"),
         "n": _Option(int, required=True),
         "gamma": _Option(float, required=True),
-        "detuning": _Option(float, default=0.0),
         "t": _Option(float),
         "optimize_t": _Option(bool, default=False),
         "total_time": _Option(float),
@@ -169,6 +169,9 @@ _BOOL_STRINGS = {"1": True, "true": True, "yes": True, "0": False, "false": Fals
 def _merge_options(args: argparse.Namespace) -> dict:
     table = _OPTION_TABLES[args.command]
     file_values = _load_config(args.config) if args.config else {}
+    for key in file_values:
+        if key not in table:
+            raise ValueError(f"config key {key}: no such option of {args.command}")
     merged = {}
     for dest, opt in table.items():
         value = getattr(args, dest, None)
@@ -363,7 +366,6 @@ def _cmd_qfi(opts, out, fmt) -> int:
         "scheme": scheme,
         "n": n,
         "gamma": gamma,
-        "detuning": opts["detuning"],
         "total_time": opts["total_time"],
         "optimize_t": bool(opts["optimize_t"]),
     }
@@ -383,7 +385,7 @@ def _cmd_qfi(opts, out, fmt) -> int:
         report["t"] = opts["t"]
         delta_omega = None
 
-    fq, cfi = family_qfi(state, DephasingParams(opts["detuning"], gamma, t_report))
+    fq, cfi = family_qfi(state, gamma, t_report)
     if delta_omega is None and opts["total_time"] is not None:
         delta_omega = qfi_uncertainty(fq, opts["total_time"], t_report)
     report["qfi"] = fq

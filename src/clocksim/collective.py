@@ -109,29 +109,27 @@ def _genramsey_rows(sx_mean, sy_var, n, total_time, gamma):
     return t_opt, delta_omega
 
 
-def solve_topt(m0: CollectiveMoments, n: int, gamma: float) -> float:
-    """Optimal shot duration: the unique positive root of
-    n * [1 + (2 gamma t - 1) e^{2 gamma t}] = Var S_y(t=0), that is
-    t_opt = (1 + W0((Var S_y/n - 1)/e)) / (2 gamma), solved by Halley steps
-    and a Newton polish (``_topt_rows``)."""
-    if n != m0.n:
-        raise ValueError(f"ion count {n} != moment ion count {m0.n}")
+def solve_topt(m0: CollectiveMoments, gamma: float) -> float:
+    """Optimal shot duration of the moments ``m0`` of an n = ``m0.n`` ion
+    state: the unique positive root of n * [1 + (2 gamma t - 1) e^{2 gamma t}]
+    = Var S_y(t=0), that is t_opt = (1 + W0((Var S_y/n - 1)/e)) / (2 gamma),
+    solved by Halley steps and a Newton polish (``_topt_rows``)."""
     if not gamma > 0.0:
         raise ValueError(f"dephasing rate must be > 0, got {gamma}")
-    return float(_topt_rows(np.array([m0.sy_variance()]), n, gamma)[0])
+    return float(_topt_rows(np.array([m0.sy_variance()]), m0.n, gamma)[0])
 
 
 def genramsey_opt_uncertainty(
-    m0: CollectiveMoments, n: int, total_time: float, gamma: float
+    m0: CollectiveMoments, total_time: float, gamma: float
 ) -> PrecisionResult:
-    """Best-case generalized-Ramsey precision at delta*t = pi/2.
+    """Best-case generalized-Ramsey precision at delta*t = pi/2 of the
+    moments ``m0`` of an n = ``m0.n`` ion state.
 
     sqrt(2 n gamma e^{2 gamma t_opt} / (T <S_x(0)>^2)) with t_opt from
     ``solve_topt``, both from ``_genramsey_rows``. Requires T >= tau_dec/2;
     shorter experiments fall in a regime the optimized formulas do not cover.
     """
-    if n != m0.n:
-        raise ValueError(f"ion count {n} != moment ion count {m0.n}")
+    n = m0.n
     if not gamma > 0.0:
         raise ValueError(f"dephasing rate must be > 0, got {gamma}")
     if total_time < 0.5 / gamma:
@@ -146,24 +144,22 @@ def genramsey_opt_uncertainty(
     )
     ref = reference_limit(n, total_time, gamma)
     return PrecisionResult(
-        scheme="symmetric-genramsey",
         t_opt=t_opt,
-        phase_opt=0.5 * math.pi,
         delta_omega=delta_omega,
         improvement_pct=100.0 * (1.0 - delta_omega / ref),
     )
 
 
 def precision_bound_chain(
-    m0: CollectiveMoments, n: int, total_time: float, gamma: float
+    m0: CollectiveMoments, total_time: float, gamma: float
 ) -> tuple[float, float]:
-    """State-dependent and universal lower bounds on the optimized precision.
+    """State-dependent and universal lower bounds on the optimized precision
+    of the moments ``m0`` of an n = ``m0.n`` ion state.
 
     Returns (sqrt(2 n gamma / (T <S_x(0)>^2)), sqrt(2 gamma / (n T))); the
     universal bound sits a factor 1/sqrt(e) below the reference limit.
     """
-    if n != m0.n:
-        raise ValueError(f"ion count {n} != moment ion count {m0.n}")
+    n = m0.n
     if not (gamma > 0.0 and total_time > 0.0):
         raise ValueError("gamma and total_time must be > 0")
     if abs(m0.sx_mean) < _ZERO_TOL:

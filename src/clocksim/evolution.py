@@ -1,4 +1,4 @@
-"""Free evolution of detuned family states under independent dephasing.
+"""Free evolution of family states under independent dephasing.
 
 Rate convention: gamma = 1/tau_dec is defined so that a single-qubit
 off-diagonal element decays as exp(-gamma*t). In the rotating frame the
@@ -16,21 +16,20 @@ it is a real, state-independent channel times the outer product of the
 Dicke amplitudes, and its detuning derivative is i times a real rate
 matrix times the blocks. ``_block_form`` builds that channel, a Gram
 product per block, its shot-time derivative for the QFI gradient and the
-rate matrix; ``fisher._block_qfi`` multiplies in the amplitudes.
+rate matrix; ``fisher._block_qfi`` multiplies in the amplitudes. The
+detuning phase exp(i delta t (j - i)) is left out: a diagonal unitary that
+commutes with the dephasing, it changes neither F_Q nor the SLD
+measurement's Fisher information, so the form takes only gamma and t.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "MAX_BLOCK_QUBITS",
-    "DephasingParams",
-]
+__all__ = ["MAX_BLOCK_QUBITS"]
 
 # Largest ion number of the block form. Its channel entries are sums of
 # nonnegative terms; at n = 100 the trace-one and pure-state identities hold
@@ -41,26 +40,6 @@ __all__ = [
 MAX_BLOCK_QUBITS = 100
 
 
-@dataclass(frozen=True)
-class DephasingParams:
-    """Detuning delta = omega - omega_0, dephasing rate gamma, duration t."""
-
-    delta: float
-    gamma: float
-    t: float
-
-    def __post_init__(self):
-        for name in ("delta", "gamma", "t"):
-            v = float(getattr(self, name))
-            if not np.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v!r}")
-            object.__setattr__(self, name, v)
-        if self.gamma < 0.0:
-            raise ValueError(f"dephasing rate must be >= 0, got {self.gamma}")
-        if self.t < 0.0:
-            raise ValueError(f"duration must be >= 0, got {self.t}")
-
-
 def _check_block_qubits(n: int) -> None:
     if not 1 <= n <= MAX_BLOCK_QUBITS:
         raise ValueError(
@@ -68,7 +47,7 @@ def _check_block_qubits(n: int) -> None:
         )
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=1)
 def _block_tables(n: int):
     """Read-only tables of the block form of an n-ion family state:
     ``(base, steps, multiplicities)``.
@@ -88,7 +67,9 @@ def _block_tables(n: int):
     C(n, i)) for k <= u <= i <= n-k, 0 elsewhere, from log-factorials so
     that no product of binomials overflows, and steps = max(i-u, 0), clipped
     so that an underflowed p = 0 never meets a negative power. Block k
-    occurs C(n, k) - C(n, k-1) times in the 2^n matrix.
+    occurs C(n, k) - C(n, k-1) times in the 2^n matrix. One n is kept: a
+    sweep asks for each n in turn, and every n from 2 to 100 would hold
+    about 105 MiB.
     """
     _check_block_qubits(n)
     size = n // 2 + 1
@@ -119,13 +100,11 @@ def _block_form(n: int, gamma: float, ts):
     t (j - i), shape ``np.shape(ts) + (1, n+1, n+1)``. Block k of a family
     state with Dicke amplitudes c is rho_k = E_k ∘ c c^T and its detuning
     derivative i D ∘ rho_k; it fills rows and columns k..n-k and is zero
-    elsewhere, so the padding only adds null directions. The detuning phase
-    exp(i delta t (j-i)) is left out: a diagonal unitary that commutes with
-    the dephasing, it changes neither F_Q nor the SLD measurement's Fisher
-    information. Each duration's blocks are their own matrix products, so a
-    stacked duration gives the same bits as a single one. The scalars are
-    not checked here: callers validate them once, at the API boundary
-    (finite ``gamma`` >= 0, finite durations >= 0).
+    elsewhere, so the padding only adds null directions; the detuning phase
+    is left out (module docstring). Each duration's blocks are their own
+    matrix products, so a stacked duration gives the same bits as a single
+    one. The scalars are not checked here: callers validate them once, at
+    the API boundary (finite ``gamma`` >= 0, finite durations >= 0).
     """
     base, steps, mult = _block_tables(n)
     levels = np.arange(n + 1)

@@ -21,7 +21,9 @@ blocks are real and their derivative is i times a real matrix; F_Q sees only
 |<j| drho |k>|, so one real evaluation, ``_block_qfi``, gives the F_Q of
 ``family_qfi``, of the shot-time optimum and of its gradient in the
 coefficients and the shot time (``_qfi_gradient``), for one state or stacks
-of states and shot times.
+of states and shot times. The value of the detuning enters neither F_Q nor
+the SLD measurement's Fisher information, since its phase commutes with the
+dephasing, so every function here takes only gamma and the shot time.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import math
 
 import numpy as np
 
-from .evolution import DephasingParams, _block_form
+from .evolution import _block_form
 from .exceptions import NoInformationError, SingularOutcomeError
 from .qstate import SymmetricFamilyState, _dicke_amplitudes, _flip_even_isometry
 
@@ -138,22 +140,32 @@ def _qfi_gradient(n, gamma, a, t):
 
 
 def _outcome_probs(basis: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """<b_m| mat |b_m> for every column b_m of each basis of a stack."""
-    return np.einsum("...im,...ij,...jm->...m", basis.conj(), mat, basis).real
+    """<b_m| mat |b_m> for every column b_m of each basis of a stack, from
+    one matrix product per basis."""
+    return (basis.conj() * (mat @ basis)).sum(-2).real
 
 
-def family_qfi(state: SymmetricFamilyState, p: DephasingParams):
-    """Quantum Fisher information of a family state evolved by ``p``, and the
-    classical Fisher information of its SLD measurement, from the state's
-    Schur-Weyl blocks without any 2^n matrix (1 <= n <= 100). Returns
-    ``(qfi, classical_fi_check)``; each block's SLD eigenbasis is measured,
-    and its Fisher sum runs over outcome probabilities summed over the
-    block's copies (multiplicity times one copy's), so that the floors of a
-    vanishing probability never drop a heavy sector of many light copies.
-    ``p.delta`` is ignored: the detuning phase is a diagonal unitary that
-    commutes with the dephasing, so neither number depends on it."""
+def family_qfi(state: SymmetricFamilyState, gamma: float, t: float):
+    """Quantum Fisher information of a family state dephased at rate
+    ``gamma`` for a duration ``t``, and the classical Fisher information of
+    its SLD measurement, from the state's Schur-Weyl blocks without any 2^n
+    matrix (1 <= n <= 100). Returns ``(qfi, classical_fi_check)``; each
+    block's SLD eigenbasis is measured, and its Fisher sum runs over outcome
+    probabilities summed over the block's copies (multiplicity times one
+    copy's), so that the floors of a vanishing probability never drop a
+    heavy sector of many light copies. Neither number depends on the
+    detuning, so it is not a parameter: its phase is a diagonal unitary that
+    commutes with the dephasing."""
+    gamma, t = float(gamma), float(t)
+    for name, value in (("gamma", gamma), ("t", t)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+    if gamma < 0.0:
+        raise ValueError(f"dephasing rate must be >= 0, got {gamma}")
+    if t < 0.0:
+        raise ValueError(f"duration must be >= 0, got {t}")
     n = state.n
-    form = _block_form(n, p.gamma, p.t)
+    form = _block_form(n, gamma, t)
     fq, blocks, drho, eigdata = _block_qfi(_dicke_amplitudes(n, state.a), form)
     bases = np.linalg.eigh(1j * _sld(*eigdata))[1]
     probs, dprobs = _outcome_probs(bases, blocks), _outcome_probs(bases, 1j * drho)

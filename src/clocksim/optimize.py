@@ -192,14 +192,6 @@ def qfi_shot_optimum(state, gamma, total_time):
     raise BracketingError(f"no shot-time optimum bracketed next to t = {grid[best]}")
 
 
-def _canonical_method(method: str) -> str:
-    key = method.replace("-", "").replace("_", "")
-    for name in METHODS:
-        if key == name.replace("-", ""):
-            return name
-    raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-
-
 def _flip_even_ops(n):
     """``(P^T S_x P, P^T S_y^2 P)``: S_x and S_y^2 on the n-ion flip-even
     sector in the family basis, with P the isometry a -> Dicke amplitudes of
@@ -395,6 +387,8 @@ def _qfi_search(n, gamma, total_time, a0, t0):
 
 
 def _check_search(n, gamma, total_time, method):
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     lo, hi = ION_RANGE[method]
     if not lo <= n <= hi:
         raise ValueError(f"{method} optimization supports {lo} <= n <= {hi}, got {n}")
@@ -407,7 +401,7 @@ def _check_search(n, gamma, total_time, method):
 
 
 def _reports(n, gamma, total_time, methods):
-    """The OptimizationReport of each canonical method in ``methods`` at n.
+    """The OptimizationReport of each method in ``methods`` at n.
     The gen-Ramsey search runs once: the QFI search starts from its winner."""
     for method in methods:
         _check_search(n, gamma, total_time, method)
@@ -435,16 +429,15 @@ def optimize_symmetric_coeffs(
 ) -> OptimizationReport:
     """Search unit-norm family coefficients minimizing the scheme uncertainty.
 
-    ``method`` picks the measurement: "gen-ramsey" (also spelled "genramsey")
-    uses the collective S_x observable with the analytic optimal shot time,
-    "qfi" the optimal projective measurement with the shot time searched
+    ``method`` picks the measurement, one of ``METHODS``: "gen-ramsey" uses
+    the collective S_x observable with the analytic optimal shot time, "qfi"
+    the optimal projective measurement with the shot time searched
     numerically. Both return a_k >= 0. A "gen-ramsey" report whose best
     log mu grid lane has no root of the stationarity condition next to it,
     as when it sits at a grid edge, and a "qfi" report whose gradient polish
     reached its evaluation cap, or ended with a projected gradient above its
     tolerance, have status "partial".
     """
-    method = _canonical_method(method)
     return _reports(n, gamma, total_time, (method,))[method]
 
 
@@ -452,7 +445,7 @@ def improvement_sweep(n_range, gamma: float, total_time: float, methods=METHODS)
     """Yield ``(n, outcomes)`` for each ion number, ``outcomes`` mapping each
     method in order to its OptimizationReport; each n runs one gen-Ramsey
     search, whichever methods it reports."""
-    methods = tuple(_canonical_method(m) for m in methods)
+    methods = tuple(methods)
     for n in n_range:
         yield n, _reports(n, gamma, total_time, methods)
 

@@ -19,7 +19,6 @@ from .exceptions import SingularPointError
 __all__ = [
     "ExperimentBudget",
     "PrecisionResult",
-    "SCHEME_TAGS",
     "signal_uncorrelated",
     "signal_ghz",
     "shot_variance",
@@ -27,8 +26,6 @@ __all__ = [
     "uncertainty_ghz",
     "reference_limit",
 ]
-
-SCHEME_TAGS = ("uncorrelated", "ghz", "symmetric-genramsey", "symmetric-qfi")
 
 _SIN_TOL = 1e-12
 
@@ -57,17 +54,14 @@ class ExperimentBudget:
 
 @dataclass(frozen=True)
 class PrecisionResult:
-    """Optimized precision of one scheme and its gain over the reference limit."""
+    """Optimized gen-Ramsey precision, at delta*t = pi/2, and its gain over
+    the reference limit."""
 
-    scheme: str
     t_opt: float
-    phase_opt: float
     delta_omega: float
     improvement_pct: float
 
     def __post_init__(self):
-        if self.scheme not in SCHEME_TAGS:
-            raise ValueError(f"unknown scheme tag {self.scheme!r}")
         if not self.delta_omega > 0.0:
             raise ValueError(f"frequency uncertainty must be > 0, got {self.delta_omega!r}")
 

@@ -596,7 +596,7 @@ def grid_oracle_improvement(n, gamma, total_time, method, resolution=1e-2):
         try:
             if method == "genramsey":
                 value = genramsey_opt_uncertainty(
-                    dense_collective_moments(psi), n, total_time, gamma
+                    dense_collective_moments(psi), total_time, gamma
                 ).delta_omega
             else:
                 _, value = dense_qfi_shot_optimum(psi, gamma, total_time)
@@ -627,7 +627,7 @@ def nelder_mead_genramsey(n, gamma, total_time, restarts=16, seed=0):
             return math.inf
         m0 = collective_moments(SymmetricFamilyState(n, x / nrm))
         try:
-            return genramsey_opt_uncertainty(m0, n, total_time, gamma).delta_omega
+            return genramsey_opt_uncertainty(m0, total_time, gamma).delta_omega
         except (ValueError, DegenerateStateError):  # t_opt > T, or no signal
             return math.inf
 

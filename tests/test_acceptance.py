@@ -9,7 +9,6 @@ import time
 import numpy as np
 
 from clocksim import (
-    DephasingParams,
     ExperimentBudget,
     SymmetricFamilyState,
     collective_moments,
@@ -149,9 +148,9 @@ def test_criterion_05_generalized_ramsey_reduction():
     ok, detail = True, []
     for n in (1, 2, 4, 8):
         m0 = collective_moments(SymmetricFamilyState(n, uniform_coefficients(n)))
-        root = solve_topt(m0, n, GAMMA)
+        root = solve_topt(m0, GAMMA)
         residual = abs(root - 0.5 / GAMMA)
-        result = genramsey_opt_uncertainty(m0, n, TOTAL, GAMMA)
+        result = genramsey_opt_uncertainty(m0, TOTAL, GAMMA)
         ref = reference_limit(n, TOTAL, GAMMA)
         rel = abs(result.delta_omega - ref) / ref
         ok &= residual < 1e-12 and rel < 1e-12
@@ -163,7 +162,7 @@ def test_criterion_06_partial_entanglement_gain():
     start = time.perf_counter()
     ok, detail = True, []
     for n in range(2, 8):
-        rep = optimize_symmetric_coeffs(n, GAMMA, TOTAL, "genramsey")
+        rep = optimize_symmetric_coeffs(n, GAMMA, TOTAL, "gen-ramsey")
         ok &= 0.0 < rep.improvement_pct < IMPROVEMENT_CAP
         detail.append(f"n={n}: {rep.improvement_pct:.3f}%")
     elapsed = time.perf_counter() - start
@@ -207,20 +206,20 @@ def test_criterion_08_pipeline_cross_check():
 
 def test_criterion_09_fisher_inequality():
     # F_Q and its SLD check come from the family blocks; the Haar-random
-    # measurements act on the dense 2^n evolved state
+    # measurements act on the dense 2^n evolved state, detuning included
     rng = np.random.default_rng(271828)
     ok, worst_gap, worst_sld = True, -math.inf, 0.0
     for _ in range(100):
         n = int(rng.integers(1, 6))
         a = rng.normal(size=n // 2 + 1)
         a /= np.linalg.norm(a)
-        p = DephasingParams(rng.uniform(-1.5, 1.5), rng.uniform(0.05, 1.2), rng.uniform(0.1, 2.0))
-        fq, cfi = family_qfi(SymmetricFamilyState(n, a), p)
+        delta, gamma, t = rng.uniform(-1.5, 1.5), rng.uniform(0.05, 1.2), rng.uniform(0.1, 2.0)
+        fq, cfi = family_qfi(SymmetricFamilyState(n, a), gamma, t)
         if fq > 1e-12:
             rel = abs(cfi - fq) / fq
             worst_sld = max(worst_sld, rel)
             ok &= rel < 1e-6
-        rho_t, drho = dense_evolve(density(family_state(n, a)), p.delta, p.gamma, p.t)
+        rho_t, drho = dense_evolve(density(family_state(n, a)), delta, gamma, t)
         fc = classical_fi(rho_t, drho, haar_basis(rng, 1 << n))
         gap = fc - fq * (1 + 1e-9)
         worst_gap = max(worst_gap, gap)

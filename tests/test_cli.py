@@ -161,7 +161,7 @@ def test_optimize_json_report(tmp_path):
                  "--seed", "1", "--restarts", "2", "--format", "json", "--out", str(out)])
     assert code == 0
     payload = json.loads(out.read_text())
-    assert payload["schema_version"] == 2
+    assert payload["schema_version"] == 3
     assert "convention" in payload
     assert "seed" not in payload and "restarts" not in payload  # both are no-ops
     point = payload["points"][0]
@@ -254,7 +254,8 @@ def test_qfi_report_ghz_optimized(tmp_path):
                  "--optimize-t", "--total-time", "100", "--out", str(out)])
     assert code == 0
     payload = json.loads(out.read_text())
-    assert payload["schema_version"] == 2
+    assert payload["schema_version"] == 3
+    assert "detuning" not in payload  # version 3 dropped the no-op key
     expected = math.sqrt(2 * math.e / 400)
     assert payload["delta_omega"] == pytest.approx(expected, rel=1e-6)
     assert payload["t_opt"] == pytest.approx(1 / 8, abs=1e-4)
@@ -398,21 +399,35 @@ def test_optimize_matches_library_curve(tmp_path):
         assert got[p.n, "qfi"] == p.improvement_qfi_pct
 
 
-def test_qfi_optimized_shot_time_ignores_detuning(tmp_path):
-    # dephasing commutes with the detuning Hamiltonian, so the detuning
-    # changes neither the optimal shot time nor the precision bound
-    reports = []
-    for detuning in ("0", "0.3"):
-        out = tmp_path / f"qfi_{detuning}.json"
-        code = main(["qfi", "--coeffs", "0.6;0.5;0.6244997998398398", "--n", "4",
-                     "--gamma", "1", "--optimize-t", "--total-time", "100",
-                     "--detuning", detuning, "--out", str(out)])
-        assert code == 0
-        reports.append(json.loads(out.read_text()))
-    still, detuned = reports
-    assert detuned["detuning"] == 0.3
-    assert detuned["delta_omega"] == pytest.approx(still["delta_omega"], rel=1e-9)
-    assert detuned["t_opt"] == pytest.approx(still["t_opt"], abs=1e-6)
+def test_qfi_detuning_flag_exits_2(tmp_path, capsys):
+    # F_Q does not depend on the detuning, so qfi takes none
+    out = tmp_path / "never.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["qfi", "--scheme", "ghz", "--n", "4", "--gamma", "1", "--t", "0.1",
+              "--detuning", "0.3", "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+    assert "--detuning" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, lines, key",
+    [
+        (["signal", "--n", "2", "--t", "0.5"], "total-tme=3\nbogus=7\n", "total_tme"),
+        (["signal", "--n", "2", "--t", "0.5"], "gama=0.5\n", "gama"),
+        (["qfi", "--scheme", "ghz", "--n", "2", "--gamma", "1", "--t", "0.5"],
+         "detuning=0.3\n", "detuning"),
+        (["optimize", "--n-min", "2", "--n-max", "2"], "out=x.csv\n", "out"),
+    ],
+)
+def test_config_key_matching_no_option_exits_2(tmp_path, capsys, command, lines, key):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(lines)
+    out = tmp_path / "never.out"
+    assert main(command + ["--config", str(cfgfile), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err == f"clocksim: invalid-argument: config key {key}: no such option of {command[0]}\n"
 
 
 @pytest.mark.parametrize(
@@ -504,14 +519,34 @@ assert "scipy.optimize" in sys.modules
 """
 
 
-def test_startup_and_genramsey_path_load_no_scipy():
+def _fresh_env(**extra):
+    """The environment of a fresh interpreter that imports this clocksim."""
     src = str(Path(clocksim.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    return {**os.environ, "PYTHONPATH": path, **extra}
+
+
+def test_startup_and_genramsey_path_load_no_scipy():
     proc = subprocess.run(
         [sys.executable, "-c", _SCIPY_FREE_SCRIPT],
-        env=env,
+        env=_fresh_env(),
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_qfi_search_bytes_match_across_blas_thread_counts():
+    # from n = 80 the QFI search's last bits follow the BLAS thread count
+    # (README); at n = 20 one and two threads print the same bytes
+    argv = ["-m", "clocksim", "optimize", "--method", "both", "--n-min", "20", "--n-max", "20"]
+    outputs = []
+    for threads in ("1", "2"):
+        blas = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads)
+        proc = subprocess.run(
+            [sys.executable, *argv], env=_fresh_env(**blas), capture_output=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]

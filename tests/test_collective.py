@@ -123,7 +123,7 @@ def test_topt_product_state_is_half_decoherence_time():
     for n in (1, 2, 4, 8):
         m0 = collective_moments(_product(n))
         for gamma in (0.5, 1.0, 2.0):
-            assert abs(solve_topt(m0, n, gamma) - 0.5 / gamma) < 1e-12
+            assert abs(solve_topt(m0, gamma) - 0.5 / gamma) < 1e-12
 
 
 def test_topt_shrinks_with_variance():
@@ -135,7 +135,7 @@ def test_topt_shrinks_with_variance():
             n=2, sx_mean=m0.sx_mean, sx2_mean=m0.sx2_mean,
             sy_mean=0.0, sy2_mean=scale * m0.sy2_mean,
         )
-        roots.append(solve_topt(squeezed, 2, 1.0))
+        roots.append(solve_topt(squeezed, 1.0))
     assert roots[0] > roots[1] > roots[2] > 0.0
     assert roots[2] < 0.1
 
@@ -144,7 +144,7 @@ def test_topt_degenerate_variance_rejected():
     m0 = collective_moments(_product(2))
     flat = type(m0)(n=2, sx_mean=2.0, sx2_mean=4.0, sy_mean=0.0, sy2_mean=0.0)
     with pytest.raises(DegenerateStateError):
-        solve_topt(flat, 2, 1.0)
+        solve_topt(flat, 1.0)
 
 
 @pytest.mark.parametrize("n", [4, 7, 10])
@@ -155,7 +155,7 @@ def test_topt_matches_bisection_oracle(n):
         m0 = CollectiveMoments(n=n, sx_mean=0.0, sx2_mean=0.0, sy_mean=0.0, sy2_mean=ratio * n)
         for gamma in (0.3, 1.0, 2.5):
             oracle = topt_bisection(m0, n, gamma)
-            assert solve_topt(m0, n, gamma) == pytest.approx(oracle, rel=1e-10, abs=0.0)
+            assert solve_topt(m0, gamma) == pytest.approx(oracle, rel=1e-10, abs=0.0)
 
 
 @pytest.mark.parametrize("gamma", [0.3, 1.0])
@@ -167,13 +167,13 @@ def test_topt_matches_decimal_oracle(gamma):
     for ratio in np.geomspace(1e-12, 1e4, 1601):
         m0 = CollectiveMoments(n=n, sx_mean=0.0, sx2_mean=0.0, sy_mean=0.0, sy2_mean=ratio * n)
         oracle = topt_decimal(m0, n, gamma)
-        assert solve_topt(m0, n, gamma) == pytest.approx(oracle, rel=4e-15, abs=0.0), ratio
+        assert solve_topt(m0, gamma) == pytest.approx(oracle, rel=4e-15, abs=0.0), ratio
 
 
 def test_topt_agrees_with_direct_minimization():
     n, gamma, total = 4, 1.0, 80.0
     m0 = collective_moments(SymmetricFamilyState(n, np.array([0.6, 0.64, 0.48])))
-    root = solve_topt(m0, n, gamma)
+    root = solve_topt(m0, gamma)
 
     ts = np.linspace(0.05, 2.0, 40001)
     values = []
@@ -194,11 +194,10 @@ def test_topt_agrees_with_direct_minimization():
 def test_opt_uncertainty_product_state_hits_reference():
     for n in (1, 3, 5):
         m0 = collective_moments(_product(n))
-        res = genramsey_opt_uncertainty(m0, n, 100.0, 1.0)
+        res = genramsey_opt_uncertainty(m0, 100.0, 1.0)
         assert res.delta_omega == pytest.approx(reference_limit(n, 100.0, 1.0), rel=1e-12)
         assert res.improvement_pct == pytest.approx(0.0, abs=1e-9)
-        assert res.phase_opt == pytest.approx(np.pi / 2)
-        assert res.scheme == "symmetric-genramsey"
+        assert res.t_opt == pytest.approx(0.5, rel=1e-12)  # tau_dec / 2
 
 
 def test_opt_uncertainty_respects_bound_chain():
@@ -208,8 +207,8 @@ def test_opt_uncertainty_respects_bound_chain():
             m0 = collective_moments(_random_family_state(rng, n))
             if abs(m0.sx_mean) < 1e-9 or m0.sy_variance() < 1e-9:
                 continue
-            res = genramsey_opt_uncertainty(m0, n, 100.0, 1.0)
-            bound_state, bound_universal = precision_bound_chain(m0, n, 100.0, 1.0)
+            res = genramsey_opt_uncertainty(m0, 100.0, 1.0)
+            bound_state, bound_universal = precision_bound_chain(m0, 100.0, 1.0)
             assert bound_state >= bound_universal - 1e-15
             assert res.delta_omega >= bound_state * (1 - 1e-12)
             assert res.delta_omega >= bound_universal * (1 - 1e-12)
@@ -221,10 +220,10 @@ def test_opt_uncertainty_respects_bound_chain():
 def test_opt_uncertainty_rejects_degenerate_and_short_budgets():
     m0 = collective_moments(_ghz(4))
     with pytest.raises(DegenerateStateError):
-        genramsey_opt_uncertainty(m0, 4, 100.0, 1.0)
+        genramsey_opt_uncertainty(m0, 100.0, 1.0)
     good = collective_moments(_product(4))
     with pytest.raises(ValueError):
-        genramsey_opt_uncertainty(good, 4, 0.3, 1.0)  # T < tau_dec/2
+        genramsey_opt_uncertainty(good, 0.3, 1.0)  # T < tau_dec/2
 
 
 def test_stacked_genramsey_score_raises_for_any_lane():
@@ -233,7 +232,7 @@ def test_stacked_genramsey_score_raises_for_any_lane():
     good = collective_moments(_product(4))
     sx, sy_var = np.full(3, good.sx_mean), np.full(3, good.sy_variance())
     t_opt, delta_omega = _genramsey_rows(sx, sy_var, 4, 100.0, 1.0)
-    scalar = genramsey_opt_uncertainty(good, 4, 100.0, 1.0)
+    scalar = genramsey_opt_uncertainty(good, 100.0, 1.0)
     assert np.all(t_opt == scalar.t_opt) and np.all(delta_omega == scalar.delta_omega)
     with pytest.raises(DegenerateStateError, match="S_x"):
         _genramsey_rows(np.array([sx[0], 0.0, sx[0]]), sy_var, 4, 100.0, 1.0)
@@ -247,9 +246,9 @@ def test_stacked_genramsey_score_raises_for_any_lane():
 def test_bound_chain_product_state_saturates():
     for n in (2, 5):
         m0 = collective_moments(_product(n))
-        bound_state, bound_universal = precision_bound_chain(m0, n, 50.0, 1.0)
+        bound_state, bound_universal = precision_bound_chain(m0, 50.0, 1.0)
         assert bound_state == pytest.approx(bound_universal, rel=1e-12)
     bound_state, bound_universal = precision_bound_chain(
-        collective_moments(SymmetricFamilyState(4, np.array([0.8, 0.6, 0.0]))), 4, 50.0, 1.0
+        collective_moments(SymmetricFamilyState(4, np.array([0.8, 0.6, 0.0]))), 50.0, 1.0
     )
     assert bound_state > bound_universal * (1 + 1e-9)

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clocksim import DephasingParams
-from clocksim.evolution import _block_form
+from clocksim import SymmetricFamilyState, family_qfi
+from clocksim.evolution import MAX_BLOCK_QUBITS, _block_form, _block_tables
 
 from reference import (
     dense_evolve,
@@ -27,12 +29,29 @@ def _evolve(rho, delta, gamma, t):
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        DephasingParams(0.0, -1.0, 1.0)
-    with pytest.raises(ValueError):
-        DephasingParams(0.0, 1.0, -0.5)
-    with pytest.raises(ValueError):
-        DephasingParams(np.nan, 1.0, 1.0)
+    # family_qfi checks its dephasing rate and duration at the API boundary
+    state = SymmetricFamilyState(2, [0.6, 0.8])
+    with pytest.raises(ValueError, match="dephasing rate must be >= 0"):
+        family_qfi(state, -1.0, 1.0)
+    with pytest.raises(ValueError, match="duration must be >= 0"):
+        family_qfi(state, 1.0, -0.5)
+    for gamma, t, name in ((np.nan, 1.0, "gamma"), (1.0, np.inf, "t")):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            family_qfi(state, gamma, t)
+
+
+def test_block_tables_keep_one_n():
+    # a sweep asks for each n in turn: the cache holds the last n's tables,
+    # 4.2 MB at n = 100, not the 40 MB of every n from 90 to 100
+    _block_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        for n in range(90, MAX_BLOCK_QUBITS + 1):
+            _block_tables(n)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 1.5 * _block_tables(MAX_BLOCK_QUBITS)[0].nbytes, held
 
 
 def test_single_qubit_coherence_decay():

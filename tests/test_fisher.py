@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clocksim import (
-    DephasingParams,
     ExperimentBudget,
     NoInformationError,
     SymmetricFamilyState,
@@ -17,7 +16,7 @@ from clocksim import (
     uniform_coefficients,
 )
 from clocksim.evolution import MAX_BLOCK_QUBITS, _block_form
-from clocksim.fisher import _block_qfi, _qfi_core, _qfi_gradient, _sld
+from clocksim.fisher import _block_qfi, _outcome_probs, _qfi_core, _qfi_gradient, _sld
 from clocksim.qstate import _dicke_amplitudes
 from clocksim.optimize import _precision_bounds
 
@@ -85,7 +84,7 @@ def test_ghz_qfi_closed_forms():
             expected = n**2 * t**2 * math.exp(-2 * n * gamma * t)
             dense = dense_qfi(*_evolved_pair(ghz_state(n), 0.4, gamma, t))
             assert dense == pytest.approx(expected, rel=rel)
-            blocks = family_qfi(ghz, DephasingParams(0.4, gamma, t))[0]
+            blocks = family_qfi(ghz, gamma, t)[0]
             assert blocks == pytest.approx(expected, rel=rel)
 
 
@@ -97,7 +96,7 @@ def test_product_state_qfi_closed_form():
         dense = dense_qfi(*_evolved_pair(product_state(n), 0.3, gamma, t))
         assert dense == pytest.approx(expected, rel=1e-8)
         state = SymmetricFamilyState(n, uniform_coefficients(n))
-        blocks = family_qfi(state, DephasingParams(0.3, gamma, t))[0]
+        blocks = family_qfi(state, gamma, t)[0]
         assert blocks == pytest.approx(expected, rel=1e-8)
 
 
@@ -117,11 +116,23 @@ def test_sld_basis_is_complete_and_attains_qfi():
 def test_sld_basis_is_deterministic():
     # the blockwise SLD measurement gives the same bits on every call
     state = SymmetricFamilyState(3, [0.8, 0.6])
-    p = DephasingParams(0.5, 0.6, 0.9)
-    assert family_qfi(state, p) == family_qfi(state, p)
-    one = np.linalg.eigh(1j * _sld(*_family_blocks(state, p.gamma, p.t)[3]))[1]
-    two = np.linalg.eigh(1j * _sld(*_family_blocks(state, p.gamma, p.t)[3]))[1]
+    gamma, t = 0.6, 0.9
+    assert family_qfi(state, gamma, t) == family_qfi(state, gamma, t)
+    one = np.linalg.eigh(1j * _sld(*_family_blocks(state, gamma, t)[3]))[1]
+    two = np.linalg.eigh(1j * _sld(*_family_blocks(state, gamma, t)[3]))[1]
     assert np.array_equal(one, two)
+
+
+def test_outcome_probs_match_the_einsum_reference():
+    # one matrix product per basis sums in another order than the einsum it
+    # replaced, so the two agree to rounding, not bitwise
+    rng = np.random.default_rng(3)
+    shape = (4, 9, 9)
+    basis = np.linalg.qr(rng.normal(size=shape) + 1j * rng.normal(size=shape))[0]
+    mat = rng.normal(size=shape)
+    for m in (mat + np.swapaxes(mat, -1, -2), 1j * (mat - np.swapaxes(mat, -1, -2))):
+        expected = np.einsum("...im,...ij,...jm->...m", basis.conj(), m, basis).real
+        assert np.abs(_outcome_probs(basis, m) - expected).max() < 1e-13
 
 
 def test_classical_fi_computational_basis_is_blind():
@@ -253,7 +264,7 @@ def test_stacked_block_qfi_equals_single_shot_time():
         stacked = _family_blocks(state, 1.0, ts)[0]
         for k, t in enumerate(ts):
             assert stacked[k] == _family_blocks(state, 1.0, t)[0]
-            assert stacked[k] == family_qfi(state, DephasingParams(0.3, 1.0, t))[0]
+            assert stacked[k] == family_qfi(state, 1.0, t)[0]
 
 
 @pytest.mark.parametrize("t", [0.3, 0.5])
@@ -262,7 +273,7 @@ def test_product_state_qfi_at_the_cap(t):
     # eigenvalue, keeps the light sectors that carry F_Q
     n, gamma = MAX_BLOCK_QUBITS, 1.0
     state = SymmetricFamilyState(n, uniform_coefficients(n))
-    fq, cfi = family_qfi(state, DephasingParams(0.0, gamma, t))
+    fq, cfi = family_qfi(state, gamma, t)
     assert fq == pytest.approx(n * t * t * math.exp(-2.0 * gamma * t), rel=1e-12)
     # the SLD measurement attains it, light copies of heavy sectors included
     assert cfi == pytest.approx(fq, rel=1e-9)
@@ -292,16 +303,17 @@ def test_block_identities_at_the_cap():
     blocks = _family_blocks(state, 0.0, t)[1]
     pops, w = np.diagonal(blocks[0]).real, np.arange(n + 1)
     expected = 4.0 * t * t * (pops @ w**2 - (pops @ w) ** 2)
-    assert family_qfi(state, DephasingParams(0.3, 0.0, t))[0] == pytest.approx(expected, rel=1e-13)
+    assert family_qfi(state, 0.0, t)[0] == pytest.approx(expected, rel=1e-13)
 
 
 def test_family_sld_measurement_attains_dense_qfi():
     rng = np.random.default_rng(8)
     for n in (1, 2, 3, 4, 5):
         a = _random_coeffs(rng, n)
-        p = DephasingParams(0.6, 0.7, 0.8)
-        fq, cfi = family_qfi(SymmetricFamilyState(n, a), p)
-        dense = dense_qfi(*dense_evolve(density(family_state(n, a)), p.delta, p.gamma, p.t))
+        delta, gamma, t = 0.6, 0.7, 0.8
+        fq, cfi = family_qfi(SymmetricFamilyState(n, a), gamma, t)
+        # the dense oracle keeps the detuning that the blocks leave out
+        dense = dense_qfi(*dense_evolve(density(family_state(n, a)), delta, gamma, t))
         assert fq == pytest.approx(dense, rel=1e-12)
         assert cfi == pytest.approx(fq, rel=1e-9)
         assert cfi <= fq * (1 + 1e-9)
@@ -330,7 +342,7 @@ def test_family_blocks_stay_positive(n, seed, gamma, t):
 def test_qfi_gradient_matches_finite_differences(n, seed, gamma, t):
     # central differences of family_qfi along great circles through a and in t
     a = _random_coeffs(np.random.default_rng(seed), n)
-    qfi = lambda a, t: family_qfi(SymmetricFamilyState(n, a), DephasingParams(0.0, gamma, t))[0]
+    qfi = lambda a, t: family_qfi(SymmetricFamilyState(n, a), gamma, t)[0]
     fq, grad_a, grad_t = _qfi_gradient(n, gamma, a, t)
     assert fq == pytest.approx(qfi(a, t), rel=1e-14)
     assert abs(grad_a @ a) <= 1e-12 * fq

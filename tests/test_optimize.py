@@ -3,6 +3,7 @@ import importlib
 import json
 import math
 import pkgutil
+import re
 import tracemalloc
 
 import numpy as np
@@ -14,7 +15,6 @@ from hypothesis import strategies as st
 from clocksim import (
     BracketingError,
     DegenerateStateError,
-    DephasingParams,
     ExperimentBudget,
     NoInformationError,
     SymmetricFamilyState,
@@ -38,6 +38,7 @@ from clocksim.evolution import MAX_BLOCK_QUBITS
 from clocksim.optimize import (
     _LOG_MU_GRID,
     ION_RANGE,
+    METHODS,
     _brentq,
     _chunks,
     _flip_even_ops,
@@ -108,7 +109,7 @@ def test_uniform_coefficients_give_zero_improvement():
     for n in (2, 3, 4):
         res = genramsey_opt_uncertainty(
             collective_moments(SymmetricFamilyState(n, uniform_coefficients(n))),
-            n, TOTAL, GAMMA,
+            TOTAL, GAMMA,
         )
         assert res.improvement_pct == pytest.approx(0.0, abs=1e-9)
 
@@ -119,11 +120,11 @@ def test_ghz_coefficients_are_degenerate_for_genramsey():
     a[0] = 1.0
     m0 = collective_moments(SymmetricFamilyState(n, a))
     with pytest.raises(DegenerateStateError):
-        genramsey_opt_uncertainty(m0, n, TOTAL, GAMMA)
+        genramsey_opt_uncertainty(m0, TOTAL, GAMMA)
 
 
 def test_optimizer_beats_reference_at_n2():
-    rep = optimize_symmetric_coeffs(2, GAMMA, TOTAL, "genramsey")
+    rep = optimize_symmetric_coeffs(2, GAMMA, TOTAL, "gen-ramsey")
     assert rep.improvement_pct > 0.5
     assert rep.improvement_pct < 100 * (1 - math.exp(-0.5))
     assert np.linalg.norm(rep.best_coeffs) == pytest.approx(1.0, abs=1e-9)
@@ -131,25 +132,29 @@ def test_optimizer_beats_reference_at_n2():
 
 def test_optimizer_validation():
     with pytest.raises(ValueError):
-        optimize_symmetric_coeffs(1, GAMMA, TOTAL, "genramsey")
+        optimize_symmetric_coeffs(1, GAMMA, TOTAL, "gen-ramsey")
     with pytest.raises(ValueError):
         optimize_symmetric_coeffs(2, GAMMA, TOTAL, "bogus")
     with pytest.raises(ValueError):
-        optimize_symmetric_coeffs(2, GAMMA, 0.2, "genramsey")  # T < tau_dec/2
-    for method in ("genramsey", "qfi"):
+        optimize_symmetric_coeffs(2, GAMMA, 0.2, "gen-ramsey")  # T < tau_dec/2
+    for method in METHODS:
         with pytest.raises(ValueError):
             optimize_symmetric_coeffs(2, GAMMA, math.inf, method)
+    # only the exact names of METHODS are accepted
+    for method in ("genramsey", "q_f-i", "gen_ramsey"):
+        with pytest.raises(ValueError, match=re.escape(str(METHODS))):
+            optimize_symmetric_coeffs(2, GAMMA, TOTAL, method)
 
 
 def test_optimizer_report_is_reproducible_and_self_consistent():
-    one = optimize_symmetric_coeffs(3, GAMMA, TOTAL, "genramsey")
-    two = optimize_symmetric_coeffs(3, GAMMA, TOTAL, "genramsey")
+    one = optimize_symmetric_coeffs(3, GAMMA, TOTAL, "gen-ramsey")
+    two = optimize_symmetric_coeffs(3, GAMMA, TOTAL, "gen-ramsey")
     assert np.array_equal(one.best_coeffs, two.best_coeffs)
     assert one.improvement_pct == two.improvement_pct
     assert one.t_opt == two.t_opt
     # re-evaluating the reported coefficients reproduces the reported value
     res = genramsey_opt_uncertainty(
-        collective_moments(SymmetricFamilyState(3, one.best_coeffs)), 3, TOTAL, GAMMA
+        collective_moments(SymmetricFamilyState(3, one.best_coeffs)), TOTAL, GAMMA
     )
     assert res.delta_omega == pytest.approx(one.delta_omega, rel=1e-12)
     ref = reference_limit(3, TOTAL, GAMMA)
@@ -175,7 +180,7 @@ def test_reported_coefficients_are_the_canonical_twin(seed):
             twins.append(a * (-1.0) ** np.arange(a.size))
         for twin in twins:
             res = genramsey_opt_uncertainty(
-                collective_moments(SymmetricFamilyState(n, twin)), n, TOTAL, GAMMA
+                collective_moments(SymmetricFamilyState(n, twin)), TOTAL, GAMMA
             )
             assert res.improvement_pct == pytest.approx(gen.improvement_pct, abs=1e-12)
 
@@ -424,9 +429,9 @@ def test_polish_never_ends_above_the_best_grid_lane(n):
     # the polish starts from the gen-Ramsey winner at its closed-form shot time
     a, t0, _, _ = _genramsey_search(n, GAMMA, TOTAL)
     bracket = _shot_bracket(GAMMA, TOTAL)
-    fq = family_qfi(SymmetricFamilyState(n, a), DephasingParams(0.0, GAMMA, t0))[0]
+    fq = family_qfi(SymmetricFamilyState(n, a), GAMMA, t0)[0]
     a_pol, t_pol, fq_pol, certified = _polish(n, GAMMA, a, t0, bracket)
-    fq_family = family_qfi(SymmetricFamilyState(n, a_pol), DephasingParams(0.0, GAMMA, t_pol))[0]
+    fq_family = family_qfi(SymmetricFamilyState(n, a_pol), GAMMA, t_pol)[0]
     assert fq_pol == pytest.approx(fq_family, rel=1e-13)
     assert certified and bracket[0] <= t_pol <= bracket[1]
     assert t_pol / fq_pol <= t0 / fq
@@ -439,7 +444,7 @@ def test_qfi_report_is_its_own_shot_time_optimum(n, gamma, total):
     # search on the reported coefficients lands on the same optimum
     rep = optimize_symmetric_coeffs(n, gamma, total, "qfi")
     state = SymmetricFamilyState(n, rep.best_coeffs)
-    fq = family_qfi(state, DephasingParams(0.0, gamma, rep.t_opt))[0]
+    fq = family_qfi(state, gamma, rep.t_opt)[0]
     assert rep.delta_omega == pytest.approx(math.sqrt(rep.t_opt / (total * fq)), rel=1e-13)
     t_opt, delta_omega = qfi_shot_optimum(state, gamma, total)
     assert delta_omega == pytest.approx(rep.delta_omega, rel=1e-12)
@@ -611,7 +616,7 @@ def test_ion_range_is_per_method():
 @pytest.mark.parametrize("n", [2, 3])
 def test_optimizer_matches_grid_oracle_genramsey(n):
     oracle_impr, oracle_a = grid_oracle_improvement(n, GAMMA, TOTAL, "genramsey")
-    rep = optimize_symmetric_coeffs(n, GAMMA, TOTAL, "genramsey")
+    rep = optimize_symmetric_coeffs(n, GAMMA, TOTAL, "gen-ramsey")
     assert rep.improvement_pct >= oracle_impr - 1e-6
     assert abs(rep.improvement_pct - oracle_impr) < 0.1
 
@@ -637,13 +642,11 @@ def test_qfi_shot_optimum_validation():
         qfi_shot_optimum(SymmetricFamilyState(n, np.eye(1, n // 2 + 1)[0]), GAMMA, TOTAL)
 
 
-def _scalar_shot_optimum(state, gamma, total, delta=0.0):
+def _scalar_shot_optimum(state, gamma, total):
     """The scalar oracle's shot-time optimum of the block bound: a 48-point
     grid and scipy's bounded Brent method, one shot time at a time."""
     return minimize_over_t(
-        lambda t: qfi_uncertainty(
-            family_qfi(state, DephasingParams(delta, gamma, t))[0], total, t
-        ),
+        lambda t: qfi_uncertainty(family_qfi(state, gamma, t)[0], total, t),
         (1e-4 / gamma, min(total, 8.0 / gamma)),
     )
 
@@ -651,8 +654,8 @@ def _scalar_shot_optimum(state, gamma, total, delta=0.0):
 @pytest.mark.parametrize("delta", [0.0, 0.3])
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_qfi_shot_optimum_equals_scalar_search(n, delta):
-    # the block engine drops the detuning phase, a diagonal unitary that
-    # commutes with the dephasing; the dense 2^n oracle keeps it
+    # the block engine takes no detuning: its phase is a diagonal unitary
+    # that commutes with the dephasing; the dense 2^n oracle keeps it
     rng = np.random.default_rng(100 + n)
     coeffs = [np.eye(1, n // 2 + 1)[0], uniform_coefficients(n)]
     for _ in range(2):
@@ -663,7 +666,7 @@ def test_qfi_shot_optimum_equals_scalar_search(n, delta):
         got = qfi_shot_optimum(state, GAMMA, TOTAL)
         # the root is no worse than the bounded minimizer on a flat optimum,
         # whose stopping point is fixed only to about 1e-7
-        scalar = _scalar_shot_optimum(state, GAMMA, TOTAL, delta)
+        scalar = _scalar_shot_optimum(state, GAMMA, TOTAL)
         assert got[1] <= scalar[1] * (1.0 + 4e-15)
         assert got[0] == pytest.approx(scalar[0], rel=1e-6)
         # and the block engine lands where the dense 2^n search does

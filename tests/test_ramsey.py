@@ -130,10 +130,10 @@ def test_budget_validation():
 
 
 def test_precision_result_validation():
-    with pytest.raises(ValueError):
-        PrecisionResult("bogus", 0.5, 1.0, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        PrecisionResult("ghz", 0.5, 1.0, -1.0, 0.0)
+    assert PrecisionResult(0.5, 1.0, 0.0).delta_omega == 1.0
+    for delta_omega in (-1.0, 0.0, math.nan):
+        with pytest.raises(ValueError, match="frequency uncertainty must be > 0"):
+            PrecisionResult(0.5, delta_omega, 0.0)
 
 
 def test_pipeline_zero_time_gives_unity():
