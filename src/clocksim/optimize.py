@@ -11,10 +11,11 @@ transcription of scipy's) then solves the optimum's stationarity condition
 mu = <S_x> / (2 n x e^x), x = 2 gamma t_opt, which every scored lane
 already yields, one one-lane stack per probe; a best lane whose bracket
 holds no root is reported unconverged. The QFI search starts from that
-winner at its shot time and runs one L-BFGS-B polish over the coefficients
-and the log shot time, across the whole shot-time bracket, minimizing t /
-F_Q with the envelope gradient (``fisher._qfi_gradient``); its projected
-gradient certifies the status, and its own t and F_Q are reported. A sweep
+winner at its shot time and runs one projected L-BFGS polish over the
+coefficients and the log shot time, across the whole shot-time bracket,
+minimizing t / F_Q with the envelope gradient (``fisher._qfi_gradient``);
+its projected gradient certifies the status, and its own t and F_Q are
+reported. A sweep
 over n runs the gen-Ramsey search once per n, whichever methods it
 reports. The gradient, like every shot-time F_Q, comes from the one block
 QFI ``fisher._block_qfi``: no 2^n state vector or density matrix is built.
@@ -22,8 +23,8 @@ QFI ``fisher._block_qfi``: no 2^n state vector or density matrix is built.
 The shot-time QFI optimum of a state is likewise a root, of r(log t) = 1 -
 t F_Q'/F_Q = 2 d log delta_omega / d log t, next to the best point of a
 stacked geometric grid (``_root_beside`` serves both searches), or t = T
-where r(T) <= 0. scipy is imported inside ``_polish`` only, so a process
-that runs no QFI coefficient search never loads it.
+where r(T) <= 0. Every path uses numpy and the standard library only:
+no command loads scipy.
 """
 
 from __future__ import annotations
@@ -75,15 +76,18 @@ _GRID_POINTS = 16  # the root needs only the optimum's basin
 # n = 37, one mu per chunk from n = 180.
 _STACK_BYTES = 1 << 18
 _LOG_MU_GRID = np.linspace(math.log(1e-4), math.log(1e2), 41)  # best mu: 0.2 to 2.2
-# F_Q evaluations after which the polish stops unconverged; it takes about
-# 10 at n = 2..3 and 90 at n = 20.
+# F_Q evaluations (each one ``_qfi_gradient`` call) after which the polish
+# stops unconverged; it takes 9 to 15 at n = 2..7 and 88 at n = 20.
 _POLISH_EVALS = 4000
 # The polish stops when a step lowers log t - log F_Q by at most
-# _FACTR * machine epsilon relative, and certifies its point when the
-# projected gradient is at most _GRAD_TOL: the largest measured over n =
-# 2..20 and gamma in {0.3, 1, 2} was 6.6e-8.
+# _FACTR * machine epsilon relative (L-BFGS-B's factr test), or when a line
+# search finds no decrease where none can exceed that rounding floor; it
+# certifies its point when the projected gradient is at most _GRAD_TOL: the
+# largest measured over n = 2..20 and gamma in {0.3, 1, 2} was 8.2e-8.
 _FACTR = 10.0
 _GRAD_TOL = 1e-6
+_MEMORY = 10  # (s, y) pairs of the L-BFGS recursion, as L-BFGS-B's default m
+_LINE_EVALS = 20  # trials per line search, as L-BFGS-B's default maxls
 
 
 @dataclass(frozen=True)
@@ -328,46 +332,206 @@ def _norms(rows):
     return np.sqrt((rows * rows).sum(-1))
 
 
+def _two_loop(grad, pairs):
+    """The L-BFGS direction -H grad by the two-loop recursion (Nocedal, Math.
+    Comp. 35, 773 (1980)) over the (s, y, 1/(s.y)) ``pairs``, oldest first,
+    with H0 = s.y / y.y of the latest pair, the identity when there is none."""
+    q, alphas = grad.copy(), []
+    for s, y, rho in reversed(pairs):
+        alphas.append(rho * (s @ q))
+        q -= alphas[-1] * y
+    if pairs:
+        s, y, rho = pairs[-1]
+        q /= rho * (y @ y)
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - rho * (y @ q)) * s
+    return -q
+
+
+def _cubic_root(theta, d1, d2, sign):
+    """The square-root term of ``_dcstep``'s cubic interpolant, its argument
+    clamped at 0 against rounding, with the sign of ``sign``."""
+    s = max(abs(theta), abs(d1), abs(d2))
+    return math.copysign(s * math.sqrt(max(0.0, (theta / s) ** 2 - (d1 / s) * (d2 / s))), sign)
+
+
+def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
+    """One safeguarded trial step of the More-Thuente line search: MINPACK-2's
+    ``dcstep``, transcribed. (stx, fx, dx) is the best step so far with its
+    value and derivative, (sty, fy, dy) the other end of the interval, (stp,
+    fp, dp) the latest trial, stp != stx. Returns the updated (stx, fx, dx,
+    sty, fy, dy) with the next trial step and whether a minimizer is
+    bracketed."""
+    opposite = (dp < 0.0) != (dx < 0.0) and dp != 0.0 and dx != 0.0
+    theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
+    if fp > fx:  # higher value: the minimum is bracketed
+        gamma = _cubic_root(theta, dx, dp, stp - stx)
+        r = ((gamma - dx) + theta) / (((gamma - dx) + gamma) + dp)
+        stpc = stx + r * (stp - stx)
+        stpq = stx + ((dx / ((fx - fp) / (stp - stx) + dx)) / 2.0) * (stp - stx)
+        stpf = stpc if abs(stpc - stx) <= abs(stpq - stx) else stpc + (stpq - stpc) / 2.0
+        brackt = True
+    elif opposite:  # lower value, derivatives of opposite sign: bracketed
+        gamma = _cubic_root(theta, dx, dp, stx - stp)
+        r = ((gamma - dp) + theta) / (((gamma - dp) + gamma) + dx)
+        stpc = stp + r * (stx - stp)
+        stpq = stp + (dp / (dp - dx)) * (stx - stp)
+        stpf = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
+        brackt = True
+    elif abs(dp) < abs(dx):  # lower value, same sign, falling derivative
+        gamma = _cubic_root(theta, dx, dp, stx - stp)
+        r = ((gamma - dp) + theta) / ((gamma + (dx - dp)) + gamma)
+        if r < 0.0 and gamma != 0.0:
+            stpc = stp + r * (stx - stp)
+        else:
+            stpc = stpmax if stp > stx else stpmin
+        stpq = stp + (dp / (dp - dx)) * (stx - stp)
+        if brackt:
+            stpf = stpc if abs(stpc - stp) < abs(stpq - stp) else stpq
+            edge = stp + 0.66 * (sty - stp)
+            stpf = min(edge, stpf) if stp > stx else max(edge, stpf)
+        else:
+            stpf = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
+            stpf = min(max(stpf, stpmin), stpmax)
+    elif brackt:  # lower value, same sign, derivative not falling
+        theta = 3.0 * (fp - fy) / (sty - stp) + dy + dp
+        gamma = _cubic_root(theta, dy, dp, sty - stp)
+        r = ((gamma - dp) + theta) / (((gamma - dp) + gamma) + dy)
+        stpf = stp + r * (sty - stp)
+    else:
+        stpf = stpmax if stp > stx else stpmin
+    if fp > fx:
+        sty, fy, dy = stp, fp, dp
+    else:
+        if opposite:
+            sty, fy, dy = stx, fx, dx
+        stx, fx, dx = stp, fp, dp
+    return stx, fx, dx, sty, fy, dy, stpf, brackt
+
+
+def _line_search(phi, f0, g0, stp, stpmax, floor):
+    """The step of a More-Thuente line search (More & Thuente, ACM TOMS 20,
+    286 (1994)): MINPACK-2's ``dcsrch`` with L-BFGS-B's ftol 1e-3, gtol 0.9,
+    xtol 0.1 and step bounds (0, ``stpmax``), transcribed. ``phi(stp)``
+    evaluates the objective and its slope at a trial step; f0 and g0 < 0 are
+    those at step 0 and ``stp`` is the first trial. It returns the first
+    trial that meets the strong Wolfe conditions, or that ends the search on
+    one of dcsrch's warnings or at the rounding floor: no decrease where the
+    decrease -stp g0 its slope predicts is at most ``floor``. Where dcsrch
+    would try its best step stx again (its rounding and xtol warnings), and
+    after ``_LINE_EVALS`` trials, it returns stx, which was tried or is 0."""
+    ftol, gtol, xtol = 1e-3, 0.9, 0.1
+    gtest = ftol * g0
+    brackt, stage = False, 1
+    width, width1 = stpmax, 2.0 * stpmax
+    stx = sty = 0.0
+    fx = fy = f0
+    gx = gy = g0
+    stmin, stmax = 0.0, 5.0 * stp
+    for _ in range(_LINE_EVALS):
+        f, g = phi(stp)
+        ftest = f0 + stp * gtest
+        if stage == 1 and f <= ftest and g >= 0.0:
+            stage = 2
+        if (
+            not math.isfinite(f)
+            or f >= f0 and -stp * g0 <= floor
+            or f <= ftest and abs(g) <= gtol * -g0
+            or stp == stpmax and f <= ftest and g <= gtest
+        ):
+            return stp
+        if stage == 1 and ftest < f <= fx:  # step on psi(stp) = f - stp * gtest
+            psi = (stx, fx - stx * gtest, gx - gtest, sty, fy - sty * gtest, gy - gtest)
+            psi = _dcstep(*psi, stp, f - stp * gtest, g - gtest, brackt, stmin, stmax)
+            stx, fx, gx, sty, fy, gy, stp, brackt = psi
+            fx, fy, gx, gy = fx + stx * gtest, fy + sty * gtest, gx + gtest, gy + gtest
+        else:
+            stx, fx, gx, sty, fy, gy, stp, brackt = _dcstep(
+                stx, fx, gx, sty, fy, gy, stp, f, g, brackt, stmin, stmax
+            )
+        if brackt:
+            if abs(sty - stx) >= 0.66 * width1:
+                stp = stx + 0.5 * (sty - stx)
+            width1, width = width, abs(sty - stx)
+            stmin, stmax = min(stx, sty), max(stx, sty)
+        else:
+            stmin, stmax = stp + 1.1 * (stp - stx), stp + 4.0 * (stp - stx)
+        stp = min(max(stp, 0.0), stpmax)
+        if stp == stx or brackt and (stp <= stmin or stp >= stmax or stmax - stmin <= xtol * stmax):
+            return stx
+    return stx
+
+
 def _polish(n, gamma, a, t, bracket):
     """``(a, t, F_Q, certified)`` minimizing t / F_Q jointly over the family
     coefficients and the shot time, from the unit coefficients ``a`` at
     ``t``, the shot time kept inside ``bracket``.
 
-    L-BFGS-B runs on x = (a, log t) with the objective log t - log F_Q(a/|a|,
-    t) and the envelope gradient of ``fisher._qfi_gradient``; the objective
-    does not involve the total time, so the bound's 1/sqrt(T) scaling stays
-    exact. ``certified`` holds when the projected gradient at the returned
-    point is at most ``_GRAD_TOL`` and fewer than ``_POLISH_EVALS``
-    evaluations were spent. A polished point worse than the start is
-    replaced by the start.
+    A projected L-BFGS (memory ``_MEMORY``, ``_two_loop``) runs on x = (a,
+    log t) with the objective log t - log F_Q(a/|a|, t) and the envelope
+    gradient of ``fisher._qfi_gradient``; the objective does not involve the
+    total time, so the bound's 1/sqrt(T) scaling stays exact. log t is held
+    at a bound the gradient or the direction pushes past, and every trial is
+    projected into the bracket. Each step is a ``_line_search`` from step 1,
+    or 1/|p| along the first direction p, as in L-BFGS-B. The polish stops
+    when a step lowers the objective by at most ``_FACTR`` machine epsilons
+    relative, when a line search ends without a decrease (at the rounding
+    floor), or after ``_POLISH_EVALS`` evaluations; ``certified`` holds when
+    the projected gradient at its point is at most ``_GRAD_TOL`` and fewer
+    than ``_POLISH_EVALS`` evaluations were spent. Its point is never worse
+    than the start.
     """
-    from scipy.optimize import fmin_l_bfgs_b  # scipy loads only for QFI work
-
-    scored = {}  # (objective, F_Q, gradient) of each evaluated x, by its bytes
-
-    def objective(x):
-        norm, t = _norms(x[:-1]), math.exp(x[-1])
-        value, grad_a, grad_t = _qfi_gradient(n, gamma, x[:-1] / norm, t)
-        if value >= QFI_FLOOR:
-            grad = np.append(-grad_a / (norm * value), 1.0 - t * grad_t / value)
-            scored[x.tobytes()] = x[-1] - math.log(value), value, grad
-        else:
-            scored[x.tobytes()] = math.inf, value, np.zeros_like(x)
-        return scored[x.tobytes()][::2]
-
     lo, hi = math.log(bracket[0]), math.log(bracket[1])
-    x0 = np.append(a, math.log(t))
-    bounds = [(None, None)] * a.size + [(lo, hi)]
-    x, _, info = fmin_l_bfgs_b(
-        objective, x0, bounds=bounds, maxfun=_POLISH_EVALS, factr=_FACTR, pgtol=0.0
-    )
-    f, fq, grad = scored[x.tobytes()]
-    if not f <= scored[x0.tobytes()][0]:
-        x, (_, fq, grad) = x0, scored[x0.tobytes()]
+    evals = 0
+
+    def evaluate(x):
+        nonlocal evals
+        evals += 1
+        norm, t = _norms(x[:-1]), math.exp(x[-1])
+        fq, grad_a, grad_t = _qfi_gradient(n, gamma, x[:-1] / norm, t)
+        if not fq >= QFI_FLOOR:
+            return x, math.inf, fq, np.zeros_like(x)
+        return x, x[-1] - math.log(fq), fq, np.append(-grad_a / (norm * fq), 1.0 - t * grad_t / fq)
+
+    point, pairs, eps = evaluate(np.append(a, math.log(t))), [], math.ulp(1.0)
+    while evals < _POLISH_EVALS:
+        x, f, _, g = point
+        side = -1.0 if x[-1] <= lo else 1.0 if x[-1] >= hi else 0.0  # log t's bound
+        d = _two_loop(g, pairs)
+        if max(-side * g[-1], side * d[-1]) > 0.0:  # a step would leave it: hold it
+            d = _two_loop(np.append(g[:-1], 0.0), pairs)
+            d[-1] = 0.0
+        slope = float(g @ d)
+        if not slope < 0.0:
+            break
+        room = ((hi if d[-1] > 0.0 else lo) - x[-1]) / d[-1] if d[-1] else math.inf
+        # L-BFGS-B's first step: at most 1, from 1/|p|
+        stpmax = min(1e10 if pairs else 1.0, room)
+        stp = min(1.0 if pairs else 1.0 / _norms(d), stpmax)
+        tried = {}  # the point of each trial step
+
+        def phi(step):
+            y = x + step * d
+            y[-1] = min(max(y[-1], lo), hi)
+            tried[step] = evaluate(y)
+            return tried[step][1], float(tried[step][3] @ d)
+
+        floor = _FACTR * eps * max(abs(f), 1.0)
+        step = _line_search(phi, f, slope, stp, stpmax, floor)
+        if step not in tried or not tried[step][1] < f:  # no decrease
+            break
+        trial = tried[step]
+        s, y = trial[0] - x, trial[3] - g
+        if s @ y > eps * -(g @ s):  # L-BFGS-B's curvature test
+            pairs = (pairs + [(s, y, 1.0 / (s @ y))])[-_MEMORY:]
+        point = trial
+        if f - trial[1] <= max(floor, _FACTR * eps * abs(trial[1])):
+            break
+    x, _, fq, g = point
     log_t = x[-1]
     # the projected gradient of L-BFGS-B: zero along a bound it pushes past
-    projected = np.append(grad[:-1], log_t - min(max(log_t - grad[-1], lo), hi))
-    certified = np.abs(projected).max() <= _GRAD_TOL and info["funcalls"] < _POLISH_EVALS
+    projected = np.append(g[:-1], log_t - min(max(log_t - g[-1], lo), hi))
+    certified = np.abs(projected).max() <= _GRAD_TOL and evals < _POLISH_EVALS
     return x[:-1] / _norms(x[:-1]), math.exp(log_t), fq, bool(certified)
 
 
@@ -377,13 +541,17 @@ def _qfi_search(n, gamma, total_time, a0, t0):
     One gradient polish over coefficients and shot time (``_polish``) starts
     from the gen-Ramsey winner ``a0`` at its shot time ``t0``, clipped into
     the shot-time bracket, and may move across the whole bracket. Its |a| (a
-    diagonal +-1 unitary keeps F_Q), t and F_Q are the result.
+    diagonal +-1 unitary keeps F_Q), t and F_Q are the result. A polish
+    held at an artificial bracket edge, 1e-4/gamma or 8/gamma < T, is not
+    certified; one held at t = T is the optimum under t <= T.
     """
     lo, hi = _shot_bracket(gamma, total_time)
     a, t, fq, certified = _polish(n, gamma, a0, min(max(t0, lo), hi), (lo, hi))
     if not fq >= QFI_FLOOR:
         raise NoInformationError(_NO_INFORMATION)
-    return np.abs(a), t, math.sqrt(t / (total_time * fq)), certified
+    # the polish holds log t exactly at log lo or log hi
+    edges = [math.exp(math.log(edge)) for edge in ((lo, hi) if hi < total_time else (lo,))]
+    return np.abs(a), t, math.sqrt(t / (total_time * fq)), certified and t not in edges
 
 
 def _check_search(n, gamma, total_time, method):
@@ -435,8 +603,9 @@ def optimize_symmetric_coeffs(
     numerically. Both return a_k >= 0. A "gen-ramsey" report whose best
     log mu grid lane has no root of the stationarity condition next to it,
     as when it sits at a grid edge, and a "qfi" report whose gradient polish
-    reached its evaluation cap, or ended with a projected gradient above its
-    tolerance, have status "partial".
+    reached its evaluation cap, ended with a projected gradient above its
+    tolerance, or held the shot time at an artificial bracket edge (1e-4/gamma,
+    or 8/gamma below T), have status "partial".
     """
     return _reports(n, gamma, total_time, (method,))[method]
 

@@ -6,7 +6,8 @@ amplitudes, the gate network), from a dense eigensolve on all n+1 Dicke
 levels, from a fixed-step integration of the master equation, from
 Schrijver's block formulas entry by entry in exact integers, from
 bisection or 60-digit decimal arithmetic, or from a grid or Nelder-Mead
-search over the library's per-candidate figures, so that the production
+search over the library's per-candidate figures, or from scipy's L-BFGS-B,
+so that the production
 code paths, which never leave the n+1 Dicke levels or the Schur-Weyl
 blocks, are checked against a second, slower route. States are plain numpy
 arrays, amplitude vectors of length 2^n and 2^n x 2^n density matrices, and
@@ -25,7 +26,7 @@ from functools import reduce
 
 import numpy as np
 from scipy.linalg import eigh, solve_continuous_lyapunov
-from scipy.optimize import minimize, minimize_scalar
+from scipy.optimize import fmin_l_bfgs_b, minimize, minimize_scalar
 
 from clocksim import (
     BracketingError,
@@ -42,7 +43,8 @@ from clocksim import (
     reference_limit,
 )
 from clocksim.collective import _ZERO_TOL
-from clocksim.fisher import _qfi_core
+from clocksim.fisher import QFI_FLOOR, _qfi_core, _qfi_gradient
+from clocksim.optimize import _FACTR, _GRAD_TOL, _POLISH_EVALS
 
 
 class OracleError(Exception):
@@ -683,3 +685,40 @@ def nelder_mead_qfi(n, gamma, total_time, restarts=2, seed=0):
         raise OracleError("every restart ended in a degenerate candidate")
     _, value = qfi_shot_optimum(SymmetricFamilyState(n, best_x), gamma, total_time)
     return 100.0 * (1.0 - value / reference_limit(n, total_time, gamma)), best_x
+
+
+def lbfgsb_polish(n, gamma, a, t, bracket):
+    """The QFI polish by scipy's L-BFGS-B: ``(a, t, F_Q, certified, calls)``
+    minimizing log t - log F_Q over x = (a, log t) with the envelope gradient
+    of ``_qfi_gradient``, log t bounded by ``bracket``, from the unit
+    coefficients ``a`` at ``t``; ``calls`` counts the gradient evaluations.
+    The stop (factr ``_FACTR``, pgtol 0) and the certificate (projected
+    gradient at most ``_GRAD_TOL``, fewer than ``_POLISH_EVALS`` evaluations)
+    are those of ``optimize._polish``, which replaced this search."""
+    scored = {}  # (objective, F_Q, gradient) of each evaluated x, by its bytes
+
+    def objective(x):
+        norm, t = np.sqrt((x[:-1] * x[:-1]).sum()), math.exp(x[-1])
+        value, grad_a, grad_t = _qfi_gradient(n, gamma, x[:-1] / norm, t)
+        if value >= QFI_FLOOR:
+            grad = np.append(-grad_a / (norm * value), 1.0 - t * grad_t / value)
+            scored[x.tobytes()] = x[-1] - math.log(value), value, grad
+        else:
+            scored[x.tobytes()] = math.inf, value, np.zeros_like(x)
+        calls.append(1)
+        return scored[x.tobytes()][::2]
+
+    calls = []
+    lo, hi = math.log(bracket[0]), math.log(bracket[1])
+    x0 = np.append(a, math.log(t))
+    bounds = [(None, None)] * a.size + [(lo, hi)]
+    x, _, info = fmin_l_bfgs_b(
+        objective, x0, bounds=bounds, maxfun=_POLISH_EVALS, factr=_FACTR, pgtol=0.0
+    )
+    f, fq, grad = scored[x.tobytes()]
+    if not f <= scored[x0.tobytes()][0]:
+        x, (_, fq, grad) = x0, scored[x0.tobytes()]
+    log_t = x[-1]
+    projected = np.append(grad[:-1], log_t - min(max(log_t - grad[-1], lo), hi))
+    certified = np.abs(projected).max() <= _GRAD_TOL and info["funcalls"] < _POLISH_EVALS
+    return x[:-1] / np.sqrt((x[:-1] * x[:-1]).sum()), math.exp(log_t), fq, bool(certified), len(calls)

@@ -489,9 +489,8 @@ def test_signal_non_finite_input_exits_2(tmp_path, capsys, scheme, flag, value, 
     assert err == f"clocksim: invalid-argument: {name} must be finite, got {float(value)!r}\n"
 
 
-# Runs in a fresh interpreter: importing the package and every command but
-# the QFI coefficient search, --optimize-t included, loads numpy alone; only
-# the QFI search's polish imports scipy.optimize when it runs.
+# Runs in a fresh interpreter: importing the package and every command, the
+# QFI shot-time and coefficient searches included, loads numpy alone.
 _SCIPY_FREE_SCRIPT = """
 import os, sys
 import clocksim, clocksim.cli
@@ -509,13 +508,12 @@ scipy_free = (
     ["qfi", "--n", "60", "--gamma", "1", "--optimize-t", "--total-time", "100",
      "--scheme", "uncorrelated"],
     ["optimize", "--method", "gen-ramsey", "--n-min", "2", "--n-max", "20"],
+    ["optimize", "--method", "qfi", "--n-min", "2", "--n-max", "3"],
+    ["optimize", "--method", "both", "--n-min", "2", "--n-max", "6"],
 )
 for argv in scipy_free:
     assert clocksim.cli.main([*argv, "--out", out]) == 0, argv
     assert not scipy_modules(), (argv, scipy_modules())
-argv = ["optimize", "--method", "qfi", "--n-min", "2", "--n-max", "3"]
-assert clocksim.cli.main([*argv, "--out", out]) == 0, argv
-assert "scipy.optimize" in sys.modules
 """
 
 
@@ -526,7 +524,7 @@ def _fresh_env(**extra):
     return {**os.environ, "PYTHONPATH": path, **extra}
 
 
-def test_startup_and_genramsey_path_load_no_scipy():
+def test_no_command_loads_scipy():
     proc = subprocess.run(
         [sys.executable, "-c", _SCIPY_FREE_SCRIPT],
         env=_fresh_env(),
