@@ -62,7 +62,7 @@ __all__ = [
 METHODS = ("gen-ramsey", "qfi")
 # Smallest and largest ion number each coefficient search accepts. The
 # gen-Ramsey end is set by its (n//2+1)-level flip-even eigensolves, O(n^3)
-# each: 41 for the grid and 4 or 5 root-finder probes, about 2 s at n = 1000;
+# each: 17 for the grid and 4 to 6 root-finder probes, about 1 s at n = 1000;
 # the qfi end is that of the block QFI.
 ION_RANGE = {"gen-ramsey": (2, 1000), "qfi": (2, MAX_BLOCK_QUBITS)}
 
@@ -73,9 +73,13 @@ _GRID_POINTS = 16  # the root needs only the optimum's basin
 # chunk at n = 20 and one from n = 25; each temporary of its Gram products
 # has the chunk's shape. In the gen-Ramsey mu grid a lane is a
 # flip-even matrix and its eigenvectors: the whole grid in one chunk up to
-# n = 37, one mu per chunk from n = 180.
+# n = 61, one mu per chunk from n = 180.
 _STACK_BYTES = 1 << 18
-_LOG_MU_GRID = np.linspace(math.log(1e-4), math.log(1e2), 41)  # best mu: 0.2 to 2.2
+# The log mu grid: points 18..34 (mu from 0.0501 to 12.59) of the 41-point
+# grid over [1e-4, 1e2], sliced from it so every point keeps its bits. The
+# best mu depends on n alone (see ``_genramsey_search``): 0.213 at n = 2
+# rising to 2.647 at n = 1000, between points 22 and 30 of the whole grid.
+_LOG_MU_GRID = np.linspace(math.log(1e-4), math.log(1e2), 41)[18:35]
 # F_Q evaluations (each one ``_qfi_gradient`` call) after which the polish
 # stops unconverged; it takes 9 to 15 at n = 2..7 and 88 at n = 20.
 _POLISH_EVALS = 4000
@@ -309,22 +313,33 @@ def _genramsey_search(n, gamma, total_time):
     stack per probe, and the probe it ends on is the result. When r keeps
     its sign across that neighbour, or the best lane has none there (a grid
     edge), the best lane is returned unconverged.
+
+    Neither gamma nor T enters the search's choices: <S_x>, v and so x are
+    those of the ground state at mu, r holds nothing else, and delta_omega =
+    sqrt(gamma/T) sqrt(2 n e^x)/<S_x> orders the lanes by a factor of mu and
+    n alone. The best mu thus depends on n only, which is why ``_LOG_MU_GRID``
+    need only cover the values it takes over ``ION_RANGE``.
     """
     ops = _flip_even_ops(n)
     lanes = lambda log_mu: _genramsey_lanes(n, ops, gamma, total_time, log_mu)
     chunks = _chunks(_LOG_MU_GRID, 16 * (n // 2 + 1) ** 2)
     a, t_opt, delta_omega, r = (np.concatenate(rows) for rows in zip(*map(lanes, chunks)))
-    scored = dict(zip(_LOG_MU_GRID.tolist(), zip(a, t_opt, delta_omega, r)))
+    grid = _LOG_MU_GRID.tolist()
+    residuals, probes = dict(zip(grid, r.tolist())), {}
 
     def residual(log_mu):
-        if log_mu not in scored:
-            scored[log_mu] = [rows[0] for rows in lanes(np.array([log_mu]))]
-        return scored[log_mu][3]
+        if log_mu not in residuals:
+            probes[log_mu] = [rows[0] for rows in lanes(np.array([log_mu]))]
+            residuals[log_mu] = float(probes[log_mu][3])
+        return residuals[log_mu]
 
     best = int(np.argmin(delta_omega))
     log_mu = _root_beside(residual, _LOG_MU_GRID, best)
-    a, t_opt, delta_omega, _ = scored[_LOG_MU_GRID[best] if log_mu is None else log_mu]
-    return a, float(t_opt), float(delta_omega), log_mu is not None
+    if log_mu in probes:
+        a, t_opt, delta_omega, _ = probes[log_mu]
+        return a, float(t_opt), float(delta_omega), True
+    k = best if log_mu is None else grid.index(log_mu)  # Brent may end on a grid lane
+    return a[k], float(t_opt[k]), float(delta_omega[k]), log_mu is not None
 
 
 def _norms(rows):

@@ -65,6 +65,8 @@ from reference import (
 
 GAMMA = 1.0
 TOTAL = 100.0
+# the 41-point log mu grid over [1e-4, 1e2] that ``_LOG_MU_GRID`` is a slice of
+_FULL_MU_GRID = np.linspace(math.log(1e-4), math.log(1e2), 41)
 
 
 def test_minimize_quadratic():
@@ -222,7 +224,7 @@ def test_flip_even_ground_states_match_dense_oracle(n):
     # Energies agree to 1e-12 relative to the operator norm, at most
     # n + mu n^2, the scale of any eigensolver's rounding: at mu = 100 the
     # ground energy is far smaller than that norm.
-    ops, log_mu = _flip_even_ops(n), _LOG_MU_GRID[::4]
+    ops, log_mu = _flip_even_ops(n), _FULL_MU_GRID[::4]
     energies, coeffs = _ground_states(ops, log_mu)
     for mu, energy, a in zip(np.exp(log_mu), energies, coeffs):
         energy_ref, a_ref = dense_genramsey_ground(n, mu)
@@ -239,9 +241,9 @@ def test_flip_even_ground_states_match_dense_oracle(n):
 
 @pytest.mark.parametrize("n", [3, 4, 101])
 def test_genramsey_search_scores_the_mu_grid_as_stacks(monkeypatch, n):
-    # one score call per grid chunk, then one per root-finder probe: 5, 4
-    # and 5 at n = 3, 4 and 101; the bounded minimizer this replaced made 22
-    # at n = 4
+    # one score call per grid chunk (1, 1 and 3 at n = 3, 4 and 101), then
+    # one per root-finder probe (5, 4 and 4); the bounded minimizer this
+    # replaced made 22 at n = 4
     lanes, calls = optimize._genramsey_lanes, []
 
     def counting(*args):
@@ -277,6 +279,52 @@ def test_genramsey_search_solves_its_stationarity_condition(monkeypatch, gamma, 
         assert delta_omega <= grid[2].min()
         report = optimize_symmetric_coeffs(n, gamma, total, "gen-ramsey")
         assert report.status == "ok" and report.delta_omega == delta_omega
+
+
+# Ion numbers up to the gen-Ramsey cap of ``ION_RANGE``. Raising that cap,
+# as ROADMAP item 3 plans, must add ion numbers up to the new one here.
+@pytest.mark.parametrize("n", [*range(2, 41), 60, 100, 300, 1000])
+def test_genramsey_optimum_lies_inside_the_mu_grid(monkeypatch, n):
+    # the best grid lane is at least two points from either end of the
+    # slice, so the slice holds the root's bracket: the best mu rises as
+    # about n^0.41, which puts it near 6.8 at n = 1e4, below the top 12.6
+    lanes, scores = optimize._genramsey_lanes, []
+
+    def recording(*args):
+        out = lanes(*args)
+        scores.append(out[2])
+        return out
+
+    monkeypatch.setattr(optimize, "_genramsey_lanes", recording)
+    *_, converged = _genramsey_search(n, GAMMA, TOTAL)
+    chunks = _chunks(_LOG_MU_GRID, 16 * (n // 2 + 1) ** 2)
+    best = int(np.argmin(np.concatenate(scores[: len(chunks)])))
+    assert converged and 2 <= best <= len(_LOG_MU_GRID) - 3
+
+
+@pytest.mark.parametrize("n", [2, 5, 17, 60])
+def test_genramsey_optimum_depends_on_n_alone(n):
+    # neither the residual nor the lane order holds gamma or T, so the
+    # winner's coefficients and x = 2 gamma t_opt are the same for every
+    # (gamma, T): bit for bit at n <= 17, to 7e-15 at n = 60
+    runs = [
+        (gamma, _genramsey_search(n, gamma, total))
+        for gamma, total in [(1.0, 100.0), (0.3, 50.0), (2.0, 5.0), (1.0, 0.6)]
+    ]
+    _, (a0, t0, _, _) = runs[0]
+    for gamma, (a, t_opt, _, converged) in runs:
+        assert converged and np.abs(a - a0).max() <= 1e-14
+        assert abs(2.0 * gamma * t_opt - 2.0 * GAMMA * t0) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [*range(2, 21), 101, 300])
+def test_sliced_mu_grid_gives_the_full_grids_bits(monkeypatch, n):
+    # each lane scores the same bits alone as in a stack, so the slice finds
+    # the full grid's best lane, bracket and probes, and ends on its bits
+    a, *rest = _genramsey_search(n, GAMMA, TOTAL)
+    monkeypatch.setattr(optimize, "_LOG_MU_GRID", _FULL_MU_GRID)
+    a_full, *rest_full = _genramsey_search(n, GAMMA, TOTAL)
+    assert a.tobytes() == a_full.tobytes() and rest == rest_full
 
 
 def _probes(solver, f, a, b):
@@ -583,8 +631,8 @@ def test_genramsey_search_builds_no_state_vector():
 
 
 def test_genramsey_search_at_n500_stays_small():
-    # one flip-even chunk at a time; an unchunked 41-lane stack of the
-    # 251 x 251 sector matrices and eigenvectors would add about 40 MB
+    # one flip-even chunk at a time; an unchunked 17-lane stack of the
+    # 251 x 251 sector matrices and eigenvectors would add about 17 MB
     rep, peak = _peak_bytes(lambda: optimize_symmetric_coeffs(500, GAMMA, TOTAL, "gen-ramsey"))
     assert rep.status == "ok" and rep.improvement_pct > 0.0
     assert peak < 16 * 2**20, f"the n = 500 gen-Ramsey search allocated {peak} bytes"
