@@ -6,25 +6,24 @@ Both coefficient searches are deterministic: they draw no random numbers,
 so identical arguments reproduce identical reports. The gen-Ramsey search
 scans ground states of -S_x + mu S_y^2 over log mu, on the flip-even sector
 of the n//2+1 family coefficients: the log mu grid is one stacked ``eigh``
-per chunk, scored as one array. Brent's root finder (``_brentq``, a
-transcription of scipy's) then solves the optimum's stationarity condition
-mu = <S_x> / (2 n x e^x), x = 2 gamma t_opt, which every scored lane
-already yields, one one-lane stack per probe; a best lane whose bracket
-holds no root is reported unconverged. The QFI search starts from that
-winner at its shot time and runs one projected L-BFGS polish over the
-coefficients and the log shot time, across the whole shot-time bracket,
-minimizing t / F_Q with the envelope gradient (``fisher._qfi_gradient``);
-its projected gradient certifies the status, and its own t and F_Q are
-reported. A sweep
-over n runs the gen-Ramsey search once per n, whichever methods it
-reports. The gradient, like every shot-time F_Q, comes from the one block
-QFI ``fisher._block_qfi``: no 2^n state vector or density matrix is built.
+per chunk, scored as one array from its eigenpairs. Safeguarded Newton steps
+then solve the optimum's stationarity condition mu = <S_x> / (2 n x e^x), x
+= 2 gamma t_opt, whose residual and slope every scored lane already yields,
+one one-lane stack per probe; a best lane whose bracket holds no root is
+reported unconverged. The QFI search starts from that winner at its shot
+time and runs one projected L-BFGS polish over the coefficients and the log
+shot time, across the whole shot-time bracket, minimizing t / F_Q with the
+envelope gradient (``fisher._qfi_gradient``); its projected gradient
+certifies the status, and its own t and F_Q are reported. A sweep over n
+runs the gen-Ramsey search once per n, whichever methods it reports. The
+gradient, like every shot-time F_Q, comes from the one block QFI
+``fisher._block_qfi``: no 2^n state vector or density matrix is built.
 
 The shot-time QFI optimum of a state is likewise a root, of r(log t) = 1 -
 t F_Q'/F_Q = 2 d log delta_omega / d log t, next to the best point of a
-stacked geometric grid (``_root_beside`` serves both searches), or t = T
-where r(T) <= 0. Every path uses numpy and the standard library only:
-no command loads scipy.
+stacked geometric grid, found by Brent's method (``_root_beside`` and
+``_brentq``, a transcription of scipy's), or t = T where r(T) <= 0. Every
+path uses numpy and the standard library only: no command loads scipy.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ from .qstate import (
     _dicke_amplitudes,
     _dicke_ladder,
     _flip_even_isometry,
-    _moment_rows,
 )
 from .ramsey import ExperimentBudget, reference_limit, uncertainty_ghz, uncertainty_uncorrelated
 
@@ -62,7 +60,7 @@ __all__ = [
 METHODS = ("gen-ramsey", "qfi")
 # Smallest and largest ion number each coefficient search accepts. The
 # gen-Ramsey end is set by its (n//2+1)-level flip-even eigensolves, O(n^3)
-# each: 17 for the grid and 4 to 6 root-finder probes, about 1 s at n = 1000;
+# each: 17 for the grid and 2 Newton probes, about 0.6 s at n = 1000;
 # the qfi end is that of the block QFI.
 ION_RANGE = {"gen-ramsey": (2, 1000), "qfi": (2, MAX_BLOCK_QUBITS)}
 
@@ -213,28 +211,42 @@ def _flip_even_ops(n):
 
 
 def _ground_states(ops, log_mu):
-    """``(energy, a)`` of the ground states of -S_x + mu S_y^2 on the
-    flip-even sector ``ops`` of ``_flip_even_ops``, one row per mu of the
-    stack ``log_mu``, from one stacked ``eigh``. Every off-diagonal element
+    """``(energy, a, <S_x>, <S_y^2>, d<S_y^2>/dmu)`` of the ground states
+    |0> of H = -S_x + mu S_y^2 on the flip-even sector ``ops`` of
+    ``_flip_even_ops``, one row per mu of the stack ``log_mu``, all from the
+    eigenpairs (E_j, |j>) of one stacked ``eigh``. Every off-diagonal element
     is <= 0, so by Perron-Frobenius the ground vector, the family
-    coefficients themselves, is positive up to its sign."""
+    coefficients themselves, is positive up to its sign and E_0 is simple.
+
+    <S_y^2> = <0|S_y^2|0> = dE_0/dmu, and its derivative is the linear
+    response d<S_y^2>/dmu = -2 <0|S_y^2 (H - E_0)^+ S_y^2|0>, here summed over
+    the excited pairs as -2 sum_{j>=1} <j|S_y^2|0>^2 / (E_j - E_0). Each
+    product is taken lane by lane, so a mu gives the same bits alone as in a
+    stack."""
     sx, sy2 = ops
     energy, vecs = np.linalg.eigh(np.exp(log_mu)[:, None, None] * sy2 - sx)
-    return energy[:, 0], np.abs(vecs[:, :, 0])
+    ground = vecs[:, :, :1]
+    sx_mean = (ground.transpose(0, 2, 1) @ (sx @ ground))[:, 0, 0]
+    sy2_rows = (vecs.transpose(0, 2, 1) @ (sy2 @ ground))[:, :, 0]  # <j|S_y^2|0>
+    response = sy2_rows[:, 1:] ** 2 / (energy[:, 1:] - energy[:, :1])
+    return energy[:, 0], np.abs(ground[:, :, 0]), sx_mean, sy2_rows[:, 0], -2.0 * response.sum(-1)
 
 
 def _genramsey_lanes(n, ops, gamma, total_time, log_mu):
-    """``(a, t_opt, delta_omega, r)`` arrays of the n-ion ground states for
-    the stack ``log_mu`` (``_ground_states``), scored by ``_moment_rows`` and
-    ``collective._genramsey_rows``, with r = log mu - log(<S_x> / (2 n x
-    e^x)), x = 2 gamma t_opt, the stationarity residual of
-    ``_genramsey_search``. Each lane is computed on its own, so a mu gives
-    the same bits alone as in a stack."""
-    a = _ground_states(ops, log_mu)[1]
-    sx, _, sy2 = _moment_rows(n, _dicke_amplitudes(n, a))
+    """``(a, t_opt, delta_omega, r, dr)`` arrays of the n-ion ground states
+    for the stack ``log_mu`` (``_ground_states``), scored by
+    ``collective._genramsey_rows``, with the stationarity residual of
+    ``_genramsey_search`` r = log mu - log(<S_x> / (2 n x e^x)), x = 2 gamma
+    t_opt, and its slope dr = dr/dlog mu. With v = <S_y^2>, Hellmann-Feynman
+    (d<S_x>/dmu = mu dv/dmu) and the t_opt equation (dx/dv = 1/(n x e^x))
+    give dr = 1 - mu^2 v'/<S_x> + (1 + 1/x) mu v'/(n x e^x). Each lane is
+    computed on its own, so a mu gives the same bits alone as in a stack."""
+    _, a, sx, sy2, dsy2 = _ground_states(ops, log_mu)
     t_opt, delta_omega = _genramsey_rows(sx, sy2, n, total_time, gamma)
-    x = 2.0 * gamma * t_opt
-    return a, t_opt, delta_omega, log_mu - np.log(sx) + np.log(2.0 * n * x) + x
+    mu, x = np.exp(log_mu), 2.0 * gamma * t_opt
+    r = log_mu - np.log(sx) + np.log(2.0 * n * x) + x
+    dr = 1.0 - mu * mu * dsy2 / sx + (1.0 + 1.0 / x) * mu * dsy2 / (n * x * np.exp(x))
+    return a, t_opt, delta_omega, r, dr
 
 
 def _brentq(f, xa, xb):
@@ -284,14 +296,60 @@ def _brentq(f, xa, xb):
     raise RuntimeError(f"Brent's method failed to converge after 100 iterations, value is {xcur}")
 
 
-def _root_beside(residual, grid, best):
-    """The ``_brentq`` root of ``residual`` between ``grid[best]`` and the
-    neighbour where the objective falls, the next one if the residual is
-    negative there; None when none lies there or r(lo) <= 0 <= r(hi) fails."""
-    lo, hi = sorted((best, best + 1 if residual(grid[best]) < 0.0 else best - 1))
-    if 0 <= lo and hi < len(grid) and residual(grid[lo]) <= 0.0 <= residual(grid[hi]):
-        return _brentq(residual, grid[lo], grid[hi])
+def _bracket_beside(residual, best, size):
+    """Indices (lo, hi) of ``best`` and its neighbour where the objective
+    falls, the next one if ``residual(best)`` is negative, on a grid of
+    ``size`` points; None when that neighbour is off the grid or r(lo) <= 0
+    <= r(hi) fails."""
+    lo, hi = sorted((best, best + 1 if residual(best) < 0.0 else best - 1))
+    if 0 <= lo and hi < size and residual(lo) <= 0.0 <= residual(hi):
+        return lo, hi
     return None
+
+
+def _root_beside(residual, grid, best):
+    """The ``_brentq`` root of ``residual`` in the ``_bracket_beside`` of
+    ``grid[best]``; None when there is no such bracket."""
+    bracket = _bracket_beside(lambda k: residual(grid[k]), best, len(grid))
+    if bracket is None:
+        return None
+    return _brentq(residual, grid[bracket[0]], grid[bracket[1]])
+
+
+def _newton_root(f, lo, hi, x):
+    """A root of ``f`` in [lo, hi], where f(lo) <= 0 <= f(hi), by Newton
+    steps from x: ``f`` returns the value and the slope. The bracket shrinks
+    to each probe by the sign of its value, and a step that would leave it
+    bisects it instead. Returns the probe whose Newton step is within
+    ``_brentq``'s tolerance 1e-12 + 4 eps |x|, or whose bracket is that
+    narrow; None after 100 probes."""
+    for _ in range(100):
+        value, slope = f(x)
+        if value <= 0.0:
+            lo = x
+        if value >= 0.0:
+            hi = x
+        step = -value / slope if slope else math.inf
+        tol = 1e-12 + 4.0 * math.ulp(1.0) * abs(x)
+        if abs(step) <= tol or hi - lo <= tol:
+            return x
+        x = x + step if lo < x + step < hi else 0.5 * (lo + hi)
+    return None
+
+
+def _hermite_root(x0, x1, f0, f1, d0, d1):
+    """The ``_newton_root`` of the cubic Hermite interpolant through the
+    values f0 <= 0 <= f1 and slopes d0, d1 at x0 < x1, or the midpoint when
+    it has none (as with a NaN slope)."""
+    h = x1 - x0
+    c2, c3 = 3.0 * (f1 - f0) - h * (2.0 * d0 + d1), 2.0 * (f0 - f1) + h * (d0 + d1)
+
+    def cubic(x):
+        s = (x - x0) / h
+        return f0 + s * (h * d0 + s * (c2 + s * c3)), d0 + s * (2.0 * c2 + 3.0 * s * c3) / h
+
+    root = _newton_root(cubic, x0, x1, 0.5 * (x0 + x1))
+    return 0.5 * (x0 + x1) if root is None else root
 
 
 def _genramsey_search(n, gamma, total_time):
@@ -308,11 +366,14 @@ def _genramsey_search(n, gamma, total_time):
     - mu/<S_x>] with dv/dmu < 0: delta_omega is stationary where the
     residual r of ``_genramsey_lanes`` vanishes, falling with mu where
     r < 0 and rising where r > 0. The log mu grid is scored in stacked
-    chunks; ``_root_beside`` then solves r = 0 between the best grid lane
-    and its neighbour on the side where delta_omega falls, one one-lane
-    stack per probe, and the probe it ends on is the result. When r keeps
-    its sign across that neighbour, or the best lane has none there (a grid
-    edge), the best lane is returned unconverged.
+    chunks, each lane with r and its slope dr/dlog mu. Between the best grid
+    lane and its neighbour on the side where delta_omega falls
+    (``_bracket_beside``), ``_newton_root`` takes Newton steps on r from the
+    root of the cubic Hermite interpolant of the two lanes
+    (``_hermite_root``), one one-lane stack per probe: 2 probes, 3 at n = 3.
+    The probe it ends on is the result. When r keeps its sign across that
+    neighbour, the best lane has none there (a grid edge), or Newton's method
+    does not converge, the best lane is returned unconverged.
 
     Neither gamma nor T enters the search's choices: <S_x>, v and so x are
     those of the ground state at mu, r holds nothing else, and delta_omega =
@@ -323,23 +384,24 @@ def _genramsey_search(n, gamma, total_time):
     ops = _flip_even_ops(n)
     lanes = lambda log_mu: _genramsey_lanes(n, ops, gamma, total_time, log_mu)
     chunks = _chunks(_LOG_MU_GRID, 16 * (n // 2 + 1) ** 2)
-    a, t_opt, delta_omega, r = (np.concatenate(rows) for rows in zip(*map(lanes, chunks)))
-    grid = _LOG_MU_GRID.tolist()
-    residuals, probes = dict(zip(grid, r.tolist())), {}
+    a, t_opt, delta_omega, r, dr = (np.concatenate(rows) for rows in zip(*map(lanes, chunks)))
+    best, r, dr = int(np.argmin(delta_omega)), r.tolist(), dr.tolist()
+    bracket = _bracket_beside(r.__getitem__, best, len(r))
+    log_mu, probes = None, {}
 
     def residual(log_mu):
-        if log_mu not in residuals:
-            probes[log_mu] = [rows[0] for rows in lanes(np.array([log_mu]))]
-            residuals[log_mu] = float(probes[log_mu][3])
-        return residuals[log_mu]
+        probes[log_mu] = [rows[0] for rows in lanes(np.array([log_mu]))]
+        return float(probes[log_mu][3]), float(probes[log_mu][4])
 
-    best = int(np.argmin(delta_omega))
-    log_mu = _root_beside(residual, _LOG_MU_GRID, best)
-    if log_mu in probes:
-        a, t_opt, delta_omega, _ = probes[log_mu]
-        return a, float(t_opt), float(delta_omega), True
-    k = best if log_mu is None else grid.index(log_mu)  # Brent may end on a grid lane
-    return a[k], float(t_opt[k]), float(delta_omega[k]), log_mu is not None
+    if bracket is not None:
+        lo, hi = bracket
+        grid = float(_LOG_MU_GRID[lo]), float(_LOG_MU_GRID[hi])
+        start = _hermite_root(*grid, r[lo], r[hi], dr[lo], dr[hi])
+        log_mu = _newton_root(residual, *grid, start)
+    if log_mu is None:
+        return a[best], float(t_opt[best]), float(delta_omega[best]), False
+    a, t_opt, delta_omega, _, _ = probes[log_mu]
+    return a, float(t_opt), float(delta_omega), True
 
 
 def _norms(rows):

@@ -144,15 +144,18 @@ def _moment_rows(n: int, c: np.ndarray):
     Dicke amplitudes, shape (rows, n+1), in O(n) per row.
 
     With S_x = J+ + J- and S_y = i(J+ - J-), <S_x^2> and <S_y^2> are the
-    squared norms of (J+ +- J-)c, which differ only in the sign of the cross
-    term; <S_y> vanishes for real amplitudes. Every sum runs along one
-    contiguous row, so a row gives the same bits alone as in a stack.
+    squared norms of the vectors (J+ +- J-)c themselves: squared norms of J+ c
+    and J- c minus their cross term would cancel to 3e-12 relative at n =
+    1000 near the gen-Ramsey optimum, where <S_y^2> is far below n^2. <S_y>
+    vanishes for real amplitudes. Every sum runs along one contiguous row,
+    so a row gives the same bits alone as in a stack.
     """
     ladder, c = _dicke_ladder(n)[1], np.ascontiguousarray(c)
-    up, down = ladder * c[:, :-1], ladder * c[:, 1:]  # J+ c on w = 1..n, J- c on w = 0..n-1
-    norms = (up * up).sum(-1) + (down * down).sum(-1)
-    cross = 2.0 * (up[:, :-1] * down[:, 1:]).sum(-1)
-    return 2.0 * (c[:, :-1] * down).sum(-1), norms + cross, norms - cross
+    up, down = np.zeros_like(c), np.zeros_like(c)  # on the levels w = 0..n
+    up[:, 1:], down[:, :-1] = ladder * c[:, :-1], ladder * c[:, 1:]  # J+ c and J- c
+    plus, minus = up + down, up - down
+    sx = 2.0 * (c[:, :-1] * down[:, :-1]).sum(-1)
+    return sx, (plus * plus).sum(-1), (minus * minus).sum(-1)
 
 
 def collective_moments(state: SymmetricFamilyState) -> CollectiveMoments:

@@ -5,7 +5,7 @@ computational basis (kron products, diagonal phases, bit flips over all 2^n
 amplitudes, the gate network), from a dense eigensolve on all n+1 Dicke
 levels, from a fixed-step integration of the master equation, from
 Schrijver's block formulas entry by entry in exact integers, from
-bisection or 60-digit decimal arithmetic, or from a grid or Nelder-Mead
+bisection or 40- and 60-digit decimal arithmetic, or from a grid or Nelder-Mead
 search over the library's per-candidate figures, or from scipy's L-BFGS-B,
 so that the production
 code paths, which never leave the n+1 Dicke levels or the Schur-Weyl
@@ -26,7 +26,7 @@ from functools import reduce
 
 import numpy as np
 from scipy.linalg import eigh, solve_continuous_lyapunov
-from scipy.optimize import fmin_l_bfgs_b, minimize, minimize_scalar
+from scipy.optimize import brentq, fmin_l_bfgs_b, minimize, minimize_scalar
 
 from clocksim import (
     BracketingError,
@@ -288,6 +288,23 @@ def dense_collective_moments(amps):
     )
 
 
+def decimal_moment_rows(n, c):
+    """``(<S_x>, <S_x^2>, <S_y^2>)`` of the real n-ion Dicke amplitudes ``c``
+    in 40-digit stdlib decimal arithmetic: <S_x> = 2 sum_w c_w <D_w|J-|D_{w+1}>
+    c_{w+1}, and the squared norms of (J+ +- J-)c, with the ladder elements
+    sqrt((w+1)(n-w)) taken in decimal too."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        c = [decimal.Decimal(float(v)) for v in c]
+        ladder = [decimal.Decimal((w + 1) * (n - w)).sqrt() for w in range(n)]
+        up = [0] + [step * v for step, v in zip(ladder, c[:-1])]  # J+ c on w = 0..n
+        down = [step * v for step, v in zip(ladder, c[1:])] + [0]  # J- c on w = 0..n
+        sx = 2 * sum(v * d for v, d in zip(c, down))
+        sx2 = sum((u + d) ** 2 for u, d in zip(up, down))
+        sy2 = sum((u - d) ** 2 for u, d in zip(up, down))
+        return float(sx), float(sx2), float(sy2)
+
+
 def _dense_genramsey_problem(n, mu):
     """``(S_x, S_y^2, energy, c)`` on all n+1 Dicke levels: the collective
     operators from <D_{w+1}|J+|D_w> = sqrt((w+1)(n-w)), S_x = J+ + J- and
@@ -317,6 +334,25 @@ def dense_genramsey_moments(n, mu):
     dense matrices and eigenvector of ``_dense_genramsey_problem``."""
     sx, sy2, _, c = _dense_genramsey_problem(n, mu)
     return float(c @ sx @ c), float(c @ sy2 @ c)
+
+
+def dense_genramsey_residual(n, log_mu):
+    """The gen-Ramsey stationarity residual r = log mu - log(<S_x> / (2 n x
+    e^x)) of the ground state of -S_x + mu S_y^2, where x = 2 gamma t_opt
+    solves n [1 + (x - 1) e^x] = <S_y^2>: the moments from the dense
+    eigenvector of ``_dense_genramsey_problem``, x from the 60-digit
+    ``topt_decimal``."""
+    sx, sy2, _, c = _dense_genramsey_problem(n, math.exp(log_mu))
+    sx_c = sx @ c
+    m0 = CollectiveMoments(n, float(c @ sx_c), float(sx_c @ sx_c), 0.0, float(c @ sy2 @ c))
+    x = topt_decimal(m0, n, 0.5)  # gamma = 1/2: t_opt is x itself
+    return log_mu - math.log(m0.sx_mean) + math.log(2.0 * n * x) + x
+
+
+def brent_genramsey_root(n, lo, hi):
+    """The root in log mu of ``dense_genramsey_residual`` between ``lo`` and
+    ``hi``, by scipy's brentq to xtol 1e-15."""
+    return brentq(lambda log_mu: dense_genramsey_residual(n, log_mu), lo, hi, xtol=1e-15)
 
 
 # The decohered S_x moments and the error-propagated gen-Ramsey uncertainty

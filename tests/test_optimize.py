@@ -35,6 +35,7 @@ from clocksim import (
 import clocksim
 from clocksim import cli, evolution, fisher, optimize
 from clocksim.evolution import MAX_BLOCK_QUBITS
+from clocksim.qstate import _dicke_amplitudes, _moment_rows
 from clocksim.optimize import (
     _LOG_MU_GRID,
     ION_RANGE,
@@ -50,8 +51,10 @@ from clocksim.optimize import (
     _shot_bracket,
 )
 from reference import (
+    brent_genramsey_root,
     dense_genramsey_ground,
     dense_genramsey_moments,
+    dense_genramsey_residual,
     dense_qfi_shot_optimum,
     density,
     family_state,
@@ -225,7 +228,7 @@ def test_flip_even_ground_states_match_dense_oracle(n):
     # n + mu n^2, the scale of any eigensolver's rounding: at mu = 100 the
     # ground energy is far smaller than that norm.
     ops, log_mu = _flip_even_ops(n), _FULL_MU_GRID[::4]
-    energies, coeffs = _ground_states(ops, log_mu)
+    energies, coeffs, *_ = _ground_states(ops, log_mu)
     for mu, energy, a in zip(np.exp(log_mu), energies, coeffs):
         energy_ref, a_ref = dense_genramsey_ground(n, mu)
         assert abs(energy - energy_ref) <= 1e-12 * max(abs(energy_ref), n + mu * n * n)
@@ -234,7 +237,7 @@ def test_flip_even_ground_states_match_dense_oracle(n):
     # where the search ends, the energies agree to 1e-12 relative to themselves
     for mu in (0.2, 1.0, 2.2):
         energy_ref, a_ref = dense_genramsey_ground(n, mu)
-        [energy], [a] = _ground_states(ops, np.log([mu]))
+        [energy], [a], *_ = _ground_states(ops, np.log([mu]))
         assert energy == pytest.approx(energy_ref, rel=1e-12)
         assert np.linalg.norm(a - a_ref) <= 1e-12
 
@@ -242,8 +245,8 @@ def test_flip_even_ground_states_match_dense_oracle(n):
 @pytest.mark.parametrize("n", [3, 4, 101])
 def test_genramsey_search_scores_the_mu_grid_as_stacks(monkeypatch, n):
     # one score call per grid chunk (1, 1 and 3 at n = 3, 4 and 101), then
-    # one per root-finder probe (5, 4 and 4); the bounded minimizer this
-    # replaced made 22 at n = 4
+    # one per Newton probe (3, 2 and 2); Brent's method on the residual alone
+    # made 5, 4 and 4, and the bounded minimizer before it 22 at n = 4
     lanes, calls = optimize._genramsey_lanes, []
 
     def counting(*args):
@@ -254,7 +257,8 @@ def test_genramsey_search_scores_the_mu_grid_as_stacks(monkeypatch, n):
     optimize_symmetric_coeffs(n, GAMMA, TOTAL, "gen-ramsey")
     chunks = _chunks(_LOG_MU_GRID, 16 * (n // 2 + 1) ** 2)
     assert calls[: len(chunks)] == [len(chunk) for chunk in chunks]
-    assert len(calls) <= len(chunks) + 10
+    probes = calls[len(chunks) :]
+    assert probes == [1] * len(probes) and len(probes) <= 3
 
 
 # (gamma, T): a long run, a slow one, a fast one and T just above tau_dec/2
@@ -273,7 +277,7 @@ def test_genramsey_search_solves_its_stationarity_condition(monkeypatch, gamma, 
     for n in [*range(2, 21), 101]:
         probes.clear()
         a, t_opt, delta_omega, converged = _genramsey_search(n, gamma, total)
-        [r] = [r for _, t, _, r in probes if t == t_opt]
+        [r] = [r for _, t, _, r, _ in probes if t == t_opt]
         assert converged and abs(r) <= 1e-10
         grid = _genramsey_lanes(n, _flip_even_ops(n), gamma, total, _LOG_MU_GRID)
         assert delta_omega <= grid[2].min()
@@ -346,9 +350,10 @@ def _scipy_brentq(f, a, b):
 
 
 @pytest.mark.parametrize("gamma, total", [(1.0, 100.0), (0.3, 50.0), (2.0, 5.0), (1.0, 0.6)])
-def test_brentq_matches_scipy_on_the_genramsey_residual(monkeypatch, gamma, total):
+def test_brentq_matches_scipy_on_the_shot_time_residual(monkeypatch, gamma, total):
     # the transcription of scipy's brentq probes the same points, bit for
-    # bit, and ends on the same one, on each bracket the search solves
+    # bit, and ends on the same one, on the bracket each shot-time optimum
+    # solves: GHZ, product and seeded family states
     solves = []
 
     def comparing(f, a, b):
@@ -357,11 +362,13 @@ def test_brentq_matches_scipy_on_the_genramsey_residual(monkeypatch, gamma, tota
         return ours[0]
 
     monkeypatch.setattr(optimize, "_brentq", comparing)
-    for n in [*range(2, 21), 101]:
-        solves.clear()
-        _genramsey_search(n, gamma, total)
-        [(ours, theirs)] = solves
-        assert ours == theirs and 3 <= len(ours[1]) <= 8
+    for n in range(2, 8):
+        a = np.random.default_rng(n).normal(size=n // 2 + 1)
+        for coeffs in (np.eye(1, n // 2 + 1)[0], uniform_coefficients(n), a / np.linalg.norm(a)):
+            solves.clear()
+            qfi_shot_optimum(SymmetricFamilyState(n, coeffs), gamma, total)
+            [(ours, theirs)] = solves
+            assert ours == theirs and 3 <= len(ours[1]) <= 8
 
 
 @pytest.mark.parametrize(
@@ -414,6 +421,110 @@ def test_dense_ground_states_obey_the_hellmann_feynman_identity(n, mu):
     (sx_hi, sy2_hi), (sx_lo, sy2_lo) = (dense_genramsey_moments(n, mu + s) for s in (h, -h))
     dsx, dsy2 = (sx_hi - sx_lo) / (2.0 * h), (sy2_hi - sy2_lo) / (2.0 * h)
     assert dsx == pytest.approx(mu * dsy2, rel=1e-6)
+
+
+@pytest.mark.parametrize("n", [3, 20, 101])
+@pytest.mark.parametrize("mu", [0.2, 1.0, 2.2])
+def test_lane_slopes_match_central_differences(n, mu):
+    # d<S_y^2>/dmu from the eigenpairs, and dr/dlog mu from it, agree with
+    # central differences of the lane itself and of the dense oracle
+    ops, step, h = _flip_even_ops(n), 1e-4 * mu, 1e-4
+    _, _, _, sy2, dsy2 = _ground_states(ops, np.log([mu, mu + step, mu - step]))
+    (_, dense_hi), (_, dense_lo) = (dense_genramsey_moments(n, mu + s) for s in (step, -step))
+    for hi, lo in ((sy2[1], sy2[2]), (dense_hi, dense_lo)):
+        assert dsy2[0] == pytest.approx((hi - lo) / (2.0 * step), rel=1e-6)
+    log_mu = math.log(mu) + np.array([0.0, h, -h])
+    *_, r, dr = _genramsey_lanes(n, ops, GAMMA, TOTAL, log_mu)
+    dense_r = [dense_genramsey_residual(n, x) for x in log_mu[1:]]
+    for hi, lo in ((r[1], r[2]), dense_r):
+        assert dr[0] == pytest.approx((hi - lo) / (2.0 * h), rel=1e-6)
+
+
+@pytest.mark.parametrize("n", [2, 3, 20, 101, 300, 1000])
+def test_lane_moments_match_the_dicke_moments(n):
+    # <S_x> and <S_y^2> read from the eigenpairs in the family basis agree
+    # with the O(n) moments of the ground states' Dicke amplitudes
+    _, a, sx, sy2, _ = _ground_states(_flip_even_ops(n), _LOG_MU_GRID[::4])
+    sx_ref, _, sy2_ref = _moment_rows(n, _dicke_amplitudes(n, a))
+    assert np.abs(sx / sx_ref - 1.0).max() <= 1e-12
+    assert np.abs(sy2 / sy2_ref - 1.0).max() <= 1e-12
+
+
+def _searched_log_mu(monkeypatch, n, gamma, total):
+    """(log mu of the lane ``_genramsey_search`` returns, converged, and the
+    number of one-lane probes it made)."""
+    lanes, calls, scored = optimize._genramsey_lanes, [], []
+
+    def recording(*args):
+        out = lanes(*args)
+        calls.append(len(args[-1]))
+        scored.extend(zip(args[-1].tolist(), out[1].tolist()))
+        return out
+
+    monkeypatch.setattr(optimize, "_genramsey_lanes", recording)
+    _, t_opt, _, converged = _genramsey_search(n, gamma, total)
+    monkeypatch.setattr(optimize, "_genramsey_lanes", lanes)
+    log_mu = [log_mu for log_mu, t in scored if t == t_opt][-1]  # a probe, or the best grid lane
+    return log_mu, converged, len(calls) - len(_chunks(_LOG_MU_GRID, 16 * (n // 2 + 1) ** 2))
+
+
+def _oracle_root(n, log_mu):
+    """``brent_genramsey_root`` between the grid points around ``log_mu``."""
+    k = int(np.searchsorted(_LOG_MU_GRID, log_mu))
+    return brent_genramsey_root(n, _LOG_MU_GRID[k - 1], _LOG_MU_GRID[k])
+
+
+@pytest.mark.parametrize("n", [*range(2, 21), 101, 300, 1000])
+def test_newton_root_matches_the_brent_oracle(monkeypatch, n):
+    # Newton steps from the cubic Hermite start land, in at most three
+    # one-lane probes, within 1e-12 in log mu of scipy's brentq on the
+    # residual of the dense ground states, whatever (gamma, T)
+    roots = []
+    for gamma, total in [(1.0, 100.0), (0.3, 50.0), (2.0, 5.0), (1.0, 0.6)]:
+        log_mu, converged, probes = _searched_log_mu(monkeypatch, n, gamma, total)
+        assert converged and probes <= 3
+        roots.append(log_mu)
+    oracle = _oracle_root(n, roots[0])
+    assert max(abs(root - oracle) for root in roots) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 20, 101])
+@pytest.mark.parametrize("fault", ["low-start", "high-start", "negated", "zero", "nan"])
+def test_newton_search_survives_a_bad_start_or_slope(monkeypatch, n, fault):
+    # a start forced onto a bracket end, or a slope of the wrong sign, zero
+    # or NaN, still ends on the root, by bisection where a Newton step would
+    # leave the bracket: within the search's tolerance 1e-12 + 4 eps |log mu|
+    # and the oracle's own (measured: at most 5.8e-13, after up to 39 probes)
+    if fault.endswith("start"):
+        end = 0 if fault == "low-start" else 1
+        monkeypatch.setattr(optimize, "_hermite_root", lambda *args: args[end])
+    else:
+        lanes = optimize._genramsey_lanes
+        corrupt = {"negated": np.negative, "zero": np.zeros_like, "nan": lambda dr: dr * math.nan}
+
+        def corrupted(*args):
+            *out, dr = lanes(*args)
+            return (*out, corrupt[fault](dr))
+
+        monkeypatch.setattr(optimize, "_genramsey_lanes", corrupted)
+    log_mu, converged, probes = _searched_log_mu(monkeypatch, n, GAMMA, TOTAL)
+    assert converged and probes <= 100
+    assert abs(log_mu - _oracle_root(n, log_mu)) <= 2e-12
+
+
+def test_newton_search_without_convergence_reports_partial(monkeypatch):
+    # a residual that is NaN off the grid never yields a step: after 100
+    # probes the search returns its best grid lane, unconverged
+    lanes = optimize._genramsey_lanes
+
+    def undefined_off_the_grid(*args):
+        a, t_opt, delta_omega, r, dr = lanes(*args)
+        return a, t_opt, delta_omega, r if len(r) > 1 else r * math.nan, dr
+
+    monkeypatch.setattr(optimize, "_genramsey_lanes", undefined_off_the_grid)
+    log_mu, converged, probes = _searched_log_mu(monkeypatch, 3, GAMMA, TOTAL)
+    assert not converged and probes == 100 and log_mu in _LOG_MU_GRID
+    assert optimize_symmetric_coeffs(3, GAMMA, TOTAL, "gen-ramsey").status == "partial"
 
 
 def test_genramsey_search_off_its_bracket_reports_partial(tmp_path, monkeypatch):
@@ -899,8 +1010,8 @@ def test_searches_without_a_bracketed_root_report_it(monkeypatch, tmp_path, caps
     lanes, gradient = optimize._genramsey_lanes, optimize._qfi_gradient
 
     def rising_lanes(*args):
-        a, t_opt, delta_omega, r = lanes(*args)
-        return a, t_opt, delta_omega, np.ones_like(r)
+        a, t_opt, delta_omega, r, dr = lanes(*args)
+        return a, t_opt, delta_omega, np.ones_like(r), dr
 
     def rising_gradient(*args):
         fq, grad_a, _ = gradient(*args)

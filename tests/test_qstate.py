@@ -10,8 +10,12 @@ from clocksim import (
     uniform_coefficients,
 )
 
+from clocksim.optimize import _LOG_MU_GRID, _flip_even_ops, _ground_states
+from clocksim.qstate import _dicke_amplitudes, _moment_rows
+
 from reference import (
     SIGMA_X,
+    decimal_moment_rows,
     density,
     dense_collective_moments,
     family_state,
@@ -173,6 +177,18 @@ def test_family_state_and_moments_have_no_qubit_cap():
     assert m.n == n and m.sx_mean == 0.0
     assert m.sx2_mean == pytest.approx(n, rel=1e-12)
     assert m.sy2_mean == pytest.approx(n, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [20, 100, 300, 1000])
+def test_moment_rows_match_a_decimal_oracle_near_the_genramsey_optimum(n):
+    # near the gen-Ramsey optimum <S_y^2> is far below n^2: forming it from
+    # the squared norms of J+ c and J- c minus their cross term lost up to
+    # 3e-12 relative at n = 1000, the squared norm of (J+ - J-)c does not
+    a = _ground_states(_flip_even_ops(n), _LOG_MU_GRID[2:15:3])[1]
+    c = _dicke_amplitudes(n, a)
+    for row, moments in zip(c, zip(*_moment_rows(n, c))):
+        for got, want in zip(moments, decimal_moment_rows(n, row)):
+            assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def test_symmetric_states_have_zero_sy_mean():
