@@ -28,13 +28,13 @@ from .exceptions import (
     SingularOutcomeError,
     SingularPointError,
 )
-from .fisher import family_qfi, qfi_uncertainty
+from .fisher import _sld_fisher, family_qfi, qfi_uncertainty
 from .optimize import (
     ION_RANGE,
     METHODS,
+    _shot_optimum,
     fig3_scan,
     improvement_sweep,
-    qfi_shot_optimum,
 )
 from .qstate import SymmetricFamilyState, uniform_coefficients
 from .ramsey import signal_ghz, signal_uncorrelated
@@ -375,19 +375,20 @@ def _cmd_qfi(opts, out, fmt) -> int:
             raise ValueError("--optimize-t requires --total-time")
         if not gamma > 0.0:
             raise ValueError("--optimize-t requires gamma > 0")
-        t_opt, delta_omega = qfi_shot_optimum(state, gamma, opts["total_time"])
-        t_report = t_opt
+        t_opt, delta_omega, probe = _shot_optimum(state, gamma, opts["total_time"])
         report["t_opt"] = t_opt
+        if probe is None:
+            fq, cfi = family_qfi(state, gamma, t_opt)
+        else:  # the search's final probe formed the blocks and SLD the report measures
+            fq, cfi = float(probe[0]), float(_sld_fisher(*probe[1]))
     else:
         if opts["t"] is None:
             raise ValueError("missing --t (or pass --optimize-t)")
-        t_report = opts["t"]
         report["t"] = opts["t"]
+        fq, cfi = family_qfi(state, gamma, opts["t"])
         delta_omega = None
-
-    fq, cfi = family_qfi(state, gamma, t_report)
-    if delta_omega is None and opts["total_time"] is not None:
-        delta_omega = qfi_uncertainty(fq, opts["total_time"], t_report)
+        if opts["total_time"] is not None:
+            delta_omega = qfi_uncertainty(fq, opts["total_time"], opts["t"])
     report["qfi"] = fq
     report["classical_fi_sld"] = cfi
     report["delta_omega"] = delta_omega

@@ -15,8 +15,9 @@ the total-spin sectors j = n/2 - k (Chase & Geremia, PRA 78, 052101 (2008)),
 it is a real, state-independent channel times the outer product of the
 Dicke amplitudes, and its detuning derivative is i times a real rate
 matrix times the blocks. ``_block_form`` builds that channel, a Gram
-product per block, its shot-time derivative for the QFI gradient and the
-rate matrix; ``fisher._block_qfi`` multiplies in the amplitudes. The
+product per block, and the rate matrix; ``_block_form_dt`` adds the
+channel's shot-time derivative, which only the QFI's shot-time probe reads;
+``fisher._block_qfi`` multiplies in the amplitudes. The
 detuning phase exp(i delta t (j - i)) is left out: a diagonal unitary that
 commutes with the dephasing, it changes neither F_Q nor the SLD
 measurement's Fisher information, so the form takes only gamma and t.
@@ -24,10 +25,11 @@ measurement's Fisher information, so the form takes only gamma and t.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
+
+from .qstate import _per_n_cache
 
 __all__ = ["MAX_BLOCK_QUBITS"]
 
@@ -47,7 +49,7 @@ def _check_block_qubits(n: int) -> None:
         )
 
 
-@functools.lru_cache(maxsize=1)
+@_per_n_cache
 def _block_tables(n: int):
     """Read-only tables of the block form of an n-ion family state:
     ``(base, steps, multiplicities)``.
@@ -67,9 +69,8 @@ def _block_tables(n: int):
     C(n, i)) for k <= u <= i <= n-k, 0 elsewhere, from log-factorials so
     that no product of binomials overflows, and steps = max(i-u, 0), clipped
     so that an underflowed p = 0 never meets a negative power. Block k
-    occurs C(n, k) - C(n, k-1) times in the 2^n matrix. One n is kept: a
-    sweep asks for each n in turn, and every n from 2 to 100 would hold
-    about 105 MiB.
+    occurs C(n, k) - C(n, k-1) times in the 2^n matrix. The cache keeps
+    recent n up to ``qstate._TABLE_BYTES``, one n = 100 entry.
     """
     _check_block_qubits(n)
     size = n // 2 + 1
@@ -88,33 +89,48 @@ def _block_tables(n: int):
     return base, steps, mult
 
 
-def _block_form(n: int, gamma: float, ts):
-    """The state-independent block form of an n-ion family state evolved for
-    every duration of ``ts``: ``(channel, dchannel, rates, multiplicities)``.
-
-    ``channel`` is E_k(t) = G_k diag(q^u) G_k^T of ``_block_tables``, q =
-    1 - p^2, one stacked matrix product of shape ``np.shape(ts) + (K, n+1,
-    n+1)``, K = floor(n/2) + 1; ``dchannel`` is dE_k/dt = A + A^T + G_k
-    diag(dq^u/dt) G_k^T, A = (-gamma (i-u) G_k) diag(q^u) G_k^T and dq^u/dt
-    = 2 gamma u p^2 q^(u-1), by the product rule. ``rates`` is D(t)[i, j] =
-    t (j - i), shape ``np.shape(ts) + (1, n+1, n+1)``. Block k of a family
-    state with Dicke amplitudes c is rho_k = E_k ∘ c c^T and its detuning
-    derivative i D ∘ rho_k; it fills rows and columns k..n-k and is zero
-    elsewhere, so the padding only adds null directions; the detuning phase
-    is left out (module docstring). Each duration's blocks are their own
-    matrix products, so a stacked duration gives the same bits as a single
-    one. The scalars are not checked here: callers validate them once, at
-    the API boundary (finite ``gamma`` >= 0, finite durations >= 0).
-    """
+def _gram_form(n: int, gamma: float, ts):
+    """The ``_block_form`` of ``ts`` and the Gram factors it is built from,
+    ``(p, q, G_k, G_k diag(q^u))`` of ``_block_tables``, for
+    ``_block_form_dt``."""
     base, steps, mult = _block_tables(n)
     levels = np.arange(n + 1)
     t = np.asarray(ts, dtype=float)[..., None, None, None]
     p = np.exp(-gamma * t)
     q = 1.0 - p * p
     gram = base * p**steps
-    gram_t = np.swapaxes(gram, -1, -2)
     weighted = gram * q**levels
+    form = weighted @ np.swapaxes(gram, -1, -2), t * (levels - levels[:, None]), mult
+    return form, (p, q, gram, weighted)
+
+
+def _block_form(n: int, gamma: float, ts):
+    """The state-independent block form of an n-ion family state evolved for
+    every duration of ``ts``: ``(channel, rates, multiplicities)``.
+
+    ``channel`` is E_k(t) = G_k diag(q^u) G_k^T of ``_block_tables``, q =
+    1 - p^2, one stacked matrix product of shape ``np.shape(ts) + (K, n+1,
+    n+1)``, K = floor(n/2) + 1. ``rates`` is D(t)[i, j] = t (j - i), shape
+    ``np.shape(ts) + (1, n+1, n+1)``. Block k of a family state with Dicke
+    amplitudes c is rho_k = E_k ∘ c c^T and its detuning derivative
+    i D ∘ rho_k; it fills rows and columns k..n-k and is zero elsewhere, so
+    the padding only adds null directions; the detuning phase is left out
+    (module docstring). Each duration's blocks are their own matrix
+    products, so a stacked duration gives the same bits as a single one. The
+    scalars are not checked here: callers validate them once, at the API
+    boundary (finite ``gamma`` >= 0, finite durations >= 0).
+    """
+    return _gram_form(n, gamma, ts)[0]
+
+
+def _block_form_dt(n: int, gamma: float, ts):
+    """``(form, dchannel)``: the ``_block_form`` of ``ts`` and its channel's
+    shot-time derivative dE_k/dt = A + A^T + G_k diag(dq^u/dt) G_k^T, A =
+    (-gamma (i-u) G_k) diag(q^u) G_k^T and dq^u/dt = 2 gamma u p^2 q^(u-1),
+    by the product rule from the same Gram factors."""
+    form, (p, q, gram, weighted) = _gram_form(n, gamma, ts)
+    steps, levels = _block_tables(n)[1], np.arange(n + 1)
+    gram_t = np.swapaxes(gram, -1, -2)
     drift = (-gamma * steps * weighted) @ gram_t
     dq = 2.0 * gamma * levels * p * p * q ** np.maximum(levels - 1, 0)
-    dchannel = drift + np.swapaxes(drift, -1, -2) + (gram * dq) @ gram_t
-    return weighted @ gram_t, dchannel, t * (levels - levels[:, None]), mult
+    return form, drift + np.swapaxes(drift, -1, -2) + (gram * dq) @ gram_t

@@ -19,9 +19,13 @@ the multiplicity-weighted sum of the blocks' F_Q, on (n+1) x (n+1) matrices
 instead of 2^n x 2^n ones, and the SLD measurement splits the same way. The
 blocks are real and their derivative is i times a real matrix; F_Q sees only
 |<j| drho |k>|, so one real evaluation, ``_block_qfi``, gives the F_Q of
-``family_qfi``, of the shot-time optimum and of its gradient in the
-coefficients and the shot time (``_qfi_gradient``), for one state or stacks
-of states and shot times. The value of the detuning enters neither F_Q nor
+``family_qfi``, of the shot-time optimum's grid and probes
+(``_shot_probe``) and of its gradient in the coefficients and the shot
+time (``_qfi_gradient``), for one state or stacks of states and shot times.
+Each builds only what it reads: the grid and ``family_qfi`` no shot-time
+derivative, a probe no coefficient gradient, and a probe keeps the blocks
+and SLD from which ``_sld_fisher`` measures the report without a second
+evaluation. The value of the detuning enters neither F_Q nor
 the SLD measurement's Fisher information, since its phase commutes with the
 dephasing, so every function here takes only gamma and the shot time.
 """
@@ -32,7 +36,7 @@ import math
 
 import numpy as np
 
-from .evolution import _block_form
+from .evolution import _block_form, _block_form_dt
 from .exceptions import NoInformationError, SingularOutcomeError
 from .qstate import SymmetricFamilyState, _dicke_amplitudes, _flip_even_isometry
 
@@ -90,12 +94,12 @@ def _qfi_core(rho: np.ndarray, drho: np.ndarray):
 
 def _block_qfi(c, form):
     """F_Q of the family states with Dicke-amplitude rows ``c`` on the block
-    form ``(channel, dchannel, rates, mult)`` of ``evolution._block_form``,
+    form ``(channel, rates, mult)`` of ``evolution._block_form``,
     rows and shot times broadcasting against each other. Returns the
     multiplicity-weighted F_Q, the blocks rho = E ∘ c c^T, their real
     derivative D ∘ rho (drho = i D ∘ rho, which has the same F_Q) and the
     eigenbasis data of ``_qfi_core``."""
-    channel, _, rates, mult = form
+    channel, rates, mult = form
     blocks = channel * (c[..., None, :, None] * c[..., None, None, :])
     drho = blocks * rates
     fq, *eigdata = _qfi_core(blocks, drho)
@@ -117,26 +121,37 @@ def _envelope_matrix(mult, channel, channel_rates2, sld):
     return (mult[:, None, None] * (channel_rates2 * sld + channel * (sld @ sld))).sum(-3)
 
 
+def _shot_probe(n, gamma, c, t):
+    """``(F_Q, dF_Q/dt, form, (mult, blocks, drho, sld))`` of the Dicke
+    amplitudes ``c`` of an n-ion family state at one shot time ``t`` > 0:
+    ``form`` is its ``evolution._block_form`` and the last tuple what
+    ``_sld_fisher`` measures.
+
+    F_Q = max_L [2 Tr(drho L) - Tr(rho L^2)] = max_L c^T M(L, t) c, with M
+    of ``_envelope_matrix`` (Macieszczak, arXiv:1312.1356;
+    Demkowicz-Dobrzanski & Maccone, PRL 113, 250801 (2014)), is attained at
+    the SLD, so by the envelope theorem dF_Q/dt = c^T (dM/dt) c at that fixed
+    S = L / i, with dE/dt from the form and dD/dt = D/t. No eigensolve is
+    added to the F_Q evaluation.
+    """
+    form, dchannel = _block_form_dt(n, gamma, t)
+    channel, rates, mult = form
+    fq, blocks, drho, eigdata = _block_qfi(c, form)
+    sld = _sld(*eigdata)
+    dm = _envelope_matrix(mult, dchannel, 2.0 * (dchannel * rates + channel * (rates / t)), sld)
+    return fq, c @ dm @ c, form, (mult, blocks, drho, sld)
+
+
 def _qfi_gradient(n, gamma, a, t):
     """``(F_Q, grad_a, dF_Q/dt)`` of the unit family coefficients ``a`` at
-    shot time ``t`` > 0: F_Q, its gradient on the unit sphere,
-    2 (P^T M P a - F_Q a), and its shot-time derivative c^T (dM/dt) c.
-
-    F_Q = max_L [2 Tr(drho L) - Tr(rho L^2)] = max_L c^T M(L, t) c, with
-    c = P a the Dicke amplitudes (P the flip-even isometry) and M of
-    ``_envelope_matrix`` (Macieszczak, arXiv:1312.1356; Demkowicz-Dobrzanski
-    & Maccone, PRL 113, 250801 (2014)), is attained at the SLD, so by the
-    envelope theorem both derivatives are those of c^T M c at that fixed S,
-    with dE/dt from the same ``evolution._block_form`` call and dD/dt = D/t.
-    No eigensolve is added to the F_Q evaluation.
-    """
-    channel, dchannel, rates, mult = form = _block_form(n, gamma, t)
+    shot time ``t`` > 0: the ``_shot_probe`` of their Dicke amplitudes c =
+    P a (P the flip-even isometry) and the gradient of F_Q = c^T M c on the
+    unit sphere, 2 (P^T M P a - F_Q a), at the probe's SLD (envelope
+    theorem)."""
     c = _dicke_amplitudes(n, a)
-    fq, _, _, eigdata = _block_qfi(c, form)
-    sld = _sld(*eigdata)
+    fq, dfq, (channel, rates, mult), (_, _, _, sld) = _shot_probe(n, gamma, c, t)
     m = _envelope_matrix(mult, channel, 2.0 * channel * rates, sld)
-    dm = _envelope_matrix(mult, dchannel, 2.0 * (dchannel * rates + channel * (rates / t)), sld)
-    return fq, 2.0 * (_flip_even_isometry(n) @ (m @ c) - fq * a), c @ dm @ c
+    return fq, 2.0 * (_flip_even_isometry(n) @ (m @ c) - fq * a), dfq
 
 
 def _outcome_probs(basis: np.ndarray, mat: np.ndarray) -> np.ndarray:
@@ -145,15 +160,24 @@ def _outcome_probs(basis: np.ndarray, mat: np.ndarray) -> np.ndarray:
     return (basis.conj() * (mat @ basis)).sum(-2).real
 
 
+def _sld_fisher(mult, blocks, drho, sld):
+    """Classical Fisher information of the SLD measurement of the blocks
+    ``blocks`` with real derivative ``drho``, SLDs ``sld`` and
+    multiplicities ``mult``: each block's SLD eigenbasis is measured, and
+    its Fisher sum runs over outcome probabilities summed over the block's
+    copies (multiplicity times one copy's), so that the floors of a
+    vanishing probability never drop a heavy sector of many light copies."""
+    bases = np.linalg.eigh(1j * sld)[1]
+    probs, dprobs = _outcome_probs(bases, blocks), _outcome_probs(bases, 1j * drho)
+    return sum(_fisher_sum(m * pk, m * dpk) for m, pk, dpk in zip(mult, probs, dprobs))
+
+
 def family_qfi(state: SymmetricFamilyState, gamma: float, t: float):
     """Quantum Fisher information of a family state dephased at rate
     ``gamma`` for a duration ``t``, and the classical Fisher information of
     its SLD measurement, from the state's Schur-Weyl blocks without any 2^n
-    matrix (1 <= n <= 100). Returns ``(qfi, classical_fi_check)``; each
-    block's SLD eigenbasis is measured, and its Fisher sum runs over outcome
-    probabilities summed over the block's copies (multiplicity times one
-    copy's), so that the floors of a vanishing probability never drop a
-    heavy sector of many light copies. Neither number depends on the
+    matrix (1 <= n <= 100). Returns ``(qfi, classical_fi_check)``, the
+    latter from ``_sld_fisher``. Neither number depends on the
     detuning, so it is not a parameter: its phase is a diagonal unitary that
     commutes with the dephasing."""
     gamma, t = float(gamma), float(t)
@@ -167,10 +191,7 @@ def family_qfi(state: SymmetricFamilyState, gamma: float, t: float):
     n = state.n
     form = _block_form(n, gamma, t)
     fq, blocks, drho, eigdata = _block_qfi(_dicke_amplitudes(n, state.a), form)
-    bases = np.linalg.eigh(1j * _sld(*eigdata))[1]
-    probs, dprobs = _outcome_probs(bases, blocks), _outcome_probs(bases, 1j * drho)
-    cfi = sum(_fisher_sum(m * pk, m * dpk) for m, pk, dpk in zip(form[3], probs, dprobs))
-    return float(fq), float(cfi)
+    return float(fq), float(_sld_fisher(form[2], blocks, drho, _sld(*eigdata)))
 
 
 def qfi_uncertainty(qfi_per_shot: float, total_time: float, shot_time: float) -> float:

@@ -22,8 +22,9 @@ gradient, like every shot-time F_Q, comes from the one block QFI
 The shot-time QFI optimum of a state is likewise a root, of r(log t) = 1 -
 t F_Q'/F_Q = 2 d log delta_omega / d log t, next to the best point of a
 stacked geometric grid, found by Brent's method (``_root_beside`` and
-``_brentq``, a transcription of scipy's), or t = T where r(T) <= 0. Every
-path uses numpy and the standard library only: no command loads scipy.
+``_brentq``, a transcription of scipy's) on the probes of
+``fisher._shot_probe``, or t = T where r(T) <= 0. Every path uses numpy
+and the standard library only: no command loads scipy.
 """
 
 from __future__ import annotations
@@ -36,12 +37,13 @@ import numpy as np
 from .collective import _genramsey_rows
 from .exceptions import BracketingError, NoInformationError, SingularPointError
 from .evolution import MAX_BLOCK_QUBITS, _block_form
-from .fisher import QFI_FLOOR, _NO_INFORMATION, _block_qfi, _qfi_gradient
+from .fisher import QFI_FLOOR, _NO_INFORMATION, _block_qfi, _qfi_gradient, _shot_probe
 from .qstate import (
     SymmetricFamilyState,
     _dicke_amplitudes,
     _dicke_ladder,
     _flip_even_isometry,
+    _per_n_cache,
 )
 from .ramsey import ExperimentBudget, reference_limit, uncertainty_ghz, uncertainty_uncorrelated
 
@@ -158,13 +160,23 @@ def qfi_shot_optimum(state, gamma, total_time):
     NoInformationError when no grid shot time carries information.
 
     The grid is scored in stacked chunks of Schur-Weyl blocks; ``_root_beside``
-    then solves r(log t) = 1 - t F_Q'/F_Q = 0, F_Q' from
-    ``fisher._qfi_gradient``, and the probe it ends on is the result. A
+    then solves r(log t) = 1 - t F_Q'/F_Q = 0, F_Q and F_Q' from
+    ``fisher._shot_probe``, and the probe it ends on is the result. A
     best grid point t = T with r(T) <= 0 is the optimum under the constraint
     t <= T. Any other unbracketed optimum raises NoInformationError if a
     probe beside the best grid point carries no information (as within
     about 1e-15 of a Dicke state), BracketingError otherwise.
     """
+    return _shot_optimum(state, gamma, total_time)[:2]
+
+
+def _shot_optimum(state, gamma, total_time):
+    """``(t_opt, delta_omega, probe)``: the result of ``qfi_shot_optimum``
+    and ``(F_Q, measurement)`` of the probe at t_opt, the measurement as
+    ``fisher._sld_fisher`` takes it, or None when that probe is not held.
+    Only the last two probes are held: the root ``_brentq`` returns was the
+    last or second-to-last probe in every search measured, and each held
+    probe takes 12 MB at n = 100."""
     if not isinstance(state, SymmetricFamilyState):
         raise TypeError(f"expected a SymmetricFamilyState, got {type(state).__name__}")
     _check_finite("dephasing rate", gamma)
@@ -177,12 +189,15 @@ def qfi_shot_optimum(state, gamma, total_time):
     values = _precision_bounds(fq, grid, total_time)
     if not np.isfinite(values).any():
         raise NoInformationError(_NO_INFORMATION)
-    probed = {}  # (t, F_Q, r) of each probed log t
+    probed, held = {}, {}  # (t, F_Q, r) of each probed log t; (F_Q, measurement) by t
 
     def residual(log_t):
         if log_t not in probed:
             t = math.exp(log_t)
-            fq, _, dfq = _qfi_gradient(n, gamma, state.a, t)
+            for old in list(held)[:-1]:
+                del held[old]
+            fq, dfq, _, measurement = _shot_probe(n, gamma, c, t)
+            held[t] = fq, measurement
             probed[log_t] = t, fq, 1.0 - t * dfq / fq if fq >= QFI_FLOOR else math.nan
         return probed[log_t][2]
 
@@ -190,24 +205,30 @@ def qfi_shot_optimum(state, gamma, total_time):
     log_t = _root_beside(residual, log_grid, best)
     if log_t is not None:
         t, fq, _ = probed[log_t]
-        return t, float(_precision_bounds(fq, t, total_time))
+        return t, float(_precision_bounds(fq, t, total_time)), held.get(t)
     if grid[best] == total_time and residual(log_grid[best]) <= 0.0:
-        return float(grid[best]), float(values[best])
+        t = float(grid[best])
+        return t, float(values[best]), held.get(t)
     if any(fq < QFI_FLOOR for _, fq, _ in probed.values()):
         raise NoInformationError(_NO_INFORMATION)
     raise BracketingError(f"no shot-time optimum bracketed next to t = {grid[best]}")
 
 
+@_per_n_cache
 def _flip_even_ops(n):
-    """``(P^T S_x P, P^T S_y^2 P)``: S_x and S_y^2 on the n-ion flip-even
-    sector in the family basis, with P the isometry a -> Dicke amplitudes of
-    ``_dicke_amplitudes``. S_y^2 = B^T B with the real B = J+ - J-."""
+    """Read-only ``(P^T S_x P, P^T S_y^2 P)``: S_x and S_y^2 on the n-ion
+    flip-even sector in the family basis, with P the isometry a -> Dicke
+    amplitudes of ``_dicke_amplitudes``. S_y^2 = B^T B with the real B =
+    J+ - J-."""
     iso = _flip_even_isometry(n)  # row k: P e_k
     ladder, pad = _dicke_ladder(n)[1], np.zeros((n // 2 + 1, 1))
     raised = np.hstack([pad, ladder * iso[:, :-1]])  # rows J+ P e_k
     lowered = np.hstack([ladder * iso[:, 1:], pad])  # rows J- P e_k
     diff = raised - lowered
-    return iso @ (raised + lowered).T, diff @ diff.T
+    ops = iso @ (raised + lowered).T, diff @ diff.T
+    for op in ops:
+        op.flags.writeable = False
+    return ops
 
 
 def _ground_states(ops, log_mu):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,10 @@ __all__ = [
 ]
 
 _COEFF_TOL = 1e-9
+# Bytes of per-n tables that each ``_per_n_cache`` keeps, about one n = 100
+# entry of ``evolution._block_tables`` (4.2 MB): a sweep asks for each n in
+# turn, and every n up to 100 of those tables would hold about 105 MiB.
+_TABLE_BYTES = 1 << 22
 
 
 def _check_qubit_count(n):
@@ -125,15 +130,37 @@ def _dicke_amplitudes(n: int, a: np.ndarray) -> np.ndarray:
     return c
 
 
-@functools.lru_cache(maxsize=1)
+def _per_n_cache(build):
+    """``build(n)``, an array or a tuple of arrays, kept for the most
+    recently used n while the entries total at most ``_TABLE_BYTES``; the
+    latest entry is always kept. ``cache_clear()`` empties the cache."""
+    held = OrderedDict()  # n -> (tables, bytes), least recently used first
+
+    @functools.wraps(build)
+    def cached(n):
+        if n in held:
+            held.move_to_end(n)
+            return held[n][0]
+        tables = build(n)
+        arrays = tables if isinstance(tables, tuple) else (tables,)
+        held[n] = tables, sum(table.nbytes for table in arrays)
+        total = sum(size for _, size in held.values())
+        while total > _TABLE_BYTES and len(held) > 1:
+            total -= held.popitem(last=False)[1][1]
+        return tables
+
+    cached.cache_clear = held.clear
+    return cached
+
+
+@_per_n_cache
 def _flip_even_isometry(n: int) -> np.ndarray:
     """Read-only ``_dicke_amplitudes(n, I)``: row k is P e_k, with P the
     isometry from the n//2+1 family coefficients to the n+1 Dicke
     amplitudes, so ``iso @ c`` is P^T c. The array keeps the Fortran order
     that ``_dicke_amplitudes`` gives a stack (strides (8, 8 (n//2+1))):
     products with it are summed in that order, and a C-contiguous copy gives
-    other last bits. One n is kept: a sweep asks for each n in turn, and
-    every n up to 1000 would hold about 1.3 GB."""
+    other last bits."""
     iso = _dicke_amplitudes(n, np.eye(n // 2 + 1))
     iso.flags.writeable = False
     return iso

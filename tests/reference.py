@@ -43,6 +43,7 @@ from clocksim import (
     reference_limit,
 )
 from clocksim.collective import _ZERO_TOL
+from clocksim.evolution import _block_tables
 from clocksim.fisher import QFI_FLOOR, _qfi_core, _qfi_gradient
 from clocksim.optimize import _FACTR, _GRAD_TOL, _POLISH_EVALS
 
@@ -566,6 +567,25 @@ def schrijver_channel(n, gamma, ts):
         2.0 * levels * p * p * q ** np.maximum(levels - 1, 0) - exponents * q**levels
     )
     return tuple((weights * f[..., None, :, :, :]).sum(-1) for f in (decay, rate))
+
+
+def full_block_form(n, gamma, ts):
+    """``(channel, dchannel, rates, mult)`` of ``evolution._block_form``, with
+    the channel's shot-time derivative always built in the same call and by
+    the same products, as the block form was built before it deferred the
+    derivative: the oracle for the bits of its channel and ``dchannel()``."""
+    base, steps, mult = _block_tables(n)
+    levels = np.arange(n + 1)
+    t = np.asarray(ts, dtype=float)[..., None, None, None]
+    p = np.exp(-gamma * t)
+    q = 1.0 - p * p
+    gram = base * p**steps
+    gram_t = np.swapaxes(gram, -1, -2)
+    weighted = gram * q**levels
+    drift = (-gamma * steps * weighted) @ gram_t
+    dq = 2.0 * gamma * levels * p * p * q ** np.maximum(levels - 1, 0)
+    dchannel = drift + np.swapaxes(drift, -1, -2) + (gram * dq) @ gram_t
+    return weighted @ gram_t, dchannel, t * (levels - levels[:, None]), mult
 
 
 def permute_qubits(amps, n, perm):

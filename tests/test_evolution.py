@@ -6,12 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clocksim import SymmetricFamilyState, family_qfi
-from clocksim.evolution import MAX_BLOCK_QUBITS, _block_form, _block_tables
+from clocksim.evolution import MAX_BLOCK_QUBITS, _block_form, _block_form_dt, _block_tables
+from clocksim.optimize import _flip_even_ops
+from clocksim.qstate import _flip_even_isometry
 
 from reference import (
     dense_evolve,
     density,
     evolve_reference,
+    full_block_form,
     master_equation_oracle,
     random_density,
     random_pure_state,
@@ -52,6 +55,18 @@ def test_block_tables_keep_one_n():
     finally:
         tracemalloc.stop()
     assert held < 1.5 * _block_tables(MAX_BLOCK_QUBITS)[0].nbytes, held
+
+
+def test_per_n_tables_survive_a_change_of_n():
+    # the benchmark's qfi_curve alternates n = 2 and 3 between jobs; each
+    # cache keeps both n's tables until cache_clear()
+    for cached in (_block_tables, _flip_even_isometry, _flip_even_ops):
+        cached.cache_clear()
+        first = cached(2)
+        cached(3)
+        assert cached(2) is first, cached.__name__
+        cached.cache_clear()
+        assert cached(2) is not first, cached.__name__
 
 
 def test_single_qubit_coherence_decay():
@@ -196,8 +211,21 @@ def test_gram_channel_matches_schrijver_table(n):
     cases = ((0.0, 0.7), (1.0, 0.0), (0.4, 0.9), (2.0, 3.0), (1.0, np.geomspace(1e-4, 8.0, 16)),
              (1.0, 750.0), (3.0, 1e3))
     for gamma, ts in cases:
-        channel, dchannel, _, _ = _block_form(n, gamma, ts)
+        (channel, _, _), dchannel = _block_form_dt(n, gamma, ts)
         expected, rate = schrijver_channel(n, gamma, ts)
         assert channel.shape == dchannel.shape == expected.shape
         assert np.abs(channel - expected).max() <= 1e-14
         assert np.abs(dchannel - rate).max() <= 1e-12 * np.abs(rate).max()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 20])
+def test_channel_without_its_derivative_is_the_full_forms(n):
+    # the grid and family_qfi read the channel without building dE/dt; both
+    # forms keep the bits of one that always builds dE/dt, for one shot time
+    # and for a stacked grid
+    for gamma, ts in ((1.0, 0.37), (0.3, np.geomspace(1e-4, 8.0, 16)), (2.0, 0.0)):
+        channel, dchannel, rates, mult = full_block_form(n, gamma, ts)
+        form, derivative = _block_form_dt(n, gamma, ts)
+        for got in (_block_form(n, gamma, ts), form):
+            assert all(np.array_equal(x, y) for x, y in zip(got, (channel, rates, mult)))
+        assert derivative.shape == dchannel.shape and np.array_equal(derivative, dchannel)

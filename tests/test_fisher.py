@@ -294,7 +294,7 @@ def test_ghz_and_product_closed_forms_beyond_the_dense_oracle(n):
 def test_block_identities_at_the_cap():
     n, t = MAX_BLOCK_QUBITS, 0.7
     state = SymmetricFamilyState(n, _random_coeffs(np.random.default_rng(20), n))
-    mult = _block_form(n, 0.0, t)[3]
+    mult = _block_form(n, 0.0, t)[2]
     for gamma in (0.0, 0.4, 1.0):
         blocks = _family_blocks(state, gamma, t)[1]
         trace = np.trace(blocks, axis1=-2, axis2=-1)

@@ -749,7 +749,7 @@ def test_genramsey_search_at_n500_stays_small():
     assert peak < 16 * 2**20, f"the n = 500 gen-Ramsey search allocated {peak} bytes"
 
 
-def test_qfi_shot_optimum_at_the_cap_stays_small():
+def test_qfi_shot_optimum_at_the_cap_stays_small(tmp_path):
     # one shot time's (K, n+1, n+1) blocks at a time, 4.2 MB each at n = 100;
     # a four-index (K, n+1, n+1, n+1) weight table would take 420 MB
     n = MAX_BLOCK_QUBITS
@@ -759,6 +759,14 @@ def test_qfi_shot_optimum_at_the_cap_stays_small():
     assert t_opt == pytest.approx(0.5 / GAMMA, rel=1e-6)
     assert delta_omega == pytest.approx(reference_limit(n, TOTAL, GAMMA), rel=1e-8)
     assert peak < 100 * 2**20, f"the n = {n} shot-time optimum allocated {peak} bytes"
+    # the CLI report at the cap reads the search's final probe, held with
+    # the one before it, and stays under the same bound
+    evolution._block_tables.cache_clear()
+    argv = ["qfi", "--n", str(n), "--gamma", "1", "--optimize-t", "--total-time", str(TOTAL),
+            "--scheme", "uncorrelated", "--out", str(tmp_path / "qfi.json")]
+    code, peak = _peak_bytes(lambda: cli.main(argv))
+    assert code == 0
+    assert peak < 100 * 2**20, f"clocksim {' '.join(argv)} allocated {peak} bytes"
 
 
 def test_qfi_paths_build_no_2n_state(tmp_path):
@@ -911,14 +919,14 @@ def _shot_state(n, kind):
 @pytest.mark.parametrize("kind", _SHOT_KINDS)
 @pytest.mark.parametrize("n", _SHOT_NS)
 def test_qfi_shot_optimum_is_no_worse_than_the_scalar_oracle(monkeypatch, n, kind):
-    # a handful of gradient probes lands on the root, or certifies t = T
-    gradient, probes = optimize._qfi_gradient, []
+    # a handful of shot-time probes lands on the root, or certifies t = T
+    probe, probes = optimize._shot_probe, []
 
     def counting(*args):
         probes.append(args[-1])
-        return gradient(*args)
+        return probe(*args)
 
-    monkeypatch.setattr(optimize, "_qfi_gradient", counting)
+    monkeypatch.setattr(optimize, "_shot_probe", counting)
     state = _shot_state(n, kind)
     for gamma, total in _SHOT_PAIRS:
         probes.clear()
@@ -968,6 +976,90 @@ def test_qfi_shot_optimum_at_the_total_time_is_certified(tmp_path):
     assert report["t_opt"] == 0.3 and report["delta_omega"] == delta_omega
 
 
+def _preparation(n, kind):
+    """CLI flags of a GHZ, product or near-equal-weight drawn preparation, and
+    its state as the CLI builds it."""
+    if kind == "ghz":
+        return ["--scheme", "ghz"], SymmetricFamilyState(n, np.eye(1, n // 2 + 1)[0])
+    if kind == "product":
+        return ["--scheme", "uncorrelated"], SymmetricFamilyState(n, uniform_coefficients(n))
+    m = n // 2 + 1
+    a = np.full(m, 1.0 / math.sqrt(m)) + 0.015 * np.random.default_rng(n).normal(size=m)
+    coeffs = ";".join("%.17g" % x for x in a / np.linalg.norm(a))
+    return ["--coeffs", coeffs], SymmetricFamilyState(n, [float(x) for x in coeffs.split(";")])
+
+
+def _counting(monkeypatch, module, name, calls):
+    function = getattr(module, name)
+
+    def counted(*args):
+        calls[name] = calls.get(name, 0) + 1
+        return function(*args)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def _qfi_report(tmp_path, n, total, preparation):
+    out = tmp_path / "qfi.json"
+    argv = ["qfi", "--n", str(n), "--gamma", "1", "--optimize-t", "--total-time", str(total)]
+    assert cli.main([*argv, *preparation, "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["ghz", "product", "drawn"])
+@pytest.mark.parametrize("n, total", [(1, TOTAL), (2, TOTAL), (3, TOTAL), (7, TOTAL), (20, TOTAL),
+                                      (3, 0.3)])
+def test_qfi_report_reads_the_search_s_final_probe(monkeypatch, tmp_path, n, total, kind):
+    # the report's numbers are those of qfi_shot_optimum and of family_qfi
+    # at its t_opt to the last bit, yet it evaluates no F_Q after the search:
+    # the probe the search ends on is held. T = 0.3 puts the product state's
+    # optimum on the constraint t = T.
+    preparation, state = _preparation(n, kind)
+    t_opt, delta_omega = qfi_shot_optimum(state, GAMMA, total)
+    fq, cfi = family_qfi(state, GAMMA, t_opt)
+    calls = {}
+    _counting(monkeypatch, cli, "family_qfi", calls)
+    report = json.loads(_qfi_report(tmp_path, n, total, preparation))
+    assert (report["t_opt"], report["delta_omega"]) == (t_opt, delta_omega)
+    assert (report["qfi"], report["classical_fi_sld"]) == (fq, cfi)
+    assert calls == {}
+    if kind == "product" and total == 0.3:
+        assert t_opt == total
+
+
+@pytest.mark.parametrize("kind", ["ghz", "product", "drawn"])
+@pytest.mark.parametrize("n", [3, 7])
+def test_qfi_report_evaluates_again_when_its_probe_is_not_held(monkeypatch, tmp_path, n, kind):
+    # two more probes after the root push it out of the held pair: the
+    # report then calls family_qfi at t_opt and prints the same bytes
+    preparation, _ = _preparation(n, kind)
+    held = _qfi_report(tmp_path, n, TOTAL, preparation)
+    brentq, calls = optimize._brentq, {}
+
+    def probing_past_the_root(f, xa, xb):
+        root = brentq(f, xa, xb)
+        f(xa + 0.25 * (xb - xa))
+        f(xa + 0.75 * (xb - xa))
+        return root
+
+    monkeypatch.setattr(optimize, "_brentq", probing_past_the_root)
+    _counting(monkeypatch, cli, "family_qfi", calls)
+    assert _qfi_report(tmp_path, n, TOTAL, preparation) == held
+    assert calls == {"family_qfi": 1}
+
+
+@pytest.mark.parametrize("kind", ["ghz", "product", "drawn"])
+def test_qfi_report_at_n7_scores_its_grid_once_in_few_probes(monkeypatch, tmp_path, kind):
+    # the benchmark's dense report: one stacked grid call, at most 8 probes
+    # (8 measured) and no F_Q evaluated after the search
+    calls = {}
+    for module, name in ((optimize, "_block_form"), (optimize, "_shot_probe"), (cli, "family_qfi")):
+        _counting(monkeypatch, module, name, calls)
+    _qfi_report(tmp_path, 7, TOTAL, _preparation(7, kind)[0])
+    assert calls.get("_block_form") == 1 and 1 <= calls.get("_shot_probe", 0) <= 8, calls
+    assert "family_qfi" not in calls
+
+
 @pytest.mark.parametrize("n", [4, 6, 8])
 def test_qfi_shot_optimum_near_a_dicke_state_reports_no_infinite_bound(n):
     # a Dicke state carries no information; within about 1e-15 of it F_Q
@@ -1007,18 +1099,18 @@ def test_searches_without_a_bracketed_root_report_it(monkeypatch, tmp_path, caps
     # with a residual that is positive everywhere, the objective seems to
     # rise at every point: gen-Ramsey reports its best lane as partial, and
     # the shot-time optimum fails, exit 3 in the CLI, with no report written
-    lanes, gradient = optimize._genramsey_lanes, optimize._qfi_gradient
+    lanes, probe = optimize._genramsey_lanes, optimize._shot_probe
 
     def rising_lanes(*args):
         a, t_opt, delta_omega, r, dr = lanes(*args)
         return a, t_opt, delta_omega, np.ones_like(r), dr
 
-    def rising_gradient(*args):
-        fq, grad_a, _ = gradient(*args)
-        return fq, grad_a, 0.0  # r = 1 - t F_Q'/F_Q = 1
+    def rising_probe(*args):
+        fq, _, form, measurement = probe(*args)
+        return fq, 0.0, form, measurement  # r = 1 - t F_Q'/F_Q = 1
 
     monkeypatch.setattr(optimize, "_genramsey_lanes", rising_lanes)
-    monkeypatch.setattr(optimize, "_qfi_gradient", rising_gradient)
+    monkeypatch.setattr(optimize, "_shot_probe", rising_probe)
     assert optimize_symmetric_coeffs(3, GAMMA, TOTAL, "gen-ramsey").status == "partial"
     with pytest.raises(BracketingError, match="no shot-time optimum bracketed"):
         qfi_shot_optimum(SymmetricFamilyState(3, [1.0, 0.0]), GAMMA, TOTAL)
