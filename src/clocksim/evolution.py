@@ -15,9 +15,9 @@ the total-spin sectors j = n/2 - k (Chase & Geremia, PRA 78, 052101 (2008)),
 it is a real, state-independent channel times the outer product of the
 Dicke amplitudes, and its detuning derivative is i times a real rate
 matrix times the blocks. ``_block_form`` builds that channel, a Gram
-product per block, and the rate matrix; ``_block_form_dt`` adds the
-channel's shot-time derivative, which only the QFI's shot-time probe reads;
-``fisher._block_qfi`` multiplies in the amplitudes. The
+product per block, and the rate matrix; ``_channel_drift`` lets the QFI's
+shot-time probe read the channel's shot-time derivative without building
+it; ``fisher._block_qfi`` multiplies in the amplitudes. The
 detuning phase exp(i delta t (j - i)) is left out: a diagonal unitary that
 commutes with the dephasing, it changes neither F_Q nor the SLD
 measurement's Fisher information, so the form takes only gamma and t.
@@ -38,7 +38,7 @@ __all__ = ["MAX_BLOCK_QUBITS"]
 # to 3e-14 and 2e-15, and the QFI core's cutoff, relative to each block's
 # largest eigenvalue, keeps the product-state and GHZ F_Q within 1e-12 of
 # their closed forms. The cap is set by cost: one F_Q with its gradient
-# takes about 0.1 s at n = 100, and a QFI coefficient search some 200.
+# takes about 0.07 s at n = 100, and a QFI coefficient search some 160-260.
 MAX_BLOCK_QUBITS = 100
 
 
@@ -52,7 +52,7 @@ def _check_block_qubits(n: int) -> None:
 @_per_n_cache
 def _block_tables(n: int):
     """Read-only tables of the block form of an n-ion family state:
-    ``(base, steps, multiplicities)``.
+    ``(base, steps, multiplicities, spans, lowered)``.
 
     Schrijver maps the 0/1 matrix of string pairs (x, y) with |x| = i,
     |y| = j and |x AND y| = s to entry (i, j), i, j = k..n-k, of block k, with
@@ -69,8 +69,10 @@ def _block_tables(n: int):
     C(n, i)) for k <= u <= i <= n-k, 0 elsewhere, from log-factorials so
     that no product of binomials overflows, and steps = max(i-u, 0), clipped
     so that an underflowed p = 0 never meets a negative power. Block k
-    occurs C(n, k) - C(n, k-1) times in the 2^n matrix. The cache keeps
-    recent n up to ``qstate._TABLE_BYTES``, one n = 100 entry.
+    occurs C(n, k) - C(n, k-1) times in the 2^n matrix. spans[i, j] = j - i
+    (spans[0] = u, the levels) and lowered = max(u-1, 0) are exponents; the
+    integer tables are held as floats, so that no product with them casts.
+    The cache keeps recent n up to ``qstate._TABLE_BYTES``, one n = 100 entry.
     """
     _check_block_qubits(n)
     size = n // 2 + 1
@@ -82,26 +84,39 @@ def _block_tables(n: int):
     log_base = (0.5 * (log_comb(m, u - k) - log_comb(m, i - k) - log_comb(n, i))
                 + log_comb(n - k - u, i - u))
     base = np.exp(np.where((k <= u) & (u <= i) & (i <= n - k), log_base, -np.inf))
-    steps = np.maximum(i - u, 0)[0]
+    steps = np.maximum(i - u, 0)[0].astype(float)
     mult = np.array([math.comb(n, k) - math.comb(n, k - 1) if k else 1 for k in range(size)], float)
-    for table in (base, steps, mult):
+    spans, lowered = (u - i)[0].astype(float), np.maximum(u - 1, 0)[0, 0].astype(float)
+    tables = base, steps, mult, spans, lowered
+    for table in tables:
         table.flags.writeable = False
-    return base, steps, mult
+    return tables
 
 
 def _gram_form(n: int, gamma: float, ts):
-    """The ``_block_form`` of ``ts`` and the Gram factors it is built from,
-    ``(p, q, G_k, G_k diag(q^u))`` of ``_block_tables``, for
-    ``_block_form_dt``."""
-    base, steps, mult = _block_tables(n)
-    levels = np.arange(n + 1)
+    """``(form, (p^2, q, q^u, G_k))``: the ``_block_form`` of ``ts`` and the
+    factors of ``_block_tables`` it is built from, p = exp(-gamma t) and q =
+    1 - p^2, for ``_channel_drift``."""
+    base, steps, mult, spans, _ = _block_tables(n)
     t = np.asarray(ts, dtype=float)[..., None, None, None]
     p = np.exp(-gamma * t)
-    q = 1.0 - p * p
+    p2 = p * p
+    q = 1.0 - p2
+    powers = q ** spans[0]
     gram = base * p**steps
-    weighted = gram * q**levels
-    form = weighted @ np.swapaxes(gram, -1, -2), t * (levels - levels[:, None]), mult
-    return form, (p, q, gram, weighted)
+    form = (gram * powers) @ np.swapaxes(gram, -1, -2), t * spans, mult
+    return form, (p2, q, powers, gram)
+
+
+def _channel_drift(n: int, gamma: float, factors):
+    """F_k = G_k ∘ R on the ``_gram_form`` factors, R[i, u] = dq^u/dt - 2
+    gamma (i-u) q^u, dq^u/dt = 2 gamma u p^2 q^(u-1), with the clipped
+    ``steps`` i-u. By the product rule dE_k/dt = A + A^T + G_k diag(dq^u/dt)
+    G_k^T, A = (-gamma (i-u) G_k) diag(q^u) G_k^T, so for a symmetric Y
+    <dE_k/dt, Y> = sum_{i,u} F_k[i, u] (Y G_k)[i, u]: one matrix product."""
+    p2, q, powers, gram = factors
+    _, steps, _, spans, lowered = _block_tables(n)
+    return gram * (2.0 * gamma * (p2 * spans[0] * q**lowered - steps * powers))
 
 
 def _block_form(n: int, gamma: float, ts):
@@ -121,16 +136,3 @@ def _block_form(n: int, gamma: float, ts):
     boundary (finite ``gamma`` >= 0, finite durations >= 0).
     """
     return _gram_form(n, gamma, ts)[0]
-
-
-def _block_form_dt(n: int, gamma: float, ts):
-    """``(form, dchannel)``: the ``_block_form`` of ``ts`` and its channel's
-    shot-time derivative dE_k/dt = A + A^T + G_k diag(dq^u/dt) G_k^T, A =
-    (-gamma (i-u) G_k) diag(q^u) G_k^T and dq^u/dt = 2 gamma u p^2 q^(u-1),
-    by the product rule from the same Gram factors."""
-    form, (p, q, gram, weighted) = _gram_form(n, gamma, ts)
-    steps, levels = _block_tables(n)[1], np.arange(n + 1)
-    gram_t = np.swapaxes(gram, -1, -2)
-    drift = (-gamma * steps * weighted) @ gram_t
-    dq = 2.0 * gamma * levels * p * p * q ** np.maximum(levels - 1, 0)
-    return form, drift + np.swapaxes(drift, -1, -2) + (gram * dq) @ gram_t

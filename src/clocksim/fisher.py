@@ -19,13 +19,12 @@ the multiplicity-weighted sum of the blocks' F_Q, on (n+1) x (n+1) matrices
 instead of 2^n x 2^n ones, and the SLD measurement splits the same way. The
 blocks are real and their derivative is i times a real matrix; F_Q sees only
 |<j| drho |k>|, so one real evaluation, ``_block_qfi``, gives the F_Q of
-``family_qfi``, of the shot-time optimum's grid and probes
-(``_shot_probe``) and of its gradient in the coefficients and the shot
-time (``_qfi_gradient``), for one state or stacks of states and shot times.
-Each builds only what it reads: the grid and ``family_qfi`` no shot-time
-derivative, a probe no coefficient gradient, and a probe keeps the blocks
-and SLD from which ``_sld_fisher`` measures the report without a second
-evaluation. The value of the detuning enters neither F_Q nor
+``family_qfi``, of the shot-time optimum's grid and of its probes, for one
+state or stacks of states and shot times. A probe, ``_shot_probe``, adds
+F_Q's shot-time derivative and the coefficient gradient of
+``_qfi_gradient``, both contracted from one matrix per block, and keeps
+the blocks and SLD from which ``_sld_fisher`` measures the report without
+a second evaluation. The value of the detuning enters neither F_Q nor
 the SLD measurement's Fisher information, since its phase commutes with the
 dephasing, so every function here takes only gamma and the shot time.
 """
@@ -36,7 +35,7 @@ import math
 
 import numpy as np
 
-from .evolution import _block_form, _block_form_dt
+from .evolution import _block_form, _channel_drift, _gram_form
 from .exceptions import NoInformationError, SingularOutcomeError
 from .qstate import SymmetricFamilyState, _dicke_amplitudes, _flip_even_isometry
 
@@ -113,45 +112,41 @@ def _sld(vecs, dmat, denom, mask) -> np.ndarray:
     return vecs @ np.where(mask, 2.0 * dmat / denom, 0.0) @ np.swapaxes(vecs.conj(), -1, -2)
 
 
-def _envelope_matrix(mult, channel, channel_rates2, sld):
-    """M = sum_k mult_k (channel_rates2_k ∘ S_k + channel_k ∘ S_k^2): with
-    channel E and channel_rates2 = 2 E ∘ D, the matrix of
-    F_Q = max_L c^T M(L) c at fixed S = L / i; with dE/dt and
-    2 d(E ∘ D)/dt, its shot-time derivative at fixed S."""
-    return (mult[:, None, None] * (channel_rates2 * sld + channel * (sld @ sld))).sum(-3)
-
-
 def _shot_probe(n, gamma, c, t):
-    """``(F_Q, dF_Q/dt, form, (mult, blocks, drho, sld))`` of the Dicke
-    amplitudes ``c`` of an n-ion family state at one shot time ``t`` > 0:
-    ``form`` is its ``evolution._block_form`` and the last tuple what
-    ``_sld_fisher`` measures.
+    """``(F_Q, dF_Q/dt, M c, (mult, blocks, drho, sld))`` of the Dicke
+    amplitudes ``c`` of an n-ion family state at one shot time ``t`` > 0,
+    the last tuple what ``_sld_fisher`` measures.
 
-    F_Q = max_L [2 Tr(drho L) - Tr(rho L^2)] = max_L c^T M(L, t) c, with M
-    of ``_envelope_matrix`` (Macieszczak, arXiv:1312.1356;
-    Demkowicz-Dobrzanski & Maccone, PRL 113, 250801 (2014)), is attained at
-    the SLD, so by the envelope theorem dF_Q/dt = c^T (dM/dt) c at that fixed
-    S = L / i, with dE/dt from the form and dD/dt = D/t. No eigensolve is
-    added to the F_Q evaluation.
+    F_Q = max_L [2 Tr(drho L) - Tr(rho L^2)] (Macieszczak, arXiv:1312.1356;
+    Demkowicz-Dobrzanski & Maccone, PRL 113, 250801 (2014)) is attained at
+    the SLD L = i S. With C = c c^T it reads c^T M c, M = sum_k mult_k E_k ∘
+    X_k and X = 2 D ∘ S + S^2, so by the envelope theorem at fixed S the
+    gradient in c is 2 M c and, as dD/dt = D/t and sum_k mult_k <drho_k,
+    S_k> = F_Q, dF_Q/dt = sum_k mult_k <dE_k/dt, C ∘ X_k> + 2 F_Q / t, read
+    through ``evolution._channel_drift`` without building dE/dt. No
+    eigensolve is added to the F_Q evaluation.
     """
-    form, dchannel = _block_form_dt(n, gamma, t)
-    channel, rates, mult = form
-    fq, blocks, drho, eigdata = _block_qfi(c, form)
+    (channel, rates, mult), factors = _gram_form(n, gamma, t)
+    fq, blocks, drho, eigdata = _block_qfi(c, (channel, rates, mult))
     sld = _sld(*eigdata)
-    dm = _envelope_matrix(mult, dchannel, 2.0 * (dchannel * rates + channel * (rates / t)), sld)
-    return fq, c @ dm @ c, form, (mult, blocks, drho, sld)
+    del eigdata  # each (K, n+1, n+1) array goes after its last read: 4 MB at n = 100
+    x = 2.0 * rates * sld + sld @ sld
+    m = mult @ ((channel * x) @ c)
+    del channel
+    x *= c[:, None] * c
+    drift, gram = _channel_drift(n, gamma, factors), factors[3]
+    dfq = mult @ (drift * (x @ gram)).sum((-2, -1)) + 2.0 * fq / t
+    return fq, dfq, m, (mult, blocks, drho, sld)
 
 
 def _qfi_gradient(n, gamma, a, t):
     """``(F_Q, grad_a, dF_Q/dt)`` of the unit family coefficients ``a`` at
     shot time ``t`` > 0: the ``_shot_probe`` of their Dicke amplitudes c =
     P a (P the flip-even isometry) and the gradient of F_Q = c^T M c on the
-    unit sphere, 2 (P^T M P a - F_Q a), at the probe's SLD (envelope
+    unit sphere, 2 (P^T M c - F_Q a), at the probe's SLD (envelope
     theorem)."""
-    c = _dicke_amplitudes(n, a)
-    fq, dfq, (channel, rates, mult), (_, _, _, sld) = _shot_probe(n, gamma, c, t)
-    m = _envelope_matrix(mult, channel, 2.0 * channel * rates, sld)
-    return fq, 2.0 * (_flip_even_isometry(n) @ (m @ c) - fq * a), dfq
+    fq, dfq, m, _ = _shot_probe(n, gamma, _dicke_amplitudes(n, a), t)
+    return fq, 2.0 * (_flip_even_isometry(n) @ m - fq * a), dfq
 
 
 def _outcome_probs(basis: np.ndarray, mat: np.ndarray) -> np.ndarray:

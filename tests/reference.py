@@ -44,7 +44,7 @@ from clocksim import (
 )
 from clocksim.collective import _ZERO_TOL
 from clocksim.evolution import _block_tables
-from clocksim.fisher import QFI_FLOOR, _qfi_core, _qfi_gradient
+from clocksim.fisher import QFI_FLOOR, _block_qfi, _qfi_core, _qfi_gradient, _sld
 from clocksim.optimize import _FACTR, _GRAD_TOL, _POLISH_EVALS
 
 
@@ -573,8 +573,9 @@ def full_block_form(n, gamma, ts):
     """``(channel, dchannel, rates, mult)`` of ``evolution._block_form``, with
     the channel's shot-time derivative always built in the same call and by
     the same products, as the block form was built before it deferred the
-    derivative: the oracle for the bits of its channel and ``dchannel()``."""
-    base, steps, mult = _block_tables(n)
+    derivative: the oracle for the bits of its channel and for the
+    contraction of dE/dt that ``evolution._channel_drift`` reads."""
+    base, steps, mult = _block_tables(n)[:3]
     levels = np.arange(n + 1)
     t = np.asarray(ts, dtype=float)[..., None, None, None]
     p = np.exp(-gamma * t)
@@ -586,6 +587,28 @@ def full_block_form(n, gamma, ts):
     dq = 2.0 * gamma * levels * p * p * q ** np.maximum(levels - 1, 0)
     dchannel = drift + np.swapaxes(drift, -1, -2) + (gram * dq) @ gram_t
     return weighted @ gram_t, dchannel, t * (levels - levels[:, None]), mult
+
+
+def _envelope_matrix(mult, channel, channel_rates2, sld):
+    """M = sum_k mult_k (channel_rates2_k ∘ S_k + channel_k ∘ S_k^2): with
+    channel E and channel_rates2 = 2 E ∘ D, the matrix of
+    F_Q = max_L c^T M(L) c at fixed S = L / i; with dE/dt and
+    2 d(E ∘ D)/dt, its shot-time derivative at fixed S."""
+    return (mult[:, None, None] * (channel_rates2 * sld + channel * (sld @ sld))).sum(-3)
+
+
+def matrix_shot_probe(n, gamma, c, t):
+    """``(F_Q, dF_Q/dt, M c)`` of the Dicke amplitudes ``c`` at one shot time
+    ``t`` > 0 by the matrix route that ``fisher._shot_probe`` contracts away:
+    the full dE/dt of ``full_block_form`` and both envelope matrices M and
+    dM/dt, each formed entry by entry at the probe's SLD and then
+    contracted with c."""
+    channel, dchannel, rates, mult = full_block_form(n, gamma, t)
+    fq, _, _, eigdata = _block_qfi(c, (channel, rates, mult))
+    sld = _sld(*eigdata)
+    dm = _envelope_matrix(mult, dchannel, 2.0 * (dchannel * rates + channel * (rates / t)), sld)
+    m = _envelope_matrix(mult, channel, 2.0 * channel * rates, sld)
+    return fq, c @ dm @ c, m @ c
 
 
 def permute_qubits(amps, n, perm):

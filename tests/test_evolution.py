@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clocksim import SymmetricFamilyState, family_qfi
-from clocksim.evolution import MAX_BLOCK_QUBITS, _block_form, _block_form_dt, _block_tables
+from clocksim.evolution import (
+    MAX_BLOCK_QUBITS,
+    _block_form,
+    _block_tables,
+    _channel_drift,
+    _gram_form,
+)
 from clocksim.optimize import _flip_even_ops
 from clocksim.qstate import _flip_even_isometry
 
@@ -204,28 +210,50 @@ def test_evolution_preserves_what_validation_checks(n, seed, delta, gamma, t, sk
         assert np.array_equal(drho, drho.conj().T)
 
 
+def _drift_contraction(n, gamma, ts, y):
+    """<dE_k/dt, Y_k> of every block and shot time, read from the factor of
+    ``_channel_drift`` with one matrix product and no dE/dt."""
+    factors = _gram_form(n, gamma, ts)[1]
+    return (_channel_drift(n, gamma, factors) * (y @ factors[3])).sum((-2, -1))
+
+
+def _symmetric(n, seed):
+    y = np.random.default_rng(seed).normal(size=(n // 2 + 1, n + 1, n + 1))
+    return y + np.swapaxes(y, -1, -2)
+
+
 @pytest.mark.parametrize("n", range(1, 21))
 def test_gram_channel_matches_schrijver_table(n):
     # gamma = 0, t = 0, ordinary and stacked shot times, and gamma t >= 745,
-    # where p = exp(-gamma t) underflows to 0
+    # where p = exp(-gamma t) underflows to 0; the shot-time derivative is
+    # checked as its contraction with a symmetric Y, the only way it is read
     cases = ((0.0, 0.7), (1.0, 0.0), (0.4, 0.9), (2.0, 3.0), (1.0, np.geomspace(1e-4, 8.0, 16)),
              (1.0, 750.0), (3.0, 1e3))
+    y = _symmetric(n, n)
     for gamma, ts in cases:
-        (channel, _, _), dchannel = _block_form_dt(n, gamma, ts)
+        channel = _block_form(n, gamma, ts)[0]
         expected, rate = schrijver_channel(n, gamma, ts)
-        assert channel.shape == dchannel.shape == expected.shape
+        assert channel.shape == expected.shape
         assert np.abs(channel - expected).max() <= 1e-14
-        assert np.abs(dchannel - rate).max() <= 1e-12 * np.abs(rate).max()
+        contraction = _drift_contraction(n, gamma, ts, y)
+        assert contraction.shape == rate.shape[:-2]
+        scale = (np.abs(rate) * np.abs(y)).sum((-2, -1)).max()
+        assert np.abs(contraction - (rate * y).sum((-2, -1))).max() <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 20])
 def test_channel_without_its_derivative_is_the_full_forms(n):
-    # the grid and family_qfi read the channel without building dE/dt; both
-    # forms keep the bits of one that always builds dE/dt, for one shot time
-    # and for a stacked grid
+    # the grid, family_qfi and the probe read the channel from one Gram
+    # product and never build dE/dt: the form keeps the bits of one that
+    # always builds dE/dt, for one shot time and for a stacked grid, and the
+    # probe's contraction of dE/dt agrees with the full matrix contracted
+    # with the same symmetric Y to rounding
+    y = _symmetric(n, 100 + n)
     for gamma, ts in ((1.0, 0.37), (0.3, np.geomspace(1e-4, 8.0, 16)), (2.0, 0.0)):
         channel, dchannel, rates, mult = full_block_form(n, gamma, ts)
-        form, derivative = _block_form_dt(n, gamma, ts)
-        for got in (_block_form(n, gamma, ts), form):
+        for got in (_block_form(n, gamma, ts), _gram_form(n, gamma, ts)[0]):
             assert all(np.array_equal(x, y) for x, y in zip(got, (channel, rates, mult)))
-        assert derivative.shape == dchannel.shape and np.array_equal(derivative, dchannel)
+        contraction = _drift_contraction(n, gamma, ts, y)
+        scale = (np.abs(dchannel) * np.abs(y)).sum((-2, -1)).max()
+        assert contraction.shape == dchannel.shape[:-2]
+        assert np.abs(contraction - (dchannel * y).sum((-2, -1))).max() <= 1e-14 * scale

@@ -16,8 +16,8 @@ from clocksim import (
     uniform_coefficients,
 )
 from clocksim.evolution import MAX_BLOCK_QUBITS, _block_form
-from clocksim.fisher import _block_qfi, _outcome_probs, _qfi_core, _qfi_gradient, _sld
-from clocksim.qstate import _dicke_amplitudes
+from clocksim.fisher import _block_qfi, _outcome_probs, _qfi_core, _qfi_gradient, _shot_probe, _sld
+from clocksim.qstate import _dicke_amplitudes, _flip_even_isometry
 from clocksim.optimize import _precision_bounds
 
 from reference import (
@@ -30,6 +30,7 @@ from reference import (
     ghz_state,
     hamming,
     haar_basis,
+    matrix_shot_probe,
     product_state,
     qfi_shot_uncertainty,
     qubits,
@@ -357,3 +358,62 @@ def test_qfi_gradient_matches_finite_differences(n, seed, gamma, t):
     dt = 1e-5 * t
     fd_t = (qfi(a, t + dt) - qfi(a, t - dt)) / (2.0 * dt)
     assert grad_t == pytest.approx(fd_t, rel=1e-6)
+
+
+def _oracle_states(n):
+    """GHZ, product and a seeded drawn state of n ions, by name."""
+    k = n // 2 + 1
+    return {"ghz": np.eye(k)[0], "product": uniform_coefficients(n),
+            "drawn": _random_coeffs(np.random.default_rng(1000 + n), n)}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 20, 100])
+def test_shot_probe_matches_the_matrix_route(n):
+    # the one contraction against the full dE/dt and both envelope matrices
+    # M and dM/dt, formed entry by entry and then contracted with c; the F_Q
+    # is the same _qfi_core evaluation on the same channel bits
+    for name, a in _oracle_states(n).items():
+        c = _dicke_amplitudes(n, a)
+        # a scalar t and both ends of the shot-time bracket (1e-4/gamma, 8/gamma)
+        for gamma, t in ((1.0, 0.37), *((g, e / g) for g in (1.0, 0.3) for e in (1e-4, 8.0))):
+            fq, dfq, m, _ = _shot_probe(n, gamma, c, t)
+            fq_ref, dfq_ref, m_ref = matrix_shot_probe(n, gamma, c, t)
+            case = (name, gamma, t)
+            assert fq == fq_ref, case
+            assert dfq == pytest.approx(dfq_ref, rel=1e-13, abs=0.0), case
+            assert np.abs(m - m_ref).max() <= 1e-13 * np.abs(m_ref).max(), case
+            value, grad_a, grad_t = _qfi_gradient(n, gamma, a, t)
+            expected = 2.0 * (_flip_even_isometry(n) @ m_ref - fq_ref * a)
+            assert value == fq and grad_t == dfq, case
+            assert np.abs(grad_a - expected).max() <= 2e-13 * np.abs(m_ref).max(), case
+
+
+@pytest.mark.parametrize("n", [20, 100])
+def test_shot_probe_derivative_matches_central_differences(n):
+    # dF_Q/dt of the contraction against F_Q of the block QFI at t +- h
+    for name, a in _oracle_states(n).items():
+        c = _dicke_amplitudes(n, a)
+        state = SymmetricFamilyState(n, a)
+        for t in (0.3 / n, 0.37):
+            dfq = _shot_probe(n, 1.0, c, t)[1]
+            h = 1e-5 * t
+            ahead, behind = (_family_blocks(state, 1.0, t + s * h)[0] for s in (1.0, -1.0))
+            assert dfq == pytest.approx((ahead - behind) / (2.0 * h), rel=1e-6), (name, t)
+
+
+def test_sld_identity_of_the_shot_time_derivative():
+    # dF_Q/dt = sum_k m_k <dE_k/dt, C ∘ X_k> + 2 F_Q / t rests on
+    # sum_k m_k <drho_k, S_k> = F_Q, which must hold also where the support
+    # mask drops pairs beyond the (2k)^2 null pairs of block k's padding: the
+    # rank-deficient GHZ and product blocks and, near a Dicke state, blocks
+    # whose smallest eigenvalues fall below the cutoff
+    n, t = 100, 0.37
+    dicke = np.eye(n // 2 + 1)[-1] + 1e-8 * np.random.default_rng(3).normal(size=n // 2 + 1)
+    states = {"ghz": np.eye(n // 2 + 1)[0], "product": uniform_coefficients(n),
+              "near-dicke": dicke / np.linalg.norm(dicke)}
+    mult, padding = _block_form(n, 1.0, t)[2], sum((2 * k) ** 2 for k in range(n // 2 + 1))
+    for name, a in states.items():
+        fq, _, drho, eigdata = _family_blocks(SymmetricFamilyState(n, a), 1.0, t)
+        pairing = (mult * (drho * _sld(*eigdata)).sum((-2, -1))).sum()
+        assert pairing == pytest.approx(fq, rel=1e-13), name
+        assert (~eigdata[3]).sum() > padding, name

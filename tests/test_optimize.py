@@ -767,6 +767,12 @@ def test_qfi_shot_optimum_at_the_cap_stays_small(tmp_path):
     code, peak = _peak_bytes(lambda: cli.main(argv))
     assert code == 0
     assert peak < 100 * 2**20, f"clocksim {' '.join(argv)} allocated {peak} bytes"
+    # one polish gradient at the cap drops each (K, n+1, n+1) temporary, 4 MB,
+    # after its last read (36.3 MiB measured)
+    a = uniform_coefficients(n)
+    fisher._qfi_gradient(n, GAMMA, a, 0.5)
+    _, peak = _peak_bytes(lambda: fisher._qfi_gradient(n, GAMMA, a, 0.5))
+    assert peak <= 44.2 * 2**20, f"one n = {n} QFI gradient allocated {peak} bytes"
 
 
 def test_qfi_paths_build_no_2n_state(tmp_path):
