@@ -38,7 +38,7 @@ __all__ = ["MAX_BLOCK_QUBITS"]
 # to 3e-14 and 2e-15, and the QFI core's cutoff, relative to each block's
 # largest eigenvalue, keeps the product-state and GHZ F_Q within 1e-12 of
 # their closed forms. The cap is set by cost: one F_Q with its gradient
-# takes about 0.07 s at n = 100, and a QFI coefficient search some 160-260.
+# takes about 0.07 s at n = 100, and a QFI coefficient search about 75 (5 s).
 MAX_BLOCK_QUBITS = 100
 
 

@@ -13,11 +13,12 @@ one one-lane stack per probe; a best lane whose bracket holds no root is
 reported unconverged. The QFI search starts from that winner at its shot
 time and runs one projected L-BFGS polish over the coefficients and the log
 shot time, across the whole shot-time bracket, minimizing t / F_Q with the
-envelope gradient (``fisher._qfi_gradient``); its projected gradient
-certifies the status, and its own t and F_Q are reported. A sweep over n
-runs the gen-Ramsey search once per n, whichever methods it reports. The
-gradient, like every shot-time F_Q, comes from the one block QFI
-``fisher._block_qfi``: no 2^n state vector or density matrix is built.
+envelope gradient (``fisher._qfi_gradient``) until its model predicts a
+decrease near F_Q's rounding; its projected gradient certifies the status,
+and its own t and F_Q are reported. A sweep over n runs the gen-Ramsey
+search once per n, whichever methods it reports. The gradient, like every
+shot-time F_Q, comes from the one block QFI ``fisher._block_qfi``: no 2^n
+state vector or density matrix is built.
 
 The shot-time QFI optimum of a state is likewise a root, of r(log t) = 1 -
 t F_Q'/F_Q = 2 d log delta_omega / d log t, next to the best point of a
@@ -80,15 +81,17 @@ _STACK_BYTES = 1 << 18
 # best mu depends on n alone (see ``_genramsey_search``): 0.213 at n = 2
 # rising to 2.647 at n = 1000, between points 22 and 30 of the whole grid.
 _LOG_MU_GRID = np.linspace(math.log(1e-4), math.log(1e2), 41)[18:35]
-# F_Q evaluations (each one ``_qfi_gradient`` call) after which the polish
-# stops unconverged; it takes 9 to 15 at n = 2..7 and 88 at n = 20.
+# F_Q evaluations (``_qfi_gradient`` calls) after which the polish stops
+# unconverged; it takes 8 to 13 at n = 2..7 and 80 at n = 20.
 _POLISH_EVALS = 4000
 # The polish stops when a step lowers log t - log F_Q by at most
-# _FACTR * machine epsilon relative (L-BFGS-B's factr test), or when a line
-# search finds no decrease where none can exceed that rounding floor; it
-# certifies its point when the projected gradient is at most _GRAD_TOL: the
-# largest measured over n = 2..20 and gamma in {0.3, 1, 2} was 8.2e-8.
+# _FACTR * machine epsilon relative (L-BFGS-B's factr test), when a line
+# search finds no decrease where none can exceed that rounding floor, or at
+# a point certified by its projected gradient (at most _GRAD_TOL; the largest
+# measured over n = 2..20 and gamma in {0.3, 1, 2} was 2.6e-7) where the
+# model predicts a decrease of at most _MODEL_FLOOR relative.
 _FACTR = 10.0
+_MODEL_FLOOR = 3e-14
 _GRAD_TOL = 1e-6
 _MEMORY = 10  # (s, y) pairs of the L-BFGS recursion, as L-BFGS-B's default m
 _LINE_EVALS = 20  # trials per line search, as L-BFGS-B's default maxls
@@ -560,6 +563,12 @@ def _line_search(phi, f0, g0, stp, stpmax, floor):
     return stx
 
 
+def _projected(x, g, lo, hi):
+    """Largest entry of L-BFGS-B's projected gradient g at x = (a, log t),
+    log t in [lo, hi]: zero along a bound g pushes past."""
+    return np.abs(np.append(g[:-1], x[-1] - min(max(x[-1] - g[-1], lo), hi))).max()
+
+
 def _polish(n, gamma, a, t, bracket):
     """``(a, t, F_Q, certified)`` minimizing t / F_Q jointly over the family
     coefficients and the shot time, from the unit coefficients ``a`` at
@@ -574,10 +583,12 @@ def _polish(n, gamma, a, t, bracket):
     or 1/|p| along the first direction p, as in L-BFGS-B. The polish stops
     when a step lowers the objective by at most ``_FACTR`` machine epsilons
     relative, when a line search ends without a decrease (at the rounding
-    floor), or after ``_POLISH_EVALS`` evaluations; ``certified`` holds when
-    the projected gradient at its point is at most ``_GRAD_TOL`` and fewer
-    than ``_POLISH_EVALS`` evaluations were spent. Its point is never worse
-    than the start.
+    floor), after ``_POLISH_EVALS`` evaluations, or at a certified point,
+    once it holds an (s, y) pair, where the decrease -g.d/2 its model
+    predicts is at most ``_MODEL_FLOOR`` relative, near F_Q's rounding.
+    ``certified`` holds when the ``_projected`` gradient at its point is at
+    most ``_GRAD_TOL`` and fewer than ``_POLISH_EVALS`` evaluations were
+    spent. Its point is never worse than the start.
     """
     lo, hi = math.log(bracket[0]), math.log(bracket[1])
     evals = 0
@@ -587,9 +598,12 @@ def _polish(n, gamma, a, t, bracket):
         evals += 1
         norm, t = _norms(x[:-1]), math.exp(x[-1])
         fq, grad_a, grad_t = _qfi_gradient(n, gamma, x[:-1] / norm, t)
+        g = np.zeros_like(x)
         if not fq >= QFI_FLOOR:
-            return x, math.inf, fq, np.zeros_like(x)
-        return x, x[-1] - math.log(fq), fq, np.append(-grad_a / (norm * fq), 1.0 - t * grad_t / fq)
+            return x, math.inf, fq, g
+        np.divide(grad_a, -(norm * fq), out=g[:-1])
+        g[-1] = 1.0 - t * grad_t / fq
+        return x, float(x[-1]) - math.log(fq), fq, g
 
     point, pairs, eps = evaluate(np.append(a, math.log(t))), [], math.ulp(1.0)
     while evals < _POLISH_EVALS:
@@ -599,8 +613,9 @@ def _polish(n, gamma, a, t, bracket):
         if max(-side * g[-1], side * d[-1]) > 0.0:  # a step would leave it: hold it
             d = _two_loop(np.append(g[:-1], 0.0), pairs)
             d[-1] = 0.0
-        slope = float(g @ d)
-        if not slope < 0.0:
+        slope, scale = float(g @ d), max(abs(f), 1.0)
+        noise = -0.5 * slope <= _MODEL_FLOOR * scale  # the model's decrease
+        if not slope < 0.0 or pairs and noise and _projected(x, g, lo, hi) <= _GRAD_TOL:
             break
         room = ((hi if d[-1] > 0.0 else lo) - x[-1]) / d[-1] if d[-1] else math.inf
         # L-BFGS-B's first step: at most 1, from 1/|p|
@@ -614,7 +629,7 @@ def _polish(n, gamma, a, t, bracket):
             tried[step] = evaluate(y)
             return tried[step][1], float(tried[step][3] @ d)
 
-        floor = _FACTR * eps * max(abs(f), 1.0)
+        floor = _FACTR * eps * scale
         step = _line_search(phi, f, slope, stp, stpmax, floor)
         if step not in tried or not tried[step][1] < f:  # no decrease
             break
@@ -626,11 +641,8 @@ def _polish(n, gamma, a, t, bracket):
         if f - trial[1] <= max(floor, _FACTR * eps * abs(trial[1])):
             break
     x, _, fq, g = point
-    log_t = x[-1]
-    # the projected gradient of L-BFGS-B: zero along a bound it pushes past
-    projected = np.append(g[:-1], log_t - min(max(log_t - g[-1], lo), hi))
-    certified = np.abs(projected).max() <= _GRAD_TOL and evals < _POLISH_EVALS
-    return x[:-1] / _norms(x[:-1]), math.exp(log_t), fq, bool(certified)
+    certified = _projected(x, g, lo, hi) <= _GRAD_TOL and evals < _POLISH_EVALS
+    return x[:-1] / _norms(x[:-1]), math.exp(x[-1]), fq, bool(certified)
 
 
 def _qfi_search(n, gamma, total_time, a0, t0):

@@ -568,10 +568,11 @@ def test_qfi_search_reaches_nelder_mead_oracle(n):
 
 
 def test_qfi_search_makes_few_core_calls(monkeypatch):
-    # the polish from the gen-Ramsey winner makes 11, 9 and 88 calls at n =
-    # 2, 3 and 20, and the caps allow 20 % more: the benchmark feels each
-    # call (18 instead of 11 at n = 2 once cost its qfi_curve 19 % of wall
-    # time), and a shot-time grid scored before the polish would cost far more
+    # the polish from the gen-Ramsey winner makes 9, 8 and 80 calls at n =
+    # 2, 3 and 20 (11, 9 and 89 without its model stop), and the caps allow
+    # 20 % more: the benchmark feels each call (18 instead of 11 at n = 2
+    # once cost its qfi_curve 19 % of wall time), and a shot-time grid scored
+    # before the polish would cost far more
     core, calls = fisher._qfi_core, []
 
     def counting(*args):
@@ -579,7 +580,7 @@ def test_qfi_search_makes_few_core_calls(monkeypatch):
         return core(*args)
 
     monkeypatch.setattr(fisher, "_qfi_core", counting)
-    for n, cap in ((2, 13), (3, 10), (20, 105)):
+    for n, cap in ((2, 10), (3, 9), (20, 96)):
         calls.clear()
         rep = optimize_symmetric_coeffs(n, GAMMA, TOTAL, "qfi")
         assert rep.status == "ok"
@@ -626,6 +627,33 @@ def test_polish_matches_the_lbfgsb_oracle(monkeypatch, n, gamma, total):
     assert certified
     assert math.sqrt(t / fq) <= math.sqrt(t_ref / fq_ref) * (1.0 + 1e-12)
     assert len(calls) <= 1.2 * calls_ref
+
+
+@pytest.mark.parametrize("n, gamma, total", _POLISH_CASES)
+def test_model_floor_only_cuts_the_polish_short(monkeypatch, n, gamma, total):
+    # with a zero model floor the polish runs to its factr and line-search
+    # stops; the floor may end it earlier, never uncertified, never with more
+    # gradient calls and with the bound moved by at most 1e-12 relative
+    a0, t0, _, _ = _genramsey_search(n, gamma, total)
+    bracket = _shot_bracket(gamma, total)
+    t0 = min(max(t0, bracket[0]), bracket[1])
+    gradient, calls = optimize._qfi_gradient, []
+
+    def counting(*args):
+        calls.append(1)
+        return gradient(*args)
+
+    monkeypatch.setattr(optimize, "_qfi_gradient", counting)
+    runs = []
+    for floor in (optimize._MODEL_FLOOR, 0.0):
+        monkeypatch.setattr(optimize, "_MODEL_FLOOR", floor)
+        calls.clear()
+        _, t, fq, certified = _polish(n, gamma, a0, t0, bracket)
+        runs.append((certified, len(calls), math.sqrt(t / fq)))
+    (certified, evals, bound), (certified_old, evals_old, bound_old) = runs
+    assert certified or not certified_old
+    assert evals <= evals_old
+    assert bound == pytest.approx(bound_old, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("edge, bracket", [(0, (0.6, 0.9)), (1, (0.05, 0.2))])
