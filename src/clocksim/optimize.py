@@ -13,12 +13,13 @@ one one-lane stack per probe; a best lane whose bracket holds no root is
 reported unconverged. The QFI search starts from that winner at its shot
 time and runs one projected L-BFGS polish over the coefficients and the log
 shot time, across the whole shot-time bracket, minimizing t / F_Q with the
-envelope gradient (``fisher._qfi_gradient``) until its model predicts a
-decrease near F_Q's rounding; its projected gradient certifies the status,
-and its own t and F_Q are reported. A sweep over n runs the gen-Ramsey
-search once per n, whichever methods it reports. The gradient, like every
-shot-time F_Q, comes from the one block QFI ``fisher._block_qfi``: no 2^n
-state vector or density matrix is built.
+envelope gradient (``fisher._qfi_gradient``) and a cubic backtracking line
+search until its model predicts a decrease near F_Q's rounding; its
+projected gradient certifies the status, and its own t and F_Q are
+reported. A sweep over n runs the gen-Ramsey search once per n, whichever
+methods it reports. The gradient, like every shot-time F_Q, comes from the
+one block QFI ``fisher._block_qfi``: no 2^n state vector or density matrix
+is built.
 
 The shot-time QFI optimum of a state is likewise a root, of r(log t) = 1 -
 t F_Q'/F_Q = 2 d log delta_omega / d log t, next to the best point of a
@@ -82,19 +83,19 @@ _STACK_BYTES = 1 << 18
 # rising to 2.647 at n = 1000, between points 22 and 30 of the whole grid.
 _LOG_MU_GRID = np.linspace(math.log(1e-4), math.log(1e2), 41)[18:35]
 # F_Q evaluations (``_qfi_gradient`` calls) after which the polish stops
-# unconverged; it takes 8 to 13 at n = 2..7 and 80 at n = 20.
+# unconverged; it takes 8 to 13 at n = 2..7 and 69 at n = 20.
 _POLISH_EVALS = 4000
 # The polish stops when a step lowers log t - log F_Q by at most
 # _FACTR * machine epsilon relative (L-BFGS-B's factr test), when a line
 # search finds no decrease where none can exceed that rounding floor, or at
 # a point certified by its projected gradient (at most _GRAD_TOL; the largest
-# measured over n = 2..20 and gamma in {0.3, 1, 2} was 2.6e-7) where the
+# measured over n = 2..20 and gamma in {0.3, 1, 2} was 3.2e-7) where the
 # model predicts a decrease of at most _MODEL_FLOOR relative.
 _FACTR = 10.0
 _MODEL_FLOOR = 3e-14
 _GRAD_TOL = 1e-6
 _MEMORY = 10  # (s, y) pairs of the L-BFGS recursion, as L-BFGS-B's default m
-_LINE_EVALS = 20  # trials per line search, as L-BFGS-B's default maxls
+_LINE_EVALS = 20  # backtracking trials after which a line search finds no decrease
 
 
 @dataclass(frozen=True)
@@ -449,118 +450,31 @@ def _two_loop(grad, pairs):
     return -q
 
 
-def _cubic_root(theta, d1, d2, sign):
-    """The square-root term of ``_dcstep``'s cubic interpolant, its argument
-    clamped at 0 against rounding, with the sign of ``sign``."""
-    s = max(abs(theta), abs(d1), abs(d2))
-    return math.copysign(s * math.sqrt(max(0.0, (theta / s) ** 2 - (d1 / s) * (d2 / s))), sign)
-
-
-def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
-    """One safeguarded trial step of the More-Thuente line search: MINPACK-2's
-    ``dcstep``, transcribed. (stx, fx, dx) is the best step so far with its
-    value and derivative, (sty, fy, dy) the other end of the interval, (stp,
-    fp, dp) the latest trial, stp != stx. Returns the updated (stx, fx, dx,
-    sty, fy, dy) with the next trial step and whether a minimizer is
-    bracketed."""
-    opposite = (dp < 0.0) != (dx < 0.0) and dp != 0.0 and dx != 0.0
-    theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
-    if fp > fx:  # higher value: the minimum is bracketed
-        gamma = _cubic_root(theta, dx, dp, stp - stx)
-        r = ((gamma - dx) + theta) / (((gamma - dx) + gamma) + dp)
-        stpc = stx + r * (stp - stx)
-        stpq = stx + ((dx / ((fx - fp) / (stp - stx) + dx)) / 2.0) * (stp - stx)
-        stpf = stpc if abs(stpc - stx) <= abs(stpq - stx) else stpc + (stpq - stpc) / 2.0
-        brackt = True
-    elif opposite:  # lower value, derivatives of opposite sign: bracketed
-        gamma = _cubic_root(theta, dx, dp, stx - stp)
-        r = ((gamma - dp) + theta) / (((gamma - dp) + gamma) + dx)
-        stpc = stp + r * (stx - stp)
-        stpq = stp + (dp / (dp - dx)) * (stx - stp)
-        stpf = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
-        brackt = True
-    elif abs(dp) < abs(dx):  # lower value, same sign, falling derivative
-        gamma = _cubic_root(theta, dx, dp, stx - stp)
-        r = ((gamma - dp) + theta) / ((gamma + (dx - dp)) + gamma)
-        if r < 0.0 and gamma != 0.0:
-            stpc = stp + r * (stx - stp)
-        else:
-            stpc = stpmax if stp > stx else stpmin
-        stpq = stp + (dp / (dp - dx)) * (stx - stp)
-        if brackt:
-            stpf = stpc if abs(stpc - stp) < abs(stpq - stp) else stpq
-            edge = stp + 0.66 * (sty - stp)
-            stpf = min(edge, stpf) if stp > stx else max(edge, stpf)
-        else:
-            stpf = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
-            stpf = min(max(stpf, stpmin), stpmax)
-    elif brackt:  # lower value, same sign, derivative not falling
-        theta = 3.0 * (fp - fy) / (sty - stp) + dy + dp
-        gamma = _cubic_root(theta, dy, dp, sty - stp)
-        r = ((gamma - dp) + theta) / (((gamma - dp) + gamma) + dy)
-        stpf = stp + r * (sty - stp)
-    else:
-        stpf = stpmax if stp > stx else stpmin
-    if fp > fx:
-        sty, fy, dy = stp, fp, dp
-    else:
-        if opposite:
-            sty, fy, dy = stx, fx, dx
-        stx, fx, dx = stp, fp, dp
-    return stx, fx, dx, sty, fy, dy, stpf, brackt
-
-
-def _line_search(phi, f0, g0, stp, stpmax, floor):
-    """The step of a More-Thuente line search (More & Thuente, ACM TOMS 20,
-    286 (1994)): MINPACK-2's ``dcsrch`` with L-BFGS-B's ftol 1e-3, gtol 0.9,
-    xtol 0.1 and step bounds (0, ``stpmax``), transcribed. ``phi(stp)``
+def _backtrack(phi, f0, g0, stp, floor):
+    """The step of an interpolating backtracking line search (Nocedal &
+    Wright, Numerical Optimization, 2nd ed., section 3.5). ``phi(stp)``
     evaluates the objective and its slope at a trial step; f0 and g0 < 0 are
     those at step 0 and ``stp`` is the first trial. It returns the first
-    trial that meets the strong Wolfe conditions, or that ends the search on
-    one of dcsrch's warnings or at the rounding floor: no decrease where the
-    decrease -stp g0 its slope predicts is at most ``floor``. Where dcsrch
-    would try its best step stx again (its rounding and xtol warnings), and
-    after ``_LINE_EVALS`` trials, it returns stx, which was tried or is 0."""
-    ftol, gtol, xtol = 1e-3, 0.9, 0.1
-    gtest = ftol * g0
-    brackt, stage = False, 1
-    width, width1 = stpmax, 2.0 * stpmax
-    stx = sty = 0.0
-    fx = fy = f0
-    gx = gy = g0
-    stmin, stmax = 0.0, 5.0 * stp
+    trial that meets Armijo's test f <= f0 + 1e-3 stp g0, or None (no
+    decrease) after ``_LINE_EVALS`` trials or once a failed trial's predicted
+    decrease -stp g0 is at most the rounding ``floor``. The next trial is
+    the minimizer of the cubic through (0, f0, g0) and (stp, f, g), clamped
+    to [0.1, 0.5] stp, or half the step where that cubic has no minimizer
+    at a positive step or f is infinite."""
     for _ in range(_LINE_EVALS):
         f, g = phi(stp)
-        ftest = f0 + stp * gtest
-        if stage == 1 and f <= ftest and g >= 0.0:
-            stage = 2
-        if (
-            not math.isfinite(f)
-            or f >= f0 and -stp * g0 <= floor
-            or f <= ftest and abs(g) <= gtol * -g0
-            or stp == stpmax and f <= ftest and g <= gtest
-        ):
+        if f <= f0 + 1e-3 * stp * g0:
             return stp
-        if stage == 1 and ftest < f <= fx:  # step on psi(stp) = f - stp * gtest
-            psi = (stx, fx - stx * gtest, gx - gtest, sty, fy - sty * gtest, gy - gtest)
-            psi = _dcstep(*psi, stp, f - stp * gtest, g - gtest, brackt, stmin, stmax)
-            stx, fx, gx, sty, fy, gy, stp, brackt = psi
-            fx, fy, gx, gy = fx + stx * gtest, fy + sty * gtest, gx + gtest, gy + gtest
+        if -stp * g0 <= floor:
+            return None
+        # the cubic f0 + stp g0 u + b u^2 + c u^3 through both, u = step / stp
+        b, c = 3.0 * (f - f0) - stp * (2.0 * g0 + g), stp * (g0 + g) - 2.0 * (f - f0)
+        disc = b * b - 3.0 * c * stp * g0
+        if math.isfinite(f) and disc >= 0.0 and b + math.sqrt(disc) > 0.0:
+            stp *= min(max(-stp * g0 / (b + math.sqrt(disc)), 0.1), 0.5)
         else:
-            stx, fx, gx, sty, fy, gy, stp, brackt = _dcstep(
-                stx, fx, gx, sty, fy, gy, stp, f, g, brackt, stmin, stmax
-            )
-        if brackt:
-            if abs(sty - stx) >= 0.66 * width1:
-                stp = stx + 0.5 * (sty - stx)
-            width1, width = width, abs(sty - stx)
-            stmin, stmax = min(stx, sty), max(stx, sty)
-        else:
-            stmin, stmax = stp + 1.1 * (stp - stx), stp + 4.0 * (stp - stx)
-        stp = min(max(stp, 0.0), stpmax)
-        if stp == stx or brackt and (stp <= stmin or stp >= stmax or stmax - stmin <= xtol * stmax):
-            return stx
-    return stx
+            stp *= 0.5
+    return None
 
 
 def _projected(x, g, lo, hi):
@@ -579,13 +493,15 @@ def _polish(n, gamma, a, t, bracket):
     gradient of ``fisher._qfi_gradient``; the objective does not involve the
     total time, so the bound's 1/sqrt(T) scaling stays exact. log t is held
     at a bound the gradient or the direction pushes past, and every trial is
-    projected into the bracket. Each step is a ``_line_search`` from step 1,
-    or 1/|p| along the first direction p, as in L-BFGS-B. The polish stops
-    when a step lowers the objective by at most ``_FACTR`` machine epsilons
-    relative, when a line search ends without a decrease (at the rounding
-    floor), after ``_POLISH_EVALS`` evaluations, or at a certified point,
-    once it holds an (s, y) pair, where the decrease -g.d/2 its model
-    predicts is at most ``_MODEL_FLOOR`` relative, near F_Q's rounding.
+    projected into the bracket. Each step is a ``_backtrack`` from step 1,
+    or min(1/|p|, 1) along the first direction p as in L-BFGS-B, at most
+    the room to log t's bound. The polish stops when a step lowers the
+    objective by at most ``_FACTR`` machine epsilons relative, when a line
+    search ends without a decrease (at the rounding floor or after
+    ``_LINE_EVALS`` trials), after ``_POLISH_EVALS`` evaluations, or at a
+    certified point, once it holds an (s, y) pair, where the decrease
+    -g.d/2 its model predicts is at most ``_MODEL_FLOOR`` relative, near
+    F_Q's rounding.
     ``certified`` holds when the ``_projected`` gradient at its point is at
     most ``_GRAD_TOL`` and fewer than ``_POLISH_EVALS`` evaluations were
     spent. Its point is never worse than the start.
@@ -606,6 +522,7 @@ def _polish(n, gamma, a, t, bracket):
         return x, float(x[-1]) - math.log(fq), fq, g
 
     point, pairs, eps = evaluate(np.append(a, math.log(t))), [], math.ulp(1.0)
+    trial = None  # the point of the last trial step
     while evals < _POLISH_EVALS:
         x, f, _, g = point
         side = -1.0 if x[-1] <= lo else 1.0 if x[-1] >= hi else 0.0  # log t's bound
@@ -619,21 +536,18 @@ def _polish(n, gamma, a, t, bracket):
             break
         room = ((hi if d[-1] > 0.0 else lo) - x[-1]) / d[-1] if d[-1] else math.inf
         # L-BFGS-B's first step: at most 1, from 1/|p|
-        stpmax = min(1e10 if pairs else 1.0, room)
-        stp = min(1.0 if pairs else 1.0 / _norms(d), stpmax)
-        tried = {}  # the point of each trial step
+        stp = min(1.0 if pairs else min(1.0 / _norms(d), 1.0), room)
 
         def phi(step):
+            nonlocal trial
             y = x + step * d
             y[-1] = min(max(y[-1], lo), hi)
-            tried[step] = evaluate(y)
-            return tried[step][1], float(tried[step][3] @ d)
+            trial = evaluate(y)
+            return trial[1], float(trial[3] @ d)
 
         floor = _FACTR * eps * scale
-        step = _line_search(phi, f, slope, stp, stpmax, floor)
-        if step not in tried or not tried[step][1] < f:  # no decrease
+        if _backtrack(phi, f, slope, stp, floor) is None or not trial[1] < f:  # no decrease
             break
-        trial = tried[step]
         s, y = trial[0] - x, trial[3] - g
         if s @ y > eps * -(g @ s):  # L-BFGS-B's curvature test
             pairs = (pairs + [(s, y, 1.0 / (s @ y))])[-_MEMORY:]

@@ -37,9 +37,11 @@ from clocksim import cli, evolution, fisher, optimize
 from clocksim.evolution import MAX_BLOCK_QUBITS
 from clocksim.qstate import _dicke_amplitudes, _moment_rows
 from clocksim.optimize import (
+    _LINE_EVALS,
     _LOG_MU_GRID,
     ION_RANGE,
     METHODS,
+    _backtrack,
     _brentq,
     _chunks,
     _flip_even_ops,
@@ -568,11 +570,11 @@ def test_qfi_search_reaches_nelder_mead_oracle(n):
 
 
 def test_qfi_search_makes_few_core_calls(monkeypatch):
-    # the polish from the gen-Ramsey winner makes 9, 8 and 80 calls at n =
-    # 2, 3 and 20 (11, 9 and 89 without its model stop), and the caps allow
-    # 20 % more: the benchmark feels each call (18 instead of 11 at n = 2
-    # once cost its qfi_curve 19 % of wall time), and a shot-time grid scored
-    # before the polish would cost far more
+    # the polish from the gen-Ramsey winner makes 9, 8 and 69 calls at n =
+    # 2, 3 and 20 (11, 9 and 82 without its model stop), and the caps allow
+    # one more at n = 2 and 3: the benchmark feels each call (18 instead of
+    # 11 at n = 2 once cost its qfi_curve 19 % of wall time), and a
+    # shot-time grid scored before the polish would cost far more
     core, calls = fisher._qfi_core, []
 
     def counting(*args):
@@ -585,6 +587,47 @@ def test_qfi_search_makes_few_core_calls(monkeypatch):
         rep = optimize_symmetric_coeffs(n, GAMMA, TOTAL, "qfi")
         assert rep.status == "ok"
         assert 0 < len(calls) <= cap
+
+
+def _traced(f, df):
+    """``phi(step) = (f(step), df(step))`` with the list of steps it was
+    called at."""
+    steps = []
+
+    def phi(step):
+        steps.append(step)
+        return f(step), df(step)
+
+    return phi, steps
+
+
+def test_backtrack_on_closed_form_objectives():
+    # f(s) = -s + s^2 from f(0) = 0, f'(0) = -1: minimizer 1/2, and Armijo's
+    # test f <= -1e-3 s holds for s <= 0.999
+    phi, steps = _traced(lambda s: s * s - s, lambda s: 2.0 * s - 1.0)
+    assert _backtrack(phi, 0.0, -1.0, 0.8, 0.0) == 0.8 and steps == [0.8]
+    # an overshoot: the cubic through both ends is the quadratic itself, so
+    # the next trial is its minimizer -g0/(2c) when that lies in [0.1, 0.5] stp
+    phi, steps = _traced(lambda s: s * s - s, lambda s: 2.0 * s - 1.0)
+    assert _backtrack(phi, 0.0, -1.0, 1.5, 0.0) == steps[-1]
+    assert len(steps) == 2 and steps[1] == pytest.approx(0.5, rel=1e-15)
+    # ... and is clamped to 0.1 stp, or to 0.5 stp, when it does not
+    phi, steps = _traced(lambda s: s * s - s, lambda s: 2.0 * s - 1.0)
+    _backtrack(phi, 0.0, -1.0, 10.0, 0.0)
+    assert steps[:2] == [10.0, 1.0] and steps[2] == pytest.approx(0.5, rel=1e-15)
+    phi, steps = _traced(lambda s: s * s - s, lambda s: 2.0 * s - 1.0)
+    _backtrack(phi, 0.0, -1.0, 0.9995, 0.0)
+    assert steps == [0.9995, 0.5 * 0.9995]
+    # no decrease, with no further call, once a failed trial's predicted
+    # decrease -stp g0 is at most the floor, or after _LINE_EVALS trials
+    phi, steps = _traced(lambda s: s * s - s, lambda s: 2.0 * s - 1.0)
+    assert _backtrack(phi, 0.0, -1.0, 10.0, 5.0) is None and steps == [10.0, 1.0]
+    phi, steps = _traced(lambda s: 1.0, lambda s: 0.0)
+    assert _backtrack(phi, 0.0, -1.0, 1.0, 0.0) is None and len(steps) == _LINE_EVALS
+    # an infinite objective (no information), with the zero slope the
+    # polish gives it, halves the step
+    phi, steps = _traced(lambda s: math.inf if s > 1.0 else s * s - s, lambda s: 0.0)
+    assert _backtrack(phi, 0.0, -1.0, 6.0, 0.0) == 0.75 and steps == [6.0, 3.0, 1.5, 0.75]
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 10])
