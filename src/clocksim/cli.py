@@ -375,12 +375,10 @@ def _cmd_qfi(opts, out, fmt) -> int:
             raise ValueError("--optimize-t requires --total-time")
         if not gamma > 0.0:
             raise ValueError("--optimize-t requires gamma > 0")
-        t_opt, delta_omega, probe = _shot_optimum(state, gamma, opts["total_time"])
+        t_opt, delta_omega, (fq, measurement) = _shot_optimum(state, gamma, opts["total_time"])
         report["t_opt"] = t_opt
-        if probe is None:
-            fq, cfi = family_qfi(state, gamma, t_opt)
-        else:  # the search's final probe formed the blocks and SLD the report measures
-            fq, cfi = float(probe[0]), float(_sld_fisher(*probe[1]))
+        # the probe at t_opt formed the blocks and SLD the report measures
+        fq, cfi = float(fq), float(_sld_fisher(*measurement))
     else:
         if opts["t"] is None:
             raise ValueError("missing --t (or pass --optimize-t)")
@@ -418,7 +416,6 @@ def main(argv=None) -> int:
         for cls, tag in _ERROR_TAGS:
             if isinstance(exc, cls):
                 return _fail(3, tag, exc)
-        return _fail(3, "numerical-failure", exc)
 
 
 def run() -> None:

@@ -189,8 +189,19 @@ def family_qfi(state: SymmetricFamilyState, gamma: float, t: float):
     return float(fq), float(_sld_fisher(form[2], blocks, drho, _sld(*eigdata)))
 
 
+def _precision_bounds(fq, ts, total_time):
+    """Precision bound 1/sqrt((T/t) F_Q(t)), taken as sqrt(t / (T F_Q)), from
+    the F_Q at each shot time of ``ts``; infinite where the state carries no
+    information."""
+    # F_Q = 0 where t = 0, and far below the floor at the shortest grid times
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        bounds = np.sqrt(ts / (total_time * fq))
+    return np.where(fq >= QFI_FLOOR, bounds, math.inf)
+
+
 def qfi_uncertainty(qfi_per_shot: float, total_time: float, shot_time: float) -> float:
-    """Optimal-measurement precision bound 1/sqrt((T/t) * F_Q)."""
+    """Optimal-measurement precision bound 1/sqrt((T/t) * F_Q), by
+    ``_precision_bounds``."""
     if not (total_time > 0.0 and shot_time > 0.0):
         raise ValueError("total_time and shot_time must be > 0")
     if not math.isfinite(total_time):
@@ -199,4 +210,4 @@ def qfi_uncertainty(qfi_per_shot: float, total_time: float, shot_time: float) ->
         raise ValueError(f"total time {total_time} smaller than shot time {shot_time}")
     if qfi_per_shot < QFI_FLOOR:
         raise NoInformationError(_NO_INFORMATION)
-    return 1.0 / math.sqrt((total_time / shot_time) * qfi_per_shot)
+    return float(_precision_bounds(qfi_per_shot, shot_time, total_time))

@@ -23,10 +23,11 @@ is built.
 
 The shot-time QFI optimum of a state is likewise a root, of r(log t) = 1 -
 t F_Q'/F_Q = 2 d log delta_omega / d log t, next to the best point of a
-stacked geometric grid, found by Brent's method (``_root_beside`` and
-``_brentq``, a transcription of scipy's) on the probes of
-``fisher._shot_probe``, or t = T where r(T) <= 0. Every path uses numpy
-and the standard library only: no command loads scipy.
+stacked geometric grid, found to 1e-12 + 4 eps |log t| by the same
+safeguarded Newton steps, on secant slopes through the probes of
+``fisher._shot_probe`` (``_secant_root``), or t = T where r(T) <= 0;
+either way the optimum is the latest probe. Every path uses numpy and the
+standard library only: no command loads scipy.
 """
 
 from __future__ import annotations
@@ -39,7 +40,14 @@ import numpy as np
 from .collective import _genramsey_rows
 from .exceptions import BracketingError, NoInformationError, SingularPointError
 from .evolution import MAX_BLOCK_QUBITS, _block_form
-from .fisher import QFI_FLOOR, _NO_INFORMATION, _block_qfi, _qfi_gradient, _shot_probe
+from .fisher import (
+    QFI_FLOOR,
+    _NO_INFORMATION,
+    _block_qfi,
+    _precision_bounds,
+    _qfi_gradient,
+    _shot_probe,
+)
 from .qstate import (
     SymmetricFamilyState,
     _dicke_amplitudes,
@@ -122,17 +130,13 @@ class ImprovementCurvePoint:
     status: str = "ok"
 
 
-def _check_finite(name: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-
-
-def _precision_bounds(fq, ts, total_time):
-    """Precision bound 1/sqrt((T/t) F_Q(t)) from the F_Q at each shot time of
-    ``ts``, infinite where the state carries no information."""
-    with np.errstate(divide="ignore", invalid="ignore"):  # F_Q = 0 where t = 0
-        bounds = 1.0 / np.sqrt((total_time / ts) * fq)
-    return np.where(fq >= QFI_FLOOR, bounds, math.inf)
+def _check_budget(gamma, total_time):
+    """Reject a rate or total time that is not finite, or a rate <= 0."""
+    for name, value in (("dephasing rate", gamma), ("total time", total_time)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+    if not gamma > 0.0:
+        raise ValueError(f"dephasing rate must be > 0, got {gamma}")
 
 
 def _shot_bracket(gamma, total_time):
@@ -163,59 +167,64 @@ def qfi_shot_optimum(state, gamma, total_time):
     over (1e-4/gamma, min(T, 8/gamma)). Returns (t_opt, delta_omega); raises
     NoInformationError when no grid shot time carries information.
 
-    The grid is scored in stacked chunks of Schur-Weyl blocks; ``_root_beside``
-    then solves r(log t) = 1 - t F_Q'/F_Q = 0, F_Q and F_Q' from
-    ``fisher._shot_probe``, and the probe it ends on is the result. A
-    best grid point t = T with r(T) <= 0 is the optimum under the constraint
-    t <= T. Any other unbracketed optimum raises NoInformationError if a
-    probe beside the best grid point carries no information (as within
-    about 1e-15 of a Dicke state), BracketingError otherwise.
+    The grid is scored in stacked chunks of Schur-Weyl blocks. In the
+    ``_bracket_beside`` of the best grid point, ``_secant_root`` then solves
+    r(log t) = 1 - t F_Q'/F_Q = 0, F_Q and F_Q' from ``fisher._shot_probe``,
+    to ``_newton_root``'s tolerance 1e-12 + 4 eps |log t|, and the probe it
+    ends on is the result. A best grid point t = T with r(T) <= 0 is the
+    optimum under the constraint t <= T. Any other unbracketed optimum, or a
+    root not found within 100 probes, raises NoInformationError if a probe
+    carried no information (as within about 1e-15 of a Dicke state),
+    BracketingError otherwise.
     """
     return _shot_optimum(state, gamma, total_time)[:2]
 
 
 def _shot_optimum(state, gamma, total_time):
-    """``(t_opt, delta_omega, probe)``: the result of ``qfi_shot_optimum``
-    and ``(F_Q, measurement)`` of the probe at t_opt, the measurement as
-    ``fisher._sld_fisher`` takes it, or None when that probe is not held.
-    Only the last two probes are held: the root ``_brentq`` returns was the
-    last or second-to-last probe in every search measured, and each held
-    probe takes 12 MB at n = 100."""
+    """``(t_opt, delta_omega, (F_Q, measurement))``: the result of
+    ``qfi_shot_optimum`` and F_Q of the probe at t_opt with its measurement
+    as ``fisher._sld_fisher`` takes it. Only the latest probe is held (12 MB
+    at n = 100): the search ends on it, and an optimum that is an earlier
+    probe, as a bracket end where r = 0, is probed again."""
     if not isinstance(state, SymmetricFamilyState):
         raise TypeError(f"expected a SymmetricFamilyState, got {type(state).__name__}")
-    _check_finite("dephasing rate", gamma)
-    _check_finite("total time", total_time)
-    if not gamma > 0.0:
-        raise ValueError(f"dephasing rate must be > 0, got {gamma}")
+    _check_budget(gamma, total_time)
     n, c = state.n, _dicke_amplitudes(state.n, state.a)
     grid, chunks = _shot_grid(n, gamma, total_time)
     fq = np.concatenate([_block_qfi(c, _block_form(n, gamma, ts))[0] for ts in chunks])
     values = _precision_bounds(fq, grid, total_time)
     if not np.isfinite(values).any():
         raise NoInformationError(_NO_INFORMATION)
-    probed, held = {}, {}  # (t, F_Q, r) of each probed log t; (F_Q, measurement) by t
+    probed, latest = {}, None  # r at each probed t; (t, F_Q, measurement) of the latest probe
 
-    def residual(log_t):
-        if log_t not in probed:
-            t = math.exp(log_t)
-            for old in list(held)[:-1]:
-                del held[old]
+    def residual(t):
+        nonlocal latest
+        if t not in probed:
             fq, dfq, _, measurement = _shot_probe(n, gamma, c, t)
-            held[t] = fq, measurement
-            probed[log_t] = t, fq, 1.0 - t * dfq / fq if fq >= QFI_FLOOR else math.nan
-        return probed[log_t][2]
+            latest = t, fq, measurement
+            probed[t] = float(1.0 - t * dfq / fq) if fq >= QFI_FLOOR else math.nan
+        return probed[t]
 
-    log_grid, best = np.log(grid), int(np.argmin(values))
-    log_t = _root_beside(residual, log_grid, best)
+    grid, best = grid.tolist(), int(np.argmin(values))
+    bracket = _bracket_beside(lambda k: residual(grid[k]), best, len(grid))
+    log_t = None
+    if bracket is not None:
+        lo, hi = (grid[k] for k in bracket)
+        ends = math.log(lo), math.log(hi), residual(lo), residual(hi)
+        log_t = _secant_root(lambda x: residual(math.exp(x)), *ends)
     if log_t is not None:
-        t, fq, _ = probed[log_t]
-        return t, float(_precision_bounds(fq, t, total_time)), held.get(t)
-    if grid[best] == total_time and residual(log_grid[best]) <= 0.0:
-        t = float(grid[best])
-        return t, float(values[best]), held.get(t)
-    if any(fq < QFI_FLOOR for _, fq, _ in probed.values()):
+        t = math.exp(log_t)
+    elif grid[best] == total_time and residual(grid[best]) <= 0.0:
+        t = grid[best]
+    elif any(math.isnan(r) for r in probed.values()):
         raise NoInformationError(_NO_INFORMATION)
-    raise BracketingError(f"no shot-time optimum bracketed next to t = {grid[best]}")
+    else:
+        raise BracketingError(f"no shot-time optimum bracketed next to t = {grid[best]}")
+    if t == latest[0]:
+        fq, measurement = latest[1:]
+    else:
+        fq, _, _, measurement = _shot_probe(n, gamma, c, t)
+    return t, float(_precision_bounds(fq, t, total_time)), (fq, measurement)
 
 
 @_per_n_cache
@@ -274,53 +283,6 @@ def _genramsey_lanes(n, ops, gamma, total_time, log_mu):
     return a, t_opt, delta_omega, r, dr
 
 
-def _brentq(f, xa, xb):
-    """A root of ``f`` between ``xa`` and ``xb``, where f changes sign, by
-    Brent's method to xtol 1e-12 and rtol 4 eps: a transcription of scipy's
-    ``brentq`` (scipy/optimize/Zeros/brentq.c), which it matches probe for
-    probe. Returns the probe it ends on; raises ValueError when f(xa) and
-    f(xb) have the same sign and RuntimeError after 100 iterations."""
-    xtol, rtol = 1e-12, 4.0 * math.ulp(1.0)
-    xpre, xcur = float(xa), float(xb)
-    # floats, as brentq.c converts f to a double: numpy scalar arithmetic is slow
-    fpre, fcur = float(f(xpre)), float(f(xcur))
-    xblk = fblk = spre = scur = 0.0
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(100):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):  # xcur is the best point so far
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic interpolation
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
-        fcur = float(f(xcur))
-    raise RuntimeError(f"Brent's method failed to converge after 100 iterations, value is {xcur}")
-
-
 def _bracket_beside(residual, best, size):
     """Indices (lo, hi) of ``best`` and its neighbour where the objective
     falls, the next one if ``residual(best)`` is negative, on a grid of
@@ -332,22 +294,13 @@ def _bracket_beside(residual, best, size):
     return None
 
 
-def _root_beside(residual, grid, best):
-    """The ``_brentq`` root of ``residual`` in the ``_bracket_beside`` of
-    ``grid[best]``; None when there is no such bracket."""
-    bracket = _bracket_beside(lambda k: residual(grid[k]), best, len(grid))
-    if bracket is None:
-        return None
-    return _brentq(residual, grid[bracket[0]], grid[bracket[1]])
-
-
 def _newton_root(f, lo, hi, x):
     """A root of ``f`` in [lo, hi], where f(lo) <= 0 <= f(hi), by Newton
     steps from x: ``f`` returns the value and the slope. The bracket shrinks
     to each probe by the sign of its value, and a step that would leave it
-    bisects it instead. Returns the probe whose Newton step is within
-    ``_brentq``'s tolerance 1e-12 + 4 eps |x|, or whose bracket is that
-    narrow; None after 100 probes."""
+    bisects it instead, as does a NaN value or slope. Returns the probe whose
+    Newton step is within the tolerance 1e-12 + 4 eps |x|, or whose bracket
+    is that narrow; None after 100 probes."""
     for _ in range(100):
         value, slope = f(x)
         if value <= 0.0:
@@ -360,6 +313,28 @@ def _newton_root(f, lo, hi, x):
             return x
         x = x + step if lo < x + step < hi else 0.5 * (lo + hi)
     return None
+
+
+def _secant_root(f, lo, hi, f_lo, f_hi):
+    """A root of ``f`` in [lo, hi], where f_lo = f(lo) <= 0 <= f(hi) = f_hi:
+    an end where f vanishes, or the ``_newton_root`` from the chord root
+    whose slope at each probe is the secant through it and the previous
+    probe, the first one the end of smaller |f|. Near a simple root of a
+    smooth f these secant steps converge superlinearly (Brent, Algorithms
+    for Minimization without Derivatives, 1973, ch. 3). None after 100
+    probes."""
+    if f_lo == 0.0 or f_hi == 0.0:
+        return lo if f_lo == 0.0 else hi
+    prev = (lo, f_lo) if -f_lo < f_hi else (hi, f_hi)
+
+    def secant(x):
+        nonlocal prev
+        value = f(x)
+        slope = (value - prev[1]) / (x - prev[0]) if x != prev[0] else 0.0
+        prev = x, value
+        return value, slope
+
+    return _newton_root(secant, lo, hi, lo - f_lo * (hi - lo) / (f_hi - f_lo))
 
 
 def _hermite_root(x0, x1, f0, f1, d0, d1):
@@ -575,7 +550,8 @@ def _qfi_search(n, gamma, total_time, a0, t0):
         raise NoInformationError(_NO_INFORMATION)
     # the polish holds log t exactly at log lo or log hi
     edges = [math.exp(math.log(edge)) for edge in ((lo, hi) if hi < total_time else (lo,))]
-    return np.abs(a), t, math.sqrt(t / (total_time * fq)), certified and t not in edges
+    delta_omega = float(_precision_bounds(fq, t, total_time))
+    return np.abs(a), t, delta_omega, certified and t not in edges
 
 
 def _check_search(n, gamma, total_time, method):
@@ -584,10 +560,7 @@ def _check_search(n, gamma, total_time, method):
     lo, hi = ION_RANGE[method]
     if not lo <= n <= hi:
         raise ValueError(f"{method} optimization supports {lo} <= n <= {hi}, got {n}")
-    _check_finite("dephasing rate", gamma)
-    _check_finite("total time", total_time)
-    if not gamma > 0.0:
-        raise ValueError(f"dephasing rate must be > 0, got {gamma}")
+    _check_budget(gamma, total_time)
     if total_time < 0.5 / gamma:
         raise ValueError(f"total time {total_time} below tau_dec/2 = {0.5 / gamma}")
 

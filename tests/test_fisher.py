@@ -16,9 +16,16 @@ from clocksim import (
     uniform_coefficients,
 )
 from clocksim.evolution import MAX_BLOCK_QUBITS, _block_form
-from clocksim.fisher import _block_qfi, _outcome_probs, _qfi_core, _qfi_gradient, _shot_probe, _sld
+from clocksim.fisher import (
+    _block_qfi,
+    _outcome_probs,
+    _precision_bounds,
+    _qfi_core,
+    _qfi_gradient,
+    _shot_probe,
+    _sld,
+)
 from clocksim.qstate import _dicke_amplitudes, _flip_even_isometry
-from clocksim.optimize import _precision_bounds
 
 from reference import (
     classical_fi,
