@@ -21,11 +21,12 @@ methods it reports. The gradient, like every shot-time F_Q, comes from the
 one block QFI ``fisher._block_qfi``: no 2^n state vector or density matrix
 is built.
 
-The shot-time QFI optimum of a state is likewise a root, of r(log t) = 1 -
-t F_Q'/F_Q = 2 d log delta_omega / d log t, next to the best point of a
-stacked geometric grid, found to 1e-12 + 4 eps |log t| by the same
-safeguarded Newton steps, on secant slopes through the probes of
-``fisher._shot_probe`` (``_secant_root``), or t = T where r(T) <= 0;
+The shot-time QFI optimum of a state is likewise a root, of r = 1 - t
+F_Q'/F_Q = 2 d log delta_omega / d log t, next to the best point of a
+stacked geometric grid, found in x = t / t_lo, t_lo the bracket's lower
+grid point, to 1e-12 + 4 eps |x| by the same safeguarded Newton steps, each
+landing on the root of the inverse quadratic through the last three probes
+of ``fisher._shot_probe`` (``_secant_root``), or t = T where r(T) <= 0;
 either way the optimum is the latest probe. Every path uses numpy and the
 standard library only: no command loads scipy.
 """
@@ -168,10 +169,13 @@ def qfi_shot_optimum(state, gamma, total_time):
     NoInformationError when no grid shot time carries information.
 
     The grid is scored in stacked chunks of Schur-Weyl blocks. In the
-    ``_bracket_beside`` of the best grid point, ``_secant_root`` then solves
-    r(log t) = 1 - t F_Q'/F_Q = 0, F_Q and F_Q' from ``fisher._shot_probe``,
-    to ``_newton_root``'s tolerance 1e-12 + 4 eps |log t|, and the probe it
-    ends on is the result. A best grid point t = T with r(T) <= 0 is the
+    ``_bracket_beside`` (t_lo, t_hi) of the best grid point, ``_secant_root``
+    then solves r = 1 - t F_Q'/F_Q = 0, F_Q and F_Q' from
+    ``fisher._shot_probe``, in x = t / t_lo to ``_newton_root``'s tolerance
+    1e-12 + 4 eps |x|, about 1e-12 relative in t whatever the units of
+    gamma, and the probe it ends on is the result. For the GHZ and product
+    states r = 2 m gamma t - 1 (m = n and 1) is linear in t, and the search
+    ends on the chord's probe. A best grid point t = T with r(T) <= 0 is the
     optimum under the constraint t <= T. Any other unbracketed optimum, or a
     root not found within 100 probes, raises NoInformationError if a probe
     carried no information (as within about 1e-15 of a Dicke state),
@@ -207,13 +211,13 @@ def _shot_optimum(state, gamma, total_time):
 
     grid, best = grid.tolist(), int(np.argmin(values))
     bracket = _bracket_beside(lambda k: residual(grid[k]), best, len(grid))
-    log_t = None
+    x = None
     if bracket is not None:
         lo, hi = (grid[k] for k in bracket)
-        ends = math.log(lo), math.log(hi), residual(lo), residual(hi)
-        log_t = _secant_root(lambda x: residual(math.exp(x)), *ends)
-    if log_t is not None:
-        t = math.exp(log_t)
+        scaled = lambda x: hi if x == hi / lo else lo * x  # lo * (hi / lo) can miss hi by an ulp
+        x = _secant_root(lambda x: residual(scaled(x)), 1.0, hi / lo, residual(lo), residual(hi))
+    if x is not None:
+        t = scaled(x)
     elif grid[best] == total_time and residual(grid[best]) <= 0.0:
         t = grid[best]
     elif any(math.isnan(r) for r in probed.values()):
@@ -318,23 +322,30 @@ def _newton_root(f, lo, hi, x):
 def _secant_root(f, lo, hi, f_lo, f_hi):
     """A root of ``f`` in [lo, hi], where f_lo = f(lo) <= 0 <= f(hi) = f_hi:
     an end where f vanishes, or the ``_newton_root`` from the chord root
-    whose slope at each probe is the secant through it and the previous
-    probe, the first one the end of smaller |f|. Near a simple root of a
-    smooth f these secant steps converge superlinearly (Brent, Algorithms
-    for Minimization without Derivatives, 1973, ch. 3). None after 100
-    probes."""
+    whose slope at each probe steps onto the root of the inverse quadratic
+    interpolant x(f) through the last three points, the ends first, the one
+    of smaller |f| last (Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 3-4). Where two of their values are equal, the
+    slope is the secant through the probe and the point before it. A probe
+    that is the interpolant's own root is returned, and a NaN value
+    bisects. Near a simple root of a smooth f these steps converge
+    superlinearly. None after 100 probes."""
     if f_lo == 0.0 or f_hi == 0.0:
         return lo if f_lo == 0.0 else hi
-    prev = (lo, f_lo) if -f_lo < f_hi else (hi, f_hi)
+    points = [(hi, f_hi), (lo, f_lo)] if -f_lo < f_hi else [(lo, f_lo), (hi, f_hi)]
 
-    def secant(x):
-        nonlocal prev
+    def inverse_quadratic(x):
         value = f(x)
-        slope = (value - prev[1]) / (x - prev[0]) if x != prev[0] else 0.0
-        prev = x, value
-        return value, slope
+        (a, f_a), (b, f_b) = points[-2:]
+        points.append((x, value))
+        if f_a == f_b or f_b == value or value == f_a:
+            return value, (value - f_b) / (x - b) if x != b else 0.0
+        root = (a * f_b * value / ((f_a - f_b) * (f_a - value))
+                + b * f_a * value / ((f_b - f_a) * (f_b - value))
+                + x * f_a * f_b / ((value - f_a) * (value - f_b)))
+        return value, value / (x - root) if x != root else math.inf
 
-    return _newton_root(secant, lo, hi, lo - f_lo * (hi - lo) / (f_hi - f_lo))
+    return _newton_root(inverse_quadratic, lo, hi, lo - f_lo * (hi - lo) / (f_hi - f_lo))
 
 
 def _hermite_root(x0, x1, f0, f1, d0, d1):

@@ -347,9 +347,10 @@ def _seeded_states(n):
 
 @pytest.mark.parametrize("gamma, total", _ROOT_PAIRS)
 def test_shot_time_root_matches_scipy_brentq(monkeypatch, gamma, total):
-    # the secant finish lands within 1e-12 in log t of scipy's brentq, to
+    # the inverse-quadratic finish lands within 1e-12 of scipy's brentq, to
     # the same xtol, on the bracket and residual each shot-time optimum
-    # solves, in a few probes (measured: 5 or 6, and at most 7.2e-13 apart)
+    # solves, in x = t / t_lo, so within 1e-12 relative in t, in a few probes
+    # (measured: 1 to 4, and at most 1.4e-13 apart)
     secant_root, solves = optimize._secant_root, []
 
     def comparing(f, lo, hi, f_lo, f_hi):
@@ -365,7 +366,7 @@ def test_shot_time_root_matches_scipy_brentq(monkeypatch, gamma, total):
             solves.clear()
             qfi_shot_optimum(state, gamma, total)
             [(ours, theirs, probes)] = solves
-            assert abs(ours - theirs) <= 1e-12 and 1 <= probes <= 6
+            assert abs(ours - theirs) <= 1e-12 and 1 <= probes <= 4
 
 
 @pytest.mark.parametrize(
@@ -374,22 +375,26 @@ def test_shot_time_root_matches_scipy_brentq(monkeypatch, gamma, total):
         (lambda x: x - 1.0, 1.0, 3.0, 1.0, 0),
         (lambda x: x * x - 4.0, 0.0, 2.0, 2.0, 0),
         (lambda x: 2.0 * x - 1.0, 0.0, 3.0, 0.5, 1),
-        (lambda x: x**9 - 1e-3, 0.0, 4.0, 1e-3 ** (1.0 / 9.0), 18),  # 18 measured
-        (lambda x: math.exp(x) - 5.0, 0.0, 20.0, math.log(5.0), 13),  # 13 measured
+        (lambda x: 0.1 * 3.0 * x - 0.1, 0.0, 10.0, 1.0 / 3.0, 1),
+        (lambda x: x**9 - 1e-3, 0.0, 4.0, 1e-3 ** (1.0 / 9.0), 16),  # 16 measured
+        (lambda x: math.exp(x) - 5.0, 0.0, 20.0, math.log(5.0), 11),  # 11 measured
         (lambda x: -1.0 if x < 0.3 else 1.0, -1.0, 1.0, 0.3, 40),  # 40 measured
         (lambda x: -1.0 if x < 0.3 else 1.0, -1e300, 1e300, None, 100),
         (lambda x: x if abs(x) == 1.0 else math.nan, -1.0, 1.0, None, 100),
     ],
-    ids=["root-at-a", "root-at-b", "linear", "bisection", "interpolation", "step", "unconverged",
-         "nan-inside"],
+    ids=["root-at-a", "root-at-b", "linear", "on-probe", "bisection", "interpolation", "step",
+         "unconverged", "nan-inside"],
 )
 def test_secant_root_on_closed_form_residuals(f, lo, hi, root, most):
-    # an end where f vanishes is returned without a probe (a secant through
-    # it would divide by zero) and a linear f's root after one; a smooth f
-    # ends on its root, a step within twice the tolerance 1e-12 + 4 eps |x|
-    # of its jump (the last secant step halves that gap), and a bracket too
-    # wide to bisect in 100 probes, or one where f is NaN inside, ends with
-    # None: never an exception or, as warnings are errors here, a warning
+    # an end where f vanishes is returned without a probe (a step through
+    # it would divide by zero) and a linear f's root after one, also where
+    # f there is a rounding error off zero and the inverse quadratic's root
+    # is that probe itself (on-probe: a zero slope there would bisect); a
+    # smooth f ends on its root, a step within twice the tolerance 1e-12 +
+    # 4 eps |x| of its jump, and a bracket too wide to bisect in 100 probes,
+    # or one where f is NaN inside, ends with None: never an exception or,
+    # as warnings are errors here, a warning. A root found by probing is
+    # the latest probe
     probes = []
     got = _secant_root(lambda x: probes.append(x) or f(x), lo, hi, f(lo), f(hi))
     assert len(probes) <= most
@@ -397,6 +402,7 @@ def test_secant_root_on_closed_form_residuals(f, lo, hi, root, most):
         assert got is None
     else:
         assert got == pytest.approx(root, rel=0.0, abs=2.0 * (1e-12 + 4.0 * math.ulp(1.0) * root))
+        assert got == (probes[-1] if probes else lo if f(lo) == 0.0 else hi)
 
 
 def test_genramsey_result_does_not_depend_on_where_the_grid_sits(monkeypatch):
@@ -1128,28 +1134,48 @@ def test_qfi_report_evaluates_again_when_its_probe_is_not_held(monkeypatch, tmp_
 @pytest.mark.parametrize("kind", ["ghz", "product", "drawn"])
 def test_qfi_report_at_n7_scores_its_grid_once_in_few_probes(monkeypatch, tmp_path, kind):
     # the benchmark's dense report: one stacked grid call, the probe counts
-    # of the secant finish (GHZ 8, product 8, drawn 7; Brent's method took
-    # 8, 8 and 8) and no F_Q evaluated after the search
+    # of the inverse-quadratic finish (GHZ 3, product 3, drawn 6; the secant
+    # finish before it took 8, 8 and 7, Brent's method 8, 8 and 8) and no
+    # F_Q evaluated after the search
     calls = {}
     for module, name in ((optimize, "_block_form"), (optimize, "_shot_probe"), (cli, "family_qfi")):
         _counting(monkeypatch, module, name, calls)
     _qfi_report(tmp_path, 7, TOTAL, _preparation(7, kind)[0])
-    probes = {"ghz": 8, "product": 8, "drawn": 7}[kind]
+    probes = {"ghz": 3, "product": 3, "drawn": 6}[kind]
     assert calls == {"_block_form": 1, "_shot_probe": probes}
 
 
 def test_shot_time_searches_make_no_more_probes_than_brent(monkeypatch):
     # shot-time probes summed over n = 2..12, the states and (gamma, T)
     # pairs of the scipy brentq check; probe counts do not depend on the
-    # machine. Brent's method, which this secant finish replaced, made 1039
-    # (one BLAS thread), the secant finish 1005.
+    # machine. Brent's method made 1039 (one BLAS thread), the secant finish
+    # in log t 1005 and this inverse-quadratic finish in t 531.
     calls = {}
     _counting(monkeypatch, optimize, "_shot_probe", calls)
     for n in range(2, 13):
         for state in _seeded_states(n):
             for gamma, total in _ROOT_PAIRS:
                 qfi_shot_optimum(state, gamma, total)
-    assert calls["_shot_probe"] <= 1039
+    assert calls["_shot_probe"] <= 531
+
+
+@pytest.mark.parametrize("gamma, total", [(1.0, 100.0), (0.3, 50.0), (2.0, 10.0)])
+def test_ghz_and_product_shot_times_land_on_their_closed_forms(monkeypatch, gamma, total):
+    # F_Q is proportional to t^2 e^(-2 m gamma t), m = n for GHZ and 1 for the
+    # product state, so r = 2 m gamma t - 1 is linear in t: the chord of the
+    # grid bracket lands on 1/(2 m gamma), and the inverse quadratic through
+    # that probe and the ends ends there, 3 probes in all. Measured at most
+    # 2.4e-15 relative; F_Q's rounding allows only 3.9e-13 at n = 40 and
+    # 1.2e-12 at n = 100, which are left out
+    calls = {}
+    _counting(monkeypatch, optimize, "_shot_probe", calls)
+    for n in range(1, 21):
+        for a, t_ref in ((np.eye(1, n // 2 + 1)[0], 0.5 / (n * gamma)),
+                         (uniform_coefficients(n), 0.5 / gamma)):
+            calls.clear()
+            t_opt, _ = qfi_shot_optimum(SymmetricFamilyState(n, a), gamma, total)
+            assert t_opt == pytest.approx(t_ref, rel=4e-15, abs=0.0)
+            assert calls == {"_shot_probe": 3}
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
