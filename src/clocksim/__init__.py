@@ -5,11 +5,7 @@ entangled preparations.
 
 __version__ = "0.1.0"
 
-from .collective import (
-    genramsey_opt_uncertainty,
-    precision_bound_chain,
-    solve_topt,
-)
+from .collective import genramsey_opt_uncertainty, solve_topt
 from .evolution import MAX_BLOCK_QUBITS
 from .exceptions import (
     BracketingError,
@@ -21,10 +17,8 @@ from .exceptions import (
 )
 from .fisher import family_qfi, qfi_uncertainty
 from .optimize import (
-    ImprovementCurvePoint,
     OptimizationReport,
     fig3_scan,
-    fig4_curve,
     improvement_sweep,
     optimize_symmetric_coeffs,
     qfi_shot_optimum,
@@ -39,7 +33,6 @@ from .ramsey import (
     ExperimentBudget,
     PrecisionResult,
     reference_limit,
-    shot_variance,
     signal_ghz,
     signal_uncorrelated,
     uncertainty_ghz,
@@ -54,7 +47,6 @@ __all__ = [
     "ExperimentBudget",
     "PrecisionResult",
     "OptimizationReport",
-    "ImprovementCurvePoint",
     "ClocksimError",
     "SingularPointError",
     "DegenerateStateError",
@@ -65,18 +57,15 @@ __all__ = [
     "collective_moments",
     "signal_uncorrelated",
     "signal_ghz",
-    "shot_variance",
     "uncertainty_uncorrelated",
     "uncertainty_ghz",
     "reference_limit",
     "solve_topt",
     "genramsey_opt_uncertainty",
-    "precision_bound_chain",
     "family_qfi",
     "qfi_uncertainty",
     "qfi_shot_optimum",
     "optimize_symmetric_coeffs",
     "improvement_sweep",
     "fig3_scan",
-    "fig4_curve",
 ]

@@ -371,6 +371,8 @@ def _cmd_qfi(opts, out, fmt) -> int:
     }
 
     if opts["optimize_t"]:
+        if opts["t"] is not None:
+            raise ValueError("--t conflicts with --optimize-t")
         if opts["total_time"] is None:
             raise ValueError("--optimize-t requires --total-time")
         if not gamma > 0.0:

@@ -26,7 +26,6 @@ from .ramsey import PrecisionResult, reference_limit
 __all__ = [
     "solve_topt",
     "genramsey_opt_uncertainty",
-    "precision_bound_chain",
 ]
 
 _ZERO_TOL = 1e-12
@@ -149,21 +148,3 @@ def genramsey_opt_uncertainty(
         improvement_pct=100.0 * (1.0 - delta_omega / ref),
     )
 
-
-def precision_bound_chain(
-    m0: CollectiveMoments, total_time: float, gamma: float
-) -> tuple[float, float]:
-    """State-dependent and universal lower bounds on the optimized precision
-    of the moments ``m0`` of an n = ``m0.n`` ion state.
-
-    Returns (sqrt(2 n gamma / (T <S_x(0)>^2)), sqrt(2 gamma / (n T))); the
-    universal bound sits a factor 1/sqrt(e) below the reference limit.
-    """
-    n = m0.n
-    if not (gamma > 0.0 and total_time > 0.0):
-        raise ValueError("gamma and total_time must be > 0")
-    if abs(m0.sx_mean) < _ZERO_TOL:
-        raise DegenerateStateError("mean collective signal <S_x(0)> is zero")
-    bound_state = math.sqrt(2.0 * n * gamma / (total_time * m0.sx_mean**2))
-    bound_universal = math.sqrt(2.0 * gamma / (n * total_time))
-    return bound_state, bound_universal

@@ -60,14 +60,12 @@ from .ramsey import ExperimentBudget, reference_limit, uncertainty_ghz, uncertai
 
 __all__ = [
     "OptimizationReport",
-    "ImprovementCurvePoint",
     "METHODS",
     "ION_RANGE",
     "qfi_shot_optimum",
     "optimize_symmetric_coeffs",
     "improvement_sweep",
     "fig3_scan",
-    "fig4_curve",
 ]
 
 METHODS = ("gen-ramsey", "qfi")
@@ -116,17 +114,6 @@ class OptimizationReport:
     improvement_pct: float
     delta_omega: float
     t_opt: float
-    best_coeffs: np.ndarray
-    status: str = "ok"
-
-
-@dataclass(frozen=True)
-class ImprovementCurvePoint:
-    """Improvement over the reference limit for both measurement strategies."""
-
-    n: int
-    improvement_genramsey_pct: float
-    improvement_qfi_pct: float
     best_coeffs: np.ndarray
     status: str = "ok"
 
@@ -651,21 +638,3 @@ def fig3_scan(n: int, gamma: float, total_time: float, t_grid) -> np.ndarray:
         rows.append(row)
     return np.array(rows, dtype=float)
 
-
-def fig4_curve(n_range, gamma: float, total_time: float):
-    """Improvement over the reference limit versus ion number, for both the
-    collective-observable and the optimal-measurement strategies.
-
-    A point with a "partial" search is flagged "partial".
-    """
-    points = []
-    for n, outcomes in improvement_sweep(n_range, gamma, total_time, METHODS):
-        gen, opt = outcomes["gen-ramsey"], outcomes["qfi"]
-        winner = opt if opt.delta_omega <= gen.delta_omega else gen
-        status = "ok" if gen.status == opt.status == "ok" else "partial"
-        points.append(
-            ImprovementCurvePoint(
-                n, gen.improvement_pct, opt.improvement_pct, winner.best_coeffs, status
-            )
-        )
-    return points

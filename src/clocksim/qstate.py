@@ -110,26 +110,6 @@ def uniform_coefficients(n: int) -> np.ndarray:
     return np.array([np.sqrt(size / (1 << n)) for size in sizes])
 
 
-@functools.lru_cache(maxsize=None)
-def _dicke_ladder(n: int):
-    """Weight class min(w, n-w) of each Dicke level w = 0..n, and the
-    elements <D_{w+1}|J+|D_w> = sqrt((w+1)(n-w)) for w < n."""
-    w = np.arange(n + 1)
-    cls, ladder = np.minimum(w, n - w), np.sqrt((w[:-1] + 1.0) * (n - w[:-1]))
-    cls.flags.writeable = ladder.flags.writeable = False
-    return cls, ladder
-
-
-def _dicke_amplitudes(n: int, a: np.ndarray) -> np.ndarray:
-    """Amplitudes on the Dicke levels w = 0..n of the n-ion family
-    coefficients in the last axis of ``a``: weight class k is
-    (|D_k> + |D_{n-k}>)/sqrt(2), or |D_{n/2}> alone."""
-    c = a[..., _dicke_ladder(n)[0]] * math.sqrt(0.5)
-    if n % 2 == 0:
-        c[..., n // 2] = a[..., -1]
-    return c
-
-
 def _per_n_cache(build):
     """``build(n)``, an array or a tuple of arrays, kept for the most
     recently used n while the entries total at most ``_TABLE_BYTES``; the
@@ -151,6 +131,26 @@ def _per_n_cache(build):
 
     cached.cache_clear = held.clear
     return cached
+
+
+@_per_n_cache
+def _dicke_ladder(n: int):
+    """Weight class min(w, n-w) of each Dicke level w = 0..n, and the
+    elements <D_{w+1}|J+|D_w> = sqrt((w+1)(n-w)) for w < n."""
+    w = np.arange(n + 1)
+    cls, ladder = np.minimum(w, n - w), np.sqrt((w[:-1] + 1.0) * (n - w[:-1]))
+    cls.flags.writeable = ladder.flags.writeable = False
+    return cls, ladder
+
+
+def _dicke_amplitudes(n: int, a: np.ndarray) -> np.ndarray:
+    """Amplitudes on the Dicke levels w = 0..n of the n-ion family
+    coefficients in the last axis of ``a``: weight class k is
+    (|D_k> + |D_{n-k}>)/sqrt(2), or |D_{n/2}> alone."""
+    c = a[..., _dicke_ladder(n)[0]] * math.sqrt(0.5)
+    if n % 2 == 0:
+        c[..., n // 2] = a[..., -1]
+    return c
 
 
 @_per_n_cache

@@ -21,7 +21,6 @@ __all__ = [
     "PrecisionResult",
     "signal_uncorrelated",
     "signal_ghz",
-    "shot_variance",
     "uncertainty_uncorrelated",
     "uncertainty_ghz",
     "reference_limit",
@@ -88,15 +87,6 @@ def signal_ghz(n: int, delta: float, t: float, gamma: float) -> float:
         raise ValueError(f"ion count must be >= 1, got {n}")
     _check_rates(t, gamma, delta)
     return 0.5 * (1.0 + math.cos(n * delta * t) * math.exp(-n * gamma * t))
-
-
-def shot_variance(p: float, n_data: float) -> float:
-    """Binomial variance P(1-P)/N of the estimated probability."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability must lie in [0, 1], got {p}")
-    if not n_data > 0:
-        raise ValueError(f"data count must be > 0, got {n_data}")
-    return p * (1.0 - p) / n_data
 
 
 def uncertainty_uncorrelated(budget: ExperimentBudget, delta: float, gamma: float) -> float:

@@ -13,8 +13,8 @@ from clocksim import (
     SymmetricFamilyState,
     collective_moments,
     family_qfi,
-    fig4_curve,
     genramsey_opt_uncertainty,
+    improvement_sweep,
     optimize_symmetric_coeffs,
     qfi_shot_optimum,
     reference_limit,
@@ -171,19 +171,18 @@ def test_criterion_06_partial_entanglement_gain():
 
 
 def test_criterion_07_improvement_ordering_and_grid_oracle():
-    points = {p.n: p for p in fig4_curve(range(2, 6), GAMMA, TOTAL)}
+    points = dict(improvement_sweep(range(2, 6), GAMMA, TOTAL))
     ok, detail = True, []
-    for n, p in sorted(points.items()):
-        ok &= p.status == "ok"
-        ok &= p.improvement_qfi_pct >= p.improvement_genramsey_pct - 1e-6
-        ok &= 0.0 < p.improvement_genramsey_pct < IMPROVEMENT_CAP
-        detail.append(
-            f"n={n}: qfi={p.improvement_qfi_pct:.3f}% gen={p.improvement_genramsey_pct:.3f}%"
-        )
+    for n, reports in sorted(points.items()):
+        gen, opt = reports["gen-ramsey"], reports["qfi"]
+        ok &= gen.status == opt.status == "ok"
+        ok &= opt.improvement_pct >= gen.improvement_pct - 1e-6
+        ok &= 0.0 < gen.improvement_pct < IMPROVEMENT_CAP
+        detail.append(f"n={n}: qfi={opt.improvement_pct:.3f}% gen={gen.improvement_pct:.3f}%")
     for n in (2, 3):
         for method, got in (
-            ("genramsey", points[n].improvement_genramsey_pct),
-            ("qfi", points[n].improvement_qfi_pct),
+            ("genramsey", points[n]["gen-ramsey"].improvement_pct),
+            ("qfi", points[n]["qfi"].improvement_pct),
         ):
             oracle, _ = grid_oracle_improvement(n, GAMMA, TOTAL, method)
             ok &= abs(got - oracle) < 0.1

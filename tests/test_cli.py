@@ -10,7 +10,7 @@ import pytest
 
 import clocksim
 from clocksim import reference_limit, signal_ghz, signal_uncorrelated, uncertainty_uncorrelated
-from clocksim import ExperimentBudget, fig4_curve, optimize
+from clocksim import ExperimentBudget, improvement_sweep, optimize
 from clocksim.cli import main
 from clocksim.evolution import MAX_BLOCK_QUBITS
 
@@ -307,6 +307,22 @@ def test_qfi_coeffs_conflicting_with_scheme_exits_2(tmp_path, capsys, scheme, fr
     assert err.startswith("clocksim: invalid-argument:") and "--coeffs" in err
 
 
+@pytest.mark.parametrize("from_config", [False, True])
+def test_qfi_t_conflicting_with_optimize_t_exits_2(tmp_path, capsys, from_config):
+    argv = ["qfi", "--scheme", "ghz", "--n", "3", "--gamma", "1", "--total-time", "100"]
+    if from_config:
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("t=0.3\noptimize_t=true\n")
+        argv += ["--config", str(cfgfile)]
+    else:
+        argv += ["--t", "0.3", "--optimize-t"]
+    out = tmp_path / "never.json"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err == "clocksim: invalid-argument: --t conflicts with --optimize-t\n"
+
+
 @pytest.mark.parametrize("n", [0, MAX_BLOCK_QUBITS + 1])
 @pytest.mark.parametrize("scheme", ["ghz", "uncorrelated"])
 def test_qfi_outside_block_cap_exits_2(tmp_path, capsys, scheme, n):
@@ -392,11 +408,11 @@ def test_optimize_matches_library_curve(tmp_path):
     assert code == 0
     _, rows = _read_csv(out)
     got = {(int(r[0]), r[1]): float(r[2]) for r in rows}
-    points = fig4_curve(range(2, 4), 1.0, 100.0)
+    points = list(improvement_sweep(range(2, 4), 1.0, 100.0))
     assert len(got) == 2 * len(points)
-    for p in points:
-        assert got[p.n, "gen-ramsey"] == p.improvement_genramsey_pct
-        assert got[p.n, "qfi"] == p.improvement_qfi_pct
+    for n, reports in points:
+        assert got[n, "gen-ramsey"] == reports["gen-ramsey"].improvement_pct
+        assert got[n, "qfi"] == reports["qfi"].improvement_pct
 
 
 def test_qfi_detuning_flag_exits_2(tmp_path, capsys):

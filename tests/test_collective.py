@@ -11,7 +11,6 @@ from clocksim import (
     SymmetricFamilyState,
     collective_moments,
     genramsey_opt_uncertainty,
-    precision_bound_chain,
     reference_limit,
     solve_topt,
     uncertainty_uncorrelated,
@@ -200,6 +199,15 @@ def test_opt_uncertainty_product_state_hits_reference():
         assert res.t_opt == pytest.approx(0.5, rel=1e-12)  # tau_dec / 2
 
 
+def _bound_chain(m0, total_time, gamma):
+    # state-dependent sqrt(2 n gamma / (T <S_x>^2)) >= universal sqrt(2 gamma / (n T))
+    n = m0.n
+    return (
+        math.sqrt(2.0 * n * gamma / (total_time * m0.sx_mean**2)),
+        math.sqrt(2.0 * gamma / (n * total_time)),
+    )
+
+
 def test_opt_uncertainty_respects_bound_chain():
     rng = np.random.default_rng(4)
     for n in (2, 3, 4, 5):
@@ -208,7 +216,7 @@ def test_opt_uncertainty_respects_bound_chain():
             if abs(m0.sx_mean) < 1e-9 or m0.sy_variance() < 1e-9:
                 continue
             res = genramsey_opt_uncertainty(m0, 100.0, 1.0)
-            bound_state, bound_universal = precision_bound_chain(m0, 100.0, 1.0)
+            bound_state, bound_universal = _bound_chain(m0, 100.0, 1.0)
             assert bound_state >= bound_universal - 1e-15
             assert res.delta_omega >= bound_state * (1 - 1e-12)
             assert res.delta_omega >= bound_universal * (1 - 1e-12)
@@ -244,11 +252,11 @@ def test_stacked_genramsey_score_raises_for_any_lane():
 
 
 def test_bound_chain_product_state_saturates():
+    # the product state has <S_x> = n, where the two bounds meet
     for n in (2, 5):
-        m0 = collective_moments(_product(n))
-        bound_state, bound_universal = precision_bound_chain(m0, 50.0, 1.0)
+        bound_state, bound_universal = _bound_chain(collective_moments(_product(n)), 50.0, 1.0)
         assert bound_state == pytest.approx(bound_universal, rel=1e-12)
-    bound_state, bound_universal = precision_bound_chain(
+    bound_state, bound_universal = _bound_chain(
         collective_moments(SymmetricFamilyState(4, np.array([0.8, 0.6, 0.0]))), 50.0, 1.0
     )
     assert bound_state > bound_universal * (1 + 1e-9)

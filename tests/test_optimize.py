@@ -21,8 +21,8 @@ from clocksim import (
     collective_moments,
     family_qfi,
     fig3_scan,
-    fig4_curve,
     genramsey_opt_uncertainty,
+    improvement_sweep,
     optimize_symmetric_coeffs,
     qfi_shot_optimum,
     qfi_uncertainty,
@@ -541,7 +541,7 @@ def test_genramsey_search_off_its_bracket_reports_partial(tmp_path, monkeypatch)
     assert not converged and np.array_equal(a, edge[0][0]) and delta_omega == edge[2][0]
     report = optimize_symmetric_coeffs(3, GAMMA, TOTAL, "gen-ramsey")
     assert report.status == "partial" and report.t_opt == t_opt
-    assert fig4_curve([3], GAMMA, TOTAL)[0].status == "partial"
+    assert dict(improvement_sweep([3], GAMMA, TOTAL))[3]["gen-ramsey"].status == "partial"
     out = tmp_path / "opt.csv"
     argv = ["optimize", "--method", "gen-ramsey", "--n-min", "2", "--n-max", "3"]
     assert cli.main([*argv, "--out", str(out)]) == 0
@@ -558,8 +558,9 @@ def test_sweep_runs_one_genramsey_search_per_n(monkeypatch):
         return search(*args)
 
     monkeypatch.setattr(optimize, "_genramsey_search", counting)
-    points = fig4_curve(range(2, 6), GAMMA, TOTAL)
-    assert calls == [2, 3, 4, 5] and [p.status for p in points] == ["ok"] * 4
+    sweep = improvement_sweep(range(2, 6), GAMMA, TOTAL)
+    statuses = [rep.status for _, reports in sweep for rep in reports.values()]
+    assert calls == [2, 3, 4, 5] and statuses == ["ok"] * 8
 
 
 @pytest.mark.parametrize("n", range(2, 6))
@@ -770,6 +771,7 @@ _DENSE_NAMES = (
 _REMOVED_NAMES = (
     "_family_evolution", "_family_qfi_at", "_block_channel", "_sld_bases",
     "evolved_sx_mean", "evolved_sx2_mean", "evolved_sx_slope", "genramsey_uncertainty",
+    "fig4_curve", "ImprovementCurvePoint", "precision_bound_chain", "shot_variance",
 )
 
 
@@ -899,7 +901,7 @@ def test_qfi_search_at_its_evaluation_cap_reports_partial(monkeypatch):
     # with no step taken the search still scores the gen-Ramsey winner
     gen = optimize_symmetric_coeffs(3, GAMMA, TOTAL, "gen-ramsey")
     assert rep.improvement_pct >= gen.improvement_pct - 1e-6
-    assert fig4_curve([3], GAMMA, TOTAL)[0].status == "partial"
+    assert dict(improvement_sweep([3], GAMMA, TOTAL))[3]["qfi"].status == "partial"
 
 
 def test_ion_range_is_per_method():
@@ -1299,12 +1301,14 @@ def test_fig3_scan_flags_infeasible_rows():
     assert np.isnan(table[1, 1]) and np.isnan(table[1, 2])  # t > T
 
 
-def test_fig4_curve_small_sweep():
-    points = fig4_curve(range(2, 4), GAMMA, TOTAL)
-    assert [p.n for p in points] == [2, 3]
+def test_improvement_sweep_small_range():
+    points = list(improvement_sweep(range(2, 4), GAMMA, TOTAL))
+    assert [n for n, _ in points] == [2, 3]
     cap = 100 * (1 - math.exp(-0.5))
-    for p in points:
-        assert p.status == "ok"
-        assert 0.0 < p.improvement_genramsey_pct < cap
-        assert p.improvement_qfi_pct >= p.improvement_genramsey_pct - 1e-6
-        assert np.linalg.norm(p.best_coeffs) == pytest.approx(1.0, abs=1e-9)
+    for _, reports in points:
+        gen, opt = reports["gen-ramsey"], reports["qfi"]
+        assert gen.status == opt.status == "ok"
+        assert 0.0 < gen.improvement_pct < cap
+        assert opt.improvement_pct >= gen.improvement_pct - 1e-6
+        for rep in (gen, opt):
+            assert np.linalg.norm(rep.best_coeffs) == pytest.approx(1.0, abs=1e-9)

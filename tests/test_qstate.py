@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from clocksim import (
 )
 
 from clocksim.optimize import _LOG_MU_GRID, _flip_even_ops, _ground_states
-from clocksim.qstate import _dicke_amplitudes, _moment_rows
+from clocksim.qstate import _TABLE_BYTES, _dicke_amplitudes, _dicke_ladder, _moment_rows
 
 from reference import (
     SIGMA_X,
@@ -245,3 +247,12 @@ def test_collective_moments_validation():
         CollectiveMoments(n=2, sx_mean=3.0, sx2_mean=9.5, sy_mean=0.0, sy2_mean=1.0)
     with pytest.raises(ValueError):
         CollectiveMoments(n=2, sx_mean=1.0, sx2_mean=0.5, sy_mean=0.0, sy2_mean=1.0)
+
+
+def test_dicke_ladder_cache_stays_within_table_bytes():
+    # a gen-Ramsey sweep to n = 1000 asks for each n in turn: the ladders of
+    # n = 2..1000 total 8 MB, of which the cache keeps at most _TABLE_BYTES
+    _dicke_ladder.cache_clear()
+    refs = [weakref.ref(table) for n in range(2, 1001) for table in _dicke_ladder(n)]
+    held = [table for table in (ref() for ref in refs) if table is not None]
+    assert 0 < sum(table.nbytes for table in held) <= _TABLE_BYTES

@@ -8,7 +8,6 @@ from clocksim import (
     PrecisionResult,
     SingularPointError,
     reference_limit,
-    shot_variance,
     signal_ghz,
     signal_uncorrelated,
     uncertainty_ghz,
@@ -39,20 +38,6 @@ def test_signals_bounded():
         delta, t, gamma = rng.uniform(-5, 5), rng.uniform(0, 4), rng.uniform(0, 3)
         assert 0.0 <= signal_uncorrelated(delta, t, gamma) <= 1.0
         assert 0.0 <= signal_ghz(n, delta, t, gamma) <= 1.0
-
-
-def test_shot_variance():
-    assert shot_variance(0.0, 10) == 0.0
-    assert shot_variance(1.0, 10) == 0.0
-    assert shot_variance(0.5, 100) == pytest.approx(1 / 400, rel=1e-15)
-    # quadrupling the data halves the deviation
-    dev = math.sqrt(shot_variance(0.5, 100))
-    dev4 = math.sqrt(shot_variance(0.5, 400))
-    assert dev4 == pytest.approx(dev / 2, rel=1e-12)
-    with pytest.raises(ValueError):
-        shot_variance(1.5, 10)
-    with pytest.raises(ValueError):
-        shot_variance(0.5, 0)
 
 
 def test_uncertainty_uncorrelated_shot_noise_limit():
