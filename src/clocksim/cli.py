@@ -36,7 +36,7 @@ from .optimize import (
     fig3_scan,
     improvement_sweep,
 )
-from .qstate import SymmetricFamilyState, uniform_coefficients
+from .qstate import SymmetricFamilyState, _check_qubit_count, _check_scalar, uniform_coefficients
 from .ramsey import signal_ghz, signal_uncorrelated
 
 CONVENTION_NOTE = (
@@ -252,8 +252,7 @@ def _cmd_signal(opts, out, fmt) -> int:
     if scheme == "ghz":
         p = signal_ghz(opts["n"], opts["detuning"], opts["t"], opts["gamma"])
     else:
-        if opts["n"] < 1:
-            raise ValueError(f"ion count must be >= 1, got {opts['n']}")
+        _check_qubit_count(opts["n"])  # the signal of one ion does not take n
         p = signal_uncorrelated(opts["detuning"], opts["t"], opts["gamma"])
     row = [opts["t"], opts["detuning"], opts["gamma"], scheme, p]
     if fmt == "json":
@@ -278,10 +277,8 @@ def _cmd_signal(opts, out, fmt) -> int:
 
 
 def _cmd_scan(opts, out, fmt) -> int:
-    if not opts["t_min"] > 0.0:
-        raise ValueError(f"--t-min must be > 0, got {opts['t_min']}")
-    if not opts["t_max"] >= opts["t_min"]:
-        raise ValueError("--t-max must be >= --t-min")
+    t_min = _check_scalar("--t-min", opts["t_min"], 0, strict=True)
+    _check_scalar("--t-max", opts["t_max"], t_min, bound_name="--t-min")
     if opts["t_steps"] < 1:
         raise ValueError(f"--t-steps must be >= 1, got {opts['t_steps']}")
     grid = np.linspace(opts["t_min"], opts["t_max"], opts["t_steps"])
@@ -375,8 +372,6 @@ def _cmd_qfi(opts, out, fmt) -> int:
             raise ValueError("--t conflicts with --optimize-t")
         if opts["total_time"] is None:
             raise ValueError("--optimize-t requires --total-time")
-        if not gamma > 0.0:
-            raise ValueError("--optimize-t requires gamma > 0")
         t_opt, delta_omega, (fq, measurement) = _shot_optimum(state, gamma, opts["total_time"])
         report["t_opt"] = t_opt
         # the probe at t_opt formed the blocks and SLD the report measures

@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .exceptions import DegenerateStateError
-from .qstate import CollectiveMoments
+from .qstate import CollectiveMoments, _check_scalar
 from .ramsey import PrecisionResult, reference_limit
 
 __all__ = [
@@ -108,13 +108,20 @@ def _genramsey_rows(sx_mean, sy_var, n, total_time, gamma):
     return t_opt, delta_omega
 
 
+def _check_reachable(gamma, total_time):
+    """Reject a dephasing rate that is not finite and > 0, and a total time
+    that is not finite or is below tau_dec/2 = 1/(2 gamma): shorter
+    experiments fall in a regime the optimized formulas do not cover."""
+    gamma = _check_scalar("dephasing rate", gamma, 0, strict=True)
+    _check_scalar("total time", total_time, 0.5 / gamma, bound_name="tau_dec/2")
+
+
 def solve_topt(m0: CollectiveMoments, gamma: float) -> float:
     """Optimal shot duration of the moments ``m0`` of an n = ``m0.n`` ion
     state: the unique positive root of n * [1 + (2 gamma t - 1) e^{2 gamma t}]
     = Var S_y(t=0), that is t_opt = (1 + W0((Var S_y/n - 1)/e)) / (2 gamma),
     solved by Halley steps and a Newton polish (``_topt_rows``)."""
-    if not gamma > 0.0:
-        raise ValueError(f"dephasing rate must be > 0, got {gamma}")
+    _check_scalar("dephasing rate", gamma, 0, strict=True)
     return float(_topt_rows(np.array([m0.sy_variance()]), m0.n, gamma)[0])
 
 
@@ -125,16 +132,11 @@ def genramsey_opt_uncertainty(
     moments ``m0`` of an n = ``m0.n`` ion state.
 
     sqrt(2 n gamma e^{2 gamma t_opt} / (T <S_x(0)>^2)) with t_opt from
-    ``solve_topt``, both from ``_genramsey_rows``. Requires T >= tau_dec/2;
-    shorter experiments fall in a regime the optimized formulas do not cover.
+    ``solve_topt``, both from ``_genramsey_rows``. Requires T >= tau_dec/2
+    (``_check_reachable``).
     """
     n = m0.n
-    if not gamma > 0.0:
-        raise ValueError(f"dephasing rate must be > 0, got {gamma}")
-    if total_time < 0.5 / gamma:
-        raise ValueError(
-            f"total time {total_time} below tau_dec/2 = {0.5 / gamma}; optimum not attainable"
-        )
+    _check_reachable(gamma, total_time)
     t_opt, delta_omega = (
         float(v[0])
         for v in _genramsey_rows(

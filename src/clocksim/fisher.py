@@ -37,7 +37,7 @@ import numpy as np
 
 from .evolution import _block_form, _channel_drift, _gram_form
 from .exceptions import NoInformationError, SingularOutcomeError
-from .qstate import SymmetricFamilyState, _dicke_amplitudes, _flip_even_isometry
+from .qstate import SymmetricFamilyState, _check_scalar, _dicke_amplitudes, _flip_even_isometry
 
 __all__ = [
     "EIG_CUTOFF",
@@ -175,14 +175,8 @@ def family_qfi(state: SymmetricFamilyState, gamma: float, t: float):
     latter from ``_sld_fisher``. Neither number depends on the
     detuning, so it is not a parameter: its phase is a diagonal unitary that
     commutes with the dephasing."""
-    gamma, t = float(gamma), float(t)
-    for name, value in (("gamma", gamma), ("t", t)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-    if gamma < 0.0:
-        raise ValueError(f"dephasing rate must be >= 0, got {gamma}")
-    if t < 0.0:
-        raise ValueError(f"duration must be >= 0, got {t}")
+    gamma = _check_scalar("dephasing rate", gamma, 0)
+    t = _check_scalar("duration", t, 0)
     n = state.n
     form = _block_form(n, gamma, t)
     fq, blocks, drho, eigdata = _block_qfi(_dicke_amplitudes(n, state.a), form)
@@ -202,12 +196,9 @@ def _precision_bounds(fq, ts, total_time):
 def qfi_uncertainty(qfi_per_shot: float, total_time: float, shot_time: float) -> float:
     """Optimal-measurement precision bound 1/sqrt((T/t) * F_Q), by
     ``_precision_bounds``."""
-    if not (total_time > 0.0 and shot_time > 0.0):
-        raise ValueError("total_time and shot_time must be > 0")
-    if not math.isfinite(total_time):
-        raise ValueError(f"total time must be finite, got {total_time}")
-    if total_time < shot_time:
-        raise ValueError(f"total time {total_time} smaller than shot time {shot_time}")
+    qfi_per_shot = _check_scalar("quantum Fisher information", qfi_per_shot)
+    shot_time = _check_scalar("shot time", shot_time, 0, strict=True)
+    total_time = _check_scalar("total time", total_time, shot_time, bound_name="shot time")
     if qfi_per_shot < QFI_FLOOR:
         raise NoInformationError(_NO_INFORMATION)
     return float(_precision_bounds(qfi_per_shot, shot_time, total_time))

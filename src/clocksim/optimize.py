@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collective import _genramsey_rows
+from .collective import _check_reachable, _genramsey_rows
 from .exceptions import BracketingError, NoInformationError, SingularPointError
 from .evolution import MAX_BLOCK_QUBITS, _block_form
 from .fisher import (
@@ -51,6 +51,8 @@ from .fisher import (
 )
 from .qstate import (
     SymmetricFamilyState,
+    _check_qubit_count,
+    _check_scalar,
     _dicke_amplitudes,
     _dicke_ladder,
     _flip_even_isometry,
@@ -118,15 +120,6 @@ class OptimizationReport:
     status: str = "ok"
 
 
-def _check_budget(gamma, total_time):
-    """Reject a rate or total time that is not finite, or a rate <= 0."""
-    for name, value in (("dephasing rate", gamma), ("total time", total_time)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-    if not gamma > 0.0:
-        raise ValueError(f"dephasing rate must be > 0, got {gamma}")
-
-
 def _shot_bracket(gamma, total_time):
     """The shot times (1e-4/gamma, min(T, 8/gamma)) both QFI searches cover."""
     return 1e-4 / gamma, min(total_time, 8.0 / gamma)
@@ -142,10 +135,7 @@ def _chunks(grid, lane_bytes):
 def _shot_grid(n, gamma, total_time):
     """The geometric presampling grid of shot times over ``_shot_bracket``,
     its ends exact, and its split into chunks of stacked n-ion blocks."""
-    lo, hi = _shot_bracket(gamma, total_time)
-    if not (0.0 < lo < hi):
-        raise ValueError(f"bracket must satisfy 0 < lo < hi, got ({lo}, {hi})")
-    grid = np.geomspace(lo, hi, _GRID_POINTS)
+    grid = np.geomspace(*_shot_bracket(gamma, total_time), _GRID_POINTS)
     return grid, _chunks(grid, 16 * (n // 2 + 1) * (n + 1) ** 2)
 
 
@@ -179,7 +169,9 @@ def _shot_optimum(state, gamma, total_time):
     probe, as a bracket end where r = 0, is probed again."""
     if not isinstance(state, SymmetricFamilyState):
         raise TypeError(f"expected a SymmetricFamilyState, got {type(state).__name__}")
-    _check_budget(gamma, total_time)
+    gamma = _check_scalar("dephasing rate", gamma, 0, strict=True)
+    lo = _shot_bracket(gamma, total_time)[0]  # the bracket must not be empty
+    _check_scalar("total time", total_time, lo, strict=True, bound_name="1e-4/gamma")
     n, c = state.n, _dicke_amplitudes(state.n, state.a)
     grid, chunks = _shot_grid(n, gamma, total_time)
     fq = np.concatenate([_block_qfi(c, _block_form(n, gamma, ts))[0] for ts in chunks])
@@ -556,11 +548,9 @@ def _check_search(n, gamma, total_time, method):
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     lo, hi = ION_RANGE[method]
-    if not lo <= n <= hi:
+    if not lo <= _check_qubit_count(n) <= hi:
         raise ValueError(f"{method} optimization supports {lo} <= n <= {hi}, got {n}")
-    _check_budget(gamma, total_time)
-    if total_time < 0.5 / gamma:
-        raise ValueError(f"total time {total_time} below tau_dec/2 = {0.5 / gamma}")
+    _check_reachable(gamma, total_time)
 
 
 def _reports(n, gamma, total_time, methods):
@@ -618,23 +608,26 @@ def fig3_scan(n: int, gamma: float, total_time: float, t_grid) -> np.ndarray:
     """Uncertainty versus shot time for the uncorrelated and maximally
     entangled schemes, each at its own optimal phase (delta*t = pi/2 and
     n*delta*t = pi/2). Rows are (t, uncorrelated, ghz); infeasible shot
-    times yield NaN entries.
+    times, those an ``ExperimentBudget`` rejects, yield NaN entries.
     """
-    if not gamma > 0.0:
-        raise ValueError(f"dephasing rate must be > 0, got {gamma}")
+    n = _check_qubit_count(n)
+    _check_scalar("dephasing rate", gamma, 0, strict=True)
+    _check_scalar("total time", total_time)
     rows = []
     for t in np.asarray(t_grid, dtype=float):
         row = [t, math.nan, math.nan]
-        if 0.0 < t <= total_time:
-            budget = ExperimentBudget(n, total_time, float(t))
-            try:
-                row[1] = uncertainty_uncorrelated(budget, 0.5 * math.pi / t, gamma)
-            except SingularPointError:
-                pass
-            try:
-                row[2] = uncertainty_ghz(budget, 0.5 * math.pi / (n * t), gamma)
-            except SingularPointError:
-                pass
         rows.append(row)
+        try:
+            budget = ExperimentBudget(n, total_time, float(t))
+        except ValueError:  # an infeasible shot time: its row stays NaN
+            continue
+        try:
+            row[1] = uncertainty_uncorrelated(budget, 0.5 * math.pi / t, gamma)
+        except SingularPointError:
+            pass
+        try:
+            row[2] = uncertainty_ghz(budget, 0.5 * math.pi / (n * t), gamma)
+        except SingularPointError:
+            pass
     return np.array(rows, dtype=float)
 

@@ -31,10 +31,25 @@ _TABLE_BYTES = 1 << 22
 
 def _check_qubit_count(n):
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise ValueError(f"qubit count must be an integer, got {n!r}")
+        raise ValueError(f"ion count must be an integer, got {n!r}")
     if n < 1:
-        raise ValueError(f"qubit count must be >= 1, got {n}")
+        raise ValueError(f"ion count must be >= 1, got {n}")
     return int(n)
+
+
+def _check_scalar(name, value, bound=None, strict=False, bound_name=None):
+    """``value`` as a float, if it is a finite number and, given a ``bound``,
+    > it (``strict``) or >= it; else ValueError naming the quantity ``name``
+    and the bound, as ``bound_name = bound`` when the bound has a name. The
+    one check of every scalar input: n is ``_check_qubit_count``'s."""
+    finite = math.isfinite(value)  # TypeError for a non-number
+    value = float(value)
+    if not finite:
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    if bound is not None and (value <= bound if strict else value < bound):
+        shown = f"{bound_name} = {bound}" if bound_name else bound
+        raise ValueError(f"{name} must be {'>' if strict else '>='} {shown}, got {value!r}")
+    return value
 
 
 def _reject_non_finite(values: np.ndarray, what: str) -> None:
@@ -60,6 +75,8 @@ class CollectiveMoments:
     def __post_init__(self):
         n = _check_qubit_count(self.n)
         object.__setattr__(self, "n", n)
+        for name in ("sx_mean", "sx2_mean", "sy_mean", "sy2_mean"):
+            _check_scalar(name, getattr(self, name))
         tol = 1e-9 * max(1.0, n * n)
         if self.sx2_mean < self.sx_mean**2 - tol or self.sy2_mean < self.sy_mean**2 - tol:
             raise ValueError("second moment smaller than squared mean")

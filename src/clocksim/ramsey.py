@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import SingularPointError
+from .qstate import _check_qubit_count, _check_scalar
 
 __all__ = [
     "ExperimentBudget",
@@ -38,16 +39,10 @@ class ExperimentBudget:
     shot_time: float
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool) or self.n < 1:
-            raise ValueError(f"ion count must be a positive integer, got {self.n!r}")
-        object.__setattr__(self, "n", int(self.n))
-        t = float(self.shot_time)
-        total = float(self.total_time)
-        if not (t > 0.0 and math.isfinite(t)):
-            raise ValueError(f"shot time must be > 0, got {t!r}")
-        if not (total >= t and math.isfinite(total)):
-            raise ValueError(f"total time must be >= shot time, got T={total!r}, t={t!r}")
+        object.__setattr__(self, "n", _check_qubit_count(self.n))
+        t = _check_scalar("shot time", self.shot_time, 0, strict=True)
         object.__setattr__(self, "shot_time", t)
+        total = _check_scalar("total time", self.total_time, t, bound_name="shot time")
         object.__setattr__(self, "total_time", total)
 
 
@@ -65,28 +60,45 @@ class PrecisionResult:
             raise ValueError(f"frequency uncertainty must be > 0, got {self.delta_omega!r}")
 
 
-def _check_rates(t, gamma, delta):
-    for name, value in (("duration", t), ("dephasing rate", gamma), ("detuning", delta)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-    if t < 0.0:
-        raise ValueError(f"duration must be >= 0, got {t}")
-    if gamma < 0.0:
-        raise ValueError(f"dephasing rate must be >= 0, got {gamma}")
+def _signal(m, delta, t, gamma):
+    """(1 + cos(m*delta*t) * exp(-m*gamma*t)) / 2: the signal of m ions in a
+    GHZ state, which act as one ion at detuning m*delta and rate m*gamma (m
+    = 1: one ion)."""
+    _check_scalar("duration", t, 0)
+    _check_scalar("dephasing rate", gamma, 0)
+    _check_scalar("detuning", delta)
+    return 0.5 * (1.0 + math.cos(m * delta * t) * math.exp(-m * gamma * t))
+
+
+def _uncertainty(budget, delta, gamma, m):
+    """Frequency uncertainty of the budget's n ions as n/m GHZ states of m
+    ions each (m = 1: uncorrelated ions, m = n: one GHZ state), each one ion
+    at detuning m*delta and rate m*gamma with m^2 times its weight:
+    sqrt((1 - cos^2(phi) e^{-2 m gamma t}) / (n m T t e^{-2 m gamma t}
+    sin^2(phi))), phi = m*delta*t. A decay that underflows gives inf."""
+    _check_scalar("dephasing rate", gamma, 0)
+    _check_scalar("detuning", delta)
+    t = budget.shot_time
+    phase = m * delta * t
+    s = math.sin(phase)
+    if abs(s) < _SIN_TOL:
+        raise SingularPointError(f"zero signal slope at phase {phase!r} (multiple of pi)")
+    c2 = math.cos(phase) ** 2
+    decay2 = np.exp(-2.0 * m * gamma * t)
+    with np.errstate(divide="ignore"):
+        return float(
+            np.sqrt((1.0 - c2 * decay2) / (budget.n * m * budget.total_time * t * decay2 * s * s))
+        )
 
 
 def signal_uncorrelated(delta: float, t: float, gamma: float) -> float:
     """Probability (1 + cos(delta*t) * exp(-gamma*t)) / 2 of finding an ion in |1>."""
-    _check_rates(t, gamma, delta)
-    return 0.5 * (1.0 + math.cos(delta * t) * math.exp(-gamma * t))
+    return _signal(1, delta, t, gamma)
 
 
 def signal_ghz(n: int, delta: float, t: float, gamma: float) -> float:
     """Maximally entangled signal (1 + cos(n*delta*t) * exp(-n*gamma*t)) / 2."""
-    if n < 1:
-        raise ValueError(f"ion count must be >= 1, got {n}")
-    _check_rates(t, gamma, delta)
-    return 0.5 * (1.0 + math.cos(n * delta * t) * math.exp(-n * gamma * t))
+    return _signal(_check_qubit_count(n), delta, t, gamma)
 
 
 def uncertainty_uncorrelated(budget: ExperimentBudget, delta: float, gamma: float) -> float:
@@ -95,32 +107,12 @@ def uncertainty_uncorrelated(budget: ExperimentBudget, delta: float, gamma: floa
     sqrt((1 - cos^2(delta*t) e^{-2 gamma t}) / (n T t e^{-2 gamma t} sin^2(delta*t))).
     Reduces to the shot-noise limit 1/sqrt(nTt) at gamma=0, delta*t = pi/2.
     """
-    _check_rates(budget.shot_time, gamma, delta)
-    t = budget.shot_time
-    phase = delta * t
-    s = math.sin(phase)
-    if abs(s) < _SIN_TOL:
-        raise SingularPointError(f"zero signal slope at delta*t = {phase!r} (multiple of pi)")
-    c2 = math.cos(phase) ** 2
-    decay2 = np.exp(-2.0 * gamma * t)
-    return float(
-        np.sqrt((1.0 - c2 * decay2) / (budget.n * budget.total_time * t * decay2 * s * s))
-    )
+    return _uncertainty(budget, delta, gamma, 1)
 
 
 def uncertainty_ghz(budget: ExperimentBudget, delta: float, gamma: float) -> float:
     """Frequency uncertainty of the maximally entangled scheme with dephasing."""
-    _check_rates(budget.shot_time, gamma, delta)
-    n, t = budget.n, budget.shot_time
-    phase = n * delta * t
-    s = math.sin(phase)
-    if abs(s) < _SIN_TOL:
-        raise SingularPointError(f"zero signal slope at n*delta*t = {phase!r} (multiple of pi)")
-    c2 = math.cos(phase) ** 2
-    decay2 = np.exp(-2.0 * n * gamma * t)
-    return float(
-        np.sqrt((1.0 - c2 * decay2) / (n * n * budget.total_time * t * decay2 * s * s))
-    )
+    return _uncertainty(budget, delta, gamma, budget.n)
 
 
 def reference_limit(n: int, total_time: float, gamma: float) -> float:
@@ -129,10 +121,7 @@ def reference_limit(n: int, total_time: float, gamma: float) -> float:
     Shared by the maximally entangled scheme at its own optimal shot time;
     the baseline against which improvements are quoted.
     """
-    if n < 1:
-        raise ValueError(f"ion count must be >= 1, got {n}")
-    if not total_time > 0:
-        raise ValueError(f"total time must be > 0, got {total_time}")
-    if gamma < 0.0:
-        raise ValueError(f"dephasing rate must be >= 0, got {gamma}")
+    n = _check_qubit_count(n)
+    total_time = _check_scalar("total time", total_time, 0, strict=True)
+    gamma = _check_scalar("dephasing rate", gamma, 0)
     return math.sqrt(2.0 * gamma * math.e / (n * total_time))

@@ -44,7 +44,7 @@ def test_params_validation():
         family_qfi(state, -1.0, 1.0)
     with pytest.raises(ValueError, match="duration must be >= 0"):
         family_qfi(state, 1.0, -0.5)
-    for gamma, t, name in ((np.nan, 1.0, "gamma"), (1.0, np.inf, "t")):
+    for gamma, t, name in ((np.nan, 1.0, "dephasing rate"), (1.0, np.inf, "duration")):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             family_qfi(state, gamma, t)
 

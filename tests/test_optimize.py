@@ -1301,6 +1301,14 @@ def test_fig3_scan_flags_infeasible_rows():
     assert np.isnan(table[1, 1]) and np.isnan(table[1, 2])  # t > T
 
 
+def test_fig3_scan_underflowed_ghz_decay_is_infinite():
+    # exp(-2 n gamma t) underflows to 0 at n gamma t = 500: the GHZ bound is
+    # inf, with no numpy warning (errors under this suite's filterwarnings)
+    table = fig3_scan(50, 1.0, 100.0, np.linspace(10.0, 20.0, 3))
+    assert np.isfinite(table[:, 1]).all()
+    assert np.isposinf(table[:, 2]).all()
+
+
 def test_improvement_sweep_small_range():
     points = list(improvement_sweep(range(2, 4), GAMMA, TOTAL))
     assert [n for n, _ in points] == [2, 3]
