@@ -28,7 +28,7 @@ from .exceptions import (
     SingularOutcomeError,
     SingularPointError,
 )
-from .fisher import _sld_fisher, family_qfi, qfi_uncertainty
+from .fisher import _check_shots, _sld_fisher, family_qfi, qfi_uncertainty
 from .optimize import (
     ION_RANGE,
     METHODS,
@@ -239,8 +239,8 @@ def _emit_json(out, payload: dict) -> None:
 def _emit_text(out, text: str) -> None:
     if out:
         try:
-            with open(out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+            with open(out, "wb") as fh:
+                fh.write(text.encode("utf-8"))
         except OSError as exc:
             raise ValueError(f"cannot write output file: {exc}") from exc
     else:
@@ -380,6 +380,8 @@ def _cmd_qfi(opts, out, fmt) -> int:
         if opts["t"] is None:
             raise ValueError("missing --t (or pass --optimize-t)")
         report["t"] = opts["t"]
+        if opts["total_time"] is not None:  # fail before any F_Q is evaluated
+            _check_shots(opts["total_time"], opts["t"])
         fq, cfi = family_qfi(state, gamma, opts["t"])
         delta_omega = None
         if opts["total_time"] is not None:

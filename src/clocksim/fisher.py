@@ -193,12 +193,19 @@ def _precision_bounds(fq, ts, total_time):
     return np.where(fq >= QFI_FLOOR, bounds, math.inf)
 
 
+def _check_shots(total_time, shot_time):
+    """``(T, t)`` as floats if the shot time t is > 0 and the total time T
+    at least t: the budget of ``qfi_uncertainty``, which the CLI checks
+    before it evaluates any F_Q."""
+    shot_time = _check_scalar("shot time", shot_time, 0, strict=True)
+    return _check_scalar("total time", total_time, shot_time, bound_name="shot time"), shot_time
+
+
 def qfi_uncertainty(qfi_per_shot: float, total_time: float, shot_time: float) -> float:
     """Optimal-measurement precision bound 1/sqrt((T/t) * F_Q), by
     ``_precision_bounds``."""
     qfi_per_shot = _check_scalar("quantum Fisher information", qfi_per_shot)
-    shot_time = _check_scalar("shot time", shot_time, 0, strict=True)
-    total_time = _check_scalar("total time", total_time, shot_time, bound_name="shot time")
+    total_time, shot_time = _check_shots(total_time, shot_time)
     if qfi_per_shot < QFI_FLOOR:
         raise NoInformationError(_NO_INFORMATION)
     return float(_precision_bounds(qfi_per_shot, shot_time, total_time))

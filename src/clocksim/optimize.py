@@ -23,12 +23,14 @@ is built.
 
 The shot-time QFI optimum of a state is likewise a root, of r = 1 - t
 F_Q'/F_Q = 2 d log delta_omega / d log t, next to the best point of a
-stacked geometric grid, found in x = t / t_lo, t_lo the bracket's lower
-grid point, to 1e-12 + 4 eps |x| by the same safeguarded Newton steps, each
-landing on the root of the inverse quadratic through the last three probes
-of ``fisher._shot_probe`` (``_secant_root``), or t = T where r(T) <= 0;
-either way the optimum is the latest probe. Every path uses numpy and the
-standard library only: no command loads scipy.
+stacked geometric grid, scored from its longest shot time down until the
+pure-state bound F_Q <= 4 t^2 Var(W) rules the shorter ones out, and found
+in x = t / t_lo, t_lo the bracket's lower grid point, to 1e-12 + 4 eps |x|
+by the same safeguarded Newton steps, each landing on the root of the
+inverse quadratic through the last three probes of ``fisher._shot_probe``
+(``_secant_root``), or t = T where r(T) <= 0; either way the optimum is
+the latest probe. Every path uses numpy and the standard library only: no
+command loads scipy.
 """
 
 from __future__ import annotations
@@ -80,12 +82,19 @@ ION_RANGE = {"gen-ramsey": (2, 1000), "qfi": (2, MAX_BLOCK_QUBITS)}
 _GRID_POINTS = 16  # the root needs only the optimum's basin
 # Bytes of one chunk of a stacked grid. In the presampling grid of
 # ``qfi_shot_optimum`` a lane is a (K, n+1, n+1) block array and its
-# derivative: the whole grid in one chunk up to n = 11, three shot times per
-# chunk at n = 20 and one from n = 25; each temporary of its Gram products
-# has the chunk's shape. In the gen-Ramsey mu grid a lane is a
-# flip-even matrix and its eigenvectors: the whole grid in one chunk up to
-# n = 61, one mu per chunk from n = 180.
+# derivative, and a chunk holds at most half the grid: eight shot times per
+# chunk up to n = 15, three at n = 20 and one from n = 25; each temporary of
+# its Gram products has the chunk's shape. In the gen-Ramsey mu grid a lane
+# is a flip-even matrix and its eigenvectors: the whole grid in one chunk up
+# to n = 61, one mu per chunk from n = 180.
 _STACK_BYTES = 1 << 18
+# A grid chunk is skipped when the pure-state bound at its longest shot time
+# exceeds the best grid value so far by more than this factor. A computed
+# F_Q, and so a grid value, is within about 1e-12 relative of its true value
+# (F_Q's rounding is 3.9e-13 at n = 40 and 1.2e-12 at n = 100), and Var(W)
+# and the bound within a few ulps: 1e-9 leaves a thousandfold margin, so a
+# skipped lane is strictly worse than the best in the computed values too.
+_BOUND_SLACK = 1e-9
 # The log mu grid: points 18..34 (mu from 0.0501 to 12.59) of the 41-point
 # grid over [1e-4, 1e2], sliced from it so every point keeps its bits. The
 # best mu depends on n alone (see ``_genramsey_search``): 0.213 at n = 2
@@ -134,9 +143,16 @@ def _chunks(grid, lane_bytes):
 
 def _shot_grid(n, gamma, total_time):
     """The geometric presampling grid of shot times over ``_shot_bracket``,
-    its ends exact, and its split into chunks of stacked n-ion blocks."""
-    grid = np.geomspace(*_shot_bracket(gamma, total_time), _GRID_POINTS)
-    return grid, _chunks(grid, 16 * (n // 2 + 1) * (n + 1) ** 2)
+    its ends exact, and its split into chunks of stacked n-ion blocks, the
+    longest shot times first: at most half the grid and ``_STACK_BYTES``
+    each, so that the shorter half can be skipped. The grid has the bits of
+    ``np.geomspace``, without its dtype and sign handling."""
+    lo, hi = _shot_bracket(gamma, total_time)
+    grid = 10.0 ** np.linspace(np.log10(lo), np.log10(hi), _GRID_POINTS)
+    grid[0], grid[-1] = lo, hi
+    lane_bytes = 16 * (n // 2 + 1) * (n + 1) ** 2
+    size = min(_GRID_POINTS // 2, max(1, _STACK_BYTES // lane_bytes))
+    return grid, [grid[max(top - size, 0) : top] for top in range(_GRID_POINTS, 0, -size)]
 
 
 def qfi_shot_optimum(state, gamma, total_time):
@@ -145,7 +161,15 @@ def qfi_shot_optimum(state, gamma, total_time):
     over (1e-4/gamma, min(T, 8/gamma)). Returns (t_opt, delta_omega); raises
     NoInformationError when no grid shot time carries information.
 
-    The grid is scored in stacked chunks of Schur-Weyl blocks. In the
+    The grid is scored in stacked chunks of Schur-Weyl blocks, the longest
+    shot times first. No dephased family state beats its pure state, whose
+    F_Q is 4 t^2 Var(W), W the Dicke level (Braunstein & Caves, PRL 72, 3439
+    (1994)): the dephasing commutes with the phase e^(-i delta t W). So no
+    shot time up to t has a bound below 1/(2 sqrt(T Var(W) t)), and once
+    that exceeds the best grid value by ``_BOUND_SLACK`` relative at a
+    chunk's longest shot time, that chunk and every shorter one are
+    skipped: they read +inf, strictly worse than the best, and the search
+    ends on the bits of the whole grid's. In the
     ``_bracket_beside`` (t_lo, t_hi) of the best grid point, ``_secant_root``
     then solves r = 1 - t F_Q'/F_Q = 0, F_Q and F_Q' from
     ``fisher._shot_probe``, in x = t / t_lo to ``_newton_root``'s tolerance
@@ -174,8 +198,18 @@ def _shot_optimum(state, gamma, total_time):
     _check_scalar("total time", total_time, lo, strict=True, bound_name="1e-4/gamma")
     n, c = state.n, _dicke_amplitudes(state.n, state.a)
     grid, chunks = _shot_grid(n, gamma, total_time)
-    fq = np.concatenate([_block_qfi(c, _block_form(n, gamma, ts))[0] for ts in chunks])
-    values = _precision_bounds(fq, grid, total_time)
+    # Var(W) about its mean n/2, exact for a flip-symmetric state: a sum of
+    # non-negative terms, where <W^2> - <W>^2 would cancel near a Dicke state
+    spread = float((c * c) @ (np.arange(n + 1) - 0.5 * n) ** 2)
+    values, least, top = np.full(len(grid), math.inf), math.inf, len(grid)
+    for ts in chunks:
+        longest = float(ts[-1])  # no bound up to it is below 1/(2 sqrt(T Var longest))
+        if 2.0 * least * (1.0 + _BOUND_SLACK) * math.sqrt(total_time * spread * longest) < 1.0:
+            break  # never while least is inf
+        fq = _block_qfi(c, _block_form(n, gamma, ts))[0]
+        top -= len(ts)
+        values[top : top + len(ts)] = _precision_bounds(fq, ts, total_time)
+        least = float(values[top:].min())
     if not np.isfinite(values).any():
         raise NoInformationError(_NO_INFORMATION)
     probed, latest = {}, None  # r at each probed t; (t, F_Q, measurement) of the latest probe
@@ -612,7 +646,7 @@ def fig3_scan(n: int, gamma: float, total_time: float, t_grid) -> np.ndarray:
     """
     n = _check_qubit_count(n)
     _check_scalar("dephasing rate", gamma, 0, strict=True)
-    _check_scalar("total time", total_time)
+    _check_scalar("total time", total_time, 0, strict=True)
     rows = []
     for t in np.asarray(t_grid, dtype=float):
         row = [t, math.nan, math.nan]

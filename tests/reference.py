@@ -43,9 +43,27 @@ from clocksim import (
     reference_limit,
 )
 from clocksim.collective import _ZERO_TOL
-from clocksim.evolution import _block_tables
-from clocksim.fisher import QFI_FLOOR, _block_qfi, _qfi_core, _qfi_gradient, _sld
-from clocksim.optimize import _FACTR, _GRAD_TOL, _POLISH_EVALS
+from clocksim.evolution import _block_form, _block_tables
+from clocksim.fisher import (
+    _NO_INFORMATION,
+    QFI_FLOOR,
+    _block_qfi,
+    _precision_bounds,
+    _qfi_core,
+    _qfi_gradient,
+    _shot_probe,
+    _sld,
+)
+from clocksim.optimize import (
+    _FACTR,
+    _GRAD_TOL,
+    _GRID_POINTS,
+    _POLISH_EVALS,
+    _bracket_beside,
+    _secant_root,
+    _shot_bracket,
+)
+from clocksim.qstate import _dicke_amplitudes
 
 
 class OracleError(Exception):
@@ -496,6 +514,44 @@ def dense_qfi_shot_optimum(psi, gamma, total_time, delta=0.0, tol_x=1e-9):
         (1e-4 / gamma, min(total_time, 8.0 / gamma)),
         tol_x,
     )
+
+
+def all_lanes_shot_optimum(state, gamma, total_time):
+    """``(t_opt, delta_omega, F_Q)`` of ``qfi_shot_optimum`` with every lane
+    of its 16-point ``np.geomspace`` grid scored, in one stacked call, as
+    before the pure-state bound skipped grid lanes; the same bracket, root
+    and exceptions follow, and F_Q is that of the probe at t_opt."""
+    n, c = state.n, _dicke_amplitudes(state.n, state.a)
+    grid = np.geomspace(*_shot_bracket(gamma, total_time), _GRID_POINTS)
+    fq = _block_qfi(c, _block_form(n, gamma, grid))[0]
+    values = _precision_bounds(fq, grid, total_time)
+    if not np.isfinite(values).any():
+        raise NoInformationError(_NO_INFORMATION)
+    probed = {}
+
+    def residual(t):
+        if t not in probed:
+            fq, dfq = _shot_probe(n, gamma, c, t)[:2]
+            probed[t] = float(1.0 - t * dfq / fq) if fq >= QFI_FLOOR else math.nan
+        return probed[t]
+
+    grid, best = grid.tolist(), int(np.argmin(values))
+    bracket = _bracket_beside(lambda k: residual(grid[k]), best, len(grid))
+    x = None
+    if bracket is not None:
+        lo, hi = (grid[k] for k in bracket)
+        scaled = lambda x: hi if x == hi / lo else lo * x
+        x = _secant_root(lambda x: residual(scaled(x)), 1.0, hi / lo, residual(lo), residual(hi))
+    if x is not None:
+        t = scaled(x)
+    elif grid[best] == total_time and residual(grid[best]) <= 0.0:
+        t = grid[best]
+    elif any(math.isnan(r) for r in probed.values()):
+        raise NoInformationError(_NO_INFORMATION)
+    else:
+        raise BracketingError(f"no shot-time optimum bracketed next to t = {grid[best]}")
+    fq = _shot_probe(n, gamma, c, t)[0]
+    return t, float(_precision_bounds(fq, t, total_time)), fq
 
 
 def schrijver_blocks(n, dicke_amps, delta, gamma, t):

@@ -10,7 +10,7 @@ import pytest
 
 import clocksim
 from clocksim import reference_limit, signal_ghz, signal_uncorrelated, uncertainty_uncorrelated
-from clocksim import ExperimentBudget, improvement_sweep, optimize
+from clocksim import ExperimentBudget, cli, improvement_sweep, optimize
 from clocksim.cli import main
 from clocksim.evolution import MAX_BLOCK_QUBITS
 
@@ -97,6 +97,18 @@ def test_scan_rejects_nonpositive_tmin(tmp_path):
                  "--t-min", "0", "--out", str(out)])
     assert code == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("total", ["-1", "0"])
+def test_scan_rejects_nonpositive_total_time(tmp_path, capsys, total):
+    # every shot time would be infeasible: no nan rows, an error
+    out = tmp_path / "scan.csv"
+    code = main(["scan", "--n", "2", "--gamma", "1", "--total-time", total,
+                 "--t-steps", "3", "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err == f"clocksim: invalid-argument: total time must be > 0, got {float(total)!r}\n"
 
 
 def test_scan_flags_infeasible_rows_with_warning(tmp_path, capsys):
@@ -444,6 +456,27 @@ def test_config_key_matching_no_option_exits_2(tmp_path, capsys, command, lines,
     assert not out.exists()
     err = capsys.readouterr().err
     assert err == f"clocksim: invalid-argument: config key {key}: no such option of {command[0]}\n"
+
+
+@pytest.mark.parametrize(
+    "total, message",
+    [
+        ("inf", "total time must be finite, got inf"),
+        ("0.1", "total time must be >= shot time = 0.2, got 0.1"),
+    ],
+)
+def test_qfi_fixed_time_checks_total_time_before_any_qfi(monkeypatch, tmp_path, capsys,
+                                                           total, message):
+    # the budget qfi_uncertainty checks is checked first: a bad --total-time
+    # costs no F_Q evaluation, 0.16 s at n = 100
+    calls, family_qfi = [], cli.family_qfi
+    monkeypatch.setattr(cli, "family_qfi", lambda *args: calls.append(args) or family_qfi(*args))
+    out = tmp_path / "never.json"
+    argv = ["qfi", "--scheme", "ghz", "--n", "100", "--gamma", "1", "--t", "0.2",
+            "--total-time", total, "--out", str(out)]
+    assert main(argv) == 2
+    assert not out.exists() and calls == []
+    assert capsys.readouterr().err == f"clocksim: invalid-argument: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -113,6 +113,7 @@ CONTRACT = [
     ("fig3_scan", "n", 0, "ion count must be >= 1"),
     ("fig3_scan", "gamma", 0.0, "dephasing rate must be > 0"),
     ("fig3_scan", "total_time", nan, "total time must be finite"),
+    ("fig3_scan", "total_time", -1.0, "total time must be > 0"),
 ]
 
 # the scalars of the paper's results that every public entry must check

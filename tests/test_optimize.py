@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from clocksim import (
     BracketingError,
+    ClocksimError,
     DegenerateStateError,
     ExperimentBudget,
     NoInformationError,
@@ -37,8 +38,11 @@ from clocksim import cli, evolution, fisher, optimize
 from clocksim.evolution import MAX_BLOCK_QUBITS
 from clocksim.qstate import _dicke_amplitudes, _moment_rows
 from clocksim.optimize import (
+    _BOUND_SLACK,
+    _GRID_POINTS,
     _LINE_EVALS,
     _LOG_MU_GRID,
+    _STACK_BYTES,
     ION_RANGE,
     METHODS,
     _backtrack,
@@ -51,8 +55,10 @@ from clocksim.optimize import (
     _polish,
     _secant_root,
     _shot_bracket,
+    _shot_grid,
 )
 from reference import (
+    all_lanes_shot_optimum,
     brent_genramsey_root,
     dense_genramsey_ground,
     dense_genramsey_moments,
@@ -1041,6 +1047,91 @@ def test_qfi_shot_optimum_does_not_depend_on_where_the_grid_sits(monkeypatch):
         assert t_shift == pytest.approx(t_opt, rel=1e-12, abs=0.0), (n, kind, gamma, total)
 
 
+def test_shot_grid_has_the_bits_of_geomspace():
+    # the grid is np.geomspace's without its dtype and sign handling, over
+    # every (gamma, T) regime: T below, inside and above the bracket's 8/gamma
+    pairs = 0
+    for gamma in np.geomspace(1e-3, 1e3, 37):
+        for total in np.geomspace(1e-3, 1e5, 29):
+            if total > 1e-4 / gamma:
+                pairs += 1
+                grid = _shot_grid(3, gamma, total)[0]
+                expected = np.geomspace(*_shot_bracket(gamma, total), _GRID_POINTS)
+                assert grid.tobytes() == expected.tobytes(), (gamma, total)
+    assert pairs == 1020
+
+
+@pytest.mark.parametrize("n, calls", [(1, 2), (7, 2), (15, 2), (16, 3), (20, 6), (24, 8),
+                                      (25, 16), (100, 16)])
+def test_shot_grid_chunks_run_from_the_longest_shot_time_down(n, calls):
+    # at most half the grid per stacked call, so the bound can skip the
+    # other half, and at most _STACK_BYTES unless a chunk is one lane
+    grid, chunks = _shot_grid(n, GAMMA, TOTAL)
+    assert len(chunks) == calls
+    assert np.concatenate(chunks[::-1]).tobytes() == grid.tobytes()
+    lane_bytes = 16 * (n // 2 + 1) * (n + 1) ** 2
+    for ts in chunks:
+        assert len(ts) <= _GRID_POINTS // 2
+        assert len(ts) == 1 or len(ts) * lane_bytes <= _STACK_BYTES
+
+
+def _family_state(n, kind, seed):
+    """A GHZ, product, drawn (a_k >= 0) or signed drawn n-ion family state."""
+    if kind == "ghz":
+        return SymmetricFamilyState(n, np.eye(1, n // 2 + 1)[0])
+    if kind == "product":
+        return SymmetricFamilyState(n, uniform_coefficients(n))
+    a = np.random.default_rng(seed).normal(size=n // 2 + 1)
+    a = np.abs(a) if kind == "drawn" else a
+    return SymmetricFamilyState(n, a / np.linalg.norm(a))
+
+
+_FAMILY_KINDS = ("ghz", "product", "drawn", "signed")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 30),
+    kind=st.sampled_from(_FAMILY_KINDS),
+    seed=st.integers(0, 2**32 - 1),
+    pair=st.sampled_from(_ROOT_PAIRS + ((1.0, 0.3),)),
+)
+def test_skipped_grid_lanes_change_no_bit_of_the_optimum(n, kind, seed, pair):
+    # the lanes the pure-state bound skips are strictly worse than the best,
+    # so the search ends on the bits of the whole grid's, or raises as it does
+    state = _family_state(n, kind, seed)
+    outcomes = []
+    for search in (all_lanes_shot_optimum, optimize._shot_optimum):
+        try:
+            t_opt, delta_omega, fq = search(state, *pair)
+        except ClocksimError as exc:
+            outcomes.append((type(exc), str(exc)))
+        else:
+            fq = fq[0] if isinstance(fq, tuple) else fq  # the search's (F_Q, measurement)
+            outcomes.append((t_opt.hex(), delta_omega.hex(), float(fq).hex()))
+    assert outcomes[0] == outcomes[1]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 30),
+    kind=st.sampled_from(_FAMILY_KINDS),
+    seed=st.integers(0, 2**32 - 1),
+    gamma=st.sampled_from([0.3, 1.0, 3.0]),
+)
+def test_qfi_never_exceeds_the_pure_state_bound(n, kind, seed, gamma):
+    # F_Q(t) <= 4 t^2 Var(W): the dephasing commutes with the phase, so the
+    # pure state's F_Q bounds the dephased one's at every shot time, with
+    # room for rounding within the skip's slack (the largest ratio measured
+    # over n <= 50 was 0.99999983, at t = 1e-6 where the bound is tight)
+    state = _family_state(n, kind, seed)
+    c = _dicke_amplitudes(n, state.a)
+    spread = float((c * c) @ (np.arange(n + 1) - 0.5 * n) ** 2)
+    for t in np.geomspace(1e-6, 8.0 / gamma, 9):
+        fq = family_qfi(state, gamma, t)[0]
+        assert fq <= 4.0 * t * t * spread * (1.0 + _BOUND_SLACK)
+
+
 def test_qfi_shot_optimum_at_the_total_time_is_certified(tmp_path):
     # T = 0.3 cuts the product state off before its optimum at 0.5: at t = T
     # the residual r = 1 - t F_Q'/F_Q is negative, so delta_omega still falls
@@ -1133,32 +1224,45 @@ def test_qfi_report_evaluates_again_when_its_probe_is_not_held(monkeypatch, tmp_
     assert calls == {"_shot_probe": probes + 3}
 
 
+def _counting_lanes(monkeypatch, lanes):
+    """Record the number of shot times of each stacked grid call."""
+    block_form = optimize._block_form
+    monkeypatch.setattr(optimize, "_block_form",
+                        lambda n, gamma, ts: lanes.append(len(ts)) or block_form(n, gamma, ts))
+
+
 @pytest.mark.parametrize("kind", ["ghz", "product", "drawn"])
 def test_qfi_report_at_n7_scores_its_grid_once_in_few_probes(monkeypatch, tmp_path, kind):
-    # the benchmark's dense report: one stacked grid call, the probe counts
-    # of the inverse-quadratic finish (GHZ 3, product 3, drawn 6; the secant
-    # finish before it took 8, 8 and 7, Brent's method 8, 8 and 8) and no
-    # F_Q evaluated after the search
-    calls = {}
-    for module, name in ((optimize, "_block_form"), (optimize, "_shot_probe"), (cli, "family_qfi")):
+    # the benchmark's dense report: one stacked call of the 8 longest grid
+    # shot times, after which the pure-state bound skips the other 8 (all 16
+    # were scored before it), the probe counts of the inverse-quadratic
+    # finish (GHZ 3, product 3, drawn 6; the secant finish before it took 8,
+    # 8 and 7, Brent's method 8, 8 and 8) and no F_Q evaluated after the
+    # search
+    calls, lanes = {}, []
+    for module, name in ((optimize, "_shot_probe"), (cli, "family_qfi")):
         _counting(monkeypatch, module, name, calls)
+    _counting_lanes(monkeypatch, lanes)
     _qfi_report(tmp_path, 7, TOTAL, _preparation(7, kind)[0])
     probes = {"ghz": 3, "product": 3, "drawn": 6}[kind]
-    assert calls == {"_block_form": 1, "_shot_probe": probes}
+    assert calls == {"_shot_probe": probes} and lanes == [8]
 
 
 def test_shot_time_searches_make_no_more_probes_than_brent(monkeypatch):
     # shot-time probes summed over n = 2..12, the states and (gamma, T)
     # pairs of the scipy brentq check; probe counts do not depend on the
     # machine. Brent's method made 1039 (one BLAS thread), the secant finish
-    # in log t 1005 and this inverse-quadratic finish in t 531.
-    calls = {}
+    # in log t 1005 and this inverse-quadratic finish in t 531. The grid
+    # lanes scored: 2112 (16 per search) before the pure-state bound, 1128
+    # with it.
+    calls, lanes = {}, []
     _counting(monkeypatch, optimize, "_shot_probe", calls)
+    _counting_lanes(monkeypatch, lanes)
     for n in range(2, 13):
         for state in _seeded_states(n):
             for gamma, total in _ROOT_PAIRS:
                 qfi_shot_optimum(state, gamma, total)
-    assert calls["_shot_probe"] <= 531
+    assert calls["_shot_probe"] <= 531 and sum(lanes) <= 1128
 
 
 @pytest.mark.parametrize("gamma, total", [(1.0, 100.0), (0.3, 50.0), (2.0, 10.0)])
