@@ -28,7 +28,7 @@ from .exceptions import (
     SingularOutcomeError,
     SingularPointError,
 )
-from .fisher import _check_shots, _sld_fisher, family_qfi, qfi_uncertainty
+from .fisher import _sld_fisher, family_qfi, qfi_uncertainty
 from .optimize import (
     ION_RANGE,
     METHODS,
@@ -36,7 +36,13 @@ from .optimize import (
     fig3_scan,
     improvement_sweep,
 )
-from .qstate import SymmetricFamilyState, _check_qubit_count, _check_scalar, uniform_coefficients
+from .qstate import (
+    SymmetricFamilyState,
+    _check_qubit_count,
+    _check_scalar,
+    _check_shots,
+    uniform_coefficients,
+)
 from .ramsey import signal_ghz, signal_uncorrelated
 
 CONVENTION_NOTE = (
@@ -93,7 +99,11 @@ _OPTION_TABLES = {
     },
     "qfi": {
         "scheme": _Option(str, choices=("uncorrelated", "ghz", "symmetric")),
-        "coeffs": _Option(str, help="semicolon-separated family coefficients"),
+        "coeffs": _Option(
+            str,
+            help="semicolon-separated family coefficients; "
+            "a negative first one as --coeffs=-0.6;0.8",
+        ),
         "n": _Option(int, required=True),
         "gamma": _Option(float, required=True),
         "t": _Option(float),

@@ -9,15 +9,12 @@ optimizes, so it is not tracked. The phase optimum is delta*t = pi/2, and
 the optimal shot time t_opt solves n[1 + (2 gamma t - 1) e^{2 gamma t}] =
 Var S_y, that is t_opt = (1 + W0((Var S_y/n - 1)/e)) / (2 gamma) with W0
 the principal branch of the Lambert W function. It is solved for x = 2
-gamma t_opt by Halley steps in stdlib ``math``, one state at a time, so the
-module needs numpy alone.
+gamma t_opt by Halley steps in stdlib ``math``, one state at a time.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from .exceptions import DegenerateStateError
 from .qstate import CollectiveMoments, _check_scalar
@@ -76,34 +73,30 @@ def _topt_x(ratio):
     return x - (_excess(x) - ratio) / (x * math.exp(x))
 
 
-def _topt_rows(sy_var, n, gamma):
-    """Optimal shot durations for an array of initial S_y variances: the
+def _topt(sy_var, n, gamma):
+    """Optimal shot duration for the initial S_y variance ``sy_var``: the
     unique positive root of n * [1 + (2 gamma t - 1) e^{2 gamma t}] = Var S_y,
     t_opt = x / (2 gamma) with x from ``_topt_x`` at Var S_y/n, within a few
-    units in the last place over Var S_y/n in [1e-12, 1e4]. Each entry is
-    solved by the same scalar code, so it gives the same bits alone as in an
-    array. Raises DegenerateStateError when any variance is <= 1e-12."""
-    variances = sy_var.tolist()
-    for var in variances:
-        if var <= _ZERO_TOL:
-            raise DegenerateStateError(f"initial S_y variance must be > 0, got {var:.17g}")
-    return np.array([_topt_x(var / n) / (2.0 * gamma) for var in variances])
+    units in the last place over Var S_y/n in [1e-12, 1e4]. Raises
+    DegenerateStateError when the variance is <= 1e-12."""
+    if sy_var <= _ZERO_TOL:
+        raise DegenerateStateError(f"initial S_y variance must be > 0, got {sy_var:.17g}")
+    return _topt_x(sy_var / n) / (2.0 * gamma)
 
 
 def _genramsey_rows(sx_mean, sy_var, n, total_time, gamma):
-    """``(t_opt, delta_omega)`` arrays of the best-case gen-Ramsey precision
-    sqrt(2 n gamma e^{2 gamma t_opt} / (T <S_x(0)>^2)) at delta*t = pi/2,
-    for arrays of initial <S_x> and Var S_y, elementwise like ``_topt_rows``.
-    Raises DegenerateStateError when any |<S_x>| is below 1e-12 or any
-    variance is at most 1e-12, and ValueError when any t_opt exceeds T."""
-    if (np.abs(sx_mean) < _ZERO_TOL).any():
+    """``(t_opt, delta_omega)``: the best-case gen-Ramsey precision
+    sqrt(2 n gamma e^{2 gamma t_opt} / (T <S_x(0)>^2)) at delta*t = pi/2 of
+    initial <S_x> and Var S_y, t_opt from ``_topt``. Raises
+    DegenerateStateError when |<S_x>| is below 1e-12 or the variance is at
+    most 1e-12, and ValueError when t_opt exceeds T."""
+    if abs(sx_mean) < _ZERO_TOL:
         raise DegenerateStateError("mean collective signal <S_x(0)> is zero")
-    t_opt = _topt_rows(sy_var, n, gamma)
-    late = t_opt > total_time
-    if late.any():
-        raise ValueError(f"optimal shot {float(t_opt[late][0])} exceeds total time {total_time}")
-    delta_omega = np.sqrt(
-        2.0 * n * gamma * np.exp(2.0 * gamma * t_opt) / (total_time * sx_mean**2)
+    t_opt = _topt(sy_var, n, gamma)
+    if t_opt > total_time:
+        raise ValueError(f"optimal shot {t_opt} exceeds total time {total_time}")
+    delta_omega = math.sqrt(
+        2.0 * n * gamma * math.exp(2.0 * gamma * t_opt) / (total_time * sx_mean**2)
     )
     return t_opt, delta_omega
 
@@ -120,9 +113,9 @@ def solve_topt(m0: CollectiveMoments, gamma: float) -> float:
     """Optimal shot duration of the moments ``m0`` of an n = ``m0.n`` ion
     state: the unique positive root of n * [1 + (2 gamma t - 1) e^{2 gamma t}]
     = Var S_y(t=0), that is t_opt = (1 + W0((Var S_y/n - 1)/e)) / (2 gamma),
-    solved by Halley steps and a Newton polish (``_topt_rows``)."""
+    solved by Halley steps and a Newton polish (``_topt``)."""
     _check_scalar("dephasing rate", gamma, 0, strict=True)
-    return float(_topt_rows(np.array([m0.sy_variance()]), m0.n, gamma)[0])
+    return _topt(m0.sy_variance(), m0.n, gamma)
 
 
 def genramsey_opt_uncertainty(
@@ -137,12 +130,7 @@ def genramsey_opt_uncertainty(
     """
     n = m0.n
     _check_reachable(gamma, total_time)
-    t_opt, delta_omega = (
-        float(v[0])
-        for v in _genramsey_rows(
-            np.array([m0.sx_mean]), np.array([m0.sy_variance()]), n, total_time, gamma
-        )
-    )
+    t_opt, delta_omega = _genramsey_rows(m0.sx_mean, m0.sy_variance(), n, total_time, gamma)
     ref = reference_limit(n, total_time, gamma)
     return PrecisionResult(
         t_opt=t_opt,

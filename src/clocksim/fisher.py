@@ -37,7 +37,13 @@ import numpy as np
 
 from .evolution import _block_form, _channel_drift, _gram_form
 from .exceptions import NoInformationError, SingularOutcomeError
-from .qstate import SymmetricFamilyState, _check_scalar, _dicke_amplitudes, _flip_even_isometry
+from .qstate import (
+    SymmetricFamilyState,
+    _check_scalar,
+    _check_shots,
+    _dicke_amplitudes,
+    _flip_even_isometry,
+)
 
 __all__ = [
     "EIG_CUTOFF",
@@ -191,14 +197,6 @@ def _precision_bounds(fq, ts, total_time):
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         bounds = np.sqrt(ts / (total_time * fq))
     return np.where(fq >= QFI_FLOOR, bounds, math.inf)
-
-
-def _check_shots(total_time, shot_time):
-    """``(T, t)`` as floats if the shot time t is > 0 and the total time T
-    at least t: the budget of ``qfi_uncertainty``, which the CLI checks
-    before it evaluates any F_Q."""
-    shot_time = _check_scalar("shot time", shot_time, 0, strict=True)
-    return _check_scalar("total time", total_time, shot_time, bound_name="shot time"), shot_time
 
 
 def qfi_uncertainty(qfi_per_shot: float, total_time: float, shot_time: float) -> float:

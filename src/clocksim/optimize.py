@@ -4,22 +4,20 @@ improvement-versus-ion-number datasets.
 
 Both coefficient searches are deterministic: they draw no random numbers,
 so identical arguments reproduce identical reports. The gen-Ramsey search
-scans ground states of -S_x + mu S_y^2 over log mu, on the flip-even sector
-of the n//2+1 family coefficients: the log mu grid is one stacked ``eigh``
-per chunk, scored as one array from its eigenpairs. Safeguarded Newton steps
-then solve the optimum's stationarity condition mu = <S_x> / (2 n x e^x), x
-= 2 gamma t_opt, whose residual and slope every scored lane already yields,
-one one-lane stack per probe; a best lane whose bracket holds no root is
-reported unconverged. The QFI search starts from that winner at its shot
-time and runs one projected L-BFGS polish over the coefficients and the log
-shot time, across the whole shot-time bracket, minimizing t / F_Q with the
-envelope gradient (``fisher._qfi_gradient``) and a cubic backtracking line
-search until its model predicts a decrease near F_Q's rounding; its
-projected gradient certifies the status, and its own t and F_Q are
-reported. A sweep over n runs the gen-Ramsey search once per n, whichever
-methods it reports. The gradient, like every shot-time F_Q, comes from the
-one block QFI ``fisher._block_qfi``: no 2^n state vector or density matrix
-is built.
+takes ground states of -S_x + mu S_y^2, one ``eigh`` on the flip-even
+sector of the n//2+1 family coefficients per mu, and solves the optimum's
+stationarity condition mu = <S_x> / (2 n x e^x), x = 2 gamma t_opt, in log
+mu between two fixed ends by the shot-time search's ``_secant_root``; ends
+that bracket no root leave the search unconverged. The QFI search starts
+from that winner at its shot time and runs one projected L-BFGS polish
+over the coefficients and the log shot time, across the whole shot-time
+bracket, minimizing t / F_Q with the envelope gradient
+(``fisher._qfi_gradient``) and a cubic backtracking line search until its
+model predicts a decrease near F_Q's rounding; its projected gradient
+certifies the status, and its own t and F_Q are reported. A sweep over n
+runs the gen-Ramsey search once per n, whichever methods it reports. The
+gradient, like every shot-time F_Q, comes from the one block QFI
+``fisher._block_qfi``: no 2^n state vector or density matrix is built.
 
 The shot-time QFI optimum of a state is likewise a root, of r = 1 - t
 F_Q'/F_Q = 2 d log delta_omega / d log t, next to the best point of a
@@ -40,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collective import _check_reachable, _genramsey_rows
+from .collective import _check_reachable, _genramsey_rows, _topt_x
 from .exceptions import BracketingError, NoInformationError, SingularPointError
 from .evolution import MAX_BLOCK_QUBITS, _block_form
 from .fisher import (
@@ -75,18 +73,16 @@ __all__ = [
 METHODS = ("gen-ramsey", "qfi")
 # Smallest and largest ion number each coefficient search accepts. The
 # gen-Ramsey end is set by its (n//2+1)-level flip-even eigensolves, O(n^3)
-# each: 17 for the grid and 2 Newton probes, about 0.6 s at n = 1000;
-# the qfi end is that of the block QFI.
+# each: 6 or 7 probes, about 0.16 s at n = 1000, where its bracket was last
+# checked to hold the root; the qfi end is that of the block QFI.
 ION_RANGE = {"gen-ramsey": (2, 1000), "qfi": (2, MAX_BLOCK_QUBITS)}
 
 _GRID_POINTS = 16  # the root needs only the optimum's basin
-# Bytes of one chunk of a stacked grid. In the presampling grid of
-# ``qfi_shot_optimum`` a lane is a (K, n+1, n+1) block array and its
-# derivative, and a chunk holds at most half the grid: eight shot times per
-# chunk up to n = 15, three at n = 20 and one from n = 25; each temporary of
-# its Gram products has the chunk's shape. In the gen-Ramsey mu grid a lane
-# is a flip-even matrix and its eigenvectors: the whole grid in one chunk up
-# to n = 61, one mu per chunk from n = 180.
+# Bytes of one chunk of the presampling grid of ``qfi_shot_optimum``. A lane
+# is a (K, n+1, n+1) block array and its derivative, and a chunk holds at
+# most half the grid: eight shot times per chunk up to n = 15, three at
+# n = 20 and one from n = 25; each temporary of its Gram products has the
+# chunk's shape.
 _STACK_BYTES = 1 << 18
 # A grid chunk is skipped when the pure-state bound at its longest shot time
 # exceeds the best grid value so far by more than this factor. A computed
@@ -95,11 +91,10 @@ _STACK_BYTES = 1 << 18
 # and the bound within a few ulps: 1e-9 leaves a thousandfold margin, so a
 # skipped lane is strictly worse than the best in the computed values too.
 _BOUND_SLACK = 1e-9
-# The log mu grid: points 18..34 (mu from 0.0501 to 12.59) of the 41-point
-# grid over [1e-4, 1e2], sliced from it so every point keeps its bits. The
-# best mu depends on n alone (see ``_genramsey_search``): 0.213 at n = 2
-# rising to 2.647 at n = 1000, between points 22 and 30 of the whole grid.
-_LOG_MU_GRID = np.linspace(math.log(1e-4), math.log(1e2), 41)[18:35]
+# The log mu bracket of the gen-Ramsey root, mu from 10^-1.3 = 0.0501 to
+# 10^1.1 = 12.59. The best mu depends on n alone (see ``_genramsey_search``):
+# 0.213 at n = 2 rising to 2.647 at n = 1000, about as n^0.41.
+_LOG_MU_BRACKET = (-1.3 * math.log(10.0), 1.1 * math.log(10.0))
 # F_Q evaluations (``_qfi_gradient`` calls) after which the polish stops
 # unconverged; it takes 8 to 13 at n = 2..7 and 69 at n = 20.
 _POLISH_EVALS = 4000
@@ -132,13 +127,6 @@ class OptimizationReport:
 def _shot_bracket(gamma, total_time):
     """The shot times (1e-4/gamma, min(T, 8/gamma)) both QFI searches cover."""
     return 1e-4 / gamma, min(total_time, 8.0 / gamma)
-
-
-def _chunks(grid, lane_bytes):
-    """``grid`` split into chunks of at most ``_STACK_BYTES`` of stacked
-    lanes of ``lane_bytes`` each, and at least one lane."""
-    size = max(1, _STACK_BYTES // lane_bytes)
-    return [grid[i : i + size] for i in range(0, len(grid), size)]
 
 
 def _shot_grid(n, gamma, total_time):
@@ -261,43 +249,21 @@ def _flip_even_ops(n):
     return ops
 
 
-def _ground_states(ops, log_mu):
-    """``(energy, a, <S_x>, <S_y^2>, d<S_y^2>/dmu)`` of the ground states
-    |0> of H = -S_x + mu S_y^2 on the flip-even sector ``ops`` of
-    ``_flip_even_ops``, one row per mu of the stack ``log_mu``, all from the
-    eigenpairs (E_j, |j>) of one stacked ``eigh``. Every off-diagonal element
-    is <= 0, so by Perron-Frobenius the ground vector, the family
-    coefficients themselves, is positive up to its sign and E_0 is simple.
-
-    <S_y^2> = <0|S_y^2|0> = dE_0/dmu, and its derivative is the linear
-    response d<S_y^2>/dmu = -2 <0|S_y^2 (H - E_0)^+ S_y^2|0>, here summed over
-    the excited pairs as -2 sum_{j>=1} <j|S_y^2|0>^2 / (E_j - E_0). Each
-    product is taken lane by lane, so a mu gives the same bits alone as in a
-    stack."""
+def _genramsey_lane(n, ops, log_mu):
+    """``(a, <S_x>, <S_y^2>, r)`` of the ground state |0> of H = -S_x + mu
+    S_y^2 on the n-ion flip-even sector ``ops`` of ``_flip_even_ops``, from
+    one ``eigh``: its family coefficients a, its moments and the
+    stationarity residual of ``_genramsey_search`` r = log mu - log(<S_x> /
+    (2 n x e^x)), x = 2 gamma t_opt from ``collective._topt_x`` at
+    <S_y^2>/n (<S_y> = 0 for real amplitudes), so that neither gamma nor T
+    enters it. Every off-diagonal element of H is <= 0, so by
+    Perron-Frobenius the ground vector, the family coefficients themselves,
+    is positive up to its sign and E_0 is simple."""
     sx, sy2 = ops
-    energy, vecs = np.linalg.eigh(np.exp(log_mu)[:, None, None] * sy2 - sx)
-    ground = vecs[:, :, :1]
-    sx_mean = (ground.transpose(0, 2, 1) @ (sx @ ground))[:, 0, 0]
-    sy2_rows = (vecs.transpose(0, 2, 1) @ (sy2 @ ground))[:, :, 0]  # <j|S_y^2|0>
-    response = sy2_rows[:, 1:] ** 2 / (energy[:, 1:] - energy[:, :1])
-    return energy[:, 0], np.abs(ground[:, :, 0]), sx_mean, sy2_rows[:, 0], -2.0 * response.sum(-1)
-
-
-def _genramsey_lanes(n, ops, gamma, total_time, log_mu):
-    """``(a, t_opt, delta_omega, r, dr)`` arrays of the n-ion ground states
-    for the stack ``log_mu`` (``_ground_states``), scored by
-    ``collective._genramsey_rows``, with the stationarity residual of
-    ``_genramsey_search`` r = log mu - log(<S_x> / (2 n x e^x)), x = 2 gamma
-    t_opt, and its slope dr = dr/dlog mu. With v = <S_y^2>, Hellmann-Feynman
-    (d<S_x>/dmu = mu dv/dmu) and the t_opt equation (dx/dv = 1/(n x e^x))
-    give dr = 1 - mu^2 v'/<S_x> + (1 + 1/x) mu v'/(n x e^x). Each lane is
-    computed on its own, so a mu gives the same bits alone as in a stack."""
-    _, a, sx, sy2, dsy2 = _ground_states(ops, log_mu)
-    t_opt, delta_omega = _genramsey_rows(sx, sy2, n, total_time, gamma)
-    mu, x = np.exp(log_mu), 2.0 * gamma * t_opt
-    r = log_mu - np.log(sx) + np.log(2.0 * n * x) + x
-    dr = 1.0 - mu * mu * dsy2 / sx + (1.0 + 1.0 / x) * mu * dsy2 / (n * x * np.exp(x))
-    return a, t_opt, delta_omega, r, dr
+    ground = np.linalg.eigh(math.exp(log_mu) * sy2 - sx)[1][:, 0]
+    sx_mean, sy2_mean = float(ground @ (sx @ ground)), float(ground @ (sy2 @ ground))
+    x = _topt_x(sy2_mean / n)
+    return np.abs(ground), sx_mean, sy2_mean, log_mu - math.log(sx_mean) + math.log(2.0 * n * x) + x
 
 
 def _bracket_beside(residual, best, size):
@@ -361,21 +327,6 @@ def _secant_root(f, lo, hi, f_lo, f_hi):
     return _newton_root(inverse_quadratic, lo, hi, lo - f_lo * (hi - lo) / (f_hi - f_lo))
 
 
-def _hermite_root(x0, x1, f0, f1, d0, d1):
-    """The ``_newton_root`` of the cubic Hermite interpolant through the
-    values f0 <= 0 <= f1 and slopes d0, d1 at x0 < x1, or the midpoint when
-    it has none (as with a NaN slope)."""
-    h = x1 - x0
-    c2, c3 = 3.0 * (f1 - f0) - h * (2.0 * d0 + d1), 2.0 * (f0 - f1) + h * (d0 + d1)
-
-    def cubic(x):
-        s = (x - x0) / h
-        return f0 + s * (h * d0 + s * (c2 + s * c3)), d0 + s * (2.0 * c2 + 3.0 * s * c3) / h
-
-    root = _newton_root(cubic, x0, x1, 0.5 * (x0 + x1))
-    return 0.5 * (x0 + x1) if root is None else root
-
-
 def _genramsey_search(n, gamma, total_time):
     """(coefficients, t_opt, delta_omega, converged) of the best ground
     state of -S_x + mu S_y^2: the gen-Ramsey score improves as <S_x> rises
@@ -388,44 +339,33 @@ def _genramsey_search(n, gamma, total_time):
     d<S_x>/dmu = mu dv/dmu and the t_opt equation n[1 + (x-1)e^x] = v gives
     dx/dv = 1/(n x e^x), so d log delta_omega/dmu = (dv/dmu) [1/(2 n x e^x)
     - mu/<S_x>] with dv/dmu < 0: delta_omega is stationary where the
-    residual r of ``_genramsey_lanes`` vanishes, falling with mu where
-    r < 0 and rising where r > 0. The log mu grid is scored in stacked
-    chunks, each lane with r and its slope dr/dlog mu. Between the best grid
-    lane and its neighbour on the side where delta_omega falls
-    (``_bracket_beside``), ``_newton_root`` takes Newton steps on r from the
-    root of the cubic Hermite interpolant of the two lanes
-    (``_hermite_root``), one one-lane stack per probe: 2 probes, 3 at n = 3.
-    The probe it ends on is the result. When r keeps its sign across that
-    neighbour, the best lane has none there (a grid edge), or Newton's method
-    does not converge, the best lane is returned unconverged.
+    residual r of ``_genramsey_lane`` vanishes, falling with mu where r < 0
+    and rising where r > 0. r rises with mu across the bracket (checked at
+    41 points at n = 2..40, 60, 100, 300 and 1000), so delta_omega has one
+    minimum there. The ends of ``_LOG_MU_BRACKET`` are probed, and where
+    they bracket a root, ``_secant_root`` solves r = 0 in log mu to
+    ``_newton_root``'s tolerance 1e-12 + 4 eps |log mu|, one ``eigh`` per
+    probe, 6 or 7 probes with the ends. The probe it ends on is the result.
+    When the ends do not bracket a root, or the root is not found within 100
+    probes, the probe of least delta_omega is returned unconverged.
 
     Neither gamma nor T enters the search's choices: <S_x>, v and so x are
-    those of the ground state at mu, r holds nothing else, and delta_omega =
-    sqrt(gamma/T) sqrt(2 n e^x)/<S_x> orders the lanes by a factor of mu and
-    n alone. The best mu thus depends on n only, which is why ``_LOG_MU_GRID``
-    need only cover the values it takes over ``ION_RANGE``.
+    those of the ground state at mu, and r holds nothing else. The best mu
+    thus depends on n only, which is why ``_LOG_MU_BRACKET`` need only cover
+    the values it takes over ``ION_RANGE``.
     """
-    ops = _flip_even_ops(n)
-    lanes = lambda log_mu: _genramsey_lanes(n, ops, gamma, total_time, log_mu)
-    chunks = _chunks(_LOG_MU_GRID, 16 * (n // 2 + 1) ** 2)
-    a, t_opt, delta_omega, r, dr = (np.concatenate(rows) for rows in zip(*map(lanes, chunks)))
-    best, r, dr = int(np.argmin(delta_omega)), r.tolist(), dr.tolist()
-    bracket = _bracket_beside(r.__getitem__, best, len(r))
-    log_mu, probes = None, {}
+    ops, probes = _flip_even_ops(n), {}
 
     def residual(log_mu):
-        probes[log_mu] = [rows[0] for rows in lanes(np.array([log_mu]))]
-        return float(probes[log_mu][3]), float(probes[log_mu][4])
+        probes[log_mu] = _genramsey_lane(n, ops, log_mu)
+        return probes[log_mu][3]
 
-    if bracket is not None:
-        lo, hi = bracket
-        grid = float(_LOG_MU_GRID[lo]), float(_LOG_MU_GRID[hi])
-        start = _hermite_root(*grid, r[lo], r[hi], dr[lo], dr[hi])
-        log_mu = _newton_root(residual, *grid, start)
-    if log_mu is None:
-        return a[best], float(t_opt[best]), float(delta_omega[best]), False
-    a, t_opt, delta_omega, _, _ = probes[log_mu]
-    return a, float(t_opt), float(delta_omega), True
+    lo, hi = _LOG_MU_BRACKET
+    r_lo, r_hi = residual(lo), residual(hi)
+    root = _secant_root(residual, lo, hi, r_lo, r_hi) if r_lo <= 0.0 <= r_hi else None
+    score = lambda log_mu: _genramsey_rows(*probes[log_mu][1:3], n, total_time, gamma)
+    best = root if root is not None else min(probes, key=lambda log_mu: score(log_mu)[1])
+    return (probes[best][0], *score(best), root is not None)
 
 
 def _norms(rows):
@@ -619,9 +559,9 @@ def optimize_symmetric_coeffs(
     ``method`` picks the measurement, one of ``METHODS``: "gen-ramsey" uses
     the collective S_x observable with the analytic optimal shot time, "qfi"
     the optimal projective measurement with the shot time searched
-    numerically. Both return a_k >= 0. A "gen-ramsey" report whose best
-    log mu grid lane has no root of the stationarity condition next to it,
-    as when it sits at a grid edge, and a "qfi" report whose gradient polish
+    numerically. Both return a_k >= 0. A "gen-ramsey" report whose log mu
+    bracket holds no root of the stationarity condition, or whose root was
+    not found in 100 probes, and a "qfi" report whose gradient polish
     reached its evaluation cap, ended with a projected gradient above its
     tolerance, or held the shot time at an artificial bracket edge (1e-4/gamma,
     or 8/gamma below T), have status "partial".

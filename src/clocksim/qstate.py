@@ -52,6 +52,15 @@ def _check_scalar(name, value, bound=None, strict=False, bound_name=None):
     return value
 
 
+def _check_shots(total_time, shot_time):
+    """``(T, t)`` as floats if the shot time t is > 0 and the total time T
+    at least t: the budget of ``ramsey.ExperimentBudget`` and of
+    ``fisher.qfi_uncertainty``, which the CLI checks before it evaluates
+    any F_Q."""
+    shot_time = _check_scalar("shot time", shot_time, 0, strict=True)
+    return _check_scalar("total time", total_time, shot_time, bound_name="shot time"), shot_time
+
+
 def _reject_non_finite(values: np.ndarray, what: str) -> None:
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import SingularPointError
-from .qstate import _check_qubit_count, _check_scalar
+from .qstate import _check_qubit_count, _check_scalar, _check_shots
 
 __all__ = [
     "ExperimentBudget",
@@ -40,9 +40,8 @@ class ExperimentBudget:
 
     def __post_init__(self):
         object.__setattr__(self, "n", _check_qubit_count(self.n))
-        t = _check_scalar("shot time", self.shot_time, 0, strict=True)
+        total, t = _check_shots(self.total_time, self.shot_time)
         object.__setattr__(self, "shot_time", t)
-        total = _check_scalar("total time", self.total_time, t, bound_name="shot time")
         object.__setattr__(self, "total_time", total)
 
 

@@ -319,6 +319,21 @@ def test_qfi_coeffs_conflicting_with_scheme_exits_2(tmp_path, capsys, scheme, fr
     assert err.startswith("clocksim: invalid-argument:") and "--coeffs" in err
 
 
+def test_qfi_coeffs_with_a_negative_first_coefficient(tmp_path, capsys):
+    # argparse reads a separate "-0.6;0.8" as a flag and exits 2; the "="
+    # form and a config file take it, and print the same bytes
+    argv = ["qfi", "--n", "2", "--gamma", "1", "--t", "0.1", "--out"]
+    flag, config, cfgfile = tmp_path / "flag.json", tmp_path / "config.json", tmp_path / "run.cfg"
+    cfgfile.write_text("coeffs=-0.6;0.8\n")
+    assert main([*argv, str(flag), "--coeffs=-0.6;0.8"]) == 0
+    assert main([*argv, str(config), "--config", str(cfgfile)]) == 0
+    assert flag.read_bytes() == config.read_bytes()
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, str(tmp_path / "never.json"), "--coeffs", "-0.6;0.8"])
+    assert exc.value.code == 2 and not (tmp_path / "never.json").exists()
+    assert "argument --coeffs: expected one argument" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("from_config", [False, True])
 def test_qfi_t_conflicting_with_optimize_t_exits_2(tmp_path, capsys, from_config):
     argv = ["qfi", "--scheme", "ghz", "--n", "3", "--gamma", "1", "--total-time", "100"]

@@ -234,21 +234,20 @@ def test_opt_uncertainty_rejects_degenerate_and_short_budgets():
         genramsey_opt_uncertainty(good, 0.3, 1.0)  # T < tau_dec/2
 
 
-def test_stacked_genramsey_score_raises_for_any_lane():
-    # a stack scores each lane as the scalar path does, and raises the
-    # scalar path's error when any one lane would
+def test_genramsey_score_raises_as_the_public_path_does():
+    # the score the search and genramsey_opt_uncertainty share gives the
+    # public path's bits and raises its errors
     good = collective_moments(_product(4))
-    sx, sy_var = np.full(3, good.sx_mean), np.full(3, good.sy_variance())
-    t_opt, delta_omega = _genramsey_rows(sx, sy_var, 4, 100.0, 1.0)
+    sx, sy_var = good.sx_mean, good.sy_variance()
     scalar = genramsey_opt_uncertainty(good, 100.0, 1.0)
-    assert np.all(t_opt == scalar.t_opt) and np.all(delta_omega == scalar.delta_omega)
+    assert _genramsey_rows(sx, sy_var, 4, 100.0, 1.0) == (scalar.t_opt, scalar.delta_omega)
     with pytest.raises(DegenerateStateError, match="S_x"):
-        _genramsey_rows(np.array([sx[0], 0.0, sx[0]]), sy_var, 4, 100.0, 1.0)
+        _genramsey_rows(0.0, sy_var, 4, 100.0, 1.0)
     with pytest.raises(DegenerateStateError, match="S_y variance"):
-        _genramsey_rows(sx, np.array([sy_var[0], sy_var[0], 0.0]), 4, 100.0, 1.0)
+        _genramsey_rows(sx, 0.0, 4, 100.0, 1.0)
     # Var S_y = 2n puts t_opt near 0.64 / gamma, past T; Var S_y = n at 0.5
     with pytest.raises(ValueError, match="exceeds total time"):
-        _genramsey_rows(sx, sy_var * np.array([1.0, 1.0, 2.0]), 4, 0.55, 1.0)
+        _genramsey_rows(sx, 2.0 * sy_var, 4, 0.55, 1.0)
 
 
 def test_bound_chain_product_state_saturates():

@@ -36,22 +36,21 @@ from clocksim import (
 import clocksim
 from clocksim import cli, evolution, fisher, optimize
 from clocksim.evolution import MAX_BLOCK_QUBITS
+from clocksim.collective import _genramsey_rows
 from clocksim.qstate import _dicke_amplitudes, _moment_rows
 from clocksim.optimize import (
     _BOUND_SLACK,
     _GRID_POINTS,
     _LINE_EVALS,
-    _LOG_MU_GRID,
+    _LOG_MU_BRACKET,
     _STACK_BYTES,
     ION_RANGE,
     METHODS,
     _backtrack,
     _bracket_beside,
-    _chunks,
     _flip_even_ops,
-    _genramsey_lanes,
+    _genramsey_lane,
     _genramsey_search,
-    _ground_states,
     _polish,
     _secant_root,
     _shot_bracket,
@@ -76,8 +75,14 @@ from reference import (
 
 GAMMA = 1.0
 TOTAL = 100.0
-# the 41-point log mu grid over [1e-4, 1e2] that ``_LOG_MU_GRID`` is a slice of
-_FULL_MU_GRID = np.linspace(math.log(1e-4), math.log(1e2), 41)
+# a 41-point log mu grid across the gen-Ramsey search's bracket
+_MU_GRID = np.linspace(*_LOG_MU_BRACKET, 41)
+
+
+def _genramsey_score(n, log_mu, gamma=GAMMA, total=TOTAL):
+    """``(t_opt, delta_omega)`` of the ground state the search probes at log mu."""
+    _, sx, sy2, _ = _genramsey_lane(n, _flip_even_ops(n), log_mu)
+    return _genramsey_rows(sx, sy2, n, total, gamma)
 
 
 def test_minimize_quadratic():
@@ -218,125 +223,86 @@ def test_genramsey_search_reaches_nelder_mead_oracle(n, total):
     assert rep.t_opt <= total and rep.status == "ok"
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 20, 101])
-def test_stacked_mu_grid_equals_one_mu_at_a_time(n):
-    # every lane of the stacked eigensolve and score is computed on its own
-    ops = _flip_even_ops(n)
-    stacked = _genramsey_lanes(n, ops, GAMMA, TOTAL, _LOG_MU_GRID)
-    for i in range(len(_LOG_MU_GRID)):
-        single = _genramsey_lanes(n, ops, GAMMA, TOTAL, _LOG_MU_GRID[i : i + 1])
-        for got, want in zip(single, stacked):
-            assert np.array_equal(got[0], want[i])
-
-
 @pytest.mark.parametrize("n", [2, 3, 4, 7, 20, 101, 300])
 def test_flip_even_ground_states_match_dense_oracle(n):
     # the flip-even sector holds the ground state of the whole n+1 levels.
-    # Energies agree to 1e-12 relative to the operator norm, at most
-    # n + mu n^2, the scale of any eigensolver's rounding: at mu = 100 the
-    # ground energy is far smaller than that norm.
-    ops, log_mu = _flip_even_ops(n), _FULL_MU_GRID[::4]
-    energies, coeffs, *_ = _ground_states(ops, log_mu)
-    for mu, energy, a in zip(np.exp(log_mu), energies, coeffs):
-        energy_ref, a_ref = dense_genramsey_ground(n, mu)
+    # Energies, the Rayleigh quotients of the lane's coefficients, agree to
+    # 1e-12 relative to the operator norm, at most n + mu n^2, the scale of
+    # any eigensolver's rounding: at mu = 100 the ground energy is far
+    # smaller than that norm.
+    ops = _flip_even_ops(n)
+
+    def ground(mu):
+        a = _genramsey_lane(n, ops, math.log(mu))[0]
+        return float(a @ (mu * ops[1] - ops[0]) @ a), a
+
+    for mu in np.geomspace(1e-4, 1e2, 11):
+        (energy, a), (energy_ref, a_ref) = ground(mu), dense_genramsey_ground(n, mu)
         assert abs(energy - energy_ref) <= 1e-12 * max(abs(energy_ref), n + mu * n * n)
         assert np.linalg.norm(a - a_ref) <= 1e-12 * np.linalg.norm(a_ref)
         assert np.all(a > 0.0)
     # where the search ends, the energies agree to 1e-12 relative to themselves
     for mu in (0.2, 1.0, 2.2):
-        energy_ref, a_ref = dense_genramsey_ground(n, mu)
-        [energy], [a], *_ = _ground_states(ops, np.log([mu]))
+        (energy, a), (energy_ref, a_ref) = ground(mu), dense_genramsey_ground(n, mu)
         assert energy == pytest.approx(energy_ref, rel=1e-12)
         assert np.linalg.norm(a - a_ref) <= 1e-12
-
-
-@pytest.mark.parametrize("n", [3, 4, 101])
-def test_genramsey_search_scores_the_mu_grid_as_stacks(monkeypatch, n):
-    # one score call per grid chunk (1, 1 and 3 at n = 3, 4 and 101), then
-    # one per Newton probe (3, 2 and 2); Brent's method on the residual alone
-    # made 5, 4 and 4, and the bounded minimizer before it 22 at n = 4
-    lanes, calls = optimize._genramsey_lanes, []
-
-    def counting(*args):
-        calls.append(len(args[-1]))
-        return lanes(*args)
-
-    monkeypatch.setattr(optimize, "_genramsey_lanes", counting)
-    optimize_symmetric_coeffs(n, GAMMA, TOTAL, "gen-ramsey")
-    chunks = _chunks(_LOG_MU_GRID, 16 * (n // 2 + 1) ** 2)
-    assert calls[: len(chunks)] == [len(chunk) for chunk in chunks]
-    probes = calls[len(chunks) :]
-    assert probes == [1] * len(probes) and len(probes) <= 3
 
 
 # (gamma, T): a long run, a slow one, a fast one and T just above tau_dec/2
 @pytest.mark.parametrize("gamma, total", [(1.0, 100.0), (0.3, 50.0), (2.0, 5.0), (1.0, 0.6)])
 def test_genramsey_search_solves_its_stationarity_condition(monkeypatch, gamma, total):
-    # the winner is the probe where r = log mu - log(<S_x> / (2 n x e^x))
-    # vanishes, no worse than any grid lane, and its search reports ok
-    lanes, probes = optimize._genramsey_lanes, []
+    # the winner is the final probe, where r = log mu - log(<S_x> / (2 n x
+    # e^x)) vanishes, no worse than any point of a 41-point grid across the
+    # bracket, and its search reports ok
+    lane, probes = optimize._genramsey_lane, []
 
     def recording(*args):
-        out = lanes(*args)
-        probes.extend(zip(*out))
-        return out
+        probes.append(lane(*args))
+        return probes[-1]
 
-    monkeypatch.setattr(optimize, "_genramsey_lanes", recording)
+    monkeypatch.setattr(optimize, "_genramsey_lane", recording)
     for n in [*range(2, 21), 101]:
         probes.clear()
         a, t_opt, delta_omega, converged = _genramsey_search(n, gamma, total)
-        [r] = [r for _, t, _, r, _ in probes if t == t_opt]
-        assert converged and abs(r) <= 1e-10
-        grid = _genramsey_lanes(n, _flip_even_ops(n), gamma, total, _LOG_MU_GRID)
-        assert delta_omega <= grid[2].min()
+        assert converged and a is probes[-1][0] and abs(probes[-1][3]) <= 1e-10
+        grid = [_genramsey_score(n, log_mu, gamma, total)[1] for log_mu in _MU_GRID]
+        assert delta_omega <= min(grid)
         report = optimize_symmetric_coeffs(n, gamma, total, "gen-ramsey")
         assert report.status == "ok" and report.delta_omega == delta_omega
 
 
 # Ion numbers up to the gen-Ramsey cap of ``ION_RANGE``. Raising that cap,
-# as ROADMAP item 3 plans, must add ion numbers up to the new one here.
-@pytest.mark.parametrize("n", [*range(2, 41), 60, 100, 300, 1000])
-def test_genramsey_optimum_lies_inside_the_mu_grid(monkeypatch, n):
-    # the best grid lane is at least two points from either end of the
-    # slice, so the slice holds the root's bracket: the best mu rises as
-    # about n^0.41, which puts it near 6.8 at n = 1e4, below the top 12.6
-    lanes, scores = optimize._genramsey_lanes, []
+# as ROADMAP item 3 plans, fails here until the bracket is checked up to
+# the new one.
+_BRACKET_CHECKED = [*range(2, 41), 60, 100, 300, 1000]
 
-    def recording(*args):
-        out = lanes(*args)
-        scores.append(out[2])
-        return out
 
-    monkeypatch.setattr(optimize, "_genramsey_lanes", recording)
-    *_, converged = _genramsey_search(n, GAMMA, TOTAL)
-    chunks = _chunks(_LOG_MU_GRID, 16 * (n // 2 + 1) ** 2)
-    best = int(np.argmin(np.concatenate(scores[: len(chunks)])))
-    assert converged and 2 <= best <= len(_LOG_MU_GRID) - 3
+@pytest.mark.parametrize("n", _BRACKET_CHECKED)
+def test_genramsey_optimum_lies_inside_the_mu_grid(n):
+    # r rises strictly across a 41-point grid over the bracket, changing
+    # sign inside it: delta_omega has one minimum there, which the bracket
+    # ends hold. The best mu rises as about n^0.41, from 0.213 at n = 2 to
+    # 2.647 at n = 1000, which puts it near 6.8 at n = 1e4, below the top 12.6
+    assert ION_RANGE["gen-ramsey"] == (min(_BRACKET_CHECKED), max(_BRACKET_CHECKED))
+    ops = _flip_even_ops(n)
+    r = np.array([_genramsey_lane(n, ops, log_mu)[3] for log_mu in _MU_GRID])
+    assert np.all(np.diff(r) > 0.0) and r[0] < 0.0 < r[-1]
 
 
 @pytest.mark.parametrize("n", [2, 5, 17, 60])
 def test_genramsey_optimum_depends_on_n_alone(n):
-    # neither the residual nor the lane order holds gamma or T, so the
-    # winner's coefficients and x = 2 gamma t_opt are the same for every
-    # (gamma, T): bit for bit at n <= 17, to 7e-15 at n = 60
+    # neither the residual nor its bracket holds gamma or T, so every (gamma,
+    # T) probes the same mu and ends on the same coefficients, bit for bit,
+    # and on the same x = 2 gamma t_opt up to the rounding of t_opt = x /
+    # (2 gamma) and of 2 gamma t_opt
     runs = [
         (gamma, _genramsey_search(n, gamma, total))
         for gamma, total in [(1.0, 100.0), (0.3, 50.0), (2.0, 5.0), (1.0, 0.6)]
     ]
     _, (a0, t0, _, _) = runs[0]
     for gamma, (a, t_opt, _, converged) in runs:
-        assert converged and np.abs(a - a0).max() <= 1e-14
-        assert abs(2.0 * gamma * t_opt - 2.0 * GAMMA * t0) <= 1e-14
-
-
-@pytest.mark.parametrize("n", [*range(2, 21), 101, 300])
-def test_sliced_mu_grid_gives_the_full_grids_bits(monkeypatch, n):
-    # each lane scores the same bits alone as in a stack, so the slice finds
-    # the full grid's best lane, bracket and probes, and ends on its bits
-    a, *rest = _genramsey_search(n, GAMMA, TOTAL)
-    monkeypatch.setattr(optimize, "_LOG_MU_GRID", _FULL_MU_GRID)
-    a_full, *rest_full = _genramsey_search(n, GAMMA, TOTAL)
-    assert a.tobytes() == a_full.tobytes() and rest == rest_full
+        assert converged and a.tobytes() == a0.tobytes()
+        assert 2.0 * gamma * t_opt == pytest.approx(2.0 * GAMMA * t0, rel=2.0 * math.ulp(1.0))
 
 
 # The (gamma, T) pairs of the shot-time root checks: a long run, a slow
@@ -411,12 +377,15 @@ def test_secant_root_on_closed_form_residuals(f, lo, hi, root, most):
         assert got == (probes[-1] if probes else lo if f(lo) == 0.0 else hi)
 
 
-def test_genramsey_result_does_not_depend_on_where_the_grid_sits(monkeypatch):
-    # a root is where it is; the bounded minimizer's stopping point on the
-    # flat optimum moved t_opt by about 3e-8 under this half-spacing shift
+def test_genramsey_result_does_not_depend_on_where_the_bracket_ends_sit(monkeypatch):
+    # a root is where it is: moving both ends outward by half the spacing
+    # of a 17-point log mu grid across the bracket moves the result by at
+    # most 1e-12; the bounded minimizer's stopping point on the flat optimum
+    # moved t_opt by about 3e-8 under a shift of that size
     before = [_genramsey_search(n, GAMMA, TOTAL) for n in range(2, 21)]
-    spacing = _LOG_MU_GRID[1] - _LOG_MU_GRID[0]
-    monkeypatch.setattr(optimize, "_LOG_MU_GRID", _LOG_MU_GRID + 0.5 * spacing)
+    lo, hi = _LOG_MU_BRACKET
+    half = (hi - lo) / 32.0
+    monkeypatch.setattr(optimize, "_LOG_MU_BRACKET", (lo - half, hi + half))
     for n, (a, t_opt, _, _) in zip(range(2, 21), before):
         a_shift, t_shift, _, converged = _genramsey_search(n, GAMMA, TOTAL)
         assert converged and np.abs(a_shift - a).max() <= 1e-12
@@ -437,114 +406,117 @@ def test_dense_ground_states_obey_the_hellmann_feynman_identity(n, mu):
 @pytest.mark.parametrize("n", [3, 20, 101])
 @pytest.mark.parametrize("mu", [0.2, 1.0, 2.2])
 def test_lane_slopes_match_central_differences(n, mu):
-    # d<S_y^2>/dmu from the eigenpairs, and dr/dlog mu from it, agree with
-    # central differences of the lane itself and of the dense oracle
-    ops, step, h = _flip_even_ops(n), 1e-4 * mu, 1e-4
-    _, _, _, sy2, dsy2 = _ground_states(ops, np.log([mu, mu + step, mu - step]))
-    (_, dense_hi), (_, dense_lo) = (dense_genramsey_moments(n, mu + s) for s in (step, -step))
-    for hi, lo in ((sy2[1], sy2[2]), (dense_hi, dense_lo)):
-        assert dsy2[0] == pytest.approx((hi - lo) / (2.0 * step), rel=1e-6)
+    # the lane's residual agrees with that of the dense oracle, and so does
+    # its slope dr/dlog mu by central differences, which is positive: r
+    # rises with mu, as the bracketed root needs
+    ops, h = _flip_even_ops(n), 1e-4
     log_mu = math.log(mu) + np.array([0.0, h, -h])
-    *_, r, dr = _genramsey_lanes(n, ops, GAMMA, TOTAL, log_mu)
-    dense_r = [dense_genramsey_residual(n, x) for x in log_mu[1:]]
-    for hi, lo in ((r[1], r[2]), dense_r):
-        assert dr[0] == pytest.approx((hi - lo) / (2.0 * h), rel=1e-6)
+    r = [_genramsey_lane(n, ops, x)[3] for x in log_mu]
+    dense_r = [dense_genramsey_residual(n, x) for x in log_mu]
+    assert r[0] == pytest.approx(dense_r[0], rel=0.0, abs=1e-12)
+    slope, dense_slope = ((hi - lo) / (2.0 * h) for _, hi, lo in (r, dense_r))
+    assert slope > 0.0 and slope == pytest.approx(dense_slope, rel=1e-6)
 
 
 @pytest.mark.parametrize("n", [2, 3, 20, 101, 300, 1000])
 def test_lane_moments_match_the_dicke_moments(n):
-    # <S_x> and <S_y^2> read from the eigenpairs in the family basis agree
-    # with the O(n) moments of the ground states' Dicke amplitudes
-    _, a, sx, sy2, _ = _ground_states(_flip_even_ops(n), _LOG_MU_GRID[::4])
-    sx_ref, _, sy2_ref = _moment_rows(n, _dicke_amplitudes(n, a))
-    assert np.abs(sx / sx_ref - 1.0).max() <= 1e-12
-    assert np.abs(sy2 / sy2_ref - 1.0).max() <= 1e-12
+    # <S_x> and <S_y^2> read from the eigenvector in the family basis agree
+    # with the O(n) moments of its Dicke amplitudes
+    ops = _flip_even_ops(n)
+    for log_mu in _MU_GRID[::10]:
+        a, sx, sy2, _ = _genramsey_lane(n, ops, log_mu)
+        [sx_ref], _, [sy2_ref] = _moment_rows(n, _dicke_amplitudes(n, a)[None])
+        assert sx == pytest.approx(sx_ref, rel=1e-12, abs=0.0)
+        assert sy2 == pytest.approx(sy2_ref, rel=1e-12, abs=0.0)
 
 
 def _searched_log_mu(monkeypatch, n, gamma, total):
-    """(log mu of the lane ``_genramsey_search`` returns, converged, and the
-    number of one-lane probes it made)."""
-    lanes, calls, scored = optimize._genramsey_lanes, [], []
+    """(log mu of the probe ``_genramsey_search`` returns, converged, and
+    the log mu of every probe it made, the bracket ends first)."""
+    lane, probes = optimize._genramsey_lane, []
 
-    def recording(*args):
-        out = lanes(*args)
-        calls.append(len(args[-1]))
-        scored.extend(zip(args[-1].tolist(), out[1].tolist()))
-        return out
+    def recording(n, ops, log_mu):
+        probes.append((log_mu, lane(n, ops, log_mu)))
+        return probes[-1][1]
 
-    monkeypatch.setattr(optimize, "_genramsey_lanes", recording)
-    _, t_opt, _, converged = _genramsey_search(n, gamma, total)
-    monkeypatch.setattr(optimize, "_genramsey_lanes", lanes)
-    log_mu = [log_mu for log_mu, t in scored if t == t_opt][-1]  # a probe, or the best grid lane
-    return log_mu, converged, len(calls) - len(_chunks(_LOG_MU_GRID, 16 * (n // 2 + 1) ** 2))
-
-
-def _oracle_root(n, log_mu):
-    """``brent_genramsey_root`` between the grid points around ``log_mu``."""
-    k = int(np.searchsorted(_LOG_MU_GRID, log_mu))
-    return brent_genramsey_root(n, _LOG_MU_GRID[k - 1], _LOG_MU_GRID[k])
+    monkeypatch.setattr(optimize, "_genramsey_lane", recording)
+    a, _, _, converged = _genramsey_search(n, gamma, total)
+    monkeypatch.setattr(optimize, "_genramsey_lane", lane)
+    log_mu = [log_mu for log_mu, out in probes if out[0] is a][-1]
+    return log_mu, converged, [log_mu for log_mu, _ in probes]
 
 
 @pytest.mark.parametrize("n", [*range(2, 21), 101, 300, 1000])
 def test_newton_root_matches_the_brent_oracle(monkeypatch, n):
-    # Newton steps from the cubic Hermite start land, in at most three
-    # one-lane probes, within 1e-12 in log mu of scipy's brentq on the
-    # residual of the dense ground states, whatever (gamma, T)
+    # the inverse-quadratic steps of ``_secant_root`` from the bracket's
+    # chord root land, in at most seven probes with the two ends (measured:
+    # 6 or 7 over n = 2..1000), within 1e-12 in log mu of scipy's brentq on
+    # the residual of the dense ground states, on the same mu whatever
+    # (gamma, T)
     roots = []
     for gamma, total in [(1.0, 100.0), (0.3, 50.0), (2.0, 5.0), (1.0, 0.6)]:
         log_mu, converged, probes = _searched_log_mu(monkeypatch, n, gamma, total)
-        assert converged and probes <= 3
+        assert converged and len(probes) <= 7 and probes[:2] == list(_LOG_MU_BRACKET)
         roots.append(log_mu)
-    oracle = _oracle_root(n, roots[0])
-    assert max(abs(root - oracle) for root in roots) <= 1e-12
+    k = int(np.searchsorted(_MU_GRID, roots[0]))
+    oracle = brent_genramsey_root(n, _MU_GRID[k - 1], _MU_GRID[k])
+    assert set(roots) == {roots[0]} and abs(roots[0] - oracle) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [3, 20, 101])
 @pytest.mark.parametrize("fault", ["low-start", "high-start", "negated", "zero", "nan"])
 def test_newton_search_survives_a_bad_start_or_slope(monkeypatch, n, fault):
-    # a start forced onto a bracket end, or a slope of the wrong sign, zero
-    # or NaN, still ends on the root, by bisection where a Newton step would
-    # leave the bracket: within the search's tolerance 1e-12 + 4 eps |log mu|
-    # and the oracle's own (measured: at most 5.8e-13, after up to 39 probes)
-    if fault.endswith("start"):
-        end = 0 if fault == "low-start" else 1
-        monkeypatch.setattr(optimize, "_hermite_root", lambda *args: args[end])
-    else:
-        lanes = optimize._genramsey_lanes
-        corrupt = {"negated": np.negative, "zero": np.zeros_like, "nan": lambda dr: dr * math.nan}
+    # a Newton start forced onto a bracket end, or a slope of the wrong
+    # sign, zero or NaN in place of the inverse quadratic's, still ends on
+    # the root, by bisection where a step would leave the bracket: within
+    # the search's tolerance 1e-12 + 4 eps |log mu| and the oracle's own
+    # (measured: 7 to 9 probes with the ends from a bad start, 42 to 45
+    # with a bad slope)
+    newton_root = optimize._newton_root
+    corrupt = {"negated": lambda s: -s, "zero": lambda s: 0.0, "nan": lambda s: math.nan}
 
-        def corrupted(*args):
-            *out, dr = lanes(*args)
-            return (*out, corrupt[fault](dr))
+    def faulty(f, lo, hi, x):
+        if fault.endswith("start"):
+            return newton_root(f, lo, hi, lo if fault == "low-start" else hi)
 
-        monkeypatch.setattr(optimize, "_genramsey_lanes", corrupted)
+        def corrupted(x):
+            value, slope = f(x)
+            return value, corrupt[fault](slope)
+
+        return newton_root(corrupted, lo, hi, x)
+
+    monkeypatch.setattr(optimize, "_newton_root", faulty)
     log_mu, converged, probes = _searched_log_mu(monkeypatch, n, GAMMA, TOTAL)
-    assert converged and probes <= 100
-    assert abs(log_mu - _oracle_root(n, log_mu)) <= 2e-12
+    assert converged and len(probes) <= 102
+    k = int(np.searchsorted(_MU_GRID, log_mu))
+    assert abs(log_mu - brent_genramsey_root(n, _MU_GRID[k - 1], _MU_GRID[k])) <= 2e-12
 
 
 def test_newton_search_without_convergence_reports_partial(monkeypatch):
-    # a residual that is NaN off the grid never yields a step: after 100
-    # probes the search returns its best grid lane, unconverged
-    lanes = optimize._genramsey_lanes
+    # a residual that is NaN inside the bracket never yields a step: after
+    # 100 bisecting probes past the two ends the search returns the probe
+    # of least delta_omega, unconverged
+    lane = optimize._genramsey_lane
 
-    def undefined_off_the_grid(*args):
-        a, t_opt, delta_omega, r, dr = lanes(*args)
-        return a, t_opt, delta_omega, r if len(r) > 1 else r * math.nan, dr
+    def undefined_inside(n, ops, log_mu):
+        a, sx, sy2, r = lane(n, ops, log_mu)
+        return a, sx, sy2, r if log_mu in _LOG_MU_BRACKET else math.nan
 
-    monkeypatch.setattr(optimize, "_genramsey_lanes", undefined_off_the_grid)
+    monkeypatch.setattr(optimize, "_genramsey_lane", undefined_inside)
     log_mu, converged, probes = _searched_log_mu(monkeypatch, 3, GAMMA, TOTAL)
-    assert not converged and probes == 100 and log_mu in _LOG_MU_GRID
+    assert not converged and len(probes) == 102
+    assert log_mu == min(probes, key=lambda probe: _genramsey_score(3, probe)[1])
     assert optimize_symmetric_coeffs(3, GAMMA, TOTAL, "gen-ramsey").status == "partial"
 
 
 def test_genramsey_search_off_its_bracket_reports_partial(tmp_path, monkeypatch):
-    # on mu in [5, 100] the best lane is the lower edge, where delta_omega
-    # still rises with mu: the search returns that lane, flagged partial
-    monkeypatch.setattr(optimize, "_LOG_MU_GRID", np.linspace(math.log(5.0), math.log(100.0), 41))
+    # on mu in [5, 100] the optimum lies below both ends, where delta_omega
+    # still rises with mu: the search returns the lower end, flagged partial
+    monkeypatch.setattr(optimize, "_LOG_MU_BRACKET", (math.log(5.0), math.log(100.0)))
     a, t_opt, delta_omega, converged = _genramsey_search(3, GAMMA, TOTAL)
-    edge = _genramsey_lanes(3, _flip_even_ops(3), GAMMA, TOTAL, optimize._LOG_MU_GRID[:1])
-    assert not converged and np.array_equal(a, edge[0][0]) and delta_omega == edge[2][0]
+    edge = _genramsey_lane(3, _flip_even_ops(3), math.log(5.0))[0]
+    assert not converged and np.array_equal(a, edge)
+    assert (t_opt, delta_omega) == _genramsey_score(3, math.log(5.0))
     report = optimize_symmetric_coeffs(3, GAMMA, TOTAL, "gen-ramsey")
     assert report.status == "partial" and report.t_opt == t_opt
     assert dict(improvement_sweep([3], GAMMA, TOTAL))[3]["gen-ramsey"].status == "partial"
@@ -824,8 +796,7 @@ def test_genramsey_search_builds_no_state_vector():
 
 
 def test_genramsey_search_at_n500_stays_small():
-    # one flip-even chunk at a time; an unchunked 17-lane stack of the
-    # 251 x 251 sector matrices and eigenvectors would add about 17 MB
+    # one 251 x 251 sector matrix and its eigenvectors per probe, about 1 MB
     rep, peak = _peak_bytes(lambda: optimize_symmetric_coeffs(500, GAMMA, TOTAL, "gen-ramsey"))
     assert rep.status == "ok" and rep.improvement_pct > 0.0
     assert peak < 16 * 2**20, f"the n = 500 gen-Ramsey search allocated {peak} bytes"
@@ -1324,19 +1295,18 @@ def test_shot_root_is_solved_only_next_to_the_best_point(best):
 
 def test_searches_without_a_bracketed_root_report_it(monkeypatch, tmp_path, capsys):
     # with a residual that is positive everywhere, the objective seems to
-    # rise at every point: gen-Ramsey reports its best lane as partial, and
+    # rise at every point: gen-Ramsey reports its better end as partial, and
     # the shot-time optimum fails, exit 3 in the CLI, with no report written
-    lanes, probe = optimize._genramsey_lanes, optimize._shot_probe
+    lane, probe = optimize._genramsey_lane, optimize._shot_probe
 
-    def rising_lanes(*args):
-        a, t_opt, delta_omega, r, dr = lanes(*args)
-        return a, t_opt, delta_omega, np.ones_like(r), dr
+    def rising_lane(*args):
+        return (*lane(*args)[:3], 1.0)
 
     def rising_probe(*args):
         fq, _, form, measurement = probe(*args)
         return fq, 0.0, form, measurement  # r = 1 - t F_Q'/F_Q = 1
 
-    monkeypatch.setattr(optimize, "_genramsey_lanes", rising_lanes)
+    monkeypatch.setattr(optimize, "_genramsey_lane", rising_lane)
     monkeypatch.setattr(optimize, "_shot_probe", rising_probe)
     assert optimize_symmetric_coeffs(3, GAMMA, TOTAL, "gen-ramsey").status == "partial"
     with pytest.raises(BracketingError, match="no shot-time optimum bracketed"):

@@ -12,7 +12,7 @@ from clocksim import (
     uniform_coefficients,
 )
 
-from clocksim.optimize import _LOG_MU_GRID, _flip_even_ops, _ground_states
+from clocksim.optimize import _LOG_MU_BRACKET, _flip_even_ops, _genramsey_lane
 from clocksim.qstate import _TABLE_BYTES, _dicke_amplitudes, _dicke_ladder, _moment_rows
 
 from reference import (
@@ -186,7 +186,8 @@ def test_moment_rows_match_a_decimal_oracle_near_the_genramsey_optimum(n):
     # near the gen-Ramsey optimum <S_y^2> is far below n^2: forming it from
     # the squared norms of J+ c and J- c minus their cross term lost up to
     # 3e-12 relative at n = 1000, the squared norm of (J+ - J-)c does not
-    a = _ground_states(_flip_even_ops(n), _LOG_MU_GRID[2:15:3])[1]
+    ops, log_mu = _flip_even_ops(n), np.linspace(*_LOG_MU_BRACKET, 17)[2:15:3]
+    a = np.array([_genramsey_lane(n, ops, x)[0] for x in log_mu])
     c = _dicke_amplitudes(n, a)
     for row, moments in zip(c, zip(*_moment_rows(n, c))):
         for got, want in zip(moments, decimal_moment_rows(n, row)):
