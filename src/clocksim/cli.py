@@ -14,7 +14,7 @@ import functools
 import json
 import math
 import sys
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -69,55 +69,18 @@ class _Option(NamedTuple):
     help: str | None = None
 
 
-# dest -> option, for each subcommand. The parser is generated from these
-# tables, and config-file values are merged under them, then flags override;
-# a config key outside its subcommand's table is an error.
-_OPTION_TABLES = {
-    "signal": {
-        "scheme": _Option(str, default="uncorrelated", choices=("uncorrelated", "ghz")),
-        "n": _Option(int, required=True),
-        "gamma": _Option(float, default=0.0),
-        "detuning": _Option(float, default=0.0),
-        "t": _Option(float, required=True),
-    },
-    "scan": {
-        "n": _Option(int, required=True),
-        "gamma": _Option(float, required=True),
-        "total_time": _Option(float, required=True),
-        "t_min": _Option(float, default=0.02),
-        "t_max": _Option(float, default=2.0),
-        "t_steps": _Option(int, default=256),
-    },
-    "optimize": {
-        "n_min": _Option(int, required=True),
-        "n_max": _Option(int, required=True),
-        "method": _Option(str, default="both", choices=(*METHODS, "both")),
-        "seed": _Option(int, default=0, help="accepted and ignored: both searches are deterministic"),
-        "restarts": _Option(int, default=16, help="accepted and ignored: no search restarts"),
-        "gamma": _Option(float, default=1.0),
-        "total_time": _Option(float, default=100.0),
-    },
-    "qfi": {
-        "scheme": _Option(str, choices=("uncorrelated", "ghz", "symmetric")),
-        "coeffs": _Option(
-            str,
-            help="semicolon-separated family coefficients; "
-            "a negative first one as --coeffs=-0.6;0.8",
-        ),
-        "n": _Option(int, required=True),
-        "gamma": _Option(float, required=True),
-        "t": _Option(float),
-        "optimize_t": _Option(bool, default=False),
-        "total_time": _Option(float),
-    },
-}
+class _Command(NamedTuple):
+    """One subcommand. The parser is generated from ``options`` (dest ->
+    option), and config-file values are merged under them, then flags
+    override; a config key outside them is an error. ``handler`` takes the
+    merged options and returns the JSON body and, for a command with a CSV
+    format, ``(rows, header)``: the body's row dicts and the columns a CSV
+    line takes from each."""
 
-_COMMAND_HELP = {
-    "signal": "evaluate a Ramsey signal at one point",
-    "scan": "uncertainty versus shot time for both basic schemes",
-    "optimize": "optimize symmetric-family coefficients over a sweep of n",
-    "qfi": "quantum Fisher information report for one preparation",
-}
+    help: str
+    options: dict
+    formats: tuple  # the first is the default
+    handler: Callable
 
 
 def _fail(code: int, tag: str, message) -> int:
@@ -140,9 +103,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"clocksim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for command, table in _OPTION_TABLES.items():
-        p = sub.add_parser(command, help=_COMMAND_HELP[command])
-        for dest, opt in table.items():
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for dest, opt in command.options.items():
             flag = "--" + dest.replace("_", "-")
             if opt.convert is bool:
                 p.add_argument(flag, action="store_true", default=None, dest=dest, help=opt.help)
@@ -177,7 +140,7 @@ _BOOL_STRINGS = {"1": True, "true": True, "yes": True, "0": False, "false": Fals
 
 
 def _merge_options(args: argparse.Namespace) -> dict:
-    table = _OPTION_TABLES[args.command]
+    table = _COMMANDS[args.command].options
     file_values = _load_config(args.config) if args.config else {}
     for key in file_values:
         if key not in table:
@@ -210,43 +173,45 @@ def _merge_options(args: argparse.Namespace) -> dict:
 
 
 def _fmt(value) -> str:
+    """One CSV cell: an array as its elements joined by ';', a float to 17
+    significant digits."""
     if isinstance(value, str):
         return value
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value)).lower()
+    if isinstance(value, np.ndarray):
+        return ";".join(_fmt(v) for v in value)
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     value = float(value)
     return "nan" if math.isnan(value) else f"{value:.17g}"
 
 
-def _emit_csv(out, header, rows) -> None:
-    lines = [f"# convention: {CONVENTION_NOTE}", ",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    _emit_text(out, "\n".join(lines) + "\n")
+def _json_safe(obj):
+    """``obj`` with arrays as lists and NaN or infinite floats as None."""
+    if isinstance(obj, dict):
+        return {k: _json_safe(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_safe(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [_json_safe(v) for v in obj.tolist()]
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        f = float(obj)
+        return None if math.isnan(f) or math.isinf(f) else f
+    return obj
 
 
-def _emit_json(out, payload: dict) -> None:
-    def clean(obj):
-        if isinstance(obj, dict):
-            return {k: clean(v) for k, v in obj.items()}
-        if isinstance(obj, (list, tuple)):
-            return [clean(v) for v in obj]
-        if isinstance(obj, np.ndarray):
-            return [clean(v) for v in obj.tolist()]
-        if isinstance(obj, (np.integer,)):
-            return int(obj)
-        if isinstance(obj, (float, np.floating)):
-            f = float(obj)
-            return None if math.isnan(f) or math.isinf(f) else f
-        return obj
-
-    body = {"schema_version": SCHEMA_VERSION, "convention": CONVENTION_NOTE}
-    body.update(payload)
-    _emit_text(out, json.dumps(clean(body), indent=2, allow_nan=False) + "\n")
-
-
-def _emit_text(out, text: str) -> None:
+def _emit(out, fmt, body: dict, table) -> None:
+    """Write the report to the file ``out``, or to stdout: the JSON ``body``
+    under the schema version and convention note, or the CSV ``table``."""
+    if fmt == "json":
+        body = {"schema_version": SCHEMA_VERSION, "convention": CONVENTION_NOTE, **body}
+        text = json.dumps(_json_safe(body), indent=2, allow_nan=False) + "\n"
+    else:
+        rows, header = table
+        lines = [f"# convention: {CONVENTION_NOTE}", ",".join(header)]
+        lines.extend(",".join(_fmt(row[key]) for key in header) for row in rows)
+        text = "\n".join(lines) + "\n"
     if out:
         try:
             with open(out, "wb") as fh:
@@ -257,36 +222,19 @@ def _emit_text(out, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_signal(opts, out, fmt) -> int:
+def _cmd_signal(opts):
     scheme = opts["scheme"]
     if scheme == "ghz":
         p = signal_ghz(opts["n"], opts["detuning"], opts["t"], opts["gamma"])
     else:
         _check_qubit_count(opts["n"])  # the signal of one ion does not take n
         p = signal_uncorrelated(opts["detuning"], opts["t"], opts["gamma"])
-    row = [opts["t"], opts["detuning"], opts["gamma"], scheme, p]
-    if fmt == "json":
-        _emit_json(
-            out,
-            {
-                "command": "signal",
-                "rows": [
-                    {
-                        "t": opts["t"],
-                        "delta": opts["detuning"],
-                        "gamma": opts["gamma"],
-                        "scheme": scheme,
-                        "P": p,
-                    }
-                ],
-            },
-        )
-    else:
-        _emit_csv(out, ["t", "delta", "gamma", "scheme", "P"], [row])
-    return 0
+    header = ("t", "delta", "gamma", "scheme", "P")
+    rows = [dict(zip(header, (opts["t"], opts["detuning"], opts["gamma"], scheme, p)))]
+    return {"rows": rows}, (rows, header)
 
 
-def _cmd_scan(opts, out, fmt) -> int:
+def _cmd_scan(opts):
     t_min = _check_scalar("--t-min", opts["t_min"], 0, strict=True)
     _check_scalar("--t-max", opts["t_max"], t_min, bound_name="--t-min")
     if opts["t_steps"] < 1:
@@ -296,58 +244,37 @@ def _cmd_scan(opts, out, fmt) -> int:
     for t, unc, ent in table:
         if math.isnan(unc) or math.isnan(ent):
             _warn(f"t={_fmt(t)}: singular or infeasible shot time, row set to nan")
-    header = ["t", "delta_omega_uncorrelated", "delta_omega_ghz"]
-    if fmt == "json":
-        rows = [dict(zip(header, map(float, row))) for row in table]
-        _emit_json(out, {"command": "scan", "rows": rows})
-    else:
-        _emit_csv(out, header, table.tolist())
-    return 0
+    header = ("t", "delta_omega_uncorrelated", "delta_omega_ghz")
+    rows = [dict(zip(header, map(float, row))) for row in table]
+    return {"rows": rows}, (rows, header)
 
 
-def _cmd_optimize(opts, out, fmt) -> int:
+def _cmd_optimize(opts):
     n_min, n_max = opts["n_min"], opts["n_max"]
     methods = METHODS if opts["method"] == "both" else (opts["method"],)
     lo, hi = max(ION_RANGE[m][0] for m in methods), min(ION_RANGE[m][1] for m in methods)
     if not lo <= n_min <= n_max <= hi:
         raise ValueError(f"need {lo} <= n-min <= n-max <= {hi}, got {n_min}..{n_max}")
 
-    rows, reports = [], []
     sweep = improvement_sweep(range(n_min, n_max + 1), opts["gamma"], opts["total_time"], methods)
-    for n, outcomes in sweep:
-        for rep in outcomes.values():
-            coeffs = ";".join(_fmt(c) for c in rep.best_coeffs)
-            rows.append([n, rep.method, rep.improvement_pct, rep.t_opt, coeffs, rep.status])
-            reports.append(
-                {
-                    "n": n,
-                    "method": rep.method,
-                    "status": rep.status,
-                    "improvement_pct": rep.improvement_pct,
-                    "delta_omega": rep.delta_omega,
-                    "t_opt": rep.t_opt,
-                    "coeffs": rep.best_coeffs,
-                }
-            )
-
-    if fmt == "json":
-        _emit_json(
-            out,
-            {
-                "command": "optimize",
-                "gamma": opts["gamma"],
-                "total_time": opts["total_time"],
-                "points": reports,
-            },
-        )
-    else:
-        _emit_csv(out, ["n", "method", "improvement_pct", "t_opt", "coeffs", "status"], rows)
-    return 0
+    points = [
+        {
+            "n": n,
+            "method": rep.method,
+            "status": rep.status,
+            "improvement_pct": rep.improvement_pct,
+            "delta_omega": rep.delta_omega,
+            "t_opt": rep.t_opt,
+            "coeffs": rep.best_coeffs,
+        }
+        for n, outcomes in sweep
+        for rep in outcomes.values()
+    ]
+    body = {"gamma": opts["gamma"], "total_time": opts["total_time"], "points": points}
+    return body, (points, ("n", "method", "improvement_pct", "t_opt", "coeffs", "status"))
 
 
-def _cmd_qfi(opts, out, fmt) -> int:
-    if fmt == "csv":
-        raise ValueError("qfi reports are json-only; use --format json")
+def _cmd_qfi(opts):
     n, gamma = opts["n"], opts["gamma"]
     _check_block_qubits(n)
     # every preparation is a family state: GHZ is e_0, the product state uniform
@@ -369,7 +296,6 @@ def _cmd_qfi(opts, out, fmt) -> int:
     state = SymmetricFamilyState(n, coeffs)
 
     report = {
-        "command": "qfi",
         "scheme": scheme,
         "n": n,
         "gamma": gamma,
@@ -399,26 +325,84 @@ def _cmd_qfi(opts, out, fmt) -> int:
     report["qfi"] = fq
     report["classical_fi_sld"] = cfi
     report["delta_omega"] = delta_omega
-    _emit_json(out, report)
-    return 0
+    return report, None
 
 
-_DISPATCH = {
-    "signal": (_cmd_signal, "csv"),
-    "scan": (_cmd_scan, "csv"),
-    "optimize": (_cmd_optimize, "csv"),
-    "qfi": (_cmd_qfi, "json"),
+_COMMANDS = {
+    "signal": _Command(
+        "evaluate a Ramsey signal at one point",
+        {
+            "scheme": _Option(str, default="uncorrelated", choices=("uncorrelated", "ghz")),
+            "n": _Option(int, required=True),
+            "gamma": _Option(float, default=0.0),
+            "detuning": _Option(float, default=0.0),
+            "t": _Option(float, required=True),
+        },
+        ("csv", "json"),
+        _cmd_signal,
+    ),
+    "scan": _Command(
+        "uncertainty versus shot time for both basic schemes",
+        {
+            "n": _Option(int, required=True),
+            "gamma": _Option(float, required=True),
+            "total_time": _Option(float, required=True),
+            "t_min": _Option(float, default=0.02),
+            "t_max": _Option(float, default=2.0),
+            "t_steps": _Option(int, default=256),
+        },
+        ("csv", "json"),
+        _cmd_scan,
+    ),
+    "optimize": _Command(
+        "optimize symmetric-family coefficients over a sweep of n",
+        {
+            "n_min": _Option(int, required=True),
+            "n_max": _Option(int, required=True),
+            "method": _Option(str, default="both", choices=(*METHODS, "both")),
+            "seed": _Option(int, default=0, help="accepted and ignored: both searches are deterministic"),
+            "restarts": _Option(int, default=16, help="accepted and ignored: no search restarts"),
+            "gamma": _Option(float, default=1.0),
+            "total_time": _Option(float, default=100.0),
+        },
+        ("csv", "json"),
+        _cmd_optimize,
+    ),
+    "qfi": _Command(
+        "quantum Fisher information report for one preparation",
+        {
+            "scheme": _Option(str, choices=("uncorrelated", "ghz", "symmetric")),
+            "coeffs": _Option(
+                str,
+                help="semicolon-separated family coefficients; "
+                "a negative first one as --coeffs=-0.6;0.8",
+            ),
+            "n": _Option(int, required=True),
+            "gamma": _Option(float, required=True),
+            "t": _Option(float),
+            "optimize_t": _Option(bool, default=False),
+            "total_time": _Option(float),
+        },
+        ("json",),
+        _cmd_qfi,
+    ),
 }
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handler, default_fmt = _DISPATCH[args.command]
+    args = _build_parser().parse_args(argv)
+    command = _COMMANDS[args.command]
     try:
         opts = _merge_options(args)
-        fmt = args.format or default_fmt
-        return handler(opts, args.out, fmt)
+        fmt = args.format or command.formats[0]
+        if fmt not in command.formats:
+            raise ValueError(
+                f"{args.command} reports are {command.formats[0]}-only; "
+                f"use --format {command.formats[0]}"
+            )
+        body, table = command.handler(opts)
+        _emit(args.out, fmt, {"command": args.command, **body}, table)
+        return 0
     except ValueError as exc:
         return _fail(2, "invalid-argument", exc)
     except ClocksimError as exc:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 
 from .exceptions import DegenerateStateError
-from .qstate import CollectiveMoments, _check_scalar
+from .qstate import CollectiveMoments, _check_scalar, _check_units
 from .ramsey import PrecisionResult, reference_limit
 
 __all__ = [
@@ -102,11 +102,13 @@ def _genramsey_rows(sx_mean, sy_var, n, total_time, gamma):
 
 
 def _check_reachable(gamma, total_time):
-    """Reject a dephasing rate that is not finite and > 0, and a total time
-    that is not finite or is below tau_dec/2 = 1/(2 gamma): shorter
-    experiments fall in a regime the optimized formulas do not cover."""
+    """Reject a dephasing rate that is not finite and > 0, a total time
+    that is not finite or is below tau_dec/2 = 1/(2 gamma), shorter
+    experiments than the optimized formulas cover, and the units that
+    ``qstate._check_units`` rejects."""
     gamma = _check_scalar("dephasing rate", gamma, 0, strict=True)
-    _check_scalar("total time", total_time, 0.5 / gamma, bound_name="tau_dec/2")
+    total_time = _check_scalar("total time", total_time, 0.5 / gamma, bound_name="tau_dec/2")
+    _check_units(gamma, total_time)
 
 
 def solve_topt(m0: CollectiveMoments, gamma: float) -> float:

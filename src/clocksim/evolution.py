@@ -87,10 +87,7 @@ def _block_tables(n: int):
     steps = np.maximum(i - u, 0)[0].astype(float)
     mult = np.array([math.comb(n, k) - math.comb(n, k - 1) if k else 1 for k in range(size)], float)
     spans, lowered = (u - i)[0].astype(float), np.maximum(u - 1, 0)[0, 0].astype(float)
-    tables = base, steps, mult, spans, lowered
-    for table in tables:
-        table.flags.writeable = False
-    return tables
+    return base, steps, mult, spans, lowered
 
 
 def _gram_form(n: int, gamma: float, ts):

@@ -55,7 +55,9 @@ __all__ = [
 # Pairs with lambda_j + lambda_k at most this times the largest eigenvalue of
 # their state are outside its support.
 EIG_CUTOFF = 1e-14
-# F_Q below this carries no information about the detuning
+# F_Q at most this times t^2 carries no information about the detuning: F_Q
+# has units of time^2 (F_Q <= 4 t^2 Var(W)), so a floor in units of F_Q / t^2
+# holds the same states at every gamma
 QFI_FLOOR = 1e-30
 _NO_INFORMATION = "state carries no information about the detuning"
 
@@ -192,11 +194,11 @@ def family_qfi(state: SymmetricFamilyState, gamma: float, t: float):
 def _precision_bounds(fq, ts, total_time):
     """Precision bound 1/sqrt((T/t) F_Q(t)), taken as sqrt(t / (T F_Q)), from
     the F_Q at each shot time of ``ts``; infinite where the state carries no
-    information."""
+    information, F_Q <= ``QFI_FLOOR`` t^2, as at t = 0."""
     # F_Q = 0 where t = 0, and far below the floor at the shortest grid times
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         bounds = np.sqrt(ts / (total_time * fq))
-    return np.where(fq >= QFI_FLOOR, bounds, math.inf)
+    return np.where(fq > QFI_FLOOR * ts * ts, bounds, math.inf)
 
 
 def qfi_uncertainty(qfi_per_shot: float, total_time: float, shot_time: float) -> float:
@@ -204,6 +206,6 @@ def qfi_uncertainty(qfi_per_shot: float, total_time: float, shot_time: float) ->
     ``_precision_bounds``."""
     qfi_per_shot = _check_scalar("quantum Fisher information", qfi_per_shot)
     total_time, shot_time = _check_shots(total_time, shot_time)
-    if qfi_per_shot < QFI_FLOOR:
+    if not qfi_per_shot > QFI_FLOOR * shot_time * shot_time:
         raise NoInformationError(_NO_INFORMATION)
     return float(_precision_bounds(qfi_per_shot, shot_time, total_time))

@@ -53,6 +53,7 @@ from .qstate import (
     SymmetricFamilyState,
     _check_qubit_count,
     _check_scalar,
+    _check_units,
     _dicke_amplitudes,
     _dicke_ladder,
     _flip_even_isometry,
@@ -183,7 +184,8 @@ def _shot_optimum(state, gamma, total_time):
         raise TypeError(f"expected a SymmetricFamilyState, got {type(state).__name__}")
     gamma = _check_scalar("dephasing rate", gamma, 0, strict=True)
     lo = _shot_bracket(gamma, total_time)[0]  # the bracket must not be empty
-    _check_scalar("total time", total_time, lo, strict=True, bound_name="1e-4/gamma")
+    total_time = _check_scalar("total time", total_time, lo, strict=True, bound_name="1e-4/gamma")
+    _check_units(gamma, total_time)
     n, c = state.n, _dicke_amplitudes(state.n, state.a)
     grid, chunks = _shot_grid(n, gamma, total_time)
     # Var(W) about its mean n/2, exact for a flip-symmetric state: a sum of
@@ -207,7 +209,7 @@ def _shot_optimum(state, gamma, total_time):
         if t not in probed:
             fq, dfq, _, measurement = _shot_probe(n, gamma, c, t)
             latest = t, fq, measurement
-            probed[t] = float(1.0 - t * dfq / fq) if fq >= QFI_FLOOR else math.nan
+            probed[t] = float(1.0 - t * dfq / fq) if fq > QFI_FLOOR * t * t else math.nan
         return probed[t]
 
     grid, best = grid.tolist(), int(np.argmin(values))
@@ -243,10 +245,7 @@ def _flip_even_ops(n):
     raised = np.hstack([pad, ladder * iso[:, :-1]])  # rows J+ P e_k
     lowered = np.hstack([ladder * iso[:, 1:], pad])  # rows J- P e_k
     diff = raised - lowered
-    ops = iso @ (raised + lowered).T, diff @ diff.T
-    for op in ops:
-        op.flags.writeable = False
-    return ops
+    return iso @ (raised + lowered).T, diff @ diff.T
 
 
 def _genramsey_lane(n, ops, log_mu):
@@ -454,7 +453,7 @@ def _polish(n, gamma, a, t, bracket):
         norm, t = _norms(x[:-1]), math.exp(x[-1])
         fq, grad_a, grad_t = _qfi_gradient(n, gamma, x[:-1] / norm, t)
         g = np.zeros_like(x)
-        if not fq >= QFI_FLOOR:
+        if not fq > QFI_FLOOR * t * t:
             return x, math.inf, fq, g
         np.divide(grad_a, -(norm * fq), out=g[:-1])
         g[-1] = 1.0 - t * grad_t / fq
@@ -510,7 +509,7 @@ def _qfi_search(n, gamma, total_time, a0, t0):
     """
     lo, hi = _shot_bracket(gamma, total_time)
     a, t, fq, certified = _polish(n, gamma, a0, min(max(t0, lo), hi), (lo, hi))
-    if not fq >= QFI_FLOOR:
+    if not fq > QFI_FLOOR * t * t:
         raise NoInformationError(_NO_INFORMATION)
     # the polish holds log t exactly at log lo or log hi
     edges = [math.exp(math.log(edge)) for edge in ((lo, hi) if hi < total_time else (lo,))]

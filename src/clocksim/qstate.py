@@ -61,6 +61,19 @@ def _check_shots(total_time, shot_time):
     return _check_scalar("total time", total_time, shot_time, bound_name="shot time"), shot_time
 
 
+def _check_units(gamma, total_time):
+    """Reject a dephasing rate outside [1e-100, 1e100], and gamma T above
+    1e100, where the searches for an optimum would leave the normal floats:
+    they form gamma / T, and F_Q and its derivative hold t^2 and t (j - i).
+    Within these ranges their results do not depend on the units."""
+    if not 1e-100 <= gamma <= 1e100:
+        raise ValueError(f"dephasing rate must be within [1e-100, 1e100], got {gamma!r}")
+    if gamma * total_time > 1e100:
+        raise ValueError(
+            f"dephasing rate times total time must be <= 1e100, got {gamma * total_time!r}"
+        )
+
+
 def _reject_non_finite(values: np.ndarray, what: str) -> None:
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
@@ -137,9 +150,10 @@ def uniform_coefficients(n: int) -> np.ndarray:
 
 
 def _per_n_cache(build):
-    """``build(n)``, an array or a tuple of arrays, kept for the most
-    recently used n while the entries total at most ``_TABLE_BYTES``; the
-    latest entry is always kept. ``cache_clear()`` empties the cache."""
+    """``build(n)``, an array or a tuple of arrays, made read-only and kept
+    for the most recently used n while the entries total at most
+    ``_TABLE_BYTES``; the latest entry is always kept. ``cache_clear()``
+    empties the cache."""
     held = OrderedDict()  # n -> (tables, bytes), least recently used first
 
     @functools.wraps(build)
@@ -149,6 +163,8 @@ def _per_n_cache(build):
             return held[n][0]
         tables = build(n)
         arrays = tables if isinstance(tables, tuple) else (tables,)
+        for table in arrays:
+            table.flags.writeable = False  # every caller shares them
         held[n] = tables, sum(table.nbytes for table in arrays)
         total = sum(size for _, size in held.values())
         while total > _TABLE_BYTES and len(held) > 1:
@@ -164,9 +180,7 @@ def _dicke_ladder(n: int):
     """Weight class min(w, n-w) of each Dicke level w = 0..n, and the
     elements <D_{w+1}|J+|D_w> = sqrt((w+1)(n-w)) for w < n."""
     w = np.arange(n + 1)
-    cls, ladder = np.minimum(w, n - w), np.sqrt((w[:-1] + 1.0) * (n - w[:-1]))
-    cls.flags.writeable = ladder.flags.writeable = False
-    return cls, ladder
+    return np.minimum(w, n - w), np.sqrt((w[:-1] + 1.0) * (n - w[:-1]))
 
 
 def _dicke_amplitudes(n: int, a: np.ndarray) -> np.ndarray:
@@ -187,9 +201,7 @@ def _flip_even_isometry(n: int) -> np.ndarray:
     that ``_dicke_amplitudes`` gives a stack (strides (8, 8 (n//2+1))):
     products with it are summed in that order, and a C-contiguous copy gives
     other last bits."""
-    iso = _dicke_amplitudes(n, np.eye(n // 2 + 1))
-    iso.flags.writeable = False
-    return iso
+    return _dicke_amplitudes(n, np.eye(n // 2 + 1))
 
 
 def _moment_rows(n: int, c: np.ndarray):

@@ -532,7 +532,7 @@ def all_lanes_shot_optimum(state, gamma, total_time):
     def residual(t):
         if t not in probed:
             fq, dfq = _shot_probe(n, gamma, c, t)[:2]
-            probed[t] = float(1.0 - t * dfq / fq) if fq >= QFI_FLOOR else math.nan
+            probed[t] = float(1.0 - t * dfq / fq) if fq > QFI_FLOOR * t * t else math.nan
         return probed[t]
 
     grid, best = grid.tolist(), int(np.argmin(values))
@@ -835,7 +835,7 @@ def lbfgsb_polish(n, gamma, a, t, bracket):
     def objective(x):
         norm, t = np.sqrt((x[:-1] * x[:-1]).sum()), math.exp(x[-1])
         value, grad_a, grad_t = _qfi_gradient(n, gamma, x[:-1] / norm, t)
-        if value >= QFI_FLOOR:
+        if value > QFI_FLOOR * t * t:
             grad = np.append(-grad_a / (norm * value), 1.0 - t * grad_t / value)
             scored[x.tobytes()] = x[-1] - math.log(value), value, grad
         else:

@@ -376,6 +376,92 @@ def test_qfi_rejects_csv(tmp_path):
     assert code == 2
 
 
+def _same_value(cell, field):
+    """A CSV cell holds the JSON field of the same row: NaN as null, an
+    array as its elements joined by ';'."""
+    if field is None:
+        return cell == "nan"
+    if isinstance(field, list):
+        return [float(c) for c in cell.split(";")] == field
+    return cell == field if isinstance(field, str) else type(field)(cell) == field
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["signal", "--scheme", "ghz", "--n", "3", "--gamma", "0.5", "--detuning", "1", "--t", "0.3"],
+        ["scan", "--n", "2", "--gamma", "1", "--total-time", "1", "--t-min", "0.5", "--t-steps", "4"],
+        ["optimize", "--method", "both", "--n-min", "2", "--n-max", "3"],
+    ],
+)
+def test_csv_cells_equal_the_json_fields_of_the_same_rows(tmp_path, capsys, argv):
+    csv_out, json_out = tmp_path / "out.csv", tmp_path / "out.json"
+    assert main([*argv, "--out", str(csv_out)]) == 0
+    assert main([*argv, "--format", "json", "--out", str(json_out)]) == 0
+    header, rows = _read_csv(csv_out)
+    payload = json.loads(json_out.read_text())
+    records = payload["points" if argv[0] == "optimize" else "rows"]
+    assert len(rows) == len(records) > 0
+    for cells, record in zip(rows, records):
+        assert len(cells) == len(header)
+        assert all(_same_value(cell, record[key]) for key, cell in zip(header, cells)), cells
+    if argv[0] == "scan":  # the shot times past T = 1 are infeasible
+        assert [r[1:] == ["nan", "nan"] for r in rows] == [False, False, True, True]
+
+
+@pytest.mark.parametrize("error, tag", cli._ERROR_TAGS)
+def test_each_numerical_failure_exits_3_with_its_tag(monkeypatch, tmp_path, capsys, error, tag):
+    def failing(opts):
+        raise error("the message")
+
+    command = cli._COMMANDS["signal"]
+    monkeypatch.setitem(cli._COMMANDS, "signal", command._replace(handler=failing))
+    out = tmp_path / "never.csv"
+    assert main(["signal", "--n", "2", "--t", "0.5", "--out", str(out)]) == 3
+    assert not out.exists()
+    assert capsys.readouterr().err == f"clocksim: {tag}: the message\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--method", "gen-ramsey", "--n-min", "2", "--n-max", "2", "--gamma", "1e-170",
+          "--total-time", "1e170"], "dephasing rate must be within [1e-100, 1e100], got 1e-170"),
+        (["--method", "gen-ramsey", "--n-min", "3", "--n-max", "3", "--gamma", "1e160",
+          "--total-time", "1e-159"], "dephasing rate must be within [1e-100, 1e100], got 1e+160"),
+        (["--method", "gen-ramsey", "--n-min", "3", "--n-max", "3", "--gamma", "1e-160",
+          "--total-time", "1e160"], "dephasing rate must be within [1e-100, 1e100], got 1e-160"),
+        (["--method", "qfi", "--n-min", "4", "--n-max", "4", "--gamma", "1e-150",
+          "--total-time", "1e151"], "dephasing rate must be within [1e-100, 1e100], got 1e-150"),
+        (["--method", "qfi", "--n-min", "4", "--n-max", "4", "--gamma", "1e150",
+          "--total-time", "1e-149"], "dephasing rate must be within [1e-100, 1e100], got 1e+150"),
+        (["--method", "both", "--n-min", "2", "--n-max", "2", "--gamma", "1",
+          "--total-time", "1e101"], "dephasing rate times total time must be <= 1e100, got 1e+101"),
+    ],
+)
+def test_optimize_outside_the_unit_range_exits_2(tmp_path, capsys, argv, message):
+    out = tmp_path / "never.csv"
+    assert main(["optimize", *argv, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == f"clocksim: invalid-argument: {message}\n"
+
+
+@pytest.mark.parametrize("gamma", [1e15, 1e50])
+def test_qfi_report_floor_scales_with_the_units(capsys, gamma):
+    # F_Q has units of time^2: the GHZ report at gamma is gamma = 1's with
+    # F_Q over gamma^2, not a no-information failure
+    reports = []
+    for g in (1.0, gamma):
+        argv = ["qfi", "--n", "2", "--gamma", str(g), "--optimize-t", "--total-time", str(10 / g),
+                "--scheme", "ghz"]
+        assert main(argv) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    ref, got = reports
+    assert got["t_opt"] * gamma == pytest.approx(ref["t_opt"], rel=1e-13)
+    assert got["qfi"] * gamma**2 == pytest.approx(ref["qfi"], rel=1e-13)
+    assert got["delta_omega"] / gamma == pytest.approx(ref["delta_omega"], rel=1e-13)
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("scheme=ghz\nn=2\ngamma=0\ndetuning=1\nt=0.5\n")

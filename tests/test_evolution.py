@@ -14,7 +14,7 @@ from clocksim.evolution import (
     _gram_form,
 )
 from clocksim.optimize import _flip_even_ops
-from clocksim.qstate import _flip_even_isometry
+from clocksim.qstate import _dicke_ladder, _flip_even_isometry
 
 from reference import (
     dense_evolve,
@@ -73,6 +73,17 @@ def test_per_n_tables_survive_a_change_of_n():
         assert cached(2) is first, cached.__name__
         cached.cache_clear()
         assert cached(2) is not first, cached.__name__
+
+
+@pytest.mark.parametrize("cached", [_block_tables, _dicke_ladder, _flip_even_isometry, _flip_even_ops])
+def test_per_n_caches_hand_out_read_only_arrays(cached):
+    # every caller shares the cached arrays: a write must raise, not leak
+    cached.cache_clear()
+    tables = cached(5)
+    for table in tables if isinstance(tables, tuple) else (tables,):
+        assert not table.flags.writeable, cached.__name__
+        with pytest.raises(ValueError, match="read-only"):
+            table[...] = 0.0
 
 
 def test_single_qubit_coherence_decay():

@@ -1,12 +1,15 @@
 """The input contract of every public entry: each scalar n, gamma, t, T
 (``total_time``, ``shot_time``) and delta it takes is rejected with a
 ValueError that names the quantity when it is not a finite number within
-its bound, or, for n, not an integer >= 1."""
+its bound, or, for n, not an integer >= 1. The searches for an optimum
+take gamma in [1e-100, 1e100] and gamma T up to 1e100, and within those
+their results do not depend on the units."""
 
 import inspect
 import math
 import re
 
+import numpy as np
 import pytest
 
 import clocksim
@@ -110,6 +113,14 @@ CONTRACT = [
     ("optimize_symmetric_coeffs", "total_time", 0.2, "total time must be >= tau_dec/2"),
     ("improvement_sweep", "gamma", -1.0, "dephasing rate must be > 0"),
     ("improvement_sweep", "total_time", inf, "total time must be finite"),
+    ("qfi_shot_optimum", "gamma", 1e101, "dephasing rate must be within [1e-100, 1e100]"),
+    ("qfi_shot_optimum", "total_time", 1e101, "dephasing rate times total time must be <= 1e100"),
+    ("optimize_symmetric_coeffs", "gamma", 1e101, "dephasing rate must be within [1e-100, 1e100]"),
+    ("optimize_symmetric_coeffs", "total_time", 1e101, "dephasing rate times total time must be"),
+    ("improvement_sweep", "gamma", 1e101, "dephasing rate must be within [1e-100, 1e100]"),
+    ("improvement_sweep", "total_time", 1e101, "dephasing rate times total time must be"),
+    ("genramsey_opt_uncertainty", "gamma", 1e101, "dephasing rate must be within [1e-100, 1e100]"),
+    ("genramsey_opt_uncertainty", "total_time", 1e101, "dephasing rate times total time must be"),
     ("fig3_scan", "n", 0, "ion count must be >= 1"),
     ("fig3_scan", "gamma", 0.0, "dephasing rate must be > 0"),
     ("fig3_scan", "total_time", nan, "total time must be finite"),
@@ -152,3 +163,21 @@ def test_every_public_scalar_is_in_the_contract():
             if argument in GUARDED and (name, argument) not in covered:
                 missing.append(f"{name}({argument})")
     assert not missing, f"public scalars with no contract row: {missing}"
+
+
+@pytest.mark.parametrize("gamma", [1e-100, 1e-90, 1e90, 1e100])
+def test_searches_do_not_depend_on_the_units(gamma):
+    # only gamma t and gamma T enter: at gamma T = 10 every gamma in range
+    # gives the gamma = 1 rows, and the shot-time optimum scales as 1/gamma
+    ref = next(improvement_sweep([4], 1.0, 10.0))[1]
+    got = next(improvement_sweep([4], gamma, 10.0 / gamma))[1]
+    for method, report in got.items():
+        assert report.status == ref[method].status == "ok"
+        assert abs(report.improvement_pct - ref[method].improvement_pct) <= 1e-13, method
+        assert report.t_opt * gamma == pytest.approx(ref[method].t_opt, rel=1e-6, abs=0.0)
+    for a in (np.eye(1, 3)[0], uniform_coefficients(4), [0.6, 0.0, 0.8]):
+        state = SymmetricFamilyState(4, a)
+        t_ref, bound_ref = qfi_shot_optimum(state, 1.0, 10.0)
+        t_opt, bound = qfi_shot_optimum(state, gamma, 10.0 / gamma)
+        assert t_opt * gamma == pytest.approx(t_ref, rel=1e-13, abs=0.0)
+        assert bound / gamma == pytest.approx(bound_ref, rel=1e-13, abs=0.0)

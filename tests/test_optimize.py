@@ -1258,7 +1258,7 @@ def test_ghz_and_product_shot_times_land_on_their_closed_forms(monkeypatch, gamm
 @pytest.mark.parametrize("n", [4, 6, 8])
 def test_qfi_shot_optimum_near_a_dicke_state_reports_no_infinite_bound(n):
     # a Dicke state carries no information; within about 1e-15 of it F_Q
-    # straddles QFI_FLOOR along the shot-time grid. Where F_Q is below the
+    # straddles QFI_FLOOR t^2 along the shot-time grid. Where F_Q is below the
     # floor the residual is undefined, so a root must not end there with an
     # infinite bound: the search returns a finite one or reports that the
     # state carries no information
@@ -1319,7 +1319,7 @@ def test_searches_without_a_bracketed_root_report_it(monkeypatch, tmp_path, caps
 
 
 def test_unconverged_shot_root_exits_3(monkeypatch, tmp_path, capsys):
-    # F_Q below QFI_FLOOR at every probe after the bracket's two makes the
+    # F_Q below QFI_FLOOR t^2 at every probe after the bracket's two makes the
     # residual NaN there, so every Newton step bisects, onto the same
     # midpoint once its value is NaN; the finish gives up after 100 steps,
     # probing each shot time once (4 probes), and the CLI exits 3 with no
